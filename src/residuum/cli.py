@@ -83,7 +83,9 @@ PRUNING_RULE = (
 NEAR_MISS_NOTE = (
     "near-miss definition is a tooling choice: all four center lines correct "
     "by construction, at least threshold-of-8 sums correct in total, all nine "
-    "entries distinct squares"
+    "entries distinct squares; the top and bottom rows are correct together, "
+    "as are the left and right columns, so a candidate has 4, 6 or 8 correct "
+    "sums and a threshold of 7 or 8 reports hits only"
 )
 
 
@@ -672,7 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--near-miss-threshold",
         type=int,
         default=7,
-        help="report grids with at least this many of the 8 sums correct (default 7)",
+        help="report grids with at least this many of the 8 sums correct, 0 to 8 "
+        "(default 7); every candidate has 4, 6 or 8, so 7 reports hits only",
     )
     ps.add_argument(
         "--workers",
@@ -686,11 +689,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_workers(requested: int | None) -> int:
     if requested is not None:
-        return max(1, requested)
+        if requested < 1:
+            raise BadParameters(f"--workers must be at least 1, got {requested}")
+        return requested
     env = os.environ.get("RESIDUUM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise BadParameters(f"RESIDUUM_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _emit(doc: OutputDocument, fmt: str, renderer) -> None:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
-from .errors import BadRange
+from .errors import BadParameters, BadRange
 from .grid_ops import DIHEDRAL, permute
 from .intgrid import IntGrid, is_magic, is_square_entried
 
@@ -61,53 +60,67 @@ def center_has_inadmissible_factor(e: int) -> bool:
     return e > 1 and e % 4 == 3
 
 
+def _assemble(m: int, offsets, threshold: int):
+    """Every layout of the pairs m - u, m + u (u in offsets) around center m
+    with at least `threshold` of its 8 lines summing to 3m.
+
+    A layout puts signed offsets da, db, dc, dd at the top-left, top-middle,
+    top-right and middle-left cells, and their negatives opposite. The four
+    center lines sum to 3m by construction. The top row does exactly when
+    db = -(da + dc), and so does the bottom row; the left column does exactly
+    when dd = dc - da, and so does the right one. So a layout has 4, 6 or 8
+    correct lines. Above threshold 4, db is taken from its equation; the
+    transpose swaps the top row with the left column, so every grid with a
+    correct column pair also has a layout with a correct row pair. Above
+    threshold 6, dd is taken from its equation too.
+
+    Offsets must be distinct and positive, so the nine cells are distinct and
+    the 8 symmetries of the square act freely on the 384 layouts of each
+    4-subset. Returns (candidates, hits, near_misses): the number of layouts
+    up to symmetry, and the emitted grids as sorted canonical cell tuples
+    (lexicographically smallest under the 8 symmetries).
+    """
+    lengths = set(offsets)
+    signed = [s * u for u in offsets for s in (1, -1)]
+    hits = set()
+    nears = set()
+    for da in signed:
+        for dc in signed:
+            if abs(dc) == abs(da):
+                continue
+            row_fix = -(da + dc)
+            col_fix = dc - da
+            for db in signed if threshold <= 4 else (row_fix,):
+                if abs(db) not in lengths or abs(db) in (abs(da), abs(dc)):
+                    continue
+                for dd in signed if threshold <= 6 else (col_fix,):
+                    if abs(dd) not in lengths or abs(dd) in (abs(da), abs(db), abs(dc)):
+                        continue
+                    correct = 4 + 2 * (db == row_fix) + 2 * (dd == col_fix)
+                    if correct < threshold:
+                        continue
+                    cells = (m + da, m + db, m + dc, m + dd, m, m - dd, m - dc, m - db, m - da)
+                    assert len(set(cells)) == 9
+                    canon = min(permute(cells, sym) for sym in DIHEDRAL)
+                    (hits if correct == 8 else nears).add(canon)
+    return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
+
+
 def _scan_center(task: tuple[int, bool, int]):
     """Assemble and test all candidate grids for one center root.
 
-    Returns (e, pruned, candidates, hit_cells, near_cells); grids are stored
-    as canonical (lexicographically smallest under the 8 symmetries) cell
-    tuples so output does not depend on assembly order.
+    Returns (e, pruned, candidates, hit_cells, near_cells); see `_assemble`.
     """
     e, primitive_only, threshold = task
     if primitive_only and center_has_inadmissible_factor(e):
         return (e, True, 0, (), ())
-    pairs = pair_decompositions(e)
-    if len(pairs) < 4:
-        return (e, False, 0, (), ())
-    total = 3 * e * e
-    c2 = e * e
-    seen = set()
-    hits = []
-    nears = []
-    for quad in combinations(pairs, 4):
-        for diag, anti, row, col in permutations(quad):
-            for orient in range(16):
-                a, i = diag if orient & 1 == 0 else diag[::-1]
-                c, g = anti if orient & 2 == 0 else anti[::-1]
-                d, f = row if orient & 4 == 0 else row[::-1]
-                b, h = col if orient & 8 == 0 else col[::-1]
-                cells = (a, b, c, d, c2, f, g, h, i)
-                canon = min(permute(cells, m) for m in DIHEDRAL)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                correct = 4 + (
-                    (a + b + c == total)
-                    + (g + h + i == total)
-                    + (a + d + g == total)
-                    + (c + f + i == total)
-                )
-                if correct < threshold:
-                    continue
-                if len(set(cells)) != 9:
-                    continue
-                if correct == 8:
-                    grid = IntGrid(canon)
-                    assert is_magic(grid) == total and is_square_entried(grid)
-                    hits.append(canon)
-                else:
-                    nears.append(canon)
-    return (e, False, len(seen), tuple(sorted(hits)), tuple(sorted(nears)))
+    m = e * e
+    offsets = [m - lo for lo, _ in pair_decompositions(e)]
+    candidates, hits, nears = _assemble(m, offsets, threshold)
+    for cells in hits:
+        grid = IntGrid(cells)
+        assert is_magic(grid) == 3 * m and is_square_entried(grid)
+    return (e, False, candidates, hits, nears)
 
 
 def search_msos(
@@ -125,6 +138,11 @@ def search_msos(
     """
     if e_min < 1 or e_min > e_max:
         raise BadRange(f"need 1 <= e_min <= e_max, got [{e_min}, {e_max}]")
+    if not 0 <= near_miss_threshold <= 8:
+        raise BadParameters(
+            f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
+            f"got {near_miss_threshold}"
+        )
     tasks = [(e, primitive_only, near_miss_threshold) for e in range(e_min, e_max + 1)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

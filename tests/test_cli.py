@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from residuum import cli
 from residuum.cli import main
 from residuum.intgrid import IntGrid
@@ -253,6 +255,25 @@ def test_search_cli(capsys, monkeypatch):
     assert doc["results"]["pruned_centers"] == 1
     code, out, err = run(capsys, "search", "200", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "threads, extra",
+    [
+        ("1", ["--near-miss-threshold", "99"]),
+        ("1", ["--near-miss-threshold", "-1"]),
+        ("abc", []),
+        ("0", []),
+        ("1", ["--workers", "0"]),
+        ("1", ["--workers", "-3"]),
+    ],
+)
+def test_search_refuses_bad_settings(capsys, monkeypatch, threads, extra):
+    monkeypatch.setenv("RESIDUUM_THREADS", threads)
+    code, out, err = run(capsys, "search", "1", "10", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_exit_code_on_hit(capsys, monkeypatch):

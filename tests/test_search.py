@@ -1,16 +1,73 @@
+from itertools import combinations, permutations, product
+from math import comb
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from residuum.errors import BadRange
-from residuum.intgrid import is_distinct, is_square_entried
+from residuum.errors import BadParameters, BadRange
+from residuum.grid_ops import DIHEDRAL, LINES, permute
+from residuum.intgrid import (
+    IntGrid,
+    is_distinct,
+    is_magic,
+    is_square_entried,
+    parametric_magic,
+)
 from residuum.search import (
+    _assemble,
+    _scan_center,
     center_has_inadmissible_factor,
     naive_center_enumeration,
     pair_decompositions,
     primitive_subset,
     search_msos,
 )
+
+
+def walk_layouts(m, pairs, threshold):
+    """Slow oracle for `_assemble`: the original search core, which walks all
+    C(k,4)*24*16 layouts of the pairs around center m and canonicalises each
+    one under the 8 symmetries. Returns (candidates, hits, near_misses).
+    Hits need not have square cells, so non-square positive controls run."""
+    total = 3 * m
+    c2 = m
+    seen = set()
+    hits = []
+    nears = []
+    for quad in combinations(pairs, 4):
+        for diag, anti, row, col in permutations(quad):
+            for orient in range(16):
+                a, i = diag if orient & 1 == 0 else diag[::-1]
+                c, g = anti if orient & 2 == 0 else anti[::-1]
+                d, f = row if orient & 4 == 0 else row[::-1]
+                b, h = col if orient & 8 == 0 else col[::-1]
+                cells = (a, b, c, d, c2, f, g, h, i)
+                canon = min(permute(cells, sym) for sym in DIHEDRAL)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                correct = 4 + (
+                    (a + b + c == total)
+                    + (g + h + i == total)
+                    + (a + d + g == total)
+                    + (c + f + i == total)
+                )
+                if correct < threshold:
+                    continue
+                if len(set(cells)) != 9:
+                    continue
+                if correct == 8:
+                    grid = IntGrid(canon)
+                    assert is_magic(grid) == total
+                    hits.append(canon)
+                else:
+                    nears.append(canon)
+    return (len(seen), tuple(sorted(hits)), tuple(sorted(nears)))
+
+
+def canonical(cells):
+    return min(permute(cells, sym) for sym in DIHEDRAL)
 
 
 def brute_pairs(e):
@@ -118,11 +175,90 @@ def test_near_miss_threshold_widens_report():
             )
             if sum(nm.cells[i] for i in line) == 3 * nm.center
         )
-        assert 5 <= correct < 8
+        assert correct == 6  # row and column pairs are correct together
 
 
 def test_candidates_counted_once_per_symmetry_class():
-    report = search_msos(65, 65, primitive_only=False)
-    assert report.candidates_tested > 0
-    # only one 4-pair combination exists at e=65, so at most 384 raw layouts
-    assert report.candidates_tested <= 384
+    # e=65 has k=4 pairs: 384 layouts, on which the 8 symmetries act freely
+    assert len(pair_decompositions(65)) == 4
+    assert search_msos(65, 65, primitive_only=False).candidates_tested == 48
+    report = search_msos(1, 400, primitive_only=False)
+    expected = sum(48 * comb(len(pair_decompositions(e)), 4) for e in range(1, 401))
+    assert report.candidates_tested == expected
+
+
+def test_search_refuses_threshold_outside_line_count():
+    for threshold in (-1, 9, 99):
+        with pytest.raises(BadParameters):
+            search_msos(1, 10, near_miss_threshold=threshold)
+    for threshold in (0, 8):
+        assert search_msos(1, 10, near_miss_threshold=threshold).hits == ()
+
+
+def test_scan_center_matches_layout_walker():
+    # thresholds 0-4 list every layout; 9 is refused by search_msos but the
+    # core still has to agree with the walker there
+    centers = [e for e in range(1, 701) if len(pair_decompositions(e)) >= 4]
+    assert len(centers) > 20
+    near_misses_compared = 0
+    for e in centers:
+        for threshold in range(10):
+            expected = walk_layouts(e * e, pair_decompositions(e), threshold)
+            near_misses_compared += len(expected[2])
+            for primitive_only in (True, False):
+                got = _scan_center((e, primitive_only, threshold))
+                if got[1]:
+                    assert primitive_only and center_has_inadmissible_factor(e)
+                    assert got[2:] == (0, (), ())
+                else:
+                    assert got[2:] == expected, (e, threshold, primitive_only)
+    assert near_misses_compared > 0
+
+
+def test_assemble_finds_the_lo_shu():
+    # 4 9 2 / 3 5 7 / 8 1 6 is 5 +- 1..4: the positive control that the
+    # square search itself cannot give, with 6-line near misses besides
+    lo_shu = (2, 7, 6, 9, 5, 1, 4, 3, 8)
+    assert canonical((4, 9, 2, 3, 5, 7, 8, 1, 6)) == lo_shu
+    assert _assemble(5, [1, 2, 3, 4], 7) == (48, (lo_shu,), ())
+    pairs = [(5 - u, 5 + u) for u in (1, 2, 3, 4)]
+    for threshold in range(10):
+        got = _assemble(5, [1, 2, 3, 4], threshold)
+        assert got == walk_layouts(5, pairs, threshold), threshold
+        assert bool(got[1]) == (threshold <= 8)
+        assert bool(got[2]) == (threshold <= 6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    t=st.integers(1, 20),
+    gap=st.integers(1, 20),
+    extra=st.sets(st.integers(1, 45), max_size=1),
+)
+def test_assemble_matches_walker_where_hits_exist(t, gap, extra):
+    s = t + gap
+    assume(gap != t)  # s - t must differ from t
+    offsets = sorted({s, t, s + t, s - t} | extra)
+    m = 100
+    pairs = [(m - u, m + u) for u in offsets]
+    lucas = canonical(parametric_magic(m, s, t).cells)
+    for threshold in range(10):
+        got = _assemble(m, offsets, threshold)
+        assert got == walk_layouts(m, pairs, threshold), threshold
+        assert (lucas in got[1]) == (threshold <= 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 50),
+    offsets=st.sets(st.integers(1, 12), min_size=4, max_size=5),
+)
+def test_every_layout_has_4_6_or_8_correct_lines(m, offsets):
+    for quad in combinations(sorted(offsets), 4):
+        for order in permutations(quad):
+            for signs in product((1, -1), repeat=4):
+                da, db, dc, dd = (sign * u for sign, u in zip(signs, order))
+                cells = (m + da, m + db, m + dc, m + dd, m, m - dd, m - dc, m - db, m - da)
+                correct = sum(sum(cells[i] for i in line) == 3 * m for line in LINES)
+                assert correct == 4 + 2 * (db == -(da + dc)) + 2 * (dd == dc - da)
+                assert correct in (4, 6, 8)
