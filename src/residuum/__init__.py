@@ -27,6 +27,7 @@ from .congrua import (
 from .fp import (
     FieldElement,
     PrimeContext,
+    factorize,
     inv,
     is_prime,
     legendre,
@@ -39,7 +40,6 @@ from .intgrid import (
     IntGrid,
     Mod2Class,
     admissible_center_check,
-    factorize,
     has_even_center_line,
     is_distinct,
     is_magic,

@@ -2,7 +2,8 @@
 machine-readable output.
 
 Exit codes: 0 success, 1 domain failure (e.g. no construction reaches the
-requested prime), 2 usage error, 3 input/parse error, 10 search hit.
+requested prime), 2 usage error (including a modulus above the context
+ceiling), 3 input/parse error, 10 search hit.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .errors import (
     BadParameters,
     BadPrimeForm,
     BadRange,
+    BoundExceeded,
     NotPrime,
     ParseError,
     ResiduumError,
 )
-from .fp import FieldElement, _sqrt_int, inv, make_context, primes_up_to, sqrt_mod
+from .fp import MAX_CONTEXT_P, FieldElement, _sqrt_int, inv, make_context, primes_up_to, sqrt_mod
 from .intgrid import (
     IntGrid,
     Mod2Class,
@@ -244,6 +246,8 @@ def _render_analyze(r: dict) -> str:
 def run_table(max_p: int) -> OutputDocument:
     if max_p < 5:
         raise BadRange(f"table needs max >= 5, got {max_p}")
+    if max_p > MAX_CONTEXT_P:
+        raise BoundExceeded(f"table max {max_p} exceeds the context ceiling {MAX_CONTEXT_P}")
     rows = []
     for p in primes_up_to(max_p):
         if p % 4 != 1:
@@ -756,7 +760,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotPrime, BadPrimeForm, BadRange, BadParameters) as exc:
+    except (NotPrime, BadPrimeForm, BadRange, BadParameters, BoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResiduumError as exc:

@@ -15,10 +15,9 @@ from .errors import (
     FiveExcluded,
     NonResidueDifference,
     NotCovered,
-    ResiduumError,
 )
 from .fp import FieldElement, PrimeContext, inv, legendre, make_context, sqrt_mod
-from .residue import UnitTriple, consecutive_triples, triple_from_member
+from .residue import UnitTriple, triple_from_member
 
 # Explicit consecutive-run tables for the three small primes the generic
 # routes miss: 29 and 41 collide with terms of the (5,4) progression, and 37
@@ -135,8 +134,10 @@ def coverage_status(p: int) -> CoverageStatus:
     """Which construction (if any) reaches p.
 
     Precedence: the empty-run exclusions, then the residue criteria (both
-    before either alone), then the stored small-case tables, and finally a
-    direct numerical check that the run set is nonempty.
+    before either alone), then the stored small-case tables. Any other p has
+    runs: the CM curve y^2 = x(x+1)(x+2) gives 8|C_p| = p - k - 2*eps*a with
+    p = a^2 + b^2, k <= 15 and eps = +-1 (Ireland & Rosen, ch. 18), and
+    |a| < sqrt(p) makes that positive for p >= 29; 5, 13 and 17 are excluded.
     """
     ctx = make_context(p)
     if ctx.p % 4 != 1:
@@ -153,11 +154,7 @@ def coverage_status(p: int) -> CoverageStatus:
         return CoverageStatus(p, Coverage.COVERED_MOD24)
     if p in SMALL_CASE_TABLES:
         return CoverageStatus(p, Coverage.SMALL_CASE_TABLE)
-    if consecutive_triples(ctx):
-        return CoverageStatus(p, Coverage.UNCOVERED_BUT_NONEMPTY)
-    raise ResiduumError(
-        f"no consecutive residue run mod {p}; impossible for p = 1 (mod 4), p > 17"
-    )
+    return CoverageStatus(p, Coverage.UNCOVERED_BUT_NONEMPTY)
 
 
 def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:

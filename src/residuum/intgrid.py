@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import AllZero, NotMagic, OddCenter, UnexpectedPattern
-from .fp import PrimeContext
+from .fp import PrimeContext, factorize
 from .grid_ops import CENTER, CENTER_LINES, LINES
 from .residue import ResidueGrid
 
@@ -70,9 +70,7 @@ def is_distinct(g: IntGrid) -> bool:
 
 def reduce_primitive(g: IntGrid) -> IntGrid:
     """Divide out the gcd of all cells, making the grid primitive."""
-    d = 0
-    for v in g.cells:
-        d = gcd(d, v)
+    d = gcd(*g.cells)
     if d == 0:
         raise AllZero("the all-zero grid has no primitive form")
     reduced = IntGrid(tuple(v // d for v in g.cells))
@@ -81,23 +79,6 @@ def reduce_primitive(g: IntGrid) -> IntGrid:
         r = isqrt(d)
         assert r * r == d and is_square_entried(reduced)
     return reduced
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; intended for n up to ~10**12."""
-    out: dict[int, int] = {}
-    while n % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        n //= 2
-    f = 3
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)

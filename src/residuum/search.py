@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
 from .errors import BadParameters, BadRange
+from .fp import prime_factors
 from .grid_ops import DIHEDRAL, permute
 from .intgrid import IntGrid, is_magic, is_square_entried
 
@@ -47,17 +48,7 @@ def center_has_inadmissible_factor(e: int) -> bool:
     Such a center root is impossible for a primitive hit; reducible hits
     reappear at the reduced center root, so pruning these e loses nothing.
     """
-    while e % 2 == 0:
-        e //= 2
-    f = 3
-    while f * f <= e:
-        if e % f == 0:
-            if f % 4 == 3:
-                return True
-            while e % f == 0:
-                e //= f
-        f += 2
-    return e > 1 and e % 4 == 3
+    return any(q % 4 == 3 for q in prime_factors(e))
 
 
 def _assemble(m: int, offsets, threshold: int):
@@ -204,11 +195,4 @@ def naive_center_enumeration(e: int) -> set[IntGrid]:
 
 def primitive_subset(grids) -> set[IntGrid]:
     """The grids whose cells have gcd 1."""
-    out = set()
-    for g in grids:
-        d = 0
-        for v in g.cells:
-            d = gcd(d, v)
-        if d == 1:
-            out.add(g)
-    return out
+    return {g for g in grids if gcd(*g.cells) == 1}

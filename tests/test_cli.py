@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from residuum import cli
+from residuum import cli, fp
 from residuum.cli import main
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
@@ -310,6 +310,29 @@ def test_structured_output_round_trips(capsys, tmp_path, monkeypatch):
         out = capsys.readouterr().out
         reparsed = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
         assert reparsed == out, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "1000000009"], ["construct", "1000000009"], ["table", "10000001"], ["verify"]],
+)
+def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    def started(*args):
+        raise AssertionError("work started above the context ceiling")
+
+    monkeypatch.setattr(fp, "is_prime", started)
+    monkeypatch.setattr(cli, "primes_up_to", started)
+    if argv == ["verify"]:
+        # center root 1000000009 is a prime = 1 (mod 4): its residue class
+        # would need a context of about 5*10**8 residues
+        f = tmp_path / "grid.txt"
+        f.write_text(f"1 1 1\n1 {1000000009**2} 1\n1 1 1\n")
+        argv = ["verify", str(f)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "context ceiling" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,18 +1,23 @@
 import random
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residuum import fp
 from residuum.errors import (
     BadPrimeForm,
+    BoundExceeded,
     ContextMismatch,
     DivisionByZero,
     NonResidue,
     NotPrime,
 )
 from residuum.fp import (
+    MAX_CONTEXT_P,
     FieldElement,
+    factorize,
     inv,
     is_prime,
     legendre,
@@ -29,14 +34,39 @@ def brute_qr_set(p):
 
 
 def test_primes_up_to_matches_trial_division():
-    assert primes_up_to(100) == [n for n in range(101) if is_prime(n)]
+    assert primes_up_to(10**5) == [n for n in range(10**5 + 1) if is_prime(n)]
     assert primes_up_to(1) == []
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 12, 91, 561, 1000003 * 2])
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10**9))
+def test_factorize_multiplies_back(n):
+    f = factorize(n)
+    assert prod(q**k for q, k in f.items()) == n
+    assert list(f) == sorted(f)
+    for q in f:
+        assert q >= 2 and all(q % d for d in range(2, isqrt(q) + 1)), q
+
+
+def test_composite_with_huge_cofactor_stops_at_small_factor():
+    # trial-dividing the Mersenne prime 2**61 - 1 would take hours
+    assert is_prime(2 * (2**61 - 1)) is False
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 12, 91, 561, 1000003 * 2, MAX_CONTEXT_P])
 def test_composites_rejected(n):
     with pytest.raises(NotPrime):
         make_context(n)
+
+
+@pytest.mark.parametrize("p", [MAX_CONTEXT_P + 1, 1000000009, 2**61 - 1])
+def test_context_ceiling_refused_before_primality(p, monkeypatch):
+    def trial(n):
+        raise AssertionError("primality tested above the ceiling")
+
+    monkeypatch.setattr(fp, "is_prime", trial)
+    with pytest.raises(BoundExceeded, match="context ceiling"):
+        make_context(p)
 
 
 def test_qr_tables_small():

@@ -8,7 +8,7 @@ from residuum.errors import (
     NotMagic,
     NonzeroCenter,
 )
-from residuum.fp import make_context
+from residuum.fp import make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
@@ -222,16 +222,20 @@ def test_enumerate_members_are_honest():
             assert any(g.vals)
 
 
+P_1_MOD_4_TO_100 = [p for p in primes_up_to(100) if p % 4 == 1]
+
+
 def test_generated_equals_enumerated():
-    for p in (5, 13, 17, 29, 37):
+    for p in P_1_MOD_4_TO_100:
         ctx = make_context(p)
         assert generated_classes(ctx) == enumerate_all(ctx), p
 
 
 def test_bound_holds():
-    for p in (5, 13, 17, 29, 37, 41, 53, 61):
+    # and holds exactly twice over, for every prime the oracle reaches
+    for p in P_1_MOD_4_TO_100:
         ctx = make_context(p)
-        assert len(enumerate_all(ctx)) <= count_bound(ctx)
+        assert 2 * len(enumerate_all(ctx)) == count_bound(ctx), p
 
 
 def test_naive_matches_reduced_oracle():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from residuum.errors import BadParameters, BadRange
 from residuum.grid_ops import DIHEDRAL, LINES, permute
 from residuum.intgrid import (
+    INADMISSIBLE,
     IntGrid,
+    admissible_center_check,
     is_distinct,
     is_magic,
     is_square_entried,
@@ -146,6 +148,19 @@ def test_completeness_against_naive_enumeration():
         naive = naive_center_enumeration(e)
         assembled = set(search_msos(e, e, primitive_only=False).hits)
         assert assembled == naive, f"disagreement at e={e}"
+
+
+def test_prune_matches_center_check():
+    for e in range(1, 5001):
+        verdicts = admissible_center_check(e).verdicts
+        assert center_has_inadmissible_factor(e) == any(
+            v == INADMISSIBLE for _, v in verdicts
+        ), e
+
+
+def test_prune_stops_at_first_inadmissible_factor():
+    # trial-dividing the Mersenne prime 2**61 - 1 would take hours
+    assert center_has_inadmissible_factor(3 * (2**61 - 1)) is True
 
 
 def test_pruning_soundness_spot_check():
