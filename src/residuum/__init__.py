@@ -34,6 +34,7 @@ from .fp import (
     make_context,
     primes_up_to,
     sqrt_mod,
+    two_squares,
 )
 from .intgrid import (
     CenterReport,
@@ -68,6 +69,7 @@ from .residue import (
     magic_sum,
     naive_enumerate,
     orbit,
+    run_count,
     triple_from_member,
 )
 from .search import (

@@ -2,7 +2,7 @@
 machine-readable output.
 
 Exit codes: 0 success, 1 domain failure (e.g. no construction reaches the
-requested prime), 2 usage error (including a modulus above the context
+requested prime), 2 usage error (including a modulus or flag above its
 ceiling), 3 input/parse error, 10 search hit.
 """
 
@@ -53,6 +53,7 @@ from .intgrid import (
     total_is_triple_center,
 )
 from .residue import (
+    MAX_ORACLE_P,
     ResidueGrid,
     classify,
     consecutive_triples,
@@ -63,6 +64,7 @@ from .residue import (
     gen_trivial_midedge,
     is_magic_class,
     magic_sum,
+    run_count,
     triple_from_member,
 )
 from .search import search_msos
@@ -151,6 +153,11 @@ def _grid_block(payload: dict, indent: str = "  ") -> str:
 
 
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
+    if max_oracle_p > MAX_ORACLE_P:
+        raise BoundExceeded(
+            f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_ORACLE_P}; "
+            "the enumeration's cost grows as p^3"
+        )
     ctx = make_context(p)
     results: dict = {
         "p": p,
@@ -247,19 +254,20 @@ def run_table(max_p: int) -> OutputDocument:
     if max_p < 5:
         raise BadRange(f"table needs max >= 5, got {max_p}")
     if max_p > MAX_CONTEXT_P:
-        raise BoundExceeded(f"table max {max_p} exceeds the context ceiling {MAX_CONTEXT_P}")
+        raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
     rows = []
     for p in primes_up_to(max_p):
         if p % 4 != 1:
             continue
-        ctx = make_context(p)
+        runs = run_count(p)
+        k = 2 if p % 8 == 1 else 1
         rows.append(
             {
                 "p": p,
-                "qr_count": len(ctx.qr_set),
-                "run_count": len(consecutive_triples(ctx)),
+                "qr_count": (p - 1) // 2,
+                "run_count": runs,
                 "coverage_status": coverage_status(p).status.value,
-                "count_bound": count_bound(ctx),
+                "count_bound": (p - 1) * (runs + 2 * k),
             }
         )
     return OutputDocument("table", {"max": max_p}, {"rows": rows})
@@ -444,8 +452,8 @@ def _yn(flag: bool) -> str:
 
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
+    ctx = make_context(p)  # refuses p above the context ceiling before any trial
     status = coverage_status(p)
-    ctx = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
     if status.status not in CONSTRUCTIBLE:
         cset = [n.value for n in consecutive_triples(ctx)]
@@ -641,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-oracle-p",
         type=int,
         default=100,
-        help="run the brute-force class enumeration when p is at most this (default 100)",
+        help="run the brute-force class enumeration when p is at most this "
+        f"(default 100, at most {MAX_ORACLE_P})",
     )
     _add_format(pa)
 

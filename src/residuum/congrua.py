@@ -15,8 +15,9 @@ from .errors import (
     FiveExcluded,
     NonResidueDifference,
     NotCovered,
+    NotPrime,
 )
-from .fp import FieldElement, PrimeContext, inv, legendre, make_context, sqrt_mod
+from .fp import FieldElement, PrimeContext, inv, is_prime, legendre, sqrt_mod
 from .residue import UnitTriple, triple_from_member
 
 # Explicit consecutive-run tables for the three small primes the generic
@@ -138,9 +139,11 @@ def coverage_status(p: int) -> CoverageStatus:
     runs: the CM curve y^2 = x(x+1)(x+2) gives 8|C_p| = p - k - 2*eps*a with
     p = a^2 + b^2, k <= 15 and eps = +-1 (Ireland & Rosen, ch. 18), and
     |a| < sqrt(p) makes that positive for p >= 29; 5, 13 and 17 are excluded.
+    Needs no residue table: the cost is the primality trial, O(sqrt(p)).
     """
-    ctx = make_context(p)
-    if ctx.p % 4 != 1:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if p % 4 != 1:
         raise BadPrimeForm(f"coverage is defined for p = 1 (mod 4), got {p}")
     if p in (5, 13, 17):
         return CoverageStatus(p, Coverage.EXCLUDED_5_13_17)

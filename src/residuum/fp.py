@@ -74,7 +74,8 @@ def primes_up_to(n: int) -> list[int]:
 def _sqrt_int(a: int, p: int) -> int:
     """Smaller square root of a mod p (Tonelli-Shanks).
 
-    The caller must ensure a is 0 or a quadratic residue.
+    The caller must ensure a is 0 or a quadratic residue. For p = 1 (mod 4),
+    NotPrime when Euler's criterion shows p composite.
     """
     a %= p
     if a == 0:
@@ -90,7 +91,9 @@ def _sqrt_int(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while (euler := pow(z, (p - 1) // 2, p)) != p - 1:
+        if euler != 1:  # Euler's criterion is +-1 modulo a prime
+            raise NotPrime(f"{p} is not prime")
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
@@ -107,6 +110,25 @@ def _sqrt_int(a: int, p: int) -> int:
         t = t * c % p
         m = i
     return min(r, p - r)
+
+
+def two_squares(p: int) -> tuple[int, int]:
+    """(a, b) with a^2 + b^2 = p, a odd and both positive, for a prime
+    p = 1 (mod 4). Hermite-Serret (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.5): Euclid on p and sqrt(-1) mod p stops at the first
+    remainder below sqrt(p), which is one of the two; O(log p) steps.
+
+    Primality is not tested, as it would cost more than the rest: callers
+    hold p from the sieve, is_prime or a PrimeContext. A composite p raises
+    NotPrime when Euler's criterion exposes it, as it does for most.
+    """
+    if p % 4 != 1:
+        raise BadPrimeForm(f"two squares need p = 1 (mod 4), got {p}")
+    x, y = p, _sqrt_int(p - 1, p)
+    while y * y > p:
+        x, y = y, x % y
+    z = isqrt(p - y * y)
+    return (y, z) if y % 2 else (z, y)
 
 
 class PrimeContext:
@@ -264,10 +286,11 @@ class FieldElement:
         return f"{self.value} (mod {self.context.p})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def make_context(p: int) -> PrimeContext:
-    """Build (and memoize) the residue machinery for a prime modulus;
-    BoundExceeded above MAX_CONTEXT_P, NotPrime for anything else not prime."""
+    """Build (and memoize the 64 most recently used) residue machinery for a
+    prime modulus; BoundExceeded above MAX_CONTEXT_P, NotPrime for anything
+    else not prime."""
     return PrimeContext(p)
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from residuum import cli, fp
+from residuum import cli, fp, residue
 from residuum.cli import main
+from residuum.fp import PrimeContext, primes_up_to
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
 
@@ -98,6 +99,30 @@ def test_table_uncovered_rows_up_to_500(capsys):
         if row["coverage_status"] == "uncovered_but_nonempty"
     ]
     assert uncovered == [113, 137, 157, 233, 257, 277, 353, 373, 397]
+
+
+def test_table_builds_no_contexts(monkeypatch):
+    sample = [p for p in primes_up_to(10000) if p % 4 == 1][::40] + [5, 13, 17, 37, 9973]
+    direct = {}
+    for p in sample:
+        ctx = PrimeContext(p)
+        runs = len(residue.consecutive_triples(ctx))
+        k = 2 if p % 8 == 1 else 1
+        direct[p] = (len(ctx.qr_set), runs, (p - 1) * (runs + 2 * k))
+    kept = PrimeContext(29)
+
+    def built(*args):
+        raise AssertionError("table built a residue context")
+
+    monkeypatch.setattr(fp, "make_context", built)
+    monkeypatch.setattr(cli, "make_context", built)
+    monkeypatch.setattr(fp.PrimeContext, "__init__", built)
+    monkeypatch.setattr(residue, "consecutive_triples", built)
+    rows = {row["p"]: row for row in cli.run_table(10000).results["rows"]}
+    assert residue.count_bound(kept) == 168
+    for p, (qr_count, runs, bound) in direct.items():
+        row = rows[p]
+        assert (row["qr_count"], row["run_count"], row["count_bound"]) == (qr_count, runs, bound), p
 
 
 def test_table_bad_range(capsys):
@@ -332,7 +357,24 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "context ceiling" in err
+    # table builds no contexts; the same ceiling bounds its sieve
+    assert ("sieve ceiling" if argv[0] == "table" else "context ceiling") in err
+
+
+def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
+    help_text = " ".join(run(capsys, "analyze", "--help")[1].split())  # unwrapped
+    assert "(default 100, at most 500)" in help_text
+    assert run(capsys, "analyze", "7", "--max-oracle-p", "500")[0] == 0
+
+    def started(*args):
+        raise AssertionError("work started above the oracle ceiling")
+
+    monkeypatch.setattr(cli, "make_context", started)
+    code, out, err = run(capsys, "analyze", "7", "--max-oracle-p", "501")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "oracle ceiling 500" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from residuum.errors import (
     NotCovered,
 )
 from residuum.fp import FieldElement, PrimeContext, legendre, make_context, primes_up_to
-from residuum.residue import consecutive_triples, triple_from_member
+from residuum.residue import consecutive_triples, run_count, triple_from_member
 
 
 def test_congruum_examples():
@@ -176,20 +176,17 @@ def test_coverage_statuses_partition():
 
 
 def test_run_sets_follow_the_curve_count_and_hasse_bound():
-    # coverage_status reports UNCOVERED_BUT_NONEMPTY without counting runs;
-    # this is the count it relies on. With p = a^2 + b^2 and a odd,
-    # 8|C_p| = p - k - 2*eps*a, and |a| < sqrt(p) gives the lower bound that
-    # makes C_p nonempty for every p >= 29, past the range checked here.
+    # coverage_status reports UNCOVERED_BUT_NONEMPTY without counting runs,
+    # and table takes |C_p| from run_count's closed form
+    # 8|C_p| = p - k - 2*eps*a; the direct count is its oracle here. |a| <
+    # sqrt(p) gives the lower bound that makes C_p nonempty for every p >= 29,
+    # past the range checked here.
     for p in primes_up_to(10**4):
-        if p % 4 != 1 or p < 29:
+        if p % 4 != 1:
             continue
         runs = len(consecutive_triples(PrimeContext(p)))  # unmemoized: O(p) each
-        assert runs > 0, p
-        a = next(a for a in range(1, p, 2) if isqrt(p - a * a) ** 2 == p - a * a)
-        b = isqrt(p - a * a)
-        k = 15 if p % 8 == 1 else 7
-        eps = (1 if a % 4 == 1 else -1) * (1 if b % 4 == 0 else -1)
-        assert 8 * runs == p - k - 2 * eps * a, p
+        assert run_count(p) == runs, p
+        assert (runs > 0) == (p >= 29), p
         deficit = p - 15 - 8 * runs  # 8|C_p| >= p - 15 - 2*sqrt(p)
         assert deficit <= 0 or deficit * deficit <= 4 * p, p
 

@@ -24,6 +24,7 @@ from residuum.fp import (
     make_context,
     primes_up_to,
     sqrt_mod,
+    two_squares,
 )
 
 ODD_PRIMES_1000 = [p for p in primes_up_to(1000) if p > 2]
@@ -67,6 +68,33 @@ def test_context_ceiling_refused_before_primality(p, monkeypatch):
     monkeypatch.setattr(fp, "is_prime", trial)
     with pytest.raises(BoundExceeded, match="context ceiling"):
         make_context(p)
+
+
+def test_context_cache_is_bounded():
+    maxsize = make_context.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    primes = primes_up_to(10**4)[: maxsize + 8]
+    first = make_context(primes[0])
+    for p in primes[1:]:
+        make_context(p)
+    assert make_context.cache_info().currsize <= maxsize
+    rebuilt = make_context(primes[0])
+    assert rebuilt is not first  # evicted, least recently used
+    assert rebuilt == first and rebuilt.qr_set == first.qr_set and rebuilt.w == first.w
+
+
+def test_two_squares_matches_brute_search():
+    for p in primes_up_to(10**4):
+        if p % 4 != 1:
+            continue
+        a = next(a for a in range(1, p, 2) if isqrt(p - a * a) ** 2 == p - a * a)
+        assert two_squares(p) == (a, isqrt(p - a * a)), p
+    for p in (2, 3, 7, 10007):
+        with pytest.raises(BadPrimeForm):
+            two_squares(p)
+    for n in (9, 21, 25, 45, 341, 1105):  # the root search must end on composites
+        with pytest.raises(NotPrime):
+            two_squares(n)
 
 
 def test_qr_tables_small():
