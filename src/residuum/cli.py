@@ -23,9 +23,9 @@ from .congrua import (
     CONSTRUCTIBLE,
     Coverage,
     SMALL_CASE_TABLES,
+    _classify_prime,
     ap_to_unit_triple,
     congruum_triple,
-    coverage_status,
     eligible_params,
     sweep_congrua,
 )
@@ -266,7 +266,7 @@ def run_table(max_p: int) -> OutputDocument:
                 "p": p,
                 "qr_count": (p - 1) // 2,
                 "run_count": runs,
-                "coverage_status": coverage_status(p).status.value,
+                "coverage_status": _classify_prime(p).status.value,
                 "count_bound": (p - 1) * (runs + 2 * k),
             }
         )
@@ -452,8 +452,8 @@ def _yn(flag: bool) -> str:
 
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
-    ctx = make_context(p)  # refuses p above the context ceiling before any trial
-    status = coverage_status(p)
+    ctx = make_context(p)  # refuses p above the context ceiling, then proves p prime
+    status = _classify_prime(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
     if status.status not in CONSTRUCTIBLE:
         cset = [n.value for n in consecutive_triples(ctx)]

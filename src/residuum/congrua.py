@@ -132,17 +132,24 @@ class CoverageStatus:
 
 
 def coverage_status(p: int) -> CoverageStatus:
-    """Which construction (if any) reaches p.
+    """Which construction (if any) reaches p; see `_classify_prime`. Proves p
+    prime first, by trial division, O(sqrt(p)).
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return _classify_prime(p)
+
+
+def _classify_prime(p: int) -> CoverageStatus:
+    """`coverage_status` for a p the caller has already proved prime.
 
     Precedence: the empty-run exclusions, then the residue criteria (both
     before either alone), then the stored small-case tables. Any other p has
     runs: the CM curve y^2 = x(x+1)(x+2) gives 8|C_p| = p - k - 2*eps*a with
     p = a^2 + b^2, k <= 15 and eps = +-1 (Ireland & Rosen, ch. 18), and
     |a| < sqrt(p) makes that positive for p >= 29; 5, 13 and 17 are excluded.
-    Needs no residue table: the cost is the primality trial, O(sqrt(p)).
+    Needs no residue table and no primality trial: O(1).
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if p % 4 != 1:
         raise BadPrimeForm(f"coverage is defined for p = 1 (mod 4), got {p}")
     if p in (5, 13, 17):

@@ -120,7 +120,9 @@ def two_squares(p: int) -> tuple[int, int]:
 
     Primality is not tested, as it would cost more than the rest: callers
     hold p from the sieve, is_prime or a PrimeContext. A composite p raises
-    NotPrime when Euler's criterion exposes it, as it does for most.
+    NotPrime when Euler's criterion exposes it, as it does for every composite
+    below 10^5 except the Euler pseudoprimes 3277, 29341, 49141, 80581 and
+    88357, which get a split like a prime's.
     """
     if p % 4 != 1:
         raise BadPrimeForm(f"two squares need p = 1 (mod 4), got {p}")

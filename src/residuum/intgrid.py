@@ -29,10 +29,6 @@ class IntGrid:
         if any(not isinstance(v, int) or v < 0 for v in self.cells):
             raise ValueError("cells must be nonnegative integers")
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntGrid":
-        return cls(tuple(v for row in rows for v in row))
-
     def rows(self) -> list[list[int]]:
         v = self.cells
         return [list(v[0:3]), list(v[3:6]), list(v[6:9])]

@@ -26,7 +26,6 @@ from .grid_ops import (
     FLIP_ROWS,
     LINES,
     MID_EDGES,
-    ROT90,
     ROT180,
     ROTATIONS,
     permute,
@@ -55,10 +54,6 @@ class ResidueGrid:
         self.context = context
         self.vals = vals
 
-    @classmethod
-    def from_rows(cls, context: PrimeContext, rows) -> "ResidueGrid":
-        return cls(context, [v for row in rows for v in row])
-
     def rows(self) -> list[list[int]]:
         v = self.vals
         return [list(v[0:3]), list(v[3:6]), list(v[6:9])]
@@ -77,9 +72,6 @@ class ResidueGrid:
 
     def transformed(self, index_map) -> "ResidueGrid":
         return ResidueGrid(self.context, permute(self.vals, index_map))
-
-    def rotated90(self) -> "ResidueGrid":
-        return self.transformed(ROT90)
 
     def rotated180(self) -> "ResidueGrid":
         return self.transformed(ROT180)
@@ -263,6 +255,9 @@ def run_count(p: int) -> int:
     Rosen, ch. 18): with p = a^2 + b^2 and a odd, 8|C_p| = p - k - 2*eps*a,
     where k = 15 for p = 1 (mod 8), else 7, and eps = (+1 if a = 1 (mod 4)
     else -1) * (+1 if 4 | b else -1). len(consecutive_triples) is the oracle.
+
+    p must be proved prime first: a composite gives a meaningless count, or
+    NotPrime from two_squares. run_count(3277) returns 396, and 3277 = 29 * 113.
     """
     a, b = two_squares(p)
     k = 15 if p % 8 == 1 else 7

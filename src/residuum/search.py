@@ -7,13 +7,11 @@ outright; what remains is pair assembly plus outer-sum checks.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
 from .errors import BadParameters, BadRange
 from .fp import prime_factors
-from .grid_ops import DIHEDRAL, permute
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
@@ -52,48 +50,46 @@ def center_has_inadmissible_factor(e: int) -> bool:
 
 
 def _assemble(m: int, offsets, threshold: int):
-    """Every layout of the pairs m - u, m + u (u in offsets) around center m
-    with at least `threshold` of its 8 lines summing to 3m.
+    """Every grid of the pairs m - u, m + u (u in offsets) around center m
+    with at least `threshold` of its 8 lines summing to 3m, listed once.
 
     A layout puts signed offsets da, db, dc, dd at the top-left, top-middle,
     top-right and middle-left cells, and their negatives opposite. The four
     center lines sum to 3m by construction. The top row does exactly when
     db = -(da + dc), and so does the bottom row; the left column does exactly
     when dd = dc - da, and so does the right one. So a layout has 4, 6 or 8
-    correct lines. Above threshold 4, db is taken from its equation; the
-    transpose swaps the top row with the left column, so every grid with a
-    correct column pair also has a layout with a correct row pair. Above
-    threshold 6, dd is taken from its equation too.
+    correct lines. Above threshold 4, dd is taken from its equation whenever
+    db misses its own; above threshold 6, both are.
 
     Offsets must be distinct and positive, so the nine cells are distinct and
     the 8 symmetries of the square act freely on the 384 layouts of each
-    4-subset. Returns (candidates, hits, near_misses): the number of layouts
-    up to symmetry, and the emitted grids as sorted canonical cell tuples
-    (lexicographically smallest under the 8 symmetries).
+    4-subset. Only the lexicographically smallest layout of each class is
+    visited: m + da is the smallest corner (da < 0 and |dc| < -da) and
+    db < dd. Returns (candidates, hits, near_misses): the number of layouts
+    up to symmetry, and the emitted grids as sorted cell tuples.
     """
     lengths = set(offsets)
     signed = [s * u for u in offsets for s in (1, -1)]
-    hits = set()
-    nears = set()
-    for da in signed:
+    hits = []
+    nears = []
+    for da in (-u for u in offsets):
         for dc in signed:
-            if abs(dc) == abs(da):
+            if abs(dc) >= -da:
                 continue
             row_fix = -(da + dc)
             col_fix = dc - da
-            for db in signed if threshold <= 4 else (row_fix,):
-                if abs(db) not in lengths or abs(db) in (abs(da), abs(dc)):
+            for db in signed if threshold <= 6 else (row_fix,):
+                if abs(db) not in lengths or abs(db) in (-da, abs(dc)):
                     continue
-                for dd in signed if threshold <= 6 else (col_fix,):
-                    if abs(dd) not in lengths or abs(dd) in (abs(da), abs(db), abs(dc)):
+                for dd in signed if 4 + 2 * (db == row_fix) >= threshold else (col_fix,):
+                    if dd <= db or abs(dd) not in lengths or abs(dd) in (-da, abs(db), abs(dc)):
                         continue
                     correct = 4 + 2 * (db == row_fix) + 2 * (dd == col_fix)
                     if correct < threshold:
                         continue
                     cells = (m + da, m + db, m + dc, m + dd, m, m - dd, m - dc, m - db, m - da)
                     assert len(set(cells)) == 9
-                    canon = min(permute(cells, sym) for sym in DIHEDRAL)
-                    (hits if correct == 8 else nears).add(canon)
+                    (hits if correct == 8 else nears).append(cells)
     return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
 
 
@@ -136,6 +132,8 @@ def search_msos(
         )
     tasks = [(e, primitive_only, near_miss_threshold) for e in range(e_min, e_max + 1)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_center, tasks, chunksize=8))
     else:

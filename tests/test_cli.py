@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from residuum import cli, fp, residue
+import residuum
+from residuum import cli, congrua, fp, residue
 from residuum.cli import main
 from residuum.fp import PrimeContext, primes_up_to
 from residuum.intgrid import IntGrid
@@ -118,6 +122,11 @@ def test_table_builds_no_contexts(monkeypatch):
     monkeypatch.setattr(cli, "make_context", built)
     monkeypatch.setattr(fp.PrimeContext, "__init__", built)
     monkeypatch.setattr(residue, "consecutive_triples", built)
+
+    def trial(*args):
+        raise AssertionError("table re-proved a sieve prime")
+
+    monkeypatch.setattr(congrua, "is_prime", trial)
     rows = {row["p"]: row for row in cli.run_table(10000).results["rows"]}
     assert residue.count_bound(kept) == 168
     for p, (qr_count, runs, bound) in direct.items():
@@ -271,6 +280,9 @@ def test_construct_113_not_covered_but_sweep_finds_candidates(capsys):
 def test_construct_rejects_3_mod_4(capsys):
     code, out, err = run(capsys, "construct", "7")
     assert code == 2
+    code, out, err = run(capsys, "construct", "12")
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_search_cli(capsys, monkeypatch):
@@ -375,6 +387,19 @@ def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "oracle ceiling 500" in err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only search with more than one worker needs the pool
+    code = (
+        "import sys, residuum.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    src = Path(residuum.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from residuum.congrua import (
     Coverage,
     SMALL_CASE_TABLES,
+    SquareProgression,
     ap_to_unit_triple,
     congruum_triple,
     construct_mod20,
@@ -189,6 +190,7 @@ def test_run_sets_follow_the_curve_count_and_hasse_bound():
         assert (runs > 0) == (p >= 29), p
         deficit = p - 15 - 8 * runs  # 8|C_p| >= p - 15 - 2*sqrt(p)
         assert deficit <= 0 or deficit * deficit <= 4 * p, p
+    assert run_count(3277) == 396  # 3277 = 29 * 113: a meaningless count
 
 
 def test_small_case_tables_are_true_run_sets():
@@ -228,3 +230,13 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     for m, n, t in found:
         assert gcd(m, n) == 1 and (m - n) % 2 == 1
         assert t.squares()[2] in runs
+    # the (3,2) progression (17, 13, 7; difference 120) reaches every prime
+    # below 500 that the residue criteria miss
+    uncovered = [
+        p for p in primes_up_to(500)
+        if p % 4 == 1 and coverage_status(p).status is Coverage.UNCOVERED_BUT_NONEMPTY
+    ]
+    assert len(uncovered) == 9
+    assert congruum_triple(3, 2) == SquareProgression(17, 13, 7, 120)
+    for p in uncovered:
+        assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(make_context(p))}, p

@@ -277,3 +277,10 @@ def test_every_layout_has_4_6_or_8_correct_lines(m, offsets):
                 correct = sum(sum(cells[i] for i in line) == 3 * m for line in LINES)
                 assert correct == 4 + 2 * (db == -(da + dc)) + 2 * (dd == dc - da)
                 assert correct in (4, 6, 8)
+    # with no set to drop repeats, _assemble must reach each grid once
+    for threshold in range(10):
+        candidates, hits, nears = _assemble(m, sorted(offsets), threshold)
+        grids = hits + nears
+        assert len(set(grids)) == len(grids), threshold
+        if threshold <= 4:
+            assert len(grids) == candidates == 48 * comb(len(offsets), 4), threshold
