@@ -7,11 +7,13 @@ outright; what remains is pair assembly plus outer-sum checks.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, gcd, isqrt
 
 from .errors import BadParameters, BadRange
-from .fp import prime_factors
+from .fp import factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
@@ -27,17 +29,39 @@ class SearchReport:
 
 
 def pair_decompositions(e: int) -> list[tuple[int, int]]:
-    """Unordered pairs of distinct squares, both != e^2, summing to 2e^2."""
+    """Unordered pairs of distinct squares, both != e^2, summing to 2e^2, as
+    (x^2, y^2) with x < e < y, ascending in x.
+
+    x + yi runs over the Gaussian integers of norm 2e^2 up to units and
+    conjugation (Cohen, A Course in Computational Algebraic Number Theory,
+    1.5). Write e = 2^a * prod q^j * prod p^k with q = 3 and p = 1 (mod 4).
+    Then (1 + i) supplies the 2, 2^a and each q^j only scale, and each p^k
+    contributes pi^j * conj(pi)^(2k - j) for j = 0..2k, where p = pi*conj(pi)
+    comes from `two_squares`. The prod(2k + 1) products include x = y = e
+    once; the others meet every pair twice, as z and its conjugate. So a
+    center costs one trial division and O(prod(2k + 1)) products.
+    """
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
-    target = 2 * e * e
-    out = []
-    for x in range(e):  # x < e < y keeps pairs unordered and excludes e^2
-        y2 = target - x * x
-        y = isqrt(y2)
-        if y * y == y2:
-            out.append((x * x, y2))
-    return out
+    scale = 1
+    zs = [(1, 1)]
+    for p, k in factorize(e).items():
+        if p % 4 != 1:
+            scale *= p**k
+            continue
+        # p comes from trial division, so it is prime and two_squares exact
+        a, b = two_squares(p)
+        powers = [(1, 0)]
+        for _ in range(2 * k):
+            x, y = powers[-1]
+            powers.append((a * x - b * y, a * y + b * x))
+        factors = [
+            (x * u + y * v, y * u - x * v)  # pi^j * conj(pi^(2k - j))
+            for (x, y), (u, v) in zip(powers, reversed(powers))
+        ]
+        zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in factors]
+    pairs = {(min(abs(x), abs(y)), max(abs(x), abs(y))) for x, y in zs if abs(x) != abs(y)}
+    return [((scale * x) ** 2, (scale * y) ** 2) for x, y in sorted(pairs)]
 
 
 def center_has_inadmissible_factor(e: int) -> bool:
@@ -110,6 +134,12 @@ def _scan_center(task: tuple[int, bool, int]):
     return (e, False, candidates, hits, nears)
 
 
+def _scan_block(task: tuple[range, bool, int]) -> list:
+    """`_scan_center` over a contiguous block of center roots."""
+    block, primitive_only, threshold = task
+    return [_scan_center((e, primitive_only, threshold)) for e in block]
+
+
 def search_msos(
     e_min: int,
     e_max: int,
@@ -130,22 +160,39 @@ def search_msos(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
             f"got {near_miss_threshold}"
         )
-    tasks = [(e, primitive_only, near_miss_threshold) for e in range(e_min, e_max + 1)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    centers = range(e_min, e_max + 1)
+    pruned = candidates = 0
+    hits = []
+    nears = []
+    with ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_center, tasks, chunksize=8))
-    else:
-        results = [_scan_center(t) for t in tasks]
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # most centers cost microseconds, so each task is a block of
+            # centers: 16 blocks a worker keep the load balanced, and the
+            # parent holds only ranges, not one task per center
+            size = max(8, len(centers) // (16 * workers))
+            blocks = (
+                (centers[i : i + size], primitive_only, near_miss_threshold)
+                for i in range(0, len(centers), size)
+            )
+            results = chain.from_iterable(pool.map(_scan_block, blocks))
+        else:
+            results = map(_scan_center, ((e, primitive_only, near_miss_threshold) for e in centers))
+        for _, was_pruned, count, hit_cells, near_cells in results:
+            pruned += was_pruned
+            candidates += count
+            hits.extend(IntGrid(c) for c in hit_cells)
+            nears.extend(IntGrid(c) for c in near_cells)
     return SearchReport(
         e_range=(e_min, e_max),
         primitive_only=primitive_only,
         near_miss_threshold=near_miss_threshold,
-        pruned_centers=sum(1 for r in results if r[1]),
-        candidates_tested=sum(r[2] for r in results),
-        hits=tuple(IntGrid(c) for r in results for c in r[3]),
-        near_misses=tuple(IntGrid(c) for r in results for c in r[4]),
+        pruned_centers=pruned,
+        candidates_tested=candidates,
+        hits=tuple(hits),
+        near_misses=tuple(nears),
     )
 
 

@@ -1,11 +1,12 @@
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuum.errors import BadParameters, BadRange
+from residuum.fp import primes_up_to
 from residuum.grid_ops import DIHEDRAL, LINES, permute
 from residuum.intgrid import (
     INADMISSIBLE,
@@ -68,6 +69,19 @@ def walk_layouts(m, pairs, threshold):
     return (len(seen), tuple(sorted(hits)), tuple(sorted(nears)))
 
 
+def isqrt_pairs(e):
+    """Slow oracle for `pair_decompositions`: the original O(e) scan, one
+    isqrt per x < e."""
+    target = 2 * e * e
+    out = []
+    for x in range(e):  # x < e < y keeps pairs unordered and excludes e^2
+        y2 = target - x * x
+        y = isqrt(y2)
+        if y * y == y2:
+            out.append((x * x, y2))
+    return out
+
+
 def canonical(cells):
     return min(permute(cells, sym) for sym in DIHEDRAL)
 
@@ -97,6 +111,36 @@ def test_pair_decompositions_against_brute_force(e):
     for lo, hi in got:
         assert lo + hi == 2 * e * e
         assert lo != hi and lo != e * e and hi != e * e
+
+
+def test_pair_decompositions_match_isqrt_oracle():
+    for e in range(1, 3001):
+        assert pair_decompositions(e) == isqrt_pairs(e), e
+
+
+PRIMES = primes_up_to(10**4)
+ONE_MOD_4 = [p for p in PRIMES if p % 4 == 1]
+THREE_MOD_4 = [q for q in PRIMES if q % 4 == 3]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    a=st.integers(0, 5),
+    split=st.dictionaries(st.sampled_from(ONE_MOD_4), st.integers(1, 3), max_size=3),
+    inert=st.dictionaries(st.sampled_from(THREE_MOD_4[:20]), st.integers(1, 2), max_size=2),
+)
+def test_pair_decompositions_from_chosen_factorisations(a, split, inert):
+    # 2^a and each q^j scale the pairs; p^k gives 2k + 1 Gaussian factors
+    e = 2**a * prod(p**k for p, k in split.items()) * prod(q**j for q, j in inert.items())
+    got = pair_decompositions(e)
+    assert len(got) == (prod(2 * k + 1 for k in split.values()) - 1) // 2
+    assert got == sorted(got)
+    for lo, hi in got:
+        assert lo + hi == 2 * e * e
+        assert isqrt(lo) ** 2 == lo and isqrt(hi) ** 2 == hi
+        assert 0 < lo < e * e < hi
+    if e <= 2 * 10**5:
+        assert got == isqrt_pairs(e)
 
 
 def test_center_pruning_predicate():
@@ -141,6 +185,15 @@ def test_search_report_deterministic_across_workers():
     serial = search_msos(1, 90, True, workers=1)
     parallel = search_msos(1, 90, True, workers=2)
     assert serial == parallel
+
+
+def test_search_report_deterministic_across_chunks():
+    # 1500 centers on 2 workers make blocks of 46 centers, 33 in all, so
+    # the block boundaries and the streamed merge must drop and reorder nothing
+    kwargs = dict(primitive_only=False, near_miss_threshold=4)
+    serial = search_msos(1, 1500, workers=1, **kwargs)
+    assert len(serial.near_misses) == serial.candidates_tested > 10**4
+    assert search_msos(1, 1500, workers=2, **kwargs) == serial
 
 
 def test_completeness_against_naive_enumeration():
@@ -195,10 +248,10 @@ def test_near_miss_threshold_widens_report():
 
 def test_candidates_counted_once_per_symmetry_class():
     # e=65 has k=4 pairs: 384 layouts, on which the 8 symmetries act freely
-    assert len(pair_decompositions(65)) == 4
+    assert len(isqrt_pairs(65)) == 4
     assert search_msos(65, 65, primitive_only=False).candidates_tested == 48
     report = search_msos(1, 400, primitive_only=False)
-    expected = sum(48 * comb(len(pair_decompositions(e)), 4) for e in range(1, 401))
+    expected = sum(48 * comb(len(isqrt_pairs(e)), 4) for e in range(1, 401))
     assert report.candidates_tested == expected
 
 
@@ -213,12 +266,12 @@ def test_search_refuses_threshold_outside_line_count():
 def test_scan_center_matches_layout_walker():
     # thresholds 0-4 list every layout; 9 is refused by search_msos but the
     # core still has to agree with the walker there
-    centers = [e for e in range(1, 701) if len(pair_decompositions(e)) >= 4]
+    centers = [e for e in range(1, 701) if len(isqrt_pairs(e)) >= 4]
     assert len(centers) > 20
     near_misses_compared = 0
     for e in centers:
         for threshold in range(10):
-            expected = walk_layouts(e * e, pair_decompositions(e), threshold)
+            expected = walk_layouts(e * e, isqrt_pairs(e), threshold)
             near_misses_compared += len(expected[2])
             for primitive_only in (True, False):
                 got = _scan_center((e, primitive_only, threshold))
