@@ -26,6 +26,7 @@ from .congrua import (
     _classify_prime,
     ap_to_unit_triple,
     congruum_triple,
+    coverage_status,
     eligible_params,
     sweep_congrua,
 )
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
     ResiduumError,
 )
-from .fp import MAX_CONTEXT_P, FieldElement, _sqrt_int, inv, make_context, primes_up_to, sqrt_mod
+from .fp import MAX_CONTEXT_P, FieldElement, inv, make_context, primes_up_to, sqrt_mod
 from .intgrid import (
     IntGrid,
     Mod2Class,
@@ -114,7 +115,8 @@ class OutputDocument:
 
 
 def _residue_grid_payload(g: ResidueGrid) -> dict:
-    roots = [_sqrt_int(v, g.context.p) for v in g.vals]
+    root = g.context.root
+    roots = [root[v] for v in g.vals]
     return {
         "cells": g.rows(),
         "roots": [roots[0:3], roots[3:6], roots[6:9]],
@@ -452,8 +454,12 @@ def _yn(flag: bool) -> str:
 
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
-    ctx = make_context(p)  # refuses p above the context ceiling, then proves p prime
-    status = _classify_prime(p)
+    # refuse before the O(p) context: the ceiling, then the primality proof,
+    # then p = 3 (mod 4); make_context's second proof is O(sqrt(p))
+    if p > MAX_CONTEXT_P:
+        raise BoundExceeded(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
+    status = coverage_status(p)
+    ctx = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
     if status.status not in CONSTRUCTIBLE:
         cset = [n.value for n in consecutive_triples(ctx)]

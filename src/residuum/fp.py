@@ -6,10 +6,11 @@ construction and safe to share between threads; all operations are pure.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain, compress, count
 from math import isqrt
 
 from .errors import (
@@ -25,8 +26,9 @@ FORM_TWO = "two"
 FORM_1_MOD_4 = "one_mod_four"
 FORM_3_MOD_4 = "three_mod_four"
 
-# A PrimeContext holds all (p-1)/2 residues twice, about 50 MB per 10**6 of p,
-# so larger moduli are refused before any work is done.
+# A PrimeContext holds a 4-byte root table per element of F_p and the
+# (p-1)/2 residues as a tuple, about 25 MB per 10**6 of p, so larger moduli
+# are refused before any work is done.
 MAX_CONTEXT_P = 10**7
 
 
@@ -72,7 +74,8 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def _sqrt_int(a: int, p: int) -> int:
-    """Smaller square root of a mod p (Tonelli-Shanks).
+    """Smaller square root of a mod p (Tonelli-Shanks), for callers that hold
+    no PrimeContext root table, such as two_squares.
 
     The caller must ensure a is 0 or a quadratic residue. For p = 1 (mod 4),
     NotPrime when Euler's criterion shows p composite.
@@ -135,16 +138,19 @@ def two_squares(p: int) -> tuple[int, int]:
 
 
 class PrimeContext:
-    """A prime modulus p with its derived residue tables and special roots.
+    """A prime modulus p with its square-root table and special roots.
 
-    qr_set holds the nonzero quadratic residues in ascending order. w is the
-    smaller element of order 4 (present iff p = 1 mod 4); tau is the smaller
-    square root of 2 (present iff p = 2 or p = +-1 mod 8). Where two roots
-    exist we always pick the representative in [0, (p-1)/2] so that outputs
-    are reproducible.
+    root[a] is the smaller square root of a, in [1, p//2], for a nonzero
+    quadratic residue a, and 0 for 0 and every non-residue. One pass over
+    x = 1..p//2 fills it, so membership and roots are index reads; it takes
+    4 bytes per element of F_p. qr_set holds the nonzero quadratic residues in
+    ascending order. w is the smaller element of order 4 (present iff
+    p = 1 mod 4); tau is the smaller square root of 2 (present iff p = 2 or
+    p = +-1 mod 8). Where two roots exist we always pick the representative
+    in [0, (p-1)/2] so that outputs are reproducible.
     """
 
-    __slots__ = ("p", "residue_form", "qr_set", "w", "tau", "_members")
+    __slots__ = ("p", "residue_form", "root", "qr_set", "w", "tau")
 
     def __init__(self, p: int):
         if p > MAX_CONTEXT_P:
@@ -161,14 +167,17 @@ class PrimeContext:
             self.residue_form = FORM_1_MOD_4
         else:
             self.residue_form = FORM_3_MOD_4
-        self.qr_set = tuple(sorted({n * n % p for n in range(1, p)}))
-        self._members = frozenset(self.qr_set)
-        self.w = FieldElement(_sqrt_int(p - 1, p), self) if p % 4 == 1 else None
+        root = array("I", bytes(4 * p))
+        for x in range(1, p // 2 + 1):
+            root[x * x % p] = x
+        self.root = root
+        self.qr_set = tuple(compress(range(p), root))
+        self.w = FieldElement(root[p - 1], self) if p % 4 == 1 else None
         if p == 2:
             # 2 = 0 in F_2; its only root is 0
             self.tau = FieldElement(0, self)
         elif p % 8 in (1, 7):
-            self.tau = FieldElement(_sqrt_int(2, p), self)
+            self.tau = FieldElement(root[2], self)
         else:
             self.tau = None
 
@@ -177,12 +186,12 @@ class PrimeContext:
 
     def is_qr(self, value: int) -> bool:
         """True iff value reduces to a nonzero quadratic residue."""
-        return value % self.p in self._members
+        return self.root[value % self.p] != 0
 
     def is_square(self, value: int) -> bool:
         """True iff value reduces to zero or a quadratic residue."""
         value %= self.p
-        return value == 0 or value in self._members
+        return value == 0 or self.root[value] != 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeContext) and other.p == self.p
@@ -308,13 +317,13 @@ def legendre(a: FieldElement) -> int:
 
 
 def sqrt_mod(a: FieldElement) -> FieldElement:
-    """Canonical (smaller) square root of a; NonResidue when none exists."""
+    """Canonical (smaller) square root of a, read from its context's root
+    table; NonResidue when none exists."""
     ctx = a.context
-    if ctx.p == 2 or a.value == 0:
-        return FieldElement(a.value, ctx)
-    if legendre(a) == -1:
+    r = ctx.root[a.value]
+    if r == 0 and a.value != 0:
         raise NonResidue(f"{a.value} is not a square mod {ctx.p}")
-    return FieldElement(_sqrt_int(a.value, ctx.p), ctx)
+    return FieldElement(r, ctx)
 
 
 def inv(a: FieldElement) -> FieldElement:

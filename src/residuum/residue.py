@@ -13,12 +13,13 @@ from enum import Enum
 from .errors import (
     BadPrimeForm,
     BoundExceeded,
+    ContextMismatch,
     NonSquareCell,
     NotAMember,
     NotMagic,
     NonzeroCenter,
 )
-from .fp import FieldElement, PrimeContext, sqrt_mod, two_squares
+from .fp import FieldElement, PrimeContext, two_squares
 from .grid_ops import (
     ANTI_TRANSPOSE,
     CENTER,
@@ -106,10 +107,14 @@ class UnitTriple:
     gamma: FieldElement
 
     def __post_init__(self):
-        a, b, g = self.alpha, self.beta, self.gamma
-        if 0 in (a.value, b.value, g.value):
+        p = self.alpha.context.p
+        a, b, g = self.alpha.value, self.beta.value, self.gamma.value
+        if 0 in (a, b, g):
             raise ValueError("unit-triple members must be nonzero")
-        if a * a - b * b != 1 or b * b - g * g != 1:
+        for other in (self.beta, self.gamma):
+            if other.context.p != p:
+                raise ContextMismatch(f"cannot mix F_{p} and F_{other.context.p} elements")
+        if (a * a - b * b) % p != 1 or (b * b - g * g) % p != 1:
             raise ValueError("consecutive squares must differ by exactly 1")
 
     @property
@@ -200,30 +205,27 @@ def consecutive_triples(ctx: PrimeContext) -> tuple[FieldElement, ...]:
 
 def triple_from_member(ctx: PrimeContext, n) -> UnitTriple:
     """Unit triple whose squares are n+2, n+1, n (canonical roots)."""
-    n = int(n) % ctx.p
     p = ctx.p
-    if not (ctx.is_qr(n) and ctx.is_qr((n + 1) % p) and ctx.is_qr((n + 2) % p)):
+    n = int(n) % p
+    # a zero root marks 0 or a non-residue, so this is the membership test
+    a, b, g = ctx.root[(n + 2) % p], ctx.root[(n + 1) % p], ctx.root[n]
+    if 0 in (a, b, g):
         raise NotAMember(f"{n} does not start a consecutive residue run mod {p}")
     return UnitTriple(
-        alpha=sqrt_mod(FieldElement(n + 2, ctx)),
-        beta=sqrt_mod(FieldElement(n + 1, ctx)),
-        gamma=sqrt_mod(FieldElement(n, ctx)),
+        alpha=FieldElement(a, ctx), beta=FieldElement(b, ctx), gamma=FieldElement(g, ctx)
     )
 
 
 def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
-    """Grid (wb)^2 g^2 1 / a^2 0 (wa)^2 / w^2 (wg)^2 b^2 from a unit triple."""
+    """Grid (wb)^2 g^2 1 / a^2 0 (wa)^2 / w^2 (wg)^2 b^2 from a unit triple.
+
+    w^2 = -1, so the cells are -b^2 g^2 1 / a^2 0 -a^2 / -1 -g^2 b^2.
+    """
     ctx = t.context
     if ctx.w is None:
         raise BadPrimeForm(f"no order-4 element mod {ctx.p}; need p = 1 (mod 4)")
-    w = ctx.w
-    a, b, g = t.alpha, t.beta, t.gamma
-    cells = (
-        (w * b) ** 2, g * g, ctx.element(1),
-        a * a, ctx.element(0), (w * a) ** 2,
-        w * w, (w * g) ** 2, b * b,
-    )
-    return ResidueGrid(ctx, [c.value for c in cells])
+    a2, b2, g2 = t.squares()
+    return ResidueGrid(ctx, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
 
 
 def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:

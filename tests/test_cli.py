@@ -277,12 +277,21 @@ def test_construct_113_not_covered_but_sweep_finds_candidates(capsys):
     assert r["sweeps_successful"]
 
 
-def test_construct_rejects_3_mod_4(capsys):
-    code, out, err = run(capsys, "construct", "7")
-    assert code == 2
+def test_construct_rejects_3_mod_4(capsys, monkeypatch):
     code, out, err = run(capsys, "construct", "12")
     assert code == 2
     assert "not prime" in err
+
+    def built(*args):
+        raise AssertionError("construct built a context for p = 3 (mod 4)")
+
+    # refused after the primality proof but before the O(p) context
+    monkeypatch.setattr(cli, "make_context", built)
+    for p in ("7", "9999991"):
+        code, out, err = run(capsys, "construct", p)
+        assert code == 2
+        assert out == ""
+        assert "p = 1 (mod 4)" in err
 
 
 def test_search_cli(capsys, monkeypatch):
@@ -358,6 +367,7 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
         raise AssertionError("work started above the context ceiling")
 
     monkeypatch.setattr(fp, "is_prime", started)
+    monkeypatch.setattr(congrua, "is_prime", started)
     monkeypatch.setattr(cli, "primes_up_to", started)
     if argv == ["verify"]:
         # center root 1000000009 is a prime = 1 (mod 4): its residue class

@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 from math import isqrt, prod
 
 import pytest
@@ -17,6 +18,8 @@ from residuum.errors import (
 from residuum.fp import (
     MAX_CONTEXT_P,
     FieldElement,
+    PrimeContext,
+    _sqrt_int,
     factorize,
     inv,
     is_prime,
@@ -111,6 +114,25 @@ def test_qr_tables_small():
     assert make_context(13).qr_set == (1, 3, 4, 9, 10, 12)
     for p in (5, 13, 17, 29, 37, 101):
         assert make_context(p).qr_set == brute_qr_set(p)
+
+
+def test_root_table_matches_tonelli_shanks_and_euler():
+    # every residue of every prime below 10**4, against Euler's criterion and
+    # Tonelli-Shanks (_sqrt_int), neither of which reads a table
+    for p in primes_up_to(10**4):
+        ctx = PrimeContext(p)
+        assert ctx.qr_set == brute_qr_set(p), p
+        qr = [a == 1 for a in range(p)] if p == 2 else [pow(a, p // 2, p) == 1 for a in range(p)]
+        square = [q or a == 0 for a, q in enumerate(qr)]
+        assert [ctx.is_qr(a) for a in range(p)] == qr, p
+        assert [ctx.is_square(a) for a in range(p)] == square, p
+        assert list(ctx.root) == [_sqrt_int(a, p) if s else 0 for a, s in enumerate(square)], p
+        for a in compress(range(p), (not s for s in square)):
+            try:  # pytest.raises would cost more than the rest of the test
+                sqrt_mod(FieldElement(a, ctx))
+            except NonResidue:
+                continue
+            pytest.fail(f"non-residue {a} mod {p} got a root")
 
 
 def test_no_order4_element_for_3_mod_4():

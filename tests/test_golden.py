@@ -1,0 +1,47 @@
+"""Pinned SHA-256 of the structured output of the regression commands.
+
+Structured output is the behavioural contract: a refactor or a speed-up must
+leave these bytes unchanged. Every `search` names its worker count, since the
+count is part of the output. The hashes were taken from the sources before
+the prime contexts kept a square-root table, so that change is held to the
+output of the Tonelli-Shanks path. A change that alters output on purpose
+updates the hash and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from residuum.cli import main
+
+GOLDEN = {
+    "search 1 2000 --workers 1": (0, "ef11df2ded1a4bd0493976eb460a278aa0ea7553d8f9f9338cb2e9bf8729bba3"),
+    "search 1 2000 --workers 2": (0, "b6f16c33316343349aef75f9ac1749f03baeaacc0d0f90fe922eb84501e94262"),
+    "search 1235 1734 --workers 1": (0, "46e0e12bac7db644a6334bd88c942e69a5cfcc348fcfd7a75691a1e9c5cf44d2"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 0 --workers 1": (0, "a32cd75b67a10e945da8e69bc5a7f5d48d3f33ff81f169a86b1284cf314794aa"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 4 --workers 1": (0, "7571926f80d82cbde7cd275a4e40e52033a3ca776ca9f95d5ccbd482bb53b63c"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 5 --workers 1": (0, "c2b867f71fca32fadca3298466155ef78c99310411cb00dccc3d4cdb99e9fdfb"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 6 --workers 1": (0, "f5be4a6245fe6f16a7a3266687fd867f15280d71441e314f9954895223588dcf"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 7 --workers 1": (0, "3aa55e95004f7d232de0019c35c7edf09f42c43d8c5487dca1c3c25850109ff5"),
+    "search 60 600 --no-primitive-only --near-miss-threshold 8 --workers 1": (0, "84e9a2145f724723b9a123ba543c13fe4cb9c81e6b8cc82b1f815949e021bb20"),
+    "search 60 300 --near-miss-threshold 4 --workers 1": (0, "8550e385f628fc7e8789ed5e809c9d5c0c74cccf6126b0652b588954ccae718c"),
+    "table 10000 --format csv": (0, "b494623aa086f57515111119f609a26dc5eb1dd5388ae9608a5052dc4cb33817"),
+    "table 10000": (0, "a4575af9a2fcb9add86d604fa9f09968cbbeff77974766942ca8394f74ae4d73"),
+    "construct 13": (1, "0d779f49cf01b5463114cc01365c4d3fbf653830b029185985d4bad55a47f980"),
+    "construct 29": (0, "8eea7acfa254fe4deb69c01c1a902bf44d39ac1a428fe4416d04ce0e0e7e2083"),
+    "construct 61": (0, "c5623c73f1b9ce4c4f59ffe49e5c70bb53566ec7ccb670ed334d87ddc9cdcdec"),
+    "construct 113": (1, "c6059837fe0193345485a46dc87b0ed329f65a44fa1171f64eefa20e6076fc0f"),
+    "analyze 1009": (0, "684d354bcb603d8c354e5cdb5a626b73fabd2fa45c0405911c009a6ea71790cd"),
+    "analyze 50021": (0, "733b399ff2dee3f0e8ad47984bc1e393952a351306d1693d7fceb45888c9ee63"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_structured_output_is_pinned(capsys, command):
+    argv = command.split()
+    if "--format" not in argv:
+        argv += ["--format", "structured"]
+    code, digest = GOLDEN[command]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,14 +1,16 @@
 import pytest
 
+from residuum.cli import run_analyze
 from residuum.errors import (
     BadPrimeForm,
     BoundExceeded,
+    ContextMismatch,
     NonSquareCell,
     NotAMember,
     NotMagic,
     NonzeroCenter,
 )
-from residuum.fp import make_context, primes_up_to
+from residuum.fp import FieldElement, _sqrt_int, legendre, make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
@@ -131,6 +133,19 @@ def test_unit_triple_invariants_enforced():
         UnitTriple(ctx.element(1), ctx.element(1), ctx.element(1))
     with pytest.raises(ValueError):
         UnitTriple(ctx.element(6), ctx.element(8), ctx.element(0))
+    t = triple_from_member(ctx, 5)
+    with pytest.raises(ContextMismatch):
+        UnitTriple(t.alpha, F13.element(t.beta.value), t.gamma)
+    with pytest.raises(ContextMismatch):
+        UnitTriple(t.alpha, t.beta, F13.element(t.gamma.value))
+
+
+def test_gen_nontrivial_needs_an_order_4_element():
+    # 3, 4, 5 are consecutive residues mod 11, but -1 is not a square
+    t = triple_from_member(make_context(11), 3)
+    assert t.squares() == (5, 4, 3)
+    with pytest.raises(BadPrimeForm):
+        gen_nontrivial(t)
 
 
 def test_gen_nontrivial_f29(grid_f29):
@@ -141,6 +156,42 @@ def test_gen_nontrivial_f29(grid_f29):
     g37 = gen_nontrivial(triple_from_member(make_context(37), 9))
     assert is_magic_class(g37) and magic_sum(g37) == 0
     assert classify(g37) is ClassKind.NONTRIVIAL
+
+
+def slow_class_entry(ctx, n):
+    """One nontrivial_classes entry of analyze by the FieldElement path: roots
+    by Tonelli-Shanks after Euler's criterion, the w*b products, and one
+    Tonelli-Shanks root per cell."""
+
+    def sqrt_ts(v):
+        e = FieldElement(v, ctx)
+        assert legendre(e) == 1
+        return FieldElement(_sqrt_int(e.value, ctx.p), ctx)
+
+    w = sqrt_ts(-1)
+    a, b, g = sqrt_ts(n + 2), sqrt_ts(n + 1), sqrt_ts(n)
+    cells = [
+        (w * b) ** 2, g * g, ctx.element(1),
+        a * a, ctx.element(0), (w * a) ** 2,
+        w * w, (w * g) ** 2, b * b,
+    ]
+    vals = [c.value for c in cells]
+    roots = [_sqrt_int(v, ctx.p) for v in vals]
+    rows = [vals[0:3], vals[3:6], vals[6:9]]
+    return {"member": n, "grid": {"cells": rows, "roots": [roots[0:3], roots[3:6], roots[6:9]]}}
+
+
+def test_analyze_classes_match_the_field_element_path():
+    for p in primes_up_to(2000):
+        if p % 4 != 1:
+            continue
+        ctx = make_context(p)
+        members = [
+            n for n in range(1, p - 2)
+            if all(legendre(FieldElement(n + i, ctx)) == 1 for i in range(3))
+        ]
+        got = run_analyze(p, 0).results["nontrivial_classes"]
+        assert got == [slow_class_entry(ctx, n) for n in members], p
 
 
 def test_orbit_all_zero_is_fixed():
