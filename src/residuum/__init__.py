@@ -25,10 +25,8 @@ from .congrua import (
     sweep_congrua,
 )
 from .fp import (
-    FieldElement,
     PrimeContext,
     factorize,
-    inv,
     is_prime,
     legendre,
     make_context,

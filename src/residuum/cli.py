@@ -21,6 +21,7 @@ from math import isqrt
 from . import __version__
 from .congrua import (
     CONSTRUCTIBLE,
+    MAX_SWEEP_M,
     Coverage,
     SMALL_CASE_TABLES,
     _classify_prime,
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
     ResiduumError,
 )
-from .fp import MAX_CONTEXT_P, FieldElement, inv, make_context, primes_up_to, sqrt_mod
+from .fp import MAX_CONTEXT_P, make_context, primes_up_to, sqrt_mod
 from .intgrid import (
     IntGrid,
     Mod2Class,
@@ -134,9 +135,9 @@ def _int_grid_payload(g: IntGrid) -> dict:
 def _triple_payload(t) -> dict:
     a2, b2, g2 = t.squares()
     return {
-        "alpha": t.alpha.value,
-        "beta": t.beta.value,
-        "gamma": t.gamma.value,
+        "alpha": t.alpha,
+        "beta": t.beta,
+        "gamma": t.gamma,
         "squares": [a2, b2, g2],
     }
 
@@ -166,8 +167,8 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         "residue_form": ctx.residue_form,
         "qr_set": list(ctx.qr_set),
         "qr_count": len(ctx.qr_set),
-        "w": ctx.w.value if ctx.w is not None else None,
-        "tau": ctx.tau.value if ctx.tau is not None else None,
+        "w": ctx.w,
+        "tau": ctx.tau,
         "consecutive_triples": None,
         "count_bound": None,
         "trivial_corner": None,
@@ -192,7 +193,7 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             "primitive magic square of squares"
         )
     else:
-        cset = [n.value for n in consecutive_triples(ctx)]
+        cset = list(consecutive_triples(ctx))
         results["consecutive_triples"] = cset
         results["count_bound"] = count_bound(ctx)
         results["trivial_corner"] = _residue_grid_payload(gen_trivial_corner(ctx))
@@ -390,14 +391,13 @@ def _residue_report(grid: IntGrid, q: int, total) -> dict:
     ctx = make_context(q)
     rgrid = residue_class_of(grid, ctx)
     magic = is_magic_class(rgrid)
-    s = magic_sum(rgrid)
     entry = {
         "p": q,
         "kind": "residue",
         "cells": rgrid.rows(),
         "roots": _residue_grid_payload(rgrid)["roots"],
         "magic": magic,
-        "sum": s.value if s is not None else None,
+        "sum": magic_sum(rgrid),
         "classification": None,
     }
     if magic and rgrid.center == 0:
@@ -454,15 +454,21 @@ def _yn(flag: bool) -> str:
 
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
-    # refuse before the O(p) context: the ceiling, then the primality proof,
-    # then p = 3 (mod 4); make_context's second proof is O(sqrt(p))
+    # refuse before the O(p) context: the sweep bound, the ceiling, then the
+    # primality proof, then p = 3 (mod 4); make_context's second proof is
+    # O(sqrt(p))
+    if not 2 <= sweep_max_m <= MAX_SWEEP_M:
+        raise BadParameters(
+            f"--sweep-max-m must be in [2, {MAX_SWEEP_M}], got {sweep_max_m}; "
+            "the sweep tries about 0.2 * m^2 progressions"
+        )
     if p > MAX_CONTEXT_P:
         raise BoundExceeded(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
     status = coverage_status(p)
     ctx = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
     if status.status not in CONSTRUCTIBLE:
-        cset = [n.value for n in consecutive_triples(ctx)]
+        cset = list(consecutive_triples(ctx))
         tried = eligible_params(sweep_max_m)
         successes = [
             [m, n, t.squares()[2]] for m, n, t in sweep_congrua(ctx, sweep_max_m)
@@ -500,16 +506,15 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     else:
         triple = ap_to_unit_triple(prog, ctx)
         table_members = None
-        d = FieldElement(prog.d, ctx)
-        root = sqrt_mod(d)
+        root = sqrt_mod(ctx, prog.d)
         progression = {"x": prog.x, "y": prog.y, "z": prog.z, "d": prog.d}
         chain = {
             "x_sq_mod_p": prog.x ** 2 % p,
             "y_sq_mod_p": prog.y ** 2 % p,
             "z_sq_mod_p": prog.z ** 2 % p,
-            "d_mod_p": d.value,
-            "d_root": root.value,
-            "root_inverse": inv(root).value,
+            "d_mod_p": prog.d % p,
+            "d_root": root,
+            "root_inverse": pow(root, -1, p),
         }
     grid = gen_nontrivial(triple)
     results = {
@@ -676,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-max-m",
         type=int,
         default=10,
-        help="largest m for the exploratory progression sweep on uncovered primes",
+        help="largest m for the exploratory progression sweep on uncovered primes "
+        f"(default 10, from 2 to {MAX_SWEEP_M})",
     )
     _add_format(pc)
 

@@ -17,7 +17,7 @@ from .errors import (
     NotCovered,
     NotPrime,
 )
-from .fp import FieldElement, PrimeContext, inv, is_prime, legendre, sqrt_mod
+from .fp import PrimeContext, is_prime, sqrt_mod
 from .residue import UnitTriple, triple_from_member
 
 # Explicit consecutive-run tables for the three small primes the generic
@@ -74,11 +74,10 @@ def ap_to_unit_triple(prog: SquareProgression, ctx: PrimeContext) -> UnitTriple:
         raise BadPrimeForm(f"unit triples need p = 1 (mod 4), got {p}")
     if (prog.x * prog.y * prog.z) % p == 0:
         raise DividesTerm(f"{p} divides a term of ({prog.x}, {prog.y}, {prog.z})")
-    d = FieldElement(prog.d, ctx)
-    if legendre(d) != 1:
+    if not ctx.is_qr(prog.d):
         raise NonResidueDifference(f"{prog.d} is not a nonzero square mod {p}")
-    r_inv = inv(sqrt_mod(d))
-    return UnitTriple(alpha=prog.x * r_inv, beta=prog.y * r_inv, gamma=prog.z * r_inv)
+    r_inv = pow(sqrt_mod(ctx, prog.d), -1, p)
+    return UnitTriple(ctx, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
 
 
 def construct_mod20(ctx: PrimeContext) -> UnitTriple:
@@ -165,6 +164,12 @@ def _classify_prime(p: int) -> CoverageStatus:
     if p in SMALL_CASE_TABLES:
         return CoverageStatus(p, Coverage.SMALL_CASE_TABLE)
     return CoverageStatus(p, Coverage.UNCOVERED_BUT_NONEMPTY)
+
+
+# Largest m the CLI lets the exploratory sweep reach: eligible_params(m) has
+# about 0.2 * m^2 pairs, and `construct 113 --sweep-max-m 1000` took 4.9 s,
+# 138 MB and printed 13.5 MB (Python 3.11, 2-vCPU machine).
+MAX_SWEEP_M = 500
 
 
 def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:

@@ -9,15 +9,7 @@ class NotPrime(ResiduumError, ValueError):
     pass
 
 
-class ContextMismatch(ResiduumError, ValueError):
-    pass
-
-
 class NonResidue(ResiduumError, ValueError):
-    pass
-
-
-class DivisionByZero(ResiduumError, ZeroDivisionError):
     pass
 
 

@@ -1,7 +1,9 @@
 """Prime fields F_p and the quadratic-residue machinery built on them.
 
-Everything is exact integer arithmetic. A PrimeContext is immutable after
-construction and safe to share between threads; all operations are pure.
+Everything is exact integer arithmetic. An element of F_p is a plain int in
+[0, p-1], passed beside the one PrimeContext that owns it; the inverse of a
+nonzero a is pow(a, -1, p). A PrimeContext is immutable after construction
+and safe to share between threads; all operations are pure.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from functools import lru_cache
 from itertools import chain, compress, count
 from math import isqrt
 
-from .errors import (
-    BadPrimeForm,
-    BoundExceeded,
-    ContextMismatch,
-    DivisionByZero,
-    NonResidue,
-    NotPrime,
-)
+from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 
 FORM_TWO = "two"
 FORM_1_MOD_4 = "one_mod_four"
@@ -172,17 +167,14 @@ class PrimeContext:
             root[x * x % p] = x
         self.root = root
         self.qr_set = tuple(compress(range(p), root))
-        self.w = FieldElement(root[p - 1], self) if p % 4 == 1 else None
+        self.w = root[p - 1] if p % 4 == 1 else None
         if p == 2:
             # 2 = 0 in F_2; its only root is 0
-            self.tau = FieldElement(0, self)
+            self.tau = 0
         elif p % 8 in (1, 7):
-            self.tau = FieldElement(root[2], self)
+            self.tau = root[2]
         else:
             self.tau = None
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
 
     def is_qr(self, value: int) -> bool:
         """True iff value reduces to a nonzero quadratic residue."""
@@ -203,101 +195,6 @@ class PrimeContext:
         return f"PrimeContext(p={self.p})"
 
 
-class FieldElement:
-    """Canonical residue in [0, p-1] tied to a PrimeContext.
-
-    Arithmetic mixes freely with plain ints; mixing elements of different
-    contexts raises ContextMismatch.
-    """
-
-    __slots__ = ("value", "context")
-
-    def __init__(self, value: int, context: PrimeContext):
-        if not isinstance(value, int):
-            raise TypeError(f"field elements hold ints, not {type(value).__name__}")
-        self.value = value % context.p
-        self.context = context
-
-    def _other_value(self, other):
-        if isinstance(other, FieldElement):
-            if other.context.p != self.context.p:
-                raise ContextMismatch(
-                    f"cannot mix F_{self.context.p} and F_{other.context.p} elements"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value + v, self.context)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value - v, self.context)
-
-    def __rsub__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(v - self.value, self.context)
-
-    def __mul__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value * v, self.context)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return self * inv(FieldElement(v, self.context))
-
-    def __rtruediv__(self, other):
-        v = self._other_value(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(v, self.context) * inv(self)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.context)
-
-    def __pow__(self, exponent: int):
-        try:
-            return FieldElement(pow(self.value, exponent, self.context.p), self.context)
-        except ValueError:
-            raise DivisionByZero("0 has no inverse") from None
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return other.context.p == self.context.p and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.context.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.context.p})"
-
-
 @lru_cache(maxsize=64)
 def make_context(p: int) -> PrimeContext:
     """Build (and memoize the 64 most recently used) residue machinery for a
@@ -306,28 +203,22 @@ def make_context(p: int) -> PrimeContext:
     return PrimeContext(p)
 
 
-def legendre(a: FieldElement) -> int:
-    """Quadratic character of a via Euler's criterion: 0, 1 or -1."""
-    p = a.context.p
+def legendre(a: int, p: int) -> int:
+    """Quadratic character of a mod an odd prime p via Euler's criterion:
+    0, 1 or -1. Reads no table."""
     if p == 2:
         raise BadPrimeForm("the quadratic character needs an odd prime modulus")
-    if a.value == 0:
+    a %= p
+    if a == 0:
         return 0
-    return -1 if pow(a.value, (p - 1) // 2, p) == p - 1 else 1
+    return -1 if pow(a, (p - 1) // 2, p) == p - 1 else 1
 
 
-def sqrt_mod(a: FieldElement) -> FieldElement:
-    """Canonical (smaller) square root of a, read from its context's root
-    table; NonResidue when none exists."""
-    ctx = a.context
-    r = ctx.root[a.value]
-    if r == 0 and a.value != 0:
-        raise NonResidue(f"{a.value} is not a square mod {ctx.p}")
-    return FieldElement(r, ctx)
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; DivisionByZero on 0."""
-    if a.value == 0:
-        raise DivisionByZero(f"0 has no inverse mod {a.context.p}")
-    return FieldElement(pow(a.value, -1, a.context.p), a.context)
+def sqrt_mod(ctx: PrimeContext, a: int) -> int:
+    """Canonical (smaller) square root of a mod ctx.p, read from the context's
+    root table; NonResidue when none exists."""
+    a %= ctx.p
+    r = ctx.root[a]
+    if r == 0 and a != 0:
+        raise NonResidue(f"{a} is not a square mod {ctx.p}")
+    return r

@@ -13,13 +13,12 @@ from enum import Enum
 from .errors import (
     BadPrimeForm,
     BoundExceeded,
-    ContextMismatch,
     NonSquareCell,
     NotAMember,
     NotMagic,
     NonzeroCenter,
 )
-from .fp import FieldElement, PrimeContext, two_squares
+from .fp import PrimeContext, two_squares
 from .grid_ops import (
     ANTI_TRANSPOSE,
     CENTER,
@@ -46,7 +45,7 @@ class ResidueGrid:
     __slots__ = ("context", "vals")
 
     def __init__(self, context: PrimeContext, vals):
-        vals = tuple(int(v) % context.p for v in vals)
+        vals = tuple(v % context.p for v in vals)
         if len(vals) != 9:
             raise ValueError("a grid needs exactly 9 cells")
         for v in vals:
@@ -59,15 +58,11 @@ class ResidueGrid:
         v = self.vals
         return [list(v[0:3]), list(v[3:6]), list(v[6:9])]
 
-    def cell(self, r: int, c: int) -> FieldElement:
-        return FieldElement(self.vals[3 * r + c], self.context)
-
     @property
     def center(self) -> int:
         return self.vals[CENTER]
 
-    def scaled(self, s) -> "ResidueGrid":
-        s = int(s) % self.context.p
+    def scaled(self, s: int) -> "ResidueGrid":
         p = self.context.p
         return ResidueGrid(self.context, tuple(v * s % p for v in self.vals))
 
@@ -100,34 +95,25 @@ class ResidueGrid:
 
 @dataclass(frozen=True)
 class UnitTriple:
-    """(alpha, beta, gamma), all nonzero, with alpha^2 - beta^2 = beta^2 - gamma^2 = 1."""
+    """(alpha, beta, gamma) in [1, p-1] with alpha^2 - beta^2 = beta^2 - gamma^2 = 1
+    mod p, where p is the one context the three members belong to."""
 
-    alpha: FieldElement
-    beta: FieldElement
-    gamma: FieldElement
+    context: PrimeContext
+    alpha: int
+    beta: int
+    gamma: int
 
     def __post_init__(self):
-        p = self.alpha.context.p
-        a, b, g = self.alpha.value, self.beta.value, self.gamma.value
-        if 0 in (a, b, g):
-            raise ValueError("unit-triple members must be nonzero")
-        for other in (self.beta, self.gamma):
-            if other.context.p != p:
-                raise ContextMismatch(f"cannot mix F_{p} and F_{other.context.p} elements")
+        p = self.context.p
+        a, b, g = self.alpha, self.beta, self.gamma
+        if not all(0 < x < p for x in (a, b, g)):
+            raise ValueError(f"unit-triple members must lie in [1, {p - 1}]")
         if (a * a - b * b) % p != 1 or (b * b - g * g) % p != 1:
             raise ValueError("consecutive squares must differ by exactly 1")
 
-    @property
-    def context(self) -> PrimeContext:
-        return self.alpha.context
-
     def squares(self) -> tuple[int, int, int]:
         p = self.context.p
-        return (
-            self.alpha.value ** 2 % p,
-            self.beta.value ** 2 % p,
-            self.gamma.value ** 2 % p,
-        )
+        return (self.alpha ** 2 % p, self.beta ** 2 % p, self.gamma ** 2 % p)
 
 
 def line_sums(g: ResidueGrid) -> tuple[int, ...]:
@@ -141,12 +127,10 @@ def is_magic_class(g: ResidueGrid) -> bool:
     return len(set(line_sums(g))) == 1
 
 
-def magic_sum(g: ResidueGrid) -> FieldElement | None:
-    """The common line sum, or None when the sums disagree."""
+def magic_sum(g: ResidueGrid) -> int | None:
+    """The common line sum mod p, or None when the sums disagree."""
     sums = set(line_sums(g))
-    if len(sums) != 1:
-        return None
-    return FieldElement(sums.pop(), g.context)
+    return sums.pop() if len(sums) == 1 else None
 
 
 def classify(g: ResidueGrid) -> ClassKind:
@@ -193,27 +177,20 @@ def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
     return ResidueGrid(ctx, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
 
 
-def consecutive_triples(ctx: PrimeContext) -> tuple[FieldElement, ...]:
+def consecutive_triples(ctx: PrimeContext) -> tuple[int, ...]:
     """All n with n, n+1 and n+2 nonzero quadratic residues, ascending."""
-    p = ctx.p
-    return tuple(
-        FieldElement(n, ctx)
-        for n in ctx.qr_set
-        if ctx.is_qr((n + 1) % p) and ctx.is_qr((n + 2) % p)
-    )
+    return tuple(n for n in ctx.qr_set if ctx.is_qr(n + 1) and ctx.is_qr(n + 2))
 
 
-def triple_from_member(ctx: PrimeContext, n) -> UnitTriple:
+def triple_from_member(ctx: PrimeContext, n: int) -> UnitTriple:
     """Unit triple whose squares are n+2, n+1, n (canonical roots)."""
     p = ctx.p
-    n = int(n) % p
+    n %= p
     # a zero root marks 0 or a non-residue, so this is the membership test
     a, b, g = ctx.root[(n + 2) % p], ctx.root[(n + 1) % p], ctx.root[n]
     if 0 in (a, b, g):
         raise NotAMember(f"{n} does not start a consecutive residue run mod {p}")
-    return UnitTriple(
-        alpha=FieldElement(a, ctx), beta=FieldElement(b, ctx), gamma=FieldElement(g, ctx)
-    )
+    return UnitTriple(ctx, a, b, g)
 
 
 def gen_nontrivial(t: UnitTriple) -> ResidueGrid:

@@ -161,26 +161,26 @@ def search_msos(
             f"got {near_miss_threshold}"
         )
     centers = range(e_min, e_max + 1)
+    # most centers cost microseconds, so each task is a block of centers:
+    # 16 blocks a worker keep the load balanced, and the parent holds only
+    # ranges, not one task per center
+    size = max(8, len(centers) // (16 * workers))
+    blocks = (
+        (centers[i : i + size], primitive_only, near_miss_threshold)
+        for i in range(0, len(centers), size)
+    )
     pruned = candidates = 0
     hits = []
     nears = []
     with ExitStack() as stack:
+        mapper = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # most centers cost microseconds, so each task is a block of
-            # centers: 16 blocks a worker keep the load balanced, and the
-            # parent holds only ranges, not one task per center
-            size = max(8, len(centers) // (16 * workers))
-            blocks = (
-                (centers[i : i + size], primitive_only, near_miss_threshold)
-                for i in range(0, len(centers), size)
-            )
-            results = chain.from_iterable(pool.map(_scan_block, blocks))
-        else:
-            results = map(_scan_center, ((e, primitive_only, near_miss_threshold) for e in centers))
-        for _, was_pruned, count, hit_cells, near_cells in results:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for _, was_pruned, count, hit_cells, near_cells in chain.from_iterable(
+            mapper(_scan_block, blocks)
+        ):
             pruned += was_pruned
             candidates += count
             hits.extend(IntGrid(c) for c in hit_cells)

@@ -399,6 +399,27 @@ def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
     assert "oracle ceiling 500" in err
 
 
+def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):
+    help_text = " ".join(run(capsys, "construct", "--help")[1].split())  # unwrapped
+    assert "(default 10, from 2 to 500)" in help_text
+    assert congrua.MAX_SWEEP_M == 500
+    code, doc, _ = run_json(capsys, "construct", "113", "--sweep-max-m", "2")
+    assert code == 1 and doc["results"]["sweeps_tried"] == [[2, 1]]
+    assert run(capsys, "construct", "61", "--sweep-max-m", "500")[0] == 0
+
+    def started(*args):
+        raise AssertionError("work started outside the sweep bounds")
+
+    monkeypatch.setattr(cli, "make_context", started)
+    for m in ("501", "1000", "1", "0", "-5"):
+        for p in ("113", "61"):
+            code, out, err = run(capsys, "construct", p, "--sweep-max-m", m)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"--sweep-max-m must be in [2, 500], got {m}" in err
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only search with more than one worker needs the pool
     code = (

@@ -23,7 +23,7 @@ from residuum.errors import (
     NonResidueDifference,
     NotCovered,
 )
-from residuum.fp import FieldElement, PrimeContext, legendre, make_context, primes_up_to
+from residuum.fp import PrimeContext, legendre, make_context, primes_up_to
 from residuum.residue import consecutive_triples, run_count, triple_from_member
 
 
@@ -72,16 +72,16 @@ def test_ap_to_unit_triple_f61():
 def test_ap_to_unit_triple_f97():
     ctx = make_context(97)
     t = ap_to_unit_triple(congruum_triple(2, 1), ctx)
-    assert t.alpha * t.alpha - t.beta * t.beta == 1
-    assert t.beta * t.beta - t.gamma * t.gamma == 1
-    assert t.squares()[2] in {n.value for n in consecutive_triples(ctx)}
+    assert (t.alpha**2 - t.beta**2) % 97 == 1
+    assert (t.beta**2 - t.gamma**2) % 97 == 1
+    assert t.squares()[2] in consecutive_triples(ctx)
 
 
 def test_ap_to_unit_triple_f13_rejects():
     ctx = make_context(13)
     # 13 divides none of 49, 41, 31; 720 = 5 (mod 13) and Euler says non-residue
     assert (49 * 41 * 31) % 13 != 0
-    assert legendre(FieldElement(720, ctx)) == -1
+    assert legendre(720, 13) == -1
     with pytest.raises(NonResidueDifference):
         ap_to_unit_triple(congruum_triple(5, 4), ctx)
 
@@ -112,14 +112,14 @@ def test_construct_mod20_41_from_table():
 def test_construct_mod24():
     ctx73 = make_context(73)
     t = construct_mod24(ctx73)
-    assert t.alpha * t.alpha - t.beta * t.beta == 1
+    assert (t.alpha**2 - t.beta**2) % 73 == 1
     with pytest.raises(FiveExcluded):
         construct_mod24(make_context(5))
     # 29 = 5 (mod 24): confirm 24 is a residue first, then construct
     ctx29 = make_context(29)
-    assert legendre(FieldElement(24, ctx29)) == 1
+    assert legendre(24, 29) == 1
     t29 = construct_mod24(ctx29)
-    assert t29.squares()[2] in {n.value for n in consecutive_triples(ctx29)}
+    assert t29.squares()[2] in consecutive_triples(ctx29)
     with pytest.raises(NotCovered):
         construct_mod24(make_context(13))  # 13 (mod 24)
 
@@ -133,16 +133,14 @@ def test_difference_residue_matches_reduced_form():
     for p in primes_up_to(500):
         if p <= 5:
             continue
-        ctx = make_context(p)
-        assert legendre(FieldElement(720, ctx)) == legendre(FieldElement(5, ctx))
+        assert legendre(720, p) == legendre(5, p)
 
 
 def test_five_is_residue_iff_pm1_mod_10():
     for p in primes_up_to(1000):
         if p < 7:
             continue
-        ctx = make_context(p)
-        assert (legendre(FieldElement(5, ctx)) == 1) == (p % 10 in (1, 9))
+        assert (legendre(5, p) == 1) == (p % 10 in (1, 9))
 
 
 def test_coverage_examples():
@@ -196,7 +194,7 @@ def test_run_sets_follow_the_curve_count_and_hasse_bound():
 def test_small_case_tables_are_true_run_sets():
     for p, members in SMALL_CASE_TABLES.items():
         ctx = make_context(p)
-        assert tuple(n.value for n in consecutive_triples(ctx)) == members
+        assert consecutive_triples(ctx) == members
 
 
 def test_constructions_cover_what_they_claim():
@@ -204,7 +202,7 @@ def test_constructions_cover_what_they_claim():
         if p % 4 != 1:
             continue
         ctx = make_context(p)
-        runs = {n.value for n in consecutive_triples(ctx)}
+        runs = set(consecutive_triples(ctx))
         if p % 20 in (1, 9):
             assert construct_mod20(ctx).squares()[2] in runs
         if p % 24 in (1, 5) and p != 5:
@@ -226,7 +224,7 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     ctx = make_context(113)
     found = sweep_congrua(ctx)
     assert found, "some small progression should map into F_113"
-    runs = {n.value for n in consecutive_triples(ctx)}
+    runs = set(consecutive_triples(ctx))
     for m, n, t in found:
         assert gcd(m, n) == 1 and (m - n) % 2 == 1
         assert t.squares()[2] in runs

@@ -4,8 +4,11 @@ Structured output is the behavioural contract: a refactor or a speed-up must
 leave these bytes unchanged. Every `search` names its worker count, since the
 count is part of the output. The hashes were taken from the sources before
 the prime contexts kept a square-root table, so that change is held to the
-output of the Tonelli-Shanks path. A change that alters output on purpose
-updates the hash and says why.
+output of the Tonelli-Shanks path. The `analyze 2`, `analyze 7`,
+`analyze 17`, `construct 37`, `construct 53` and `verify` hashes were taken
+from the sources in which elements of F_p were still wrapped in a field-element
+class, so passing them as plain ints is held to that output. A change that
+alters output on purpose updates the hash and says why.
 """
 
 import hashlib
@@ -33,12 +36,31 @@ GOLDEN = {
     "construct 113": (1, "c6059837fe0193345485a46dc87b0ed329f65a44fa1171f64eefa20e6076fc0f"),
     "analyze 1009": (0, "684d354bcb603d8c354e5cdb5a626b73fabd2fa45c0405911c009a6ea71790cd"),
     "analyze 50021": (0, "733b399ff2dee3f0e8ad47984bc1e393952a351306d1693d7fceb45888c9ee63"),
+    "analyze 2": (0, "a0d5e5cb3694c4c73a8155e9328c01e79732b938d857cee40e0b386982da11e4"),
+    "analyze 7": (0, "cae266201f013f25dbd91f0ef892a7d61bf2489ae131bd069c973b2970e9a44a"),
+    "analyze 17": (0, "33a9cf5b6426d2ba5f9ae19639fcd1a6d602ca8d19cfd61a63521fe029e9157c"),
+    "construct 37": (0, "c2631699a0aca4ec347d0922d5af1637fe925f8e409156b403b5d03fb1604540"),
+    "construct 53": (0, "f9baafe34eed6f8285950604c5c9f0361ce2a3a156ddb35d2cbfa3153942a6b4"),
+    "verify sallows.txt": (0, "a1ae2310fc9278c43d5dc2c980b829e1e6c90a2a66330e6bb3cfb4c7ffa26006"),
+    "verify tens.txt": (0, "01d796a570f82923908707c283323a77a63807d4eca09a0b170037ff7116db00"),
+}
+
+# verify prints the path it read, so each grid file is written under a fresh
+# directory and named relative to it
+VERIFY_FILES = {
+    # Sallows' square, 7 of 8 lines magic: a residue class mod 113 with roots
+    "sallows.txt": (127**2, 46**2, 58**2, 2**2, 113**2, 94**2, 74**2, 82**2, 97**2),
+    # nine 10^2 cells: the parity pattern, and magic_sum and classify mod 5
+    "tens.txt": (10**2,) * 9,
 }
 
 
 @pytest.mark.parametrize("command", GOLDEN)
-def test_structured_output_is_pinned(capsys, command):
+def test_structured_output_is_pinned(capsys, tmp_path, monkeypatch, command):
     argv = command.split()
+    if argv[0] == "verify":
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / argv[1]).write_text(" ".join(map(str, VERIFY_FILES[argv[1]])) + "\n")
     if "--format" not in argv:
         argv += ["--format", "structured"]
     code, digest = GOLDEN[command]

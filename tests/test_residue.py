@@ -4,13 +4,12 @@ from residuum.cli import run_analyze
 from residuum.errors import (
     BadPrimeForm,
     BoundExceeded,
-    ContextMismatch,
     NonSquareCell,
     NotAMember,
     NotMagic,
     NonzeroCenter,
 )
-from residuum.fp import FieldElement, _sqrt_int, legendre, make_context, primes_up_to
+from residuum.fp import _sqrt_int, legendre, make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
@@ -38,7 +37,7 @@ F13 = make_context(13)
 @pytest.fixture
 def grid_f29():
     # reduce the squared entries 9^2 11^2 1^2 / 6^2 0 14^2 / w^2 16^2 8^2 mod 29
-    w = F29.w.value
+    w = F29.w
     cells = [9**2, 11**2, 1**2, 6**2, 0, 14**2, w**2, 16**2, 8**2]
     return ResidueGrid(F29, [v % 29 for v in cells])
 
@@ -103,13 +102,13 @@ def test_gen_trivial_midedge():
 
 
 def test_consecutive_triples_examples():
-    assert [n.value for n in consecutive_triples(F29)] == [4, 5, 22, 23]
+    assert consecutive_triples(F29) == (4, 5, 22, 23)
     assert consecutive_triples(make_context(17)) == ()
-    assert [n.value for n in consecutive_triples(make_context(41))] == [8, 31]
+    assert consecutive_triples(make_context(41)) == (8, 31)
     # explicitly including p = 13, whose run set is empty like 2, 5 and 17
     for p in (2, 5, 13, 17):
         assert consecutive_triples(make_context(p)) == ()
-    assert [n.value for n in consecutive_triples(make_context(37))] == [9, 10, 25, 26]
+    assert consecutive_triples(make_context(37)) == (9, 10, 25, 26)
 
 
 def test_triple_from_member():
@@ -124,20 +123,23 @@ def test_triple_from_member():
 def test_triple_roots_are_canonical():
     t = triple_from_member(F29, 5)
     for x in (t.alpha, t.beta, t.gamma):
-        assert x.value <= 29 - x.value
+        assert 0 < x <= 29 - x
 
 
 def test_unit_triple_invariants_enforced():
     ctx = F29
     with pytest.raises(ValueError):
-        UnitTriple(ctx.element(1), ctx.element(1), ctx.element(1))
+        UnitTriple(ctx, 1, 1, 1)
     with pytest.raises(ValueError):
-        UnitTriple(ctx.element(6), ctx.element(8), ctx.element(0))
+        UnitTriple(ctx, 6, 8, 0)
     t = triple_from_member(ctx, 5)
-    with pytest.raises(ContextMismatch):
-        UnitTriple(t.alpha, F13.element(t.beta.value), t.gamma)
-    with pytest.raises(ContextMismatch):
-        UnitTriple(t.alpha, t.beta, F13.element(t.gamma.value))
+    assert UnitTriple(ctx, t.alpha, t.beta, t.gamma) == t
+    # members outside [1, p-1] are refused, even where the relations hold mod p
+    for out_of_range in (0, 29):
+        with pytest.raises(ValueError, match="must lie in"):
+            UnitTriple(ctx, t.alpha, t.beta, out_of_range)
+    with pytest.raises(ValueError, match="must lie in"):
+        UnitTriple(ctx, t.alpha + 29, t.beta, t.gamma)
 
 
 def test_gen_nontrivial_needs_an_order_4_element():
@@ -159,24 +161,24 @@ def test_gen_nontrivial_f29(grid_f29):
 
 
 def slow_class_entry(ctx, n):
-    """One nontrivial_classes entry of analyze by the FieldElement path: roots
-    by Tonelli-Shanks after Euler's criterion, the w*b products, and one
-    Tonelli-Shanks root per cell."""
+    """One nontrivial_classes entry of analyze, independent of the context's
+    root table: roots by Tonelli-Shanks after Euler's criterion, the w*b
+    products on ints mod p, and one Tonelli-Shanks root per cell."""
+    p = ctx.p
 
     def sqrt_ts(v):
-        e = FieldElement(v, ctx)
-        assert legendre(e) == 1
-        return FieldElement(_sqrt_int(e.value, ctx.p), ctx)
+        assert legendre(v, p) == 1
+        return _sqrt_int(v, p)
 
     w = sqrt_ts(-1)
     a, b, g = sqrt_ts(n + 2), sqrt_ts(n + 1), sqrt_ts(n)
     cells = [
-        (w * b) ** 2, g * g, ctx.element(1),
-        a * a, ctx.element(0), (w * a) ** 2,
+        (w * b) ** 2, g * g, 1,
+        a * a, 0, (w * a) ** 2,
         w * w, (w * g) ** 2, b * b,
     ]
-    vals = [c.value for c in cells]
-    roots = [_sqrt_int(v, ctx.p) for v in vals]
+    vals = [c % p for c in cells]
+    roots = [_sqrt_int(v, p) for v in vals]
     rows = [vals[0:3], vals[3:6], vals[6:9]]
     return {"member": n, "grid": {"cells": rows, "roots": [roots[0:3], roots[3:6], roots[6:9]]}}
 
@@ -188,7 +190,7 @@ def test_analyze_classes_match_the_field_element_path():
         ctx = make_context(p)
         members = [
             n for n in range(1, p - 2)
-            if all(legendre(FieldElement(n + i, ctx)) == 1 for i in range(3))
+            if all(legendre(n + i, p) == 1 for i in range(3))
         ]
         got = run_analyze(p, 0).results["nontrivial_classes"]
         assert got == [slow_class_entry(ctx, n) for n in members], p
@@ -303,7 +305,7 @@ def test_run_set_symmetry():
         if p % 4 != 1:
             continue
         ctx = make_context(p)
-        cset = {n.value for n in consecutive_triples(ctx)}
+        cset = set(consecutive_triples(ctx))
         assert cset == {(-(n + 2)) % p for n in cset}
 
 
@@ -332,7 +334,7 @@ def test_w_reflection_duality():
         w = ctx.w
         for n in consecutive_triples(ctx):
             t = triple_from_member(ctx, n)
-            dual = UnitTriple(alpha=w * t.gamma, beta=w * t.beta, gamma=w * t.alpha)
+            dual = UnitTriple(ctx, w * t.gamma % p, w * t.beta % p, w * t.alpha % p)
             assert gen_nontrivial(dual) == gen_nontrivial(t).reflected_anti_diagonal()
 
 
