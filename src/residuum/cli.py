@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from . import __version__
@@ -95,24 +95,58 @@ NEAR_MISS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class OutputDocument:
+class OutputDocument(
+    namedtuple(
+        "OutputDocument", "command parameters results tool_version", defaults=(__version__,)
+    )
+):
     """One command invocation's result, serialized with sorted keys so the
     structured form round-trips byte-identically."""
 
-    command: str
-    parameters: dict
-    results: dict
-    tool_version: str = __version__
+    __slots__ = ()
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "tool_version": self.tool_version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """Exactly `json.dumps(self._asdict(), sort_keys=True, indent=2)` plus
+        a newline."""
+        return _encode(self._asdict(), "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """`json.dumps(o, sort_keys=True, indent=2)`, built directly: json's
+    indenting encoder is pure Python, and most of what the commands print is
+    long lists of ints. `newline` is a newline plus the current indent.
+
+    Exact ints go through `str`; dicts, lists and tuples (subclasses
+    included) follow json's isinstance rules; every other value goes through
+    json itself. Keys must be str: json's coercion of other keys is not
+    imitated.
+    """
+    if type(o) is int:
+        return str(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"structured output keys must be str, not {type(k).__name__}")
+        inner = newline + "  "
+        items = [json.dumps(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        return _bracket("{", items, inner, newline + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        items = [str(v) if type(v) is int else _encode(v, inner) for v in o]
+        return _bracket("[", items, inner, newline + "]")
+    return json.dumps(o)
+
+
+def _bracket(opening: str, items: list[str], inner: str, closing: str) -> str:
+    # one join builds the whole text: adding brackets to the joined body
+    # would copy it once per bracket, and the body can be most of the output
+    items[0] = opening + inner + items[0]
+    items[-1] += closing
+    return ("," + inner).join(items)
 
 
 def _residue_grid_payload(g: ResidueGrid) -> dict:

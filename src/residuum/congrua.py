@@ -4,7 +4,7 @@ reduction mod p into unit triples, and the modular coverage report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd
 
@@ -30,21 +30,19 @@ SMALL_CASE_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class SquareProgression:
+class SquareProgression(namedtuple("SquareProgression", "x y z d primitive")):
     """x^2, y^2, z^2 in arithmetic progression with common difference d."""
 
-    x: int
-    y: int
-    z: int
-    d: int
-    primitive: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.x > self.y > self.z >= 1):
-            raise BadParameters(f"need x > y > z >= 1, got ({self.x}, {self.y}, {self.z})")
-        if self.x ** 2 - self.y ** 2 != self.d or self.y ** 2 - self.z ** 2 != self.d:
+    def __new__(cls, x: int, y: int, z: int, d: int, primitive: bool = True):
+        if not (x > y > z >= 1):
+            raise BadParameters(f"need x > y > z >= 1, got ({x}, {y}, {z})")
+        if x ** 2 - y ** 2 != d or y ** 2 - z ** 2 != d:
             raise BadParameters("squares are not in arithmetic progression")
+        return super().__new__(cls, x, y, z, d, primitive)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def congruum_triple(m: int, n: int) -> SquareProgression:
@@ -124,10 +122,7 @@ CONSTRUCTIBLE = (
 )
 
 
-@dataclass(frozen=True)
-class CoverageStatus:
-    p: int
-    status: Coverage
+CoverageStatus = namedtuple("CoverageStatus", "p status")
 
 
 def coverage_status(p: int) -> CoverageStatus:

@@ -5,7 +5,7 @@ mod-2 parity classification with its Klein four-group structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .errors import AllZero, NotMagic, OddCenter, UnexpectedPattern
@@ -17,17 +17,19 @@ ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class IntGrid:
+class IntGrid(namedtuple("IntGrid", "cells")):
     """3x3 grid of nonnegative integers, row-major."""
 
-    cells: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.cells) != 9:
+    def __new__(cls, cells: tuple[int, ...]):
+        if len(cells) != 9:
             raise ValueError("a grid needs exactly 9 cells")
-        if any(not isinstance(v, int) or v < 0 for v in self.cells):
+        if any(not isinstance(v, int) or v < 0 for v in cells):
             raise ValueError("cells must be nonnegative integers")
+        return super().__new__(cls, cells)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def rows(self) -> list[list[int]]:
         v = self.cells
@@ -77,13 +79,11 @@ def reduce_primitive(g: IntGrid) -> IntGrid:
     return reduced
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    """Per-prime verdicts for a candidate center root e."""
+class CenterReport(namedtuple("CenterReport", "e verdicts warning", defaults=(None,))):
+    """Per-prime verdicts for a candidate center root e: (prime, verdict)
+    pairs, and a warning or None."""
 
-    e: int
-    verdicts: tuple[tuple[int, str], ...]
-    warning: str | None = None
+    __slots__ = ()
 
 
 def admissible_center_check(e: int) -> CenterReport:
@@ -120,15 +120,17 @@ _M2_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class Mod2Class:
+class Mod2Class(namedtuple("Mod2Class", "bits")):
     """One of the four parity patterns a magic grid with even center can have."""
 
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits not in _M2_PATTERNS:
-            raise UnexpectedPattern(f"{self.bits} is not one of the four parity patterns")
+    def __new__(cls, bits: tuple[int, ...]):
+        if bits not in _M2_PATTERNS:
+            raise UnexpectedPattern(f"{bits} is not one of the four parity patterns")
+        return super().__new__(cls, bits)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @classmethod
     def patterns(cls) -> tuple["Mod2Class", ...]:

@@ -7,7 +7,7 @@ roots: root choices are non-canonical, so grid identity is value-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import (
@@ -93,23 +93,22 @@ class ResidueGrid:
         return f"ResidueGrid(p={self.context.p}, {r[0]} / {r[1]} / {r[2]})"
 
 
-@dataclass(frozen=True)
-class UnitTriple:
+class UnitTriple(namedtuple("UnitTriple", "context alpha beta gamma")):
     """(alpha, beta, gamma) in [1, p-1] with alpha^2 - beta^2 = beta^2 - gamma^2 = 1
     mod p, where p is the one context the three members belong to."""
 
-    context: PrimeContext
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.context.p
-        a, b, g = self.alpha, self.beta, self.gamma
+    def __new__(cls, context: PrimeContext, alpha: int, beta: int, gamma: int):
+        p = context.p
+        a, b, g = alpha, beta, gamma
         if not all(0 < x < p for x in (a, b, g)):
             raise ValueError(f"unit-triple members must lie in [1, {p - 1}]")
         if (a * a - b * b) % p != 1 or (b * b - g * g) % p != 1:
             raise ValueError("consecutive squares must differ by exactly 1")
+        return super().__new__(cls, context, alpha, beta, gamma)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def squares(self) -> tuple[int, int, int]:
         p = self.context.p

@@ -7,8 +7,8 @@ outright; what remains is pair assembly plus outer-sum checks.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import chain
 from math import comb, gcd, isqrt
 
@@ -17,15 +17,11 @@ from .fp import factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    e_range: tuple[int, int]
-    primitive_only: bool
-    near_miss_threshold: int
-    pruned_centers: int
-    candidates_tested: int
-    hits: tuple[IntGrid, ...]
-    near_misses: tuple[IntGrid, ...]
+SearchReport = namedtuple(
+    "SearchReport",
+    "e_range primitive_only near_miss_threshold pruned_centers candidates_tested "
+    "hits near_misses",
+)
 
 
 def pair_decompositions(e: int) -> list[tuple[int, int]]:

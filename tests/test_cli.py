@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import residuum
 from residuum import cli, congrua, fp, residue
@@ -421,16 +424,41 @@ def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only search with more than one worker needs the pool
-    code = (
-        "import sys, residuum.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
-    )
+    # only search with more than one worker needs the pool, and every command
+    # pays for the rest of these; -S keeps a host's .pth files from preloading
+    # any of them
+    heavy = ("dataclasses", "inspect", "typing", "concurrent.futures.process", "multiprocessing")
+    code = f"import sys, residuum.cli; print([m for m in {heavy!r} if m in sys.modules])"
     src = Path(residuum.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+Payload = namedtuple("Payload", "first second")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.builds(Payload, children, children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_structured_encoder_matches_json(value):
+    assert cli._encode(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, [{"a": {(1, 2): 0}}], {None: 0}])
+def test_structured_encoder_refuses_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._encode(value, "\n")
 
 
 def test_missing_subcommand_is_usage_error(capsys):
