@@ -25,7 +25,7 @@ def main() -> None:
     for p in primes_up_to(args.max_p):
         if p % 4 != 1:
             continue
-        status = coverage_status(p).status
+        status = coverage_status(p)
         tally[status.value] += 1
         if status is Coverage.UNCOVERED_BUT_NONEMPTY:
             uncovered.append(p)

@@ -13,7 +13,6 @@ from . import errors
 from .congrua import (
     CONSTRUCTIBLE,
     Coverage,
-    CoverageStatus,
     SMALL_CASE_TABLES,
     SquareProgression,
     ap_to_unit_triple,

@@ -30,36 +30,41 @@ SMALL_CASE_TABLES = {
 }
 
 
-class SquareProgression(namedtuple("SquareProgression", "x y z d primitive")):
+class SquareProgression(namedtuple("SquareProgression", "x y z")):
     """x^2, y^2, z^2 in arithmetic progression with common difference d."""
 
     __slots__ = ()
 
-    def __new__(cls, x: int, y: int, z: int, d: int, primitive: bool = True):
+    def __new__(cls, x: int, y: int, z: int):
         if not (x > y > z >= 1):
             raise BadParameters(f"need x > y > z >= 1, got ({x}, {y}, {z})")
-        if x ** 2 - y ** 2 != d or y ** 2 - z ** 2 != d:
+        if x * x - y * y != y * y - z * z:
             raise BadParameters("squares are not in arithmetic progression")
-        return super().__new__(cls, x, y, z, d, primitive)
+        return super().__new__(cls, x, y, z)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    @property
+    def d(self) -> int:
+        return self.x * self.x - self.y * self.y
+
+    @property
+    def primitive(self) -> bool:
+        return gcd(self.x, self.y, self.z) == 1
 
 
 def congruum_triple(m: int, n: int) -> SquareProgression:
     """Parametric progression with difference 4mn(m^2 - n^2).
 
-    Coprime m > n of opposite parity give a primitive progression; other
-    inputs are accepted but flagged primitive=False.
+    It is primitive exactly when m > n are coprime and of opposite parity;
+    other inputs are accepted.
     """
     if n < 1 or m <= n:
         raise BadParameters(f"need m > n >= 1, got m={m}, n={n}")
-    primitive = gcd(m, n) == 1 and (m - n) % 2 == 1
     return SquareProgression(
         x=m * m - n * n + 2 * m * n,
         y=m * m + n * n,
         z=abs(m * m - n * n - 2 * m * n),
-        d=4 * m * n * (m * m - n * n),
-        primitive=primitive,
     )
 
 
@@ -122,10 +127,7 @@ CONSTRUCTIBLE = (
 )
 
 
-CoverageStatus = namedtuple("CoverageStatus", "p status")
-
-
-def coverage_status(p: int) -> CoverageStatus:
+def coverage_status(p: int) -> Coverage:
     """Which construction (if any) reaches p; see `_classify_prime`. Proves p
     prime first, by trial division, O(sqrt(p)).
     """
@@ -134,7 +136,7 @@ def coverage_status(p: int) -> CoverageStatus:
     return _classify_prime(p)
 
 
-def _classify_prime(p: int) -> CoverageStatus:
+def _classify_prime(p: int) -> Coverage:
     """`coverage_status` for a p the caller has already proved prime.
 
     Precedence: the empty-run exclusions, then the residue criteria (both
@@ -147,18 +149,18 @@ def _classify_prime(p: int) -> CoverageStatus:
     if p % 4 != 1:
         raise BadPrimeForm(f"coverage is defined for p = 1 (mod 4), got {p}")
     if p in (5, 13, 17):
-        return CoverageStatus(p, Coverage.EXCLUDED_5_13_17)
+        return Coverage.EXCLUDED_5_13_17
     m20 = p % 20 in (1, 9)
     m24 = p % 24 in (1, 5)
     if m20 and m24:
-        return CoverageStatus(p, Coverage.COVERED_BOTH)
+        return Coverage.COVERED_BOTH
     if m20:
-        return CoverageStatus(p, Coverage.COVERED_MOD20)
+        return Coverage.COVERED_MOD20
     if m24:
-        return CoverageStatus(p, Coverage.COVERED_MOD24)
+        return Coverage.COVERED_MOD24
     if p in SMALL_CASE_TABLES:
-        return CoverageStatus(p, Coverage.SMALL_CASE_TABLE)
-    return CoverageStatus(p, Coverage.UNCOVERED_BUT_NONEMPTY)
+        return Coverage.SMALL_CASE_TABLE
+    return Coverage.UNCOVERED_BUT_NONEMPTY
 
 
 # Largest m the CLI lets the exploratory sweep reach: eligible_params(m) has

@@ -17,13 +17,9 @@ from math import isqrt
 
 from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 
-FORM_TWO = "two"
-FORM_1_MOD_4 = "one_mod_four"
-FORM_3_MOD_4 = "three_mod_four"
-
-# A PrimeContext holds a 4-byte root table per element of F_p and the
-# (p-1)/2 residues as a tuple, about 25 MB per 10**6 of p, so larger moduli
-# are refused before any work is done.
+# A PrimeContext holds a 4-byte root table per element of F_p, about 4 MB
+# per 10**6 of p, and builds it in O(p) time, so larger moduli are refused
+# before any work is done.
 MAX_CONTEXT_P = 10**7
 
 
@@ -138,35 +134,28 @@ class PrimeContext:
     root[a] is the smaller square root of a, in [1, p//2], for a nonzero
     quadratic residue a, and 0 for 0 and every non-residue. One pass over
     x = 1..p//2 fills it, so membership and roots are index reads; it takes
-    4 bytes per element of F_p. qr_set holds the nonzero quadratic residues in
-    ascending order. w is the smaller element of order 4 (present iff
-    p = 1 mod 4); tau is the smaller square root of 2 (present iff p = 2 or
-    p = +-1 mod 8). Where two roots exist we always pick the representative
-    in [0, (p-1)/2] so that outputs are reproducible.
+    4 bytes per element of F_p and is the only table the context keeps. w is
+    the smaller element of order 4 (present iff p = 1 mod 4); tau is the
+    smaller square root of 2 (present iff p = 2 or p = +-1 mod 8). Where two
+    roots exist we always pick the representative in [0, (p-1)/2] so that
+    outputs are reproducible.
     """
 
-    __slots__ = ("p", "residue_form", "root", "qr_set", "w", "tau")
+    __slots__ = ("p", "root", "w", "tau")
 
     def __init__(self, p: int):
         if p > MAX_CONTEXT_P:
             raise BoundExceeded(
                 f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
-                "a context holds (p-1)/2 residues"
+                "a context holds a root table of p entries"
             )
         if p < 2 or not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
-        if p == 2:
-            self.residue_form = FORM_TWO
-        elif p % 4 == 1:
-            self.residue_form = FORM_1_MOD_4
-        else:
-            self.residue_form = FORM_3_MOD_4
-        root = array("I", bytes(4 * p))
+        root = array("I", [0]) * p
         for x in range(1, p // 2 + 1):
             root[x * x % p] = x
         self.root = root
-        self.qr_set = tuple(compress(range(p), root))
         self.w = root[p - 1] if p % 4 == 1 else None
         if p == 2:
             # 2 = 0 in F_2; its only root is 0
@@ -175,6 +164,11 @@ class PrimeContext:
             self.tau = root[2]
         else:
             self.tau = None
+
+    @property
+    def qr_set(self) -> tuple[int, ...]:
+        """The nonzero quadratic residues, ascending, derived on every read."""
+        return tuple(compress(range(self.p), self.root))
 
     def is_qr(self, value: int) -> bool:
         """True iff value reduces to a nonzero quadratic residue."""

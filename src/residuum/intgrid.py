@@ -79,8 +79,8 @@ def reduce_primitive(g: IntGrid) -> IntGrid:
     return reduced
 
 
-class CenterReport(namedtuple("CenterReport", "e verdicts warning", defaults=(None,))):
-    """Per-prime verdicts for a candidate center root e: (prime, verdict)
+class CenterReport(namedtuple("CenterReport", "verdicts warning", defaults=(None,))):
+    """Per-prime verdicts for a candidate center root: (prime, verdict)
     pairs, and a warning or None."""
 
     __slots__ = ()
@@ -102,7 +102,7 @@ def admissible_center_check(e: int) -> CenterReport:
             f"e={e} cannot be the center root of a magic square of nine "
             "distinct squares (the total 3e^2 would be below the minimum)"
         )
-    return CenterReport(e, verdicts, warning)
+    return CenterReport(verdicts, warning)
 
 
 def residue_class_of(g: IntGrid, ctx: PrimeContext) -> ResidueGrid:

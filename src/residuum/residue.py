@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import compress
 
 from .errors import (
     BadPrimeForm,
@@ -178,7 +179,8 @@ def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
 
 def consecutive_triples(ctx: PrimeContext) -> tuple[int, ...]:
     """All n with n, n+1 and n+2 nonzero quadratic residues, ascending."""
-    return tuple(n for n in ctx.qr_set if ctx.is_qr(n + 1) and ctx.is_qr(n + 2))
+    root = ctx.root  # a zero root marks 0 or a non-residue; n + 2 < p
+    return tuple(n for n in compress(range(ctx.p - 2), root) if root[n + 1] and root[n + 2])
 
 
 def triple_from_member(ctx: PrimeContext, n: int) -> UnitTriple:
@@ -217,10 +219,11 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
         raise NonzeroCenter("orbits are defined for zero-center grids")
     ctx = g.context
     p = ctx.p
+    squares = ctx.qr_set
     out = set()
     for rot in ROTATIONS:
         base = permute(g.vals, rot)
-        for s in ctx.qr_set:
+        for s in squares:
             out.add(ResidueGrid(ctx, tuple(v * s % p for v in base)))
     return frozenset(out)
 

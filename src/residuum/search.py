@@ -17,11 +17,7 @@ from .fp import factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
-SearchReport = namedtuple(
-    "SearchReport",
-    "e_range primitive_only near_miss_threshold pruned_centers candidates_tested "
-    "hits near_misses",
-)
+SearchReport = namedtuple("SearchReport", "pruned_centers candidates_tested hits near_misses")
 
 
 def pair_decompositions(e: int) -> list[tuple[int, int]]:
@@ -116,18 +112,18 @@ def _assemble(m: int, offsets, threshold: int):
 def _scan_center(task: tuple[int, bool, int]):
     """Assemble and test all candidate grids for one center root.
 
-    Returns (e, pruned, candidates, hit_cells, near_cells); see `_assemble`.
+    Returns (pruned, candidates, hit_cells, near_cells); see `_assemble`.
     """
     e, primitive_only, threshold = task
     if primitive_only and center_has_inadmissible_factor(e):
-        return (e, True, 0, (), ())
+        return (True, 0, (), ())
     m = e * e
     offsets = [m - lo for lo, _ in pair_decompositions(e)]
     candidates, hits, nears = _assemble(m, offsets, threshold)
     for cells in hits:
         grid = IntGrid(cells)
         assert is_magic(grid) == 3 * m and is_square_entried(grid)
-    return (e, False, candidates, hits, nears)
+    return (False, candidates, hits, nears)
 
 
 def _scan_block(task: tuple[range, bool, int]) -> list:
@@ -174,22 +170,14 @@ def search_msos(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for _, was_pruned, count, hit_cells, near_cells in chain.from_iterable(
+        for was_pruned, count, hit_cells, near_cells in chain.from_iterable(
             mapper(_scan_block, blocks)
         ):
             pruned += was_pruned
             candidates += count
             hits.extend(IntGrid(c) for c in hit_cells)
             nears.extend(IntGrid(c) for c in near_cells)
-    return SearchReport(
-        e_range=(e_min, e_max),
-        primitive_only=primitive_only,
-        near_miss_threshold=near_miss_threshold,
-        pruned_centers=pruned,
-        candidates_tested=candidates,
-        hits=tuple(hits),
-        near_misses=tuple(nears),
-    )
+    return SearchReport(pruned, candidates, tuple(hits), tuple(nears))
 
 
 def naive_center_enumeration(e: int) -> set[IntGrid]:

@@ -153,7 +153,7 @@ def test_criterion_08_uncovered_primes_list():
         for p in primes_up_to(499)
         if p % 4 == 1
         and p > 17
-        and coverage_status(p).status is Coverage.UNCOVERED_BUT_NONEMPTY
+        and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
     ]
     assert uncovered == EXPECTED_UNCOVERED
     for p in uncovered:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -227,6 +228,36 @@ def test_verify_parse_errors(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
     assert code == 3
 
+    f4 = tmp_path / "binary.txt"
+    f4.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "verify", str(f4))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {f4}: ") and err.count("\n") == 1
+
+
+def test_verify_center_root_ceiling(tmp_path, capsys):
+    assert cli.MAX_VERIFY_CENTER_ROOT == 10**14
+    for e, code in ((10**14, 0), (10**14 + 1, 2)):
+        f = tmp_path / f"center{e}.txt"
+        f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
+        assert run(capsys, "verify", str(f))[0] == code, e
+    # nine cells (10**18 + 3)^2: trial division of the root would run for
+    # hours, so the whole call must end at the ceiling
+    f = tmp_path / "huge.txt"
+    f.write_text(" ".join([str((10**18 + 3) ** 2)] * 9) + "\n")
+    src = Path(residuum.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-S", "-m", "residuum", "verify", str(f)],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "factoring ceiling" in done.stderr
+    assert elapsed < 2
+
 
 def test_verify_comments_and_whitespace(tmp_path, capsys):
     f = tmp_path / "commented.txt"
@@ -327,9 +358,6 @@ def test_search_refuses_bad_settings(capsys, monkeypatch, threads, extra):
 
 def test_search_exit_code_on_hit(capsys, monkeypatch):
     fake = SearchReport(
-        e_range=(1, 1),
-        primitive_only=True,
-        near_miss_threshold=7,
         pruned_centers=0,
         candidates_tested=1,
         hits=(IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6)),),

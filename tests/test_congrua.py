@@ -53,6 +53,25 @@ def test_congruum_primitive_flag():
     assert not congruum_triple(3, 1).primitive  # same parity
 
 
+def test_progression_derives_difference_and_primitivity():
+    even = SquareProgression(34, 26, 14)  # twice (17, 13, 7)
+    assert even.d == 480
+    assert even.primitive is False
+    assert SquareProgression(17, 13, 7).primitive is True
+    with pytest.raises(BadParameters):
+        SquareProgression(34, 26, 15)
+    with pytest.raises(BadParameters):
+        SquareProgression(7, 7, 1)
+
+
+def test_primitive_is_the_parameter_rule():
+    # gcd(x, y, z) == 1 exactly when m > n are coprime of opposite parity
+    for m in range(2, 200):
+        for n in range(1, m):
+            expected = gcd(m, n) == 1 and (m - n) % 2 == 1
+            assert congruum_triple(m, n).primitive is expected, (m, n)
+
+
 @settings(max_examples=400, deadline=None)
 @given(m=st.integers(2, 20), n=st.integers(1, 19))
 def test_congruum_progression_exact(m, n):
@@ -144,13 +163,13 @@ def test_five_is_residue_iff_pm1_mod_10():
 
 
 def test_coverage_examples():
-    assert coverage_status(113).status is Coverage.UNCOVERED_BUT_NONEMPTY
-    assert coverage_status(13).status is Coverage.EXCLUDED_5_13_17
-    assert coverage_status(61).status is Coverage.COVERED_MOD20
-    assert coverage_status(29).status is Coverage.COVERED_BOTH
-    assert coverage_status(41).status is Coverage.COVERED_MOD20
-    assert coverage_status(37).status is Coverage.SMALL_CASE_TABLE
-    assert coverage_status(73).status is Coverage.COVERED_MOD24
+    assert coverage_status(113) is Coverage.UNCOVERED_BUT_NONEMPTY
+    assert coverage_status(13) is Coverage.EXCLUDED_5_13_17
+    assert coverage_status(61) is Coverage.COVERED_MOD20
+    assert coverage_status(29) is Coverage.COVERED_BOTH
+    assert coverage_status(41) is Coverage.COVERED_MOD20
+    assert coverage_status(37) is Coverage.SMALL_CASE_TABLE
+    assert coverage_status(73) is Coverage.COVERED_MOD24
     with pytest.raises(BadPrimeForm):
         coverage_status(7)
 
@@ -159,7 +178,7 @@ def test_coverage_statuses_partition():
     for p in primes_up_to(500):
         if p % 4 != 1:
             continue
-        status = coverage_status(p).status
+        status = coverage_status(p)
         if p in (5, 13, 17):
             assert status is Coverage.EXCLUDED_5_13_17
         elif p % 20 in (1, 9) and p % 24 in (1, 5):
@@ -215,7 +234,7 @@ def test_uncovered_list_matches_expected():
         for p in primes_up_to(499)
         if p % 4 == 1
         and p > 17
-        and coverage_status(p).status is Coverage.UNCOVERED_BUT_NONEMPTY
+        and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
     ]
     assert uncovered == [113, 137, 157, 233, 257, 277, 353, 373, 397]
 
@@ -232,9 +251,9 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     # below 500 that the residue criteria miss
     uncovered = [
         p for p in primes_up_to(500)
-        if p % 4 == 1 and coverage_status(p).status is Coverage.UNCOVERED_BUT_NONEMPTY
+        if p % 4 == 1 and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
     ]
     assert len(uncovered) == 9
-    assert congruum_triple(3, 2) == SquareProgression(17, 13, 7, 120)
+    assert congruum_triple(3, 2) == SquareProgression(17, 13, 7)
     for p in uncovered:
         assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(make_context(p))}, p

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import compress
 from math import isqrt, prod
 
@@ -62,6 +63,22 @@ def test_context_ceiling_refused_before_primality(p, monkeypatch):
     monkeypatch.setattr(fp, "is_prime", trial)
     with pytest.raises(BoundExceeded, match="context ceiling"):
         make_context(p)
+
+
+def test_context_holds_only_its_root_table():
+    # 4 bytes per element of F_p, built without a temporary of the same size;
+    # the residues are derived from the table when read
+    p = 1000003
+    tracemalloc.start()
+    try:
+        ctx = PrimeContext(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * p and peak <= 5 * p
+    assert len(ctx.root) == p
+    with pytest.raises(AttributeError):
+        ctx.qr_set = ()
 
 
 def test_context_cache_is_bounded():

@@ -111,6 +111,16 @@ def test_consecutive_triples_examples():
     assert consecutive_triples(make_context(37)) == (9, 10, 25, 26)
 
 
+def test_consecutive_triples_match_the_definition():
+    # three nonzero residues in a row by Euler's criterion, without the table
+    assert consecutive_triples(make_context(3)) == ()
+    for p in primes_up_to(1000)[2:]:
+        expected = tuple(
+            n for n in range(1, p) if all(legendre(n + i, p) == 1 for i in range(3))
+        )
+        assert consecutive_triples(make_context(p)) == expected, p
+
+
 def test_triple_from_member():
     t = triple_from_member(F29, 5)
     assert t.squares() == (7, 6, 5)

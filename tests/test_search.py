@@ -275,11 +275,11 @@ def test_scan_center_matches_layout_walker():
             near_misses_compared += len(expected[2])
             for primitive_only in (True, False):
                 got = _scan_center((e, primitive_only, threshold))
-                if got[1]:
+                if got[0]:
                     assert primitive_only and center_has_inadmissible_factor(e)
-                    assert got[2:] == (0, (), ())
+                    assert got[1:] == (0, (), ())
                 else:
-                    assert got[2:] == expected, (e, threshold, primitive_only)
+                    assert got[1:] == expected, (e, threshold, primitive_only)
     assert near_misses_compared > 0
 
 

@@ -9,9 +9,9 @@ import pickle
 import pytest
 
 from residuum.cli import OutputDocument
-from residuum.congrua import Coverage, CoverageStatus, SquareProgression
+from residuum.congrua import SquareProgression
 from residuum.errors import BadParameters, UnexpectedPattern
-from residuum.fp import make_context
+from residuum.fp import PrimeContext, make_context
 from residuum.intgrid import CenterReport, IntGrid, Mod2Class
 from residuum.residue import UnitTriple
 from residuum.search import SearchReport
@@ -21,16 +21,10 @@ LO_SHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 # class -> (valid fields, fields the constructor refuses or None, the exception, repr)
 CASES = {
     SquareProgression: (
-        dict(x=17, y=13, z=7, d=120),
-        dict(x=17, y=13, z=7, d=121),
+        dict(x=17, y=13, z=7),
+        dict(x=17, y=13, z=8),
         BadParameters,
-        "SquareProgression(x=17, y=13, z=7, d=120, primitive=True)",
-    ),
-    CoverageStatus: (
-        dict(p=29, status=Coverage.COVERED_BOTH),
-        None,
-        None,
-        "CoverageStatus(p=29, status=<Coverage.COVERED_BOTH: 'covered_both'>)",
+        "SquareProgression(x=17, y=13, z=7)",
     ),
     IntGrid: (
         dict(cells=LO_SHU.cells),
@@ -39,10 +33,10 @@ CASES = {
         "IntGrid([4, 9, 2] / [3, 5, 7] / [8, 1, 6])",
     ),
     CenterReport: (
-        dict(e=5, verdicts=((5, "admissible"),)),
+        dict(verdicts=((5, "admissible"),)),
         None,
         None,
-        "CenterReport(e=5, verdicts=((5, 'admissible'),), warning=None)",
+        "CenterReport(verdicts=((5, 'admissible'),), warning=None)",
     ),
     Mod2Class: (
         dict(bits=(1, 1, 0, 1, 0, 1, 0, 1, 1)),
@@ -57,12 +51,10 @@ CASES = {
         "UnitTriple(context=PrimeContext(p=29), alpha=8, beta=11, gamma=2)",
     ),
     SearchReport: (
-        dict(e_range=(5, 5), primitive_only=True, near_miss_threshold=7, pruned_centers=0,
-             candidates_tested=1, hits=(LO_SHU,), near_misses=()),
+        dict(pruned_centers=0, candidates_tested=1, hits=(LO_SHU,), near_misses=()),
         None,
         None,
-        "SearchReport(e_range=(5, 5), primitive_only=True, near_miss_threshold=7, "
-        "pruned_centers=0, candidates_tested=1, "
+        "SearchReport(pruned_centers=0, candidates_tested=1, "
         "hits=(IntGrid([4, 9, 2] / [3, 5, 7] / [8, 1, 6]),), near_misses=())",
     ),
     OutputDocument: (
@@ -92,5 +84,14 @@ def test_value_class_contract(cls):
             cls(**bad)
         with pytest.raises(error):
             a._replace(**bad)
-    if cls is not UnitTriple:  # its context compares by identity
-        assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_fields_are_only_what_cannot_be_derived():
+    # a progression's difference and primitivity follow from x, y, z; the
+    # search range, the prune switch, the threshold and the center root are
+    # the caller's own arguments; the residues follow from the root table
+    assert SquareProgression._fields == ("x", "y", "z")
+    assert SearchReport._fields == ("pruned_centers", "candidates_tested", "hits", "near_misses")
+    assert CenterReport._fields == ("verdicts", "warning")
+    assert PrimeContext.__slots__ == ("p", "root", "w", "tau")
