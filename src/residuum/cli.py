@@ -3,7 +3,11 @@ machine-readable output.
 
 Exit codes: 0 success, 1 domain failure (e.g. no construction reaches the
 requested prime), 2 usage error (including a modulus or flag above its
-ceiling), 3 input/parse error, 10 search hit.
+ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
+reader closed stdout before the output was written.
+
+Every refusal happens before the first byte of output; `analyze` then writes
+its lists in chunks as it derives them from the root table.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import os
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
+from functools import lru_cache
+from itertools import compress, islice
 from math import isqrt
 
 from . import __version__
@@ -58,6 +65,7 @@ from .residue import (
     MAX_ORACLE_P,
     ResidueGrid,
     classify,
+    consecutive_runs,
     consecutive_triples,
     count_bound,
     enumerate_all,
@@ -80,6 +88,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_HIT = 10
+EXIT_PIPE = 141
 
 # Largest center root `verify` factors: trial division costs about sqrt(e)/2
 # steps for a prime e, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine).
@@ -111,8 +120,75 @@ class OutputDocument(
 
     def to_json(self) -> str:
         """Exactly `json.dumps(self._asdict(), sort_keys=True, indent=2)` plus
-        a newline."""
-        return _encode(self._asdict(), "\n") + "\n"
+        a newline, with each LazyList written as the list it yields."""
+        return "".join(self.chunks())
+
+    def chunks(self) -> Iterator[str]:
+        """The text of `to_json` in pieces, each LazyList in batches."""
+        yield from _chunks(self._asdict(), "\n")
+        yield "\n"
+
+
+# Items per piece when a long list is written: a piece of class entries is
+# about 0.6 MB, and one of ints about 10 KB.
+_BATCH = 1024
+
+
+def _batches(items) -> Iterator[list]:
+    """Lists of up to _BATCH consecutive items."""
+    it = iter(items)
+    while batch := list(islice(it, _BATCH)):
+        yield batch
+
+
+def _encode_ints(batch: list, inner: str) -> str:
+    return ("," + inner).join(map(str, batch))
+
+
+class LazyList:
+    """A list of the structured output that is made again, in order, each time
+    it is read, so that no output holds it whole: `items()` returns a fresh
+    iterator over its items, and `encode(batch, inner)` the text of a batch
+    of them at indent `inner`, joined as `_encode` joins list items. It
+    stands as a dict value, which is where `_chunks` reads it in batches."""
+
+    __slots__ = ("items", "encode")
+
+    def __init__(self, items, encode=_encode_ints):
+        self.items = items
+        self.encode = encode
+
+    def __iter__(self):
+        return self.items()
+
+
+def _chunks(o, newline: str) -> Iterator[str]:
+    """The text of `_encode(o, newline)` in pieces, reading each LazyList in
+    batches. A dict is split at its keys; any other value is one piece."""
+    if isinstance(o, LazyList):
+        batches = _batches(o)
+        first = next(batches, None)
+        if first is None:
+            yield "[]"
+            return
+        inner = newline + "  "
+        yield "[" + inner + o.encode(first, inner)
+        for batch in batches:
+            yield "," + inner + o.encode(batch, inner)
+        yield newline + "]"
+    elif isinstance(o, dict) and o:
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"structured output keys must be str, not {type(k).__name__}")
+        inner = newline + "  "
+        opening = "{" + inner
+        for k in sorted(o):
+            yield opening + json.dumps(k) + ": "
+            yield from _chunks(o[k], inner)
+            opening = "," + inner
+        yield newline + "}"
+    else:
+        yield _encode(o, newline)
 
 
 def _encode(o, newline: str) -> str:
@@ -128,14 +204,7 @@ def _encode(o, newline: str) -> str:
     if type(o) is int:
         return str(o)
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        for k in o:
-            if not isinstance(k, str):
-                raise TypeError(f"structured output keys must be str, not {type(k).__name__}")
-        inner = newline + "  "
-        items = [json.dumps(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
-        return _bracket("{", items, inner, newline + "}")
+        return "".join(_chunks(o, newline)) if o else "{}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -193,19 +262,56 @@ def _grid_block(payload: dict, indent: str = "  ") -> str:
 # ---------------------------------------------------------------- analyze
 
 
+def _class_entry(fields) -> dict:
+    """One `nontrivial_classes` entry from its 19 ints: the nine cells and the
+    nine cell roots, row-major, then the member n. That is the order in which
+    `_encode` writes them, since "cells" < "roots" and "grid" < "member"."""
+    return {
+        "grid": {
+            "cells": [list(fields[0:3]), list(fields[3:6]), list(fields[6:9])],
+            "roots": [list(fields[9:12]), list(fields[12:15]), list(fields[15:18])],
+        },
+        "member": fields[18],
+    }
+
+
+@lru_cache(maxsize=None)
+def _class_entry_template(inner: str) -> str:
+    """`_encode(_class_entry(fields), inner)` as a %-template of the fields,
+    made from `_encode`'s own text on first use: the JSON has no other digits."""
+    text = _encode(_class_entry(range(19)), inner)
+    if re.findall(r"\d+", text) != [str(i) for i in range(19)]:
+        raise AssertionError("_class_entry must order its fields as _encode writes them")
+    return re.sub(r"\d+", "%d", text)
+
+
+def _encode_class_entries(batch: list, inner: str) -> str:
+    return ("," + inner).join(map(_class_entry_template(inner).__mod__, batch))
+
+
+def _class_fields(ctx) -> Iterator[tuple]:
+    """The fields of `_class_entry` for each nontrivial class, ascending in n."""
+    root = ctx.root
+    for n in consecutive_runs(ctx):
+        vals = gen_nontrivial(triple_from_member(ctx, n)).vals
+        yield (*vals, *[root[v] for v in vals], n)
+
+
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
+    """Every refusal is raised here; the long lists of the result are
+    LazyLists, read from the context's root table when they are written."""
     if max_oracle_p > MAX_ORACLE_P:
         raise BoundExceeded(
             f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_ORACLE_P}; "
             "the enumeration's cost grows as p^3"
         )
     ctx = make_context(p)
-    qr_set = ctx.qr_set
+    root = ctx.root
     results: dict = {
         "p": p,
         "residue_form": "two" if p == 2 else ("one_mod_four" if p % 4 == 1 else "three_mod_four"),
-        "qr_set": list(qr_set),
-        "qr_count": len(qr_set),
+        "qr_set": LazyList(lambda: compress(range(p), root)),
+        "qr_count": len(root) - root.count(0),
         "w": ctx.w,
         "tau": ctx.tau,
         "consecutive_triples": None,
@@ -232,17 +338,12 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             "primitive magic square of squares"
         )
     else:
-        cset = list(consecutive_triples(ctx))
-        results["consecutive_triples"] = cset
+        results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
         results["count_bound"] = count_bound(ctx)
         results["trivial_corner"] = _residue_grid_payload(gen_trivial_corner(ctx))
         if p % 8 == 1:
             results["trivial_midedge"] = _residue_grid_payload(gen_trivial_midedge(ctx))
-        nontrivial = []
-        for n in cset:
-            grid = gen_nontrivial(triple_from_member(ctx, n))
-            nontrivial.append({"member": n, "grid": _residue_grid_payload(grid)})
-        results["nontrivial_classes"] = nontrivial
+        results["nontrivial_classes"] = LazyList(lambda: _class_fields(ctx), _encode_class_entries)
         if p <= max_oracle_p:
             found = enumerate_all(ctx, max_p=max_oracle_p)
             results["oracle"] = {
@@ -253,40 +354,51 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     return OutputDocument("analyze", {"p": p, "max_oracle_p": max_oracle_p}, results)
 
 
-def _render_analyze(r: dict) -> str:
-    out = [f"p = {r['p']} ({r['residue_form']}); {r['qr_count']} quadratic residues"]
-    out.append("S_p: " + " ".join(str(v) for v in r["qr_set"]))
+def _spaced(head: str, items, empty: str = "") -> Iterator[str]:
+    """The line `head + (" ".join(map(str, items)) or empty)` in pieces."""
+    batches = _batches(items)
+    first = next(batches, None)
+    if first is None:
+        yield head + empty + "\n"
+        return
+    yield head + " ".join(map(str, first))
+    for batch in batches:
+        yield " " + " ".join(map(str, batch))
+    yield "\n"
+
+
+def _render_analyze(r: dict) -> Iterator[str]:
+    yield f"p = {r['p']} ({r['residue_form']}); {r['qr_count']} quadratic residues\n"
+    yield from _spaced("S_p: ", r["qr_set"])
     if r["w"] is not None:
-        out.append(f"w = {r['w']} (order 4)")
+        yield f"w = {r['w']} (order 4)\n"
     if r["tau"] is not None:
-        out.append(f"tau = {r['tau']} (tau^2 = 2)")
+        yield f"tau = {r['tau']} (tau^2 = 2)\n"
     if r["consecutive_triples"] is not None:
-        cset = " ".join(str(v) for v in r["consecutive_triples"]) or "(empty)"
-        out.append(f"C_p: {cset}")
+        yield from _spaced("C_p: ", r["consecutive_triples"], "(empty)")
     if r["count_bound"] is not None:
-        out.append(f"class count bound: {r['count_bound']}")
+        yield f"class count bound: {r['count_bound']}\n"
     if r["trivial_corner"] is not None:
-        out.append("trivial corner class:")
-        out.append(_grid_block(r["trivial_corner"]))
+        yield "trivial corner class:\n" + _grid_block(r["trivial_corner"]) + "\n"
     if r["trivial_midedge"] is not None:
-        out.append("trivial mid-edge class:")
-        out.append(_grid_block(r["trivial_midedge"]))
-    for item in r["nontrivial_classes"] or []:
-        out.append(f"nontrivial class from n = {item['member']}:")
-        out.append(_grid_block(item["grid"]))
+        yield "trivial mid-edge class:\n" + _grid_block(r["trivial_midedge"]) + "\n"
+    for batch in _batches(r["nontrivial_classes"] or ()):
+        yield "".join(
+            f"nontrivial class from n = {f[18]}:\n{_grid_block(_class_entry(f)['grid'])}\n"
+            for f in batch
+        )
     if r["oracle"] is not None:
         verdict = "satisfied" if r["oracle"]["within_bound"] else "VIOLATED"
-        out.append(
+        yield (
             f"oracle: {r['oracle']['count']} grids enumerated; "
-            f"bound {r['oracle']['bound']} {verdict}"
+            f"bound {r['oracle']['bound']} {verdict}\n"
         )
     if r["mod2_patterns"] is not None:
-        out.append("parity patterns (magic grids with even center):")
+        yield "parity patterns (magic grids with even center):\n"
         for m in r["mod2_patterns"]:
-            out.append("  " + " / ".join("".join(str(b) for b in row) for row in m))
+            yield "  " + " / ".join("".join(str(b) for b in row) for row in m) + "\n"
     if r["note"]:
-        out.append(f"note: {r['note']}")
-    return "\n".join(out) + "\n"
+        yield f"note: {r['note']}\n"
 
 
 # ------------------------------------------------------------------ table
@@ -318,7 +430,7 @@ def run_table(max_p: int) -> OutputDocument:
 _TABLE_COLUMNS = ("p", "qr_count", "run_count", "coverage_status", "count_bound")
 
 
-def _render_table(r: dict) -> str:
+def _render_table(r: dict) -> Iterator[str]:
     widths = {c: len(c) for c in _TABLE_COLUMNS}
     for row in r["rows"]:
         for c in _TABLE_COLUMNS:
@@ -326,7 +438,7 @@ def _render_table(r: dict) -> str:
     lines = ["  ".join(c.ljust(widths[c]) for c in _TABLE_COLUMNS)]
     for row in r["rows"]:
         lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in _TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _render_table_csv(r: dict) -> str:
@@ -452,7 +564,7 @@ def _residue_report(grid: IntGrid, q: int, total) -> dict:
     return entry
 
 
-def _render_verify(r: dict) -> str:
+def _render_verify(r: dict) -> Iterator[str]:
     out = [f"grid from {r['path']}:"]
     out.append(_grid_block(r["grid"]))
     out.append(f"magic: {_yn(r['magic'])}" + (f" (T = {r['total']})" if r["magic"] else ""))
@@ -490,7 +602,7 @@ def _render_verify(r: dict) -> str:
                 out.append(f"  magic with sum {entry['sum']}; class: {entry['classification']}")
             else:
                 out.append(f"  magic: {_yn(entry['magic'])}")
-    return "\n".join(out) + "\n"
+    yield "\n".join(out) + "\n"
 
 
 def _yn(flag: bool) -> str:
@@ -579,7 +691,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     return OutputDocument("construct", parameters, results), EXIT_OK
 
 
-def _render_construct(r: dict) -> str:
+def _render_construct(r: dict) -> Iterator[str]:
     out = [f"p = {r['p']}; coverage: {r['coverage']}"]
     if not r["constructed"]:
         out.append(f"no construction: {r['note']}")
@@ -589,7 +701,8 @@ def _render_construct(r: dict) -> str:
         if r["sweeps_successful"]:
             ok = ", ".join(f"(m={m}, n={n}) -> {g}" for m, n, g in r["sweeps_successful"])
             out.append(f"progressions that do map in: {ok}")
-        return "\n".join(out) + "\n"
+        yield "\n".join(out) + "\n"
+        return
     if r["chain"] is not None:
         pr = r["progression"]
         ch = r["chain"]
@@ -614,7 +727,7 @@ def _render_construct(r: dict) -> str:
     )
     out.append("nontrivial class:")
     out.append(_grid_block(r["grid"]))
-    return "\n".join(out) + "\n"
+    yield "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------------- search
@@ -656,7 +769,7 @@ def run_search(
     return OutputDocument("search", parameters, results), code
 
 
-def _render_search(r: dict) -> str:
+def _render_search(r: dict) -> Iterator[str]:
     out = [
         f"searched center roots e in [{r['e_min']}, {r['e_max']}]; "
         f"primitive-only: {_yn(r['primitive_only'])}"
@@ -674,7 +787,7 @@ def _render_search(r: dict) -> str:
     for payload in r["near_misses"]:
         out.append(f"near miss ({r['near_miss_threshold']}/8 sums or better):")
         out.append(_grid_block(payload))
-    return "\n".join(out) + "\n"
+    yield "\n".join(out) + "\n"
 
 
 # ------------------------------------------------------------------- main
@@ -777,10 +890,9 @@ def _resolve_workers(requested: int | None) -> int:
 
 
 def _emit(doc: OutputDocument, fmt: str, renderer) -> None:
-    if fmt == FORMAT_STRUCTURED:
-        sys.stdout.write(doc.to_json())
-    else:
-        sys.stdout.write(renderer(doc.results))
+    """Write the document to stdout in the pieces its structured form or
+    `renderer` yields."""
+    sys.stdout.writelines(doc.chunks() if fmt == FORMAT_STRUCTURED else renderer(doc.results))
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -821,7 +933,14 @@ def main(argv=None) -> int:
         # argparse already printed usage/help; normalize its exit code
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: what is still
+        # buffered goes to devnull, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,6 +8,7 @@ roots: root choices are non-canonical, so grid identity is value-wise.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from itertools import compress
 
@@ -46,12 +47,14 @@ class ResidueGrid:
     __slots__ = ("context", "vals")
 
     def __init__(self, context: PrimeContext, vals):
-        vals = tuple(v % context.p for v in vals)
+        p, root = context.p, context.root
+        vals = tuple([v % p for v in vals])
         if len(vals) != 9:
             raise ValueError("a grid needs exactly 9 cells")
         for v in vals:
-            if not context.is_square(v):
-                raise NonSquareCell(f"{v} is not a square mod {context.p}")
+            # a zero root marks 0 or a non-residue, and 0 is a square
+            if v and not root[v]:
+                raise NonSquareCell(f"{v} is not a square mod {p}")
         self.context = context
         self.vals = vals
 
@@ -177,10 +180,16 @@ def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
     return ResidueGrid(ctx, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
 
 
+def consecutive_runs(ctx: PrimeContext) -> Iterator[int]:
+    """All n with n, n+1 and n+2 nonzero quadratic residues, ascending, read
+    from the root table one at a time."""
+    root = ctx.root  # a zero root marks 0 or a non-residue; n + 2 < p
+    return (n for n in compress(range(ctx.p - 2), root) if root[n + 1] and root[n + 2])
+
+
 def consecutive_triples(ctx: PrimeContext) -> tuple[int, ...]:
     """All n with n, n+1 and n+2 nonzero quadratic residues, ascending."""
-    root = ctx.root  # a zero root marks 0 or a non-residue; n + 2 < p
-    return tuple(n for n in compress(range(ctx.p - 2), root) if root[n + 1] and root[n + 2])
+    return tuple(consecutive_runs(ctx))
 
 
 def triple_from_member(ctx: PrimeContext, n: int) -> UnitTriple:

@@ -4,6 +4,7 @@ import sys
 import time
 from collections import namedtuple
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,75 @@ def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
     assert "oracle ceiling 500" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "12"], "12 is not prime"),
+        (["analyze", "10000019"], "exceeds the context ceiling"),
+        (["analyze", "29", "--max-oracle-p", "501"], "exceeds the oracle ceiling"),
+    ],
+)
+def test_analyze_refuses_before_its_first_byte(capsys, argv, message, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
+    made = []
+
+    def counted(t):
+        made.append(t.squares()[2])
+        return residue.gen_nontrivial(t)
+
+    monkeypatch.setattr(cli, "gen_nontrivial", counted)
+    doc = cli.run_analyze(50021, 0)
+    assert made == []
+    chunks = doc.chunks()
+    next(chunk for chunk in chunks if '"member"' in chunk)
+    assert 0 < len(made) < residue.run_count(50021)
+    "".join(chunks)
+    assert made == list(residue.consecutive_triples(fp.make_context(50021)))
+
+
+def test_analyze_into_a_reader_that_closes_early():
+    # `residuum analyze 200009 --format structured | head -c 10`
+    src = Path(residuum.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-m", "residuum", "analyze", "200009", "--format", "structured"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert head == b'{\n  "comma'
+    assert err == b""
+
+
+def test_analyze_memory_is_bounded_by_its_root_table():
+    # a bare interpreter starts the call: a child's max-RSS starts from its
+    # parent's high-water mark, which for pytest alone is above the bound
+    spawn = (
+        "import os, subprocess, sys; "
+        "proc = subprocess.Popen([sys.executable, '-S', '-m', 'residuum', 'analyze', "
+        "'1000033', '--format', 'structured'], stdout=subprocess.DEVNULL); "
+        "_, status, usage = os.wait4(proc.pid, 0); "
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+    )
+    src = Path(residuum.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", spawn], cwd=src, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    code, peak_kb = map(int, done.stdout.split())
+    # the root table is 4 MB; the output is 93 MB
+    assert code == 0 and peak_kb < 60 * 1024
+
+
 def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):
     help_text = " ".join(run(capsys, "construct", "--help")[1].split())  # unwrapped
     assert "(default 10, from 2 to 500)" in help_text
@@ -481,6 +551,61 @@ json_values = st.recursive(
 @given(value=json_values)
 def test_structured_encoder_matches_json(value):
     assert cli._encode(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+def class_entry(f):
+    """One `nontrivial_classes` entry from its fields: cells, roots, member."""
+    return {
+        "member": f[18],
+        "grid": {
+            "cells": [list(f[0:3]), list(f[3:6]), list(f[6:9])],
+            "roots": [list(f[9:12]), list(f[12:15]), list(f[15:18])],
+        },
+    }
+
+
+entry_fields = st.tuples(*[st.integers(-(10**20), 10**20)] * 19)
+
+
+# (document part, the plain value json.dumps should encode the same), with
+# int and class-entry LazyLists at the depth analyze writes them: results[key]
+result_values = (
+    json_values.map(lambda v: (v, v))
+    | st.lists(st.integers(), max_size=12).map(lambda xs: (cli.LazyList(lambda: iter(xs)), xs))
+    | st.lists(entry_fields, max_size=5).map(lambda fs: (
+        cli.LazyList(lambda: iter(fs), cli._encode_class_entries),
+        [class_entry(f) for f in fs],
+    ))
+)
+documents = st.builds(
+    lambda command, parameters, results: (
+        cli.OutputDocument(command, parameters, {k: v[0] for k, v in results.items()}),
+        {"command": command, "parameters": parameters,
+         "results": {k: v[1] for k, v in results.items()}, "tool_version": cli.__version__},
+    ),
+    st.text(max_size=5),
+    st.dictionaries(st.text(max_size=5), json_values, max_size=3),
+    st.dictionaries(st.text(max_size=5), result_values, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=documents, batch=st.integers(1, 3))
+def test_streamed_output_matches_json(document, batch):
+    doc, plain = document
+    with mock.patch.object(cli, "_BATCH", batch):
+        chunks = list(doc.chunks())
+        text = doc.to_json()
+    assert "".join(chunks) == text == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=entry_fields, depth=st.integers(0, 6))
+def test_class_entry_template_matches_the_encoder(fields, depth):
+    inner = "\n" + "  " * depth
+    text = cli._encode(class_entry(fields), inner)
+    assert cli._class_entry_template(inner) % fields == text
+    assert cli._encode(cli._class_entry(fields), inner) == text
 
 
 @pytest.mark.parametrize("value", [{1: 2}, [{"a": {(1, 2): 0}}], {None: 0}])

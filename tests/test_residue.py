@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from residuum.cli import run_analyze
@@ -62,8 +64,12 @@ def test_line_sums_order():
 
 
 def test_cells_must_be_squares():
-    with pytest.raises(NonSquareCell):
+    with pytest.raises(NonSquareCell, match="^2 is not a square mod 13$"):
         ResidueGrid(F13, [2, 0, 0, 0, 0, 0, 0, 0, 0])  # 2 is not a square mod 13
+    with pytest.raises(NonSquareCell, match="^5 is not a square mod 13$"):
+        ResidueGrid(F13, [0, 0, 0, 0, 0, 0, 0, 0, -8])  # reduced before the check
+    with pytest.raises(ValueError, match="exactly 9 cells"):
+        ResidueGrid(F13, [0] * 8)
 
 
 def test_classify_examples(grid_f29):
@@ -202,7 +208,7 @@ def test_analyze_classes_match_the_field_element_path():
             n for n in range(1, p - 2)
             if all(legendre(n + i, p) == 1 for i in range(3))
         ]
-        got = run_analyze(p, 0).results["nontrivial_classes"]
+        got = json.loads(run_analyze(p, 0).to_json())["results"]["nontrivial_classes"]
         assert got == [slow_class_entry(ctx, n) for n in members], p
 
 
