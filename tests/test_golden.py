@@ -11,7 +11,12 @@ from the sources in which elements of F_p were still wrapped in a field-element
 class, so passing them as plain ints is held to that output. The three
 `analyze ... --format table` hashes pin the human-readable form; they were
 taken from the sources that still built `analyze`'s output whole, before it
-was written in chunks, so the streamed text is held to that output. A change
+was written in chunks, so the streamed text is held to that output. The other seven `--format
+table` hashes pin the human form of `construct`, `verify`, `analyze 2` and
+`search`; they were taken from the sources in which `cli.py` still chose
+`construct`'s route itself and built the grid payload in four places, so
+the one route in `congrua` and the one grid layout are held to that output.
+A change
 that alters output on purpose updates the hash and says why.
 """
 
@@ -50,6 +55,13 @@ GOLDEN = {
     "analyze 29 --format table": (0, "a3022da964011f6ee40b9fd17543b9f0fb63d270df4fa7b2f1a488746d52fb17"),
     "analyze 1009 --format table": (0, "b6a5605f2a99cce48e7a7ef056a4f090eb09944bdced4967e14dc238e206e342"),
     "analyze 50021 --format table": (0, "28d4fc243212a88ce0d6b450f755aa3e90491f90bdc0c9d18bf3810644c80595"),
+    "construct 29 --format table": (0, "b60cda2a7e5376456f658a22f10a95f15781b27360a2157d7cd7e3247e65435c"),
+    "construct 61 --format table": (0, "4dbb18eb3b59e61626d5c85e6aa833eda2de1861bdda0a158ee3ade9061747f7"),
+    "construct 113 --format table": (1, "5db16ccbbc684e35cfef25b32e530f33c39e6e88333b795cc8b72ffbf716d408"),
+    "verify sallows.txt --format table": (0, "90174c0cd57a090154e97a71555adf6523568017c423a8112d5d0488b02100a7"),
+    "verify tens.txt --format table": (0, "ebb4c4387508599e7fcbee58ef4818d560287c9b11e95438cb2e86690a484cbf"),
+    "analyze 2 --format table": (0, "fc0044fedd0169a7f405aa43137129d34b1276f71000da0b565171bc7fac1719"),
+    "search 60 300 --near-miss-threshold 4 --workers 1 --format table": (0, "be7520f077b42313153b3bccaf1eb5e690414ee4565caf31e488a67a08570cff"),
 }
 
 # verify prints the path it read, so each grid file is written under a fresh
