@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from . import errors
 from .congrua import (
-    CONSTRUCTIBLE,
     Coverage,
     SMALL_CASE_TABLES,
     SquareProgression,
     ap_to_unit_triple,
     congruum_triple,
+    construct,
     construct_mod20,
     construct_mod24,
     coverage_status,

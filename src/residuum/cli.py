@@ -27,13 +27,10 @@ from math import isqrt
 
 from . import __version__
 from .congrua import (
-    CONSTRUCTIBLE,
     MAX_SWEEP_M,
-    Coverage,
     SMALL_CASE_TABLES,
     _classify_prime,
-    ap_to_unit_triple,
-    congruum_triple,
+    construct,
     coverage_status,
     eligible_params,
     sweep_congrua,
@@ -43,11 +40,13 @@ from .errors import (
     BadPrimeForm,
     BadRange,
     BoundExceeded,
+    NotCovered,
     NotPrime,
     ParseError,
     ResiduumError,
 )
 from .fp import MAX_CONTEXT_P, make_context, primes_up_to, sqrt_mod
+from .grid_ops import rows_of
 from .intgrid import (
     IntGrid,
     Mod2Class,
@@ -149,7 +148,7 @@ class LazyList:
     """A list of the structured output that is made again, in order, each time
     it is read, so that no output holds it whole: `items()` returns a fresh
     iterator over its items, and `encode(batch, inner)` the text of a batch
-    of them at indent `inner`, joined as `_encode` joins list items. It
+    of them at indent `inner`, joined as `_chunks` joins list items. It
     stands as a dict value, which is where `_chunks` reads it in batches."""
 
     __slots__ = ("items", "encode")
@@ -163,9 +162,20 @@ class LazyList:
 
 
 def _chunks(o, newline: str) -> Iterator[str]:
-    """The text of `_encode(o, newline)` in pieces, reading each LazyList in
-    batches. A dict is split at its keys; any other value is one piece."""
-    if isinstance(o, LazyList):
+    """`json.dumps(o, sort_keys=True, indent=2)` in pieces, built directly:
+    json's indenting encoder is pure Python, and most of what the commands
+    print is long lists of ints. `newline` is a newline plus the current
+    indent. A dict is split at its keys and a LazyList is read in batches;
+    any other value is one piece.
+
+    Exact ints go through `str`; dicts, lists and tuples (subclasses
+    included) follow json's isinstance rules; every other value goes through
+    json itself. Keys must be str: json's coercion of other keys is not
+    imitated.
+    """
+    if type(o) is int:
+        yield str(o)
+    elif isinstance(o, LazyList):
         batches = _batches(o)
         first = next(batches, None)
         if first is None:
@@ -176,10 +186,13 @@ def _chunks(o, newline: str) -> Iterator[str]:
         for batch in batches:
             yield "," + inner + o.encode(batch, inner)
         yield newline + "]"
-    elif isinstance(o, dict) and o:
+    elif isinstance(o, dict):
         for k in o:
             if not isinstance(k, str):
                 raise TypeError(f"structured output keys must be str, not {type(k).__name__}")
+        if not o:
+            yield "{}"
+            return
         inner = newline + "  "
         opening = "{" + inner
         for k in sorted(o):
@@ -187,56 +200,30 @@ def _chunks(o, newline: str) -> Iterator[str]:
             yield from _chunks(o[k], inner)
             opening = "," + inner
         yield newline + "}"
-    else:
-        yield _encode(o, newline)
-
-
-def _encode(o, newline: str) -> str:
-    """`json.dumps(o, sort_keys=True, indent=2)`, built directly: json's
-    indenting encoder is pure Python, and most of what the commands print is
-    long lists of ints. `newline` is a newline plus the current indent.
-
-    Exact ints go through `str`; dicts, lists and tuples (subclasses
-    included) follow json's isinstance rules; every other value goes through
-    json itself. Keys must be str: json's coercion of other keys is not
-    imitated.
-    """
-    if type(o) is int:
-        return str(o)
-    if isinstance(o, dict):
-        return "".join(_chunks(o, newline)) if o else "{}"
-    if isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "[]"
+            yield "[]"
+            return
         inner = newline + "  "
-        items = [str(v) if type(v) is int else _encode(v, inner) for v in o]
-        return _bracket("[", items, inner, newline + "]")
-    return json.dumps(o)
+        items = [str(v) if type(v) is int else "".join(_chunks(v, inner)) for v in o]
+        yield "[" + inner + ("," + inner).join(items) + newline + "]"
+    else:
+        yield json.dumps(o)
 
 
-def _bracket(opening: str, items: list[str], inner: str, closing: str) -> str:
-    # one join builds the whole text: adding brackets to the joined body
-    # would copy it once per bracket, and the body can be most of the output
-    items[0] = opening + inner + items[0]
-    items[-1] += closing
-    return ("," + inner).join(items)
+def _grid_payload(cells, roots) -> dict:
+    """The structured form of a 3x3 grid from its nine cells and their nine
+    roots, row-major, a root None where its cell is not a square."""
+    return {"cells": rows_of(cells), "roots": rows_of(roots)}
 
 
-def _residue_grid_payload(g: ResidueGrid) -> dict:
+def _residue_roots(g: ResidueGrid) -> list:
     root = g.context.root
-    roots = [root[v] for v in g.vals]
-    return {
-        "cells": g.rows(),
-        "roots": [roots[0:3], roots[3:6], roots[6:9]],
-    }
+    return [root[v] for v in g.vals]
 
 
-def _int_grid_payload(g: IntGrid) -> dict:
-    roots = [(isqrt(v) if isqrt(v) ** 2 == v else None) for v in g.cells]
-    return {
-        "cells": g.rows(),
-        "roots": [roots[0:3], roots[3:6], roots[6:9]],
-    }
+def _int_roots(g: IntGrid) -> list:
+    return [r if (r := isqrt(v)) * r == v else None for v in g.cells]
 
 
 def _triple_payload(t) -> dict:
@@ -249,39 +236,41 @@ def _triple_payload(t) -> dict:
     }
 
 
-def _grid_block(payload: dict, indent: str = "  ") -> str:
-    texts = []
-    for crow, rrow in zip(payload["cells"], payload["roots"]):
-        texts.append(
-            [f"{v}={r}^2" if r is not None else str(v) for v, r in zip(crow, rrow)]
-        )
-    width = max(len(t) for row in texts for t in row)
-    return "\n".join(indent + "  ".join(t.rjust(width) for t in row) for row in texts)
+_BLOCK = "  {}  {}  {}\n  {}  {}  {}\n  {}  {}  {}"
+
+
+def _grid_block(cells, roots) -> str:
+    """Three indented rows of `v=r^2`, or `v` where r is None, right-aligned
+    to the widest."""
+    texts = [str(v) if r is None else f"{v}={r}^2" for v, r in zip(cells, roots)]
+    width = max(map(len, texts))
+    return _BLOCK.format(*[t.rjust(width) for t in texts])
+
+
+def _payload_block(g: dict) -> str:
+    """`_grid_block` of a grid payload."""
+    return _grid_block(sum(g["cells"], []), sum(g["roots"], []))
+
+
+def _bits(rows) -> str:
+    """A parity pattern's rows as `011 / 101 / 110`."""
+    return " / ".join("".join(map(str, row)) for row in rows)
 
 
 # ---------------------------------------------------------------- analyze
 
 
-def _class_entry(fields) -> dict:
-    """One `nontrivial_classes` entry from its 19 ints: the nine cells and the
-    nine cell roots, row-major, then the member n. That is the order in which
-    `_encode` writes them, since "cells" < "roots" and "grid" < "member"."""
-    return {
-        "grid": {
-            "cells": [list(fields[0:3]), list(fields[3:6]), list(fields[6:9])],
-            "roots": [list(fields[9:12]), list(fields[12:15]), list(fields[15:18])],
-        },
-        "member": fields[18],
-    }
-
-
 @lru_cache(maxsize=None)
 def _class_entry_template(inner: str) -> str:
-    """`_encode(_class_entry(fields), inner)` as a %-template of the fields,
-    made from `_encode`'s own text on first use: the JSON has no other digits."""
-    text = _encode(_class_entry(range(19)), inner)
+    """The text `_chunks` writes at indent `inner` for one `nontrivial_classes`
+    entry, as a %-template of its 19 fields: the nine cells and the nine cell
+    roots, row-major, then the member n. That is the order in which `_chunks`
+    writes them, since "cells" < "roots" and "grid" < "member"; the template
+    is made from `_chunks`' own text on first use, which has no other digits."""
+    entry = {"grid": _grid_payload(range(9), range(9, 18)), "member": 18}
+    text = "".join(_chunks(entry, inner))
     if re.findall(r"\d+", text) != [str(i) for i in range(19)]:
-        raise AssertionError("_class_entry must order its fields as _encode writes them")
+        raise AssertionError("a class entry's fields must be in the order _chunks writes them")
     return re.sub(r"\d+", "%d", text)
 
 
@@ -290,7 +279,7 @@ def _encode_class_entries(batch: list, inner: str) -> str:
 
 
 def _class_fields(ctx) -> Iterator[tuple]:
-    """The fields of `_class_entry` for each nontrivial class, ascending in n."""
+    """The fields of each nontrivial class's entry, ascending in n."""
     root = ctx.root
     for n in consecutive_runs(ctx):
         vals = gen_nontrivial(triple_from_member(ctx, n)).vals
@@ -340,9 +329,11 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     else:
         results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
         results["count_bound"] = count_bound(ctx)
-        results["trivial_corner"] = _residue_grid_payload(gen_trivial_corner(ctx))
+        corner = gen_trivial_corner(ctx)
+        results["trivial_corner"] = _grid_payload(corner.vals, _residue_roots(corner))
         if p % 8 == 1:
-            results["trivial_midedge"] = _residue_grid_payload(gen_trivial_midedge(ctx))
+            midedge = gen_trivial_midedge(ctx)
+            results["trivial_midedge"] = _grid_payload(midedge.vals, _residue_roots(midedge))
         results["nontrivial_classes"] = LazyList(lambda: _class_fields(ctx), _encode_class_entries)
         if p <= max_oracle_p:
             found = enumerate_all(ctx, max_p=max_oracle_p)
@@ -352,6 +343,10 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
                 "within_bound": len(found) <= results["count_bound"],
             }
     return OutputDocument("analyze", {"p": p, "max_oracle_p": max_oracle_p}, results)
+
+
+def _cp_line(runs) -> Iterator[str]:
+    return _spaced("C_p: ", runs, "(empty)")
 
 
 def _spaced(head: str, items, empty: str = "") -> Iterator[str]:
@@ -375,16 +370,16 @@ def _render_analyze(r: dict) -> Iterator[str]:
     if r["tau"] is not None:
         yield f"tau = {r['tau']} (tau^2 = 2)\n"
     if r["consecutive_triples"] is not None:
-        yield from _spaced("C_p: ", r["consecutive_triples"], "(empty)")
+        yield from _cp_line(r["consecutive_triples"])
     if r["count_bound"] is not None:
         yield f"class count bound: {r['count_bound']}\n"
     if r["trivial_corner"] is not None:
-        yield "trivial corner class:\n" + _grid_block(r["trivial_corner"]) + "\n"
+        yield "trivial corner class:\n" + _payload_block(r["trivial_corner"]) + "\n"
     if r["trivial_midedge"] is not None:
-        yield "trivial mid-edge class:\n" + _grid_block(r["trivial_midedge"]) + "\n"
+        yield "trivial mid-edge class:\n" + _payload_block(r["trivial_midedge"]) + "\n"
     for batch in _batches(r["nontrivial_classes"] or ()):
         yield "".join(
-            f"nontrivial class from n = {f[18]}:\n{_grid_block(_class_entry(f)['grid'])}\n"
+            f"nontrivial class from n = {f[18]}:\n{_grid_block(f[0:9], f[9:18])}\n"
             for f in batch
         )
     if r["oracle"] is not None:
@@ -396,7 +391,7 @@ def _render_analyze(r: dict) -> Iterator[str]:
     if r["mod2_patterns"] is not None:
         yield "parity patterns (magic grids with even center):\n"
         for m in r["mod2_patterns"]:
-            yield "  " + " / ".join("".join(str(b) for b in row) for row in m) + "\n"
+            yield "  " + _bits(m) + "\n"
     if r["note"]:
         yield f"note: {r['note']}\n"
 
@@ -489,7 +484,7 @@ def run_verify(path: str) -> OutputDocument:
     all_zero = not any(grid.cells)
     results: dict = {
         "path": path,
-        "grid": _int_grid_payload(grid),
+        "grid": _grid_payload(grid.cells, _int_roots(grid)),
         "magic": total is not None,
         "total": total,
         "total_is_triple_center": (
@@ -509,7 +504,7 @@ def run_verify(path: str) -> OutputDocument:
         reduced = reduce_primitive(grid)
         results["primitive"] = reduced == grid
         if reduced != grid:
-            results["reduced"] = _int_grid_payload(reduced)
+            results["reduced"] = _grid_payload(reduced.cells, _int_roots(reduced))
     e = isqrt(grid.center)
     if e * e == grid.center and e >= 1:
         if e > MAX_VERIFY_CENTER_ROOT:
@@ -553,8 +548,7 @@ def _residue_report(grid: IntGrid, q: int, total) -> dict:
     entry = {
         "p": q,
         "kind": "residue",
-        "cells": rgrid.rows(),
-        "roots": _residue_grid_payload(rgrid)["roots"],
+        **_grid_payload(rgrid.vals, _residue_roots(rgrid)),
         "magic": magic,
         "sum": magic_sum(rgrid),
         "classification": None,
@@ -566,7 +560,7 @@ def _residue_report(grid: IntGrid, q: int, total) -> dict:
 
 def _render_verify(r: dict) -> Iterator[str]:
     out = [f"grid from {r['path']}:"]
-    out.append(_grid_block(r["grid"]))
+    out.append(_payload_block(r["grid"]))
     out.append(f"magic: {_yn(r['magic'])}" + (f" (T = {r['total']})" if r["magic"] else ""))
     if r["total_is_triple_center"] is not None:
         out.append(f"total = 3 x center: {_yn(r['total_is_triple_center'])}")
@@ -576,7 +570,7 @@ def _render_verify(r: dict) -> Iterator[str]:
         out.append(f"primitive: {_yn(r['primitive'])}")
         if r["reduced"] is not None:
             out.append("reduced form:")
-            out.append(_grid_block(r["reduced"]))
+            out.append(_payload_block(r["reduced"]))
     if r["center_root"] is None:
         out.append(f"center {r['center']} is not a perfect square; no center-root analysis")
     else:
@@ -590,14 +584,13 @@ def _render_verify(r: dict) -> Iterator[str]:
             if entry["pattern_index"] is None:
                 out.append(f"mod 2: {entry['note']}")
             else:
-                bits = " / ".join("".join(str(b) for b in row) for row in entry["bits"])
                 out.append(
-                    f"mod 2: pattern #{entry['pattern_index']} ({bits}); "
+                    f"mod 2: pattern #{entry['pattern_index']} ({_bits(entry['bits'])}); "
                     f"all-even center line: {_yn(entry['center_line_all_even'])}"
                 )
         else:
             out.append(f"residue class mod {entry['p']}:")
-            out.append(_grid_block({"cells": entry["cells"], "roots": entry["roots"]}))
+            out.append(_payload_block(entry))
             if entry["classification"] is not None:
                 out.append(f"  magic with sum {entry['sum']}; class: {entry['classification']}")
             else:
@@ -626,7 +619,9 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     status = coverage_status(p)
     ctx = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
-    if status not in CONSTRUCTIBLE:
+    try:
+        route, prog, triple = construct(ctx)
+    except NotCovered:
         cset = list(consecutive_triples(ctx))
         tried = eligible_params(sweep_max_m)
         successes = [
@@ -648,23 +643,12 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         }
         return OutputDocument("construct", parameters, results), EXIT_FAILURE
 
-    if status in (Coverage.COVERED_MOD20, Coverage.COVERED_BOTH):
-        route = "table" if p in SMALL_CASE_TABLES else "mod20"
-        prog = None if p in SMALL_CASE_TABLES else congruum_triple(5, 4)
-    elif status is Coverage.COVERED_MOD24:
-        route, prog = "mod24", congruum_triple(2, 1)
-    else:
-        route, prog = "table", None
-
     chain = None
     progression = None
+    table_members = None
     if prog is None:
-        members = SMALL_CASE_TABLES[p]
-        triple = triple_from_member(ctx, members[0])
-        table_members: list | None = list(members)
+        table_members = list(SMALL_CASE_TABLES[p])
     else:
-        triple = ap_to_unit_triple(prog, ctx)
-        table_members = None
         root = sqrt_mod(ctx, prog.d)
         progression = {"x": prog.x, "y": prog.y, "z": prog.z, "d": prog.d}
         chain = {
@@ -686,48 +670,40 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         "table_members": table_members,
         "triple": _triple_payload(triple),
         "member": triple.squares()[2],
-        "grid": _residue_grid_payload(grid),
+        "grid": _grid_payload(grid.vals, _residue_roots(grid)),
     }
     return OutputDocument("construct", parameters, results), EXIT_OK
 
 
 def _render_construct(r: dict) -> Iterator[str]:
-    out = [f"p = {r['p']}; coverage: {r['coverage']}"]
+    yield f"p = {r['p']}; coverage: {r['coverage']}\n"
     if not r["constructed"]:
-        out.append(f"no construction: {r['note']}")
-        cset = " ".join(str(v) for v in r["consecutive_triples"]) or "(empty)"
-        out.append(f"C_p: {cset}")
-        out.append(f"progressions tried: {len(r['sweeps_tried'])}")
+        yield f"no construction: {r['note']}\n"
+        yield from _cp_line(r["consecutive_triples"])
+        yield f"progressions tried: {len(r['sweeps_tried'])}\n"
         if r["sweeps_successful"]:
             ok = ", ".join(f"(m={m}, n={n}) -> {g}" for m, n, g in r["sweeps_successful"])
-            out.append(f"progressions that do map in: {ok}")
-        yield "\n".join(out) + "\n"
+            yield f"progressions that do map in: {ok}\n"
         return
     if r["chain"] is not None:
         pr = r["progression"]
         ch = r["chain"]
-        out.append(
+        yield (
             f"progression {pr['x']}^2, {pr['y']}^2, {pr['z']}^2 "
-            f"(difference {pr['d']}) reduced mod {r['p']}:"
-        )
-        out.append(
+            f"(difference {pr['d']}) reduced mod {r['p']}:\n"
             f"  squares reduce to {ch['x_sq_mod_p']}, {ch['y_sq_mod_p']}, {ch['z_sq_mod_p']}; "
             f"difference {ch['d_mod_p']} = {ch['d_root']}^2; "
-            f"inverse of {ch['d_root']} is {ch['root_inverse']}"
+            f"inverse of {ch['d_root']} is {ch['root_inverse']}\n"
         )
     else:
-        out.append(
-            "served from the stored run table: members "
-            + " ".join(str(v) for v in r["table_members"])
-        )
+        members = " ".join(map(str, r["table_members"]))
+        yield f"served from the stored run table: members {members}\n"
     t = r["triple"]
-    out.append(
+    yield (
         f"unit triple: alpha={t['alpha']}, beta={t['beta']}, gamma={t['gamma']} "
-        f"with squares {tuple(t['squares'])}"
+        f"with squares {tuple(t['squares'])}\n"
+        "nontrivial class:\n" + _payload_block(r["grid"]) + "\n"
     )
-    out.append("nontrivial class:")
-    out.append(_grid_block(r["grid"]))
-    yield "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------------- search
@@ -753,8 +729,8 @@ def run_search(
         "candidates_tested": report.candidates_tested,
         "hit_count": len(report.hits),
         "near_miss_count": len(report.near_misses),
-        "hits": [_int_grid_payload(g) for g in report.hits],
-        "near_misses": [_int_grid_payload(g) for g in report.near_misses],
+        "hits": [_grid_payload(g.cells, _int_roots(g)) for g in report.hits],
+        "near_misses": [_grid_payload(g.cells, _int_roots(g)) for g in report.near_misses],
         "pruning_rule": PRUNING_RULE if primitive_only else None,
         "near_miss_note": NEAR_MISS_NOTE,
     }
@@ -783,10 +759,10 @@ def _render_search(r: dict) -> Iterator[str]:
     )
     for payload in r["hits"]:
         out.append("HIT:")
-        out.append(_grid_block(payload))
+        out.append(_payload_block(payload))
     for payload in r["near_misses"]:
         out.append(f"near miss ({r['near_miss_threshold']}/8 sums or better):")
-        out.append(_grid_block(payload))
+        out.append(_payload_block(payload))
     yield "\n".join(out) + "\n"
 
 

@@ -83,9 +83,13 @@ def ap_to_unit_triple(prog: SquareProgression, ctx: PrimeContext) -> UnitTriple:
     return UnitTriple(ctx, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
 
 
+# The progressions the two residue criteria reduce mod p.
+MOD20_PROGRESSION = congruum_triple(5, 4)  # 49^2, 41^2, 31^2; difference 720
+MOD24_PROGRESSION = congruum_triple(2, 1)  # 7^2, 5^2, 1^2; difference 24
+
+
 def construct_mod20(ctx: PrimeContext) -> UnitTriple:
-    """Unit triple for p = 1 or 9 (mod 20), via the (5,4) progression
-    (49, 41, 31; difference 720).
+    """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
     29 and 41 satisfy the residue condition but collide with the progression
     terms, so they are served from the stored run tables.
@@ -95,20 +99,33 @@ def construct_mod20(ctx: PrimeContext) -> UnitTriple:
         raise NotCovered(f"{p} is not 1 or 9 (mod 20)")
     if p in SMALL_CASE_TABLES:
         return triple_from_member(ctx, SMALL_CASE_TABLES[p][0])
-    return ap_to_unit_triple(congruum_triple(5, 4), ctx)
+    return ap_to_unit_triple(MOD20_PROGRESSION, ctx)
 
 
 def construct_mod24(ctx: PrimeContext) -> UnitTriple:
-    """Unit triple for p = 1 or 5 (mod 24), p != 5, via the (2,1) progression
-    (7, 5, 1; difference 24). The triple constructor asserts the unit
-    relations, so a successful return is itself the verification."""
+    """Unit triple for p = 1 or 5 (mod 24), p != 5, via MOD24_PROGRESSION.
+    The triple constructor asserts the unit relations, so a successful
+    return is itself the verification."""
     p = ctx.p
     if p == 5:
         raise FiveExcluded("5 divides a term of (7, 5, 1); no construction exists")
     if p % 24 not in (1, 5):
         raise NotCovered(f"{p} is not 1 or 5 (mod 24)")
     # p | 7*5*1 is impossible here: 7 = 3 (mod 4) and 5 was excluded above
-    return ap_to_unit_triple(congruum_triple(2, 1), ctx)
+    return ap_to_unit_triple(MOD24_PROGRESSION, ctx)
+
+
+def construct(ctx: PrimeContext) -> tuple[str, SquareProgression | None, UnitTriple]:
+    """The route to a unit triple mod p, the progression it reduces (None on
+    the table route) and the triple: the stored run table for 29, 37 and 41,
+    else mod20 where it applies, else mod24. Raises NotCovered, or
+    FiveExcluded for p = 5, when no route reaches p."""
+    p = ctx.p
+    if p in SMALL_CASE_TABLES:
+        return "table", None, triple_from_member(ctx, SMALL_CASE_TABLES[p][0])
+    if p % 20 in (1, 9):
+        return "mod20", MOD20_PROGRESSION, construct_mod20(ctx)
+    return "mod24", MOD24_PROGRESSION, construct_mod24(ctx)
 
 
 class Coverage(Enum):
@@ -118,13 +135,6 @@ class Coverage(Enum):
     COVERED_BOTH = "covered_both"
     SMALL_CASE_TABLE = "small_case_table"
     UNCOVERED_BUT_NONEMPTY = "uncovered_but_nonempty"
-
-CONSTRUCTIBLE = (
-    Coverage.COVERED_MOD20,
-    Coverage.COVERED_MOD24,
-    Coverage.COVERED_BOTH,
-    Coverage.SMALL_CASE_TABLE,
-)
 
 
 def coverage_status(p: int) -> Coverage:

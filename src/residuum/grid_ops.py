@@ -1,4 +1,4 @@
-"""Index maps for 3x3 grids stored as flat row-major 9-tuples."""
+"""Index maps for 3x3 grids stored as flat row-major 9-tuples, and their rows."""
 
 LINES = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),   # rows
@@ -28,3 +28,8 @@ DIHEDRAL = ROTATIONS + (FLIP_ROWS, FLIP_COLS, TRANSPOSE, ANTI_TRANSPOSE)
 
 def permute(cells, index_map):
     return tuple(cells[i] for i in index_map)
+
+
+def rows_of(cells) -> list[list]:
+    """The three rows of a flat row-major grid, each a list."""
+    return [list(cells[0:3]), list(cells[3:6]), list(cells[6:9])]

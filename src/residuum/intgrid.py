@@ -10,7 +10,7 @@ from math import gcd, isqrt
 
 from .errors import AllZero, NotMagic, OddCenter, UnexpectedPattern
 from .fp import PrimeContext, factorize
-from .grid_ops import CENTER, CENTER_LINES, LINES
+from .grid_ops import CENTER, CENTER_LINES, LINES, rows_of
 from .residue import ResidueGrid
 
 ADMISSIBLE = "admissible"
@@ -32,8 +32,7 @@ class IntGrid(namedtuple("IntGrid", "cells")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def rows(self) -> list[list[int]]:
-        v = self.cells
-        return [list(v[0:3]), list(v[3:6]), list(v[6:9])]
+        return rows_of(self.cells)
 
     @property
     def center(self) -> int:
@@ -141,8 +140,7 @@ class Mod2Class(namedtuple("Mod2Class", "bits")):
         return _M2_PATTERNS.index(self.bits)
 
     def rows(self) -> list[list[int]]:
-        b = self.bits
-        return [list(b[0:3]), list(b[3:6]), list(b[6:9])]
+        return rows_of(self.bits)
 
     def __xor__(self, other: "Mod2Class") -> "Mod2Class":
         return Mod2Class(tuple(a ^ b for a, b in zip(self.bits, other.bits)))

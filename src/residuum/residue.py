@@ -31,6 +31,7 @@ from .grid_ops import (
     ROT180,
     ROTATIONS,
     permute,
+    rows_of,
 )
 
 
@@ -59,8 +60,7 @@ class ResidueGrid:
         self.vals = vals
 
     def rows(self) -> list[list[int]]:
-        v = self.vals
-        return [list(v[0:3]), list(v[3:6]), list(v[6:9])]
+        return rows_of(self.vals)
 
     @property
     def center(self) -> int:

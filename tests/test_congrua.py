@@ -10,6 +10,7 @@ from residuum.congrua import (
     SquareProgression,
     ap_to_unit_triple,
     congruum_triple,
+    construct,
     construct_mod20,
     construct_mod24,
     coverage_status,
@@ -226,6 +227,30 @@ def test_constructions_cover_what_they_claim():
             assert construct_mod20(ctx).squares()[2] in runs
         if p % 24 in (1, 5) and p != 5:
             assert construct_mod24(ctx).squares()[2] in runs
+
+
+def test_construct_takes_one_route_per_prime():
+    # every prime p = 1 (mod 4) below 10^4: the route agrees with the
+    # coverage report, and its triple starts a run of C_p
+    for p in primes_up_to(10**4):
+        if p % 4 != 1:
+            continue
+        ctx = PrimeContext(p)  # unmemoized, so the context cache stays small
+        status = coverage_status(p)
+        if status in (Coverage.EXCLUDED_5_13_17, Coverage.UNCOVERED_BUT_NONEMPTY):
+            with pytest.raises(NotCovered):
+                construct(ctx)
+            continue
+        route, prog, triple = construct(ctx)
+        if p in (29, 37, 41):
+            assert (route, prog) == ("table", None), p
+        elif status in (Coverage.COVERED_MOD20, Coverage.COVERED_BOTH):
+            assert route == "mod20", p
+        else:
+            assert status is Coverage.COVERED_MOD24 and route == "mod24", p
+        assert triple.squares()[2] in consecutive_triples(ctx), p
+        if prog is not None:
+            assert triple == ap_to_unit_triple(prog, ctx), p
 
 
 def test_uncovered_list_matches_expected():
