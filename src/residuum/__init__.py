@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from . import errors
 from .congrua import (
     Coverage,
-    SMALL_CASE_TABLES,
     SquareProgression,
+    TABLE_ROUTE_PRIMES,
     ap_to_unit_triple,
     congruum_triple,
     construct,

@@ -22,13 +22,12 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import islice
 from math import isqrt
 
 from . import __version__
 from .congrua import (
     MAX_SWEEP_M,
-    SMALL_CASE_TABLES,
     _classify_prime,
     construct,
     coverage_status,
@@ -62,7 +61,6 @@ from .intgrid import (
 )
 from .residue import (
     MAX_ORACLE_P,
-    ResidueGrid,
     classify,
     consecutive_runs,
     consecutive_triples,
@@ -217,11 +215,6 @@ def _grid_payload(cells, roots) -> dict:
     return {"cells": rows_of(cells), "roots": rows_of(roots)}
 
 
-def _residue_roots(g: ResidueGrid) -> list:
-    root = g.context.root
-    return [root[v] for v in g.vals]
-
-
 def _int_roots(g: IntGrid) -> list:
     return [r if (r := isqrt(v)) * r == v else None for v in g.cells]
 
@@ -280,10 +273,9 @@ def _encode_class_entries(batch: list, inner: str) -> str:
 
 def _class_fields(ctx) -> Iterator[tuple]:
     """The fields of each nontrivial class's entry, ascending in n."""
-    root = ctx.root
     for n in consecutive_runs(ctx):
-        vals = gen_nontrivial(triple_from_member(ctx, n)).vals
-        yield (*vals, *[root[v] for v in vals], n)
+        grid = gen_nontrivial(triple_from_member(ctx, n))
+        yield (*grid.vals, *grid.roots(), n)
 
 
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
@@ -295,12 +287,11 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             "the enumeration's cost grows as p^3"
         )
     ctx = make_context(p)
-    root = ctx.root
     results: dict = {
         "p": p,
         "residue_form": "two" if p == 2 else ("one_mod_four" if p % 4 == 1 else "three_mod_four"),
-        "qr_set": LazyList(lambda: compress(range(p), root)),
-        "qr_count": len(root) - root.count(0),
+        "qr_set": LazyList(ctx.residues),
+        "qr_count": 1 if p == 2 else (p - 1) // 2,
         "w": ctx.w,
         "tau": ctx.tau,
         "consecutive_triples": None,
@@ -328,12 +319,12 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         )
     else:
         results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
-        results["count_bound"] = count_bound(ctx)
+        results["count_bound"] = count_bound(p, run_count(p))
         corner = gen_trivial_corner(ctx)
-        results["trivial_corner"] = _grid_payload(corner.vals, _residue_roots(corner))
+        results["trivial_corner"] = _grid_payload(corner.vals, corner.roots())
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
-            results["trivial_midedge"] = _grid_payload(midedge.vals, _residue_roots(midedge))
+            results["trivial_midedge"] = _grid_payload(midedge.vals, midedge.roots())
         results["nontrivial_classes"] = LazyList(lambda: _class_fields(ctx), _encode_class_entries)
         if p <= max_oracle_p:
             found = enumerate_all(ctx, max_p=max_oracle_p)
@@ -409,14 +400,13 @@ def run_table(max_p: int) -> OutputDocument:
         if p % 4 != 1:
             continue
         runs = run_count(p)
-        k = 2 if p % 8 == 1 else 1
         rows.append(
             {
                 "p": p,
                 "qr_count": (p - 1) // 2,
                 "run_count": runs,
                 "coverage_status": _classify_prime(p).value,
-                "count_bound": (p - 1) * (runs + 2 * k),
+                "count_bound": count_bound(p, runs),
             }
         )
     return OutputDocument("table", {"max": max_p}, {"rows": rows})
@@ -548,7 +538,7 @@ def _residue_report(grid: IntGrid, q: int, total) -> dict:
     entry = {
         "p": q,
         "kind": "residue",
-        **_grid_payload(rgrid.vals, _residue_roots(rgrid)),
+        **_grid_payload(rgrid.vals, rgrid.roots()),
         "magic": magic,
         "sum": magic_sum(rgrid),
         "classification": None,
@@ -647,7 +637,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     progression = None
     table_members = None
     if prog is None:
-        table_members = list(SMALL_CASE_TABLES[p])
+        table_members = list(consecutive_triples(ctx))
     else:
         root = sqrt_mod(ctx, prog.d)
         progression = {"x": prog.x, "y": prog.y, "z": prog.z, "d": prog.d}
@@ -670,7 +660,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         "table_members": table_members,
         "triple": _triple_payload(triple),
         "member": triple.squares()[2],
-        "grid": _grid_payload(grid.vals, _residue_roots(grid)),
+        "grid": _grid_payload(grid.vals, grid.roots()),
     }
     return OutputDocument("construct", parameters, results), EXIT_OK
 

@@ -18,16 +18,13 @@ from .errors import (
     NotPrime,
 )
 from .fp import PrimeContext, is_prime, sqrt_mod
-from .residue import UnitTriple, triple_from_member
+from .residue import UnitTriple, consecutive_runs, triple_from_member
 
-# Explicit consecutive-run tables for the three small primes the generic
-# routes miss: 29 and 41 collide with terms of the (5,4) progression, and 37
-# falls outside both residue criteria.
-SMALL_CASE_TABLES = {
-    29: (4, 5, 22, 23),
-    37: (9, 10, 25, 26),
-    41: (8, 31),
-}
+# Primes served from their first consecutive run: 41 divides 41, the middle
+# term of the (5,4) progression (49, 41, 31); 37 meets neither residue
+# criterion; and 29, which the progression reaches with squares (7, 6, 5),
+# keeps this route because the output of `construct 29` is pinned.
+TABLE_ROUTE_PRIMES = (29, 37, 41)
 
 
 class SquareProgression(namedtuple("SquareProgression", "x y z")):
@@ -91,14 +88,15 @@ MOD24_PROGRESSION = congruum_triple(2, 1)  # 7^2, 5^2, 1^2; difference 24
 def construct_mod20(ctx: PrimeContext) -> UnitTriple:
     """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
-    29 and 41 satisfy the residue condition but collide with the progression
-    terms, so they are served from the stored run tables.
+    29 and 41 satisfy the residue condition but are served from their first
+    consecutive run: 41 divides the middle term 41, and 29 keeps that route
+    because `construct 29` is pinned, though the progression reaches it.
     """
     p = ctx.p
     if p % 20 not in (1, 9):
         raise NotCovered(f"{p} is not 1 or 9 (mod 20)")
-    if p in SMALL_CASE_TABLES:
-        return triple_from_member(ctx, SMALL_CASE_TABLES[p][0])
+    if p in TABLE_ROUTE_PRIMES:
+        return triple_from_member(ctx, next(consecutive_runs(ctx)))
     return ap_to_unit_triple(MOD20_PROGRESSION, ctx)
 
 
@@ -117,12 +115,12 @@ def construct_mod24(ctx: PrimeContext) -> UnitTriple:
 
 def construct(ctx: PrimeContext) -> tuple[str, SquareProgression | None, UnitTriple]:
     """The route to a unit triple mod p, the progression it reduces (None on
-    the table route) and the triple: the stored run table for 29, 37 and 41,
-    else mod20 where it applies, else mod24. Raises NotCovered, or
+    the table route) and the triple: the first consecutive run for 29, 37 and
+    41, else mod20 where it applies, else mod24. Raises NotCovered, or
     FiveExcluded for p = 5, when no route reaches p."""
     p = ctx.p
-    if p in SMALL_CASE_TABLES:
-        return "table", None, triple_from_member(ctx, SMALL_CASE_TABLES[p][0])
+    if p in TABLE_ROUTE_PRIMES:
+        return "table", None, triple_from_member(ctx, next(consecutive_runs(ctx)))
     if p % 20 in (1, 9):
         return "mod20", MOD20_PROGRESSION, construct_mod20(ctx)
     return "mod24", MOD24_PROGRESSION, construct_mod24(ctx)
@@ -150,7 +148,7 @@ def _classify_prime(p: int) -> Coverage:
     """`coverage_status` for a p the caller has already proved prime.
 
     Precedence: the empty-run exclusions, then the residue criteria (both
-    before either alone), then the stored small-case tables. Any other p has
+    before either alone), then the table-route primes. Any other p has
     runs: the CM curve y^2 = x(x+1)(x+2) gives 8|C_p| = p - k - 2*eps*a with
     p = a^2 + b^2, k <= 15 and eps = +-1 (Ireland & Rosen, ch. 18), and
     |a| < sqrt(p) makes that positive for p >= 29; 5, 13 and 17 are excluded.
@@ -168,7 +166,7 @@ def _classify_prime(p: int) -> Coverage:
         return Coverage.COVERED_MOD20
     if m24:
         return Coverage.COVERED_MOD24
-    if p in SMALL_CASE_TABLES:
+    if p in TABLE_ROUTE_PRIMES:
         return Coverage.SMALL_CASE_TABLE
     return Coverage.UNCOVERED_BUT_NONEMPTY
 

@@ -165,10 +165,14 @@ class PrimeContext:
         else:
             self.tau = None
 
+    def residues(self) -> Iterator[int]:
+        """The nonzero quadratic residues, ascending, one at a time."""
+        return compress(range(self.p), self.root)
+
     @property
     def qr_set(self) -> tuple[int, ...]:
         """The nonzero quadratic residues, ascending, derived on every read."""
-        return tuple(compress(range(self.p), self.root))
+        return tuple(self.residues())
 
     def is_qr(self, value: int) -> bool:
         """True iff value reduces to a nonzero quadratic residue."""

@@ -62,6 +62,11 @@ class ResidueGrid:
     def rows(self) -> list[list[int]]:
         return rows_of(self.vals)
 
+    def roots(self) -> list[int]:
+        """The smaller square root of each cell, row-major; 0 for a zero cell."""
+        root = self.context.root
+        return [root[v] for v in self.vals]
+
     @property
     def center(self) -> int:
         return self.vals[CENTER]
@@ -255,17 +260,17 @@ def run_count(p: int) -> int:
     return (p - k - 2 * eps * a) // 8
 
 
-def count_bound(ctx: PrimeContext) -> int:
-    """Upper bound (p-1) * (|C_p| + 2k) on the number of zero-center classes,
-    with k = 2 for p = 1 (mod 8) and k = 1 for p = 5 (mod 8).
+def count_bound(p: int, runs: int) -> int:
+    """Upper bound (p-1) * (runs + 2k) on the number of zero-center classes,
+    with runs = |C_p| from run_count(p), k = 2 for p = 1 (mod 8), else 1.
 
     The count is exactly half the bound: enumerate_all finds (p-1)(|C_p| + 2k)/2
     grids, all of them generated_classes, for every p = 1 (mod 4) up to 100.
     """
-    if ctx.p % 4 != 1:
-        raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {ctx.p}")
-    k = 2 if ctx.p % 8 == 1 else 1
-    return (ctx.p - 1) * (run_count(ctx.p) + 2 * k)
+    if p % 4 != 1:
+        raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {p}")
+    k = 2 if p % 8 == 1 else 1
+    return (p - 1) * (runs + 2 * k)
 
 
 # Largest p the CLI lets enumerate_all run at: its cost grows about as p^3,

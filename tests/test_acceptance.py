@@ -30,6 +30,7 @@ from residuum.residue import (
     is_magic_class,
     magic_sum,
     naive_enumerate,
+    run_count,
     triple_from_member,
 )
 from residuum.search import naive_center_enumeration, search_msos
@@ -92,7 +93,7 @@ def test_criterion_04_bound_and_generated_equal_oracle():
     for p in (5, 13, 17, 29, 37, 41):
         ctx = make_context(p)
         oracle = enumerate_all(ctx)
-        assert len(oracle) <= count_bound(ctx), p
+        assert len(oracle) <= count_bound(p, run_count(p)), p
         assert generated_classes(ctx) == oracle, p
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -118,7 +118,6 @@ def test_table_builds_no_contexts(monkeypatch):
         runs = len(residue.consecutive_triples(ctx))
         k = 2 if p % 8 == 1 else 1
         direct[p] = (len(ctx.qr_set), runs, (p - 1) * (runs + 2 * k))
-    kept = PrimeContext(29)
 
     def built(*args):
         raise AssertionError("table built a residue context")
@@ -133,7 +132,7 @@ def test_table_builds_no_contexts(monkeypatch):
 
     monkeypatch.setattr(congrua, "is_prime", trial)
     rows = {row["p"]: row for row in cli.run_table(10000).results["rows"]}
-    assert residue.count_bound(kept) == 168
+    assert residue.count_bound(29, residue.run_count(29)) == 168
     for p, (qr_count, runs, bound) in direct.items():
         row = rows[p]
         assert (row["qr_count"], row["run_count"], row["count_bound"]) == (qr_count, runs, bound), p

@@ -29,6 +29,7 @@ from residuum.residue import (
     magic_sum,
     naive_enumerate,
     orbit,
+    run_count,
     triple_from_member,
 )
 
@@ -258,11 +259,11 @@ def test_orbit_preconditions():
 
 
 def test_count_bound_examples():
-    assert count_bound(F29) == 28 * (4 + 2) == 168
-    assert count_bound(F13) == 12 * (0 + 2) == 24
-    assert count_bound(make_context(41)) == 40 * (2 + 4) == 240
+    assert count_bound(29, run_count(29)) == 28 * (4 + 2) == 168
+    assert count_bound(13, run_count(13)) == 12 * (0 + 2) == 24
+    assert count_bound(41, run_count(41)) == 40 * (2 + 4) == 240
     with pytest.raises(BadPrimeForm):
-        count_bound(make_context(7))
+        count_bound(7, 0)
 
 
 def test_enumerate_all_small_primes(grid_f29):
@@ -271,7 +272,7 @@ def test_enumerate_all_small_primes(grid_f29):
     assert all(classify(g) is ClassKind.TRIVIAL_CORNER for g in found13)
     assert grid_f29 in enumerate_all(F29)
     found5 = enumerate_all(make_context(5))
-    assert len(found5) <= count_bound(make_context(5)) == 8
+    assert len(found5) <= count_bound(5, run_count(5)) == 8
     assert found5 == naive_enumerate(make_context(5))
 
 
@@ -304,7 +305,7 @@ def test_bound_holds():
     # and holds exactly twice over, for every prime the oracle reaches
     for p in P_1_MOD_4_TO_100:
         ctx = make_context(p)
-        assert 2 * len(enumerate_all(ctx)) == count_bound(ctx), p
+        assert 2 * len(enumerate_all(ctx)) == count_bound(p, run_count(p)), p
 
 
 def test_naive_matches_reduced_oracle():
