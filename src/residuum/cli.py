@@ -74,7 +74,7 @@ from .residue import (
     run_count,
     triple_from_member,
 )
-from .search import search_msos
+from .search import MAX_CENTER_ROOT, search_msos
 
 FORMAT_TABLE = "table"
 FORMAT_STRUCTURED = "structured"
@@ -87,9 +87,9 @@ EXIT_INPUT = 3
 EXIT_HIT = 10
 EXIT_PIPE = 141
 
-# Largest center root `verify` factors: trial division costs about sqrt(e)/2
-# steps for a prime e, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine).
-MAX_VERIFY_CENTER_ROOT = 10**14
+# Most worker processes `search` may start: a process pool forks all of its
+# workers at the first task, so a larger count is refused before any start.
+MAX_WORKERS = 64
 
 PRUNING_RULE = (
     "primitive-only mode skips center roots with any prime factor = 3 (mod 4): "
@@ -497,9 +497,9 @@ def run_verify(path: str) -> OutputDocument:
             results["reduced"] = _grid_payload(reduced.cells, _int_roots(reduced))
     e = isqrt(grid.center)
     if e * e == grid.center and e >= 1:
-        if e > MAX_VERIFY_CENTER_ROOT:
+        if e > MAX_CENTER_ROOT:
             raise BoundExceeded(
-                f"center root {e} exceeds the factoring ceiling {MAX_VERIFY_CENTER_ROOT}; "
+                f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
                 "trial division takes about sqrt(e)/2 steps"
             )
         results["center_root"] = e
@@ -514,12 +514,12 @@ def run_verify(path: str) -> OutputDocument:
             for q, verdict in check.verdicts:
                 if verdict != "admissible":
                     continue
-                classes.append(_residue_report(grid, q, total))
+                classes.append(_residue_report(grid, q))
             results["residue_classes"] = classes
     return OutputDocument("verify", {"path": path}, results)
 
 
-def _residue_report(grid: IntGrid, q: int, total) -> dict:
+def _residue_report(grid: IntGrid, q: int) -> dict:
     if q == 2:
         entry: dict = {"p": 2, "kind": "parity", "pattern_index": None, "bits": None,
                        "center_line_all_even": None, "note": None}
@@ -832,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes; defaults to RESIDUUM_THREADS or one per core",
+        help=f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
+        "or one per core",
     )
     _add_format(ps)
     return ap
@@ -840,18 +841,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_workers(requested: int | None) -> int:
     if requested is not None:
-        if requested < 1:
-            raise BadParameters(f"--workers must be at least 1, got {requested}")
+        if not 1 <= requested <= MAX_WORKERS:
+            raise BadParameters(f"--workers must be in [1, {MAX_WORKERS}], got {requested}")
         return requested
     env = os.environ.get("RESIDUUM_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, MAX_WORKERS)
     try:
         workers = int(env)
     except ValueError:
         workers = 0
-    if workers < 1:
-        raise BadParameters(f"RESIDUUM_THREADS must be a positive integer, got {env!r}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise BadParameters(
+            f"RESIDUUM_THREADS must be an integer in [1, {MAX_WORKERS}], got {env!r}"
+        )
     return workers
 
 

@@ -264,8 +264,17 @@ def count_bound(p: int, runs: int) -> int:
     """Upper bound (p-1) * (runs + 2k) on the number of zero-center classes,
     with runs = |C_p| from run_count(p), k = 2 for p = 1 (mod 8), else 1.
 
-    The count is exactly half the bound: enumerate_all finds (p-1)(|C_p| + 2k)/2
-    grids, all of them generated_classes, for every p = 1 (mod 4) up to 100.
+    The count is exactly half the bound. A magic grid with center 0 has line
+    sum 0, so its opposite cells are negated, and its top-left a and top-right
+    c fix it: b = -(a+c) and d = c-a. Since -1 is a square, it is a class
+    exactly when a, c, a+c and c-a all lie in S_p + {0}. a = 0 gives the
+    (p+1)/2 grids with c in S_p + {0}, the all-zero grid among them. Each of
+    the (p-1)/2 nonzero a gives c = a*x with x-1, x and x+1 in S_p + {0}: x-1
+    in C_p, x = 0, and x = +-1 exactly when 2 is a square, so |C_p| + 2k - 1
+    values of x. Summed without the all-zero grid, the count is
+    (p-1)/2 * (|C_p| + 2k). test_bound_holds checks that enumerate_all finds
+    exactly this many grids, all of them generated_classes, for every
+    p = 1 (mod 4) up to 100.
     """
     if p % 4 != 1:
         raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {p}")

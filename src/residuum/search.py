@@ -12,12 +12,17 @@ from contextlib import ExitStack
 from itertools import chain
 from math import comb, gcd, isqrt
 
-from .errors import BadParameters, BadRange
+from .errors import BadParameters, BadRange, BoundExceeded
 from .fp import factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
 SearchReport = namedtuple("SearchReport", "pruned_centers candidates_tested hits near_misses")
+
+# Largest center root that `search` scans and `verify` factors: trial division
+# costs about sqrt(e)/2 steps for a prime e, 0.65 s near 10**14 (Python 3.11,
+# 2-vCPU machine).
+MAX_CENTER_ROOT = 10**14
 
 
 def pair_decompositions(e: int) -> list[tuple[int, int]]:
@@ -143,10 +148,16 @@ def search_msos(
     """Scan center roots e in [e_min, e_max] for magic squares of squares.
 
     Centers are independent work units; results are merged in ascending e
-    order, so the report is identical for any worker count.
+    order, so the report is identical for any worker count. No more worker
+    processes start than there are blocks of centers.
     """
     if e_min < 1 or e_min > e_max:
         raise BadRange(f"need 1 <= e_min <= e_max, got [{e_min}, {e_max}]")
+    if e_max > MAX_CENTER_ROOT:
+        raise BoundExceeded(
+            f"e_max {e_max} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
+            "trial division takes about sqrt(e)/2 steps per center"
+        )
     if not 0 <= near_miss_threshold <= 8:
         raise BadParameters(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
@@ -157,19 +168,18 @@ def search_msos(
     # 16 blocks a worker keep the load balanced, and the parent holds only
     # ranges, not one task per center
     size = max(8, len(centers) // (16 * workers))
-    blocks = (
-        (centers[i : i + size], primitive_only, near_miss_threshold)
-        for i in range(0, len(centers), size)
-    )
+    starts = range(0, len(centers), size)
+    blocks = ((centers[i : i + size], primitive_only, near_miss_threshold) for i in starts)
     pruned = candidates = 0
     hits = []
     nears = []
     with ExitStack() as stack:
         mapper = map
-        if workers > 1:
+        procs = min(workers, len(starts))
+        if procs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=procs)).map
         for was_pruned, count, hit_cells, near_cells in chain.from_iterable(
             mapper(_scan_block, blocks)
         ):

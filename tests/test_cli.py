@@ -237,7 +237,7 @@ def test_verify_parse_errors(tmp_path, capsys):
 
 
 def test_verify_center_root_ceiling(tmp_path, capsys):
-    assert cli.MAX_VERIFY_CENTER_ROOT == 10**14
+    assert cli.MAX_CENTER_ROOT == 10**14
     for e, code in ((10**14, 0), (10**14 + 1, 2)):
         f = tmp_path / f"center{e}.txt"
         f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
@@ -354,6 +354,46 @@ def test_search_refuses_bad_settings(capsys, monkeypatch, threads, extra):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "e_min, e_max, code", [(10**14, 10**14, 0), (10**14 + 1, 10**14 + 1, 2), (1, 10**20, 2)]
+)
+def test_search_center_root_ceiling(capsys, e_min, e_max, code):
+    # [1, 10**20] is too long a range for len(); below that, a prime center
+    # near the top would take about sqrt(e)/2 trial divisions
+    out_code, out, err = run(capsys, "search", str(e_min), str(e_max), "--workers", "1")
+    assert out_code == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "factoring ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "threads, extra, code",
+    [
+        ("1", ["--workers", "65"], 2),
+        ("1", ["--workers", "100000"], 2),
+        ("65", [], 2),
+        ("100000", [], 2),
+        ("1", ["--workers", "64"], 0),
+        ("64", [], 0),
+    ],
+)
+def test_search_refuses_workers_above_the_ceiling(
+    capsys, monkeypatch, pool_sizes, threads, extra, code
+):
+    assert cli.MAX_WORKERS == 64
+    monkeypatch.setenv("RESIDUUM_THREADS", threads)
+    out_code, out, err = run(capsys, "search", "1", "10", *extra)
+    assert out_code == code
+    if code == 2:
+        assert out == "" and pool_sizes == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        # two blocks of centers, so a pool of two whatever the count asked
+        assert pool_sizes == [2]
 
 
 def test_search_exit_code_on_hit(capsys, monkeypatch):

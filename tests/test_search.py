@@ -187,6 +187,16 @@ def test_search_report_deterministic_across_workers():
     assert serial == parallel
 
 
+def test_search_starts_no_more_processes_than_blocks(pool_sizes):
+    # 10 centers make 2 blocks of 8 at most, and 8 centers make 1, which
+    # runs in-process; 90 centers on 2 workers make 12 blocks
+    serial = search_msos(1, 10, workers=1)
+    assert search_msos(1, 10, workers=10**5) == serial
+    assert search_msos(1, 8, workers=10**5) == search_msos(1, 8, workers=1)
+    search_msos(1, 90, workers=2)
+    assert pool_sizes == [2, 2]
+
+
 def test_search_report_deterministic_across_chunks():
     # 1500 centers on 2 workers make blocks of 46 centers, 33 in all, so
     # the block boundaries and the streamed merge must drop and reorder nothing
