@@ -6,15 +6,13 @@ requested prime), 2 usage error (including a modulus or flag above its
 ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
 reader closed stdout before the output was written.
 
-Every refusal happens before the first byte of output; `analyze` then writes
-its lists in chunks as it derives them from the root table.
+Every refusal happens before the first byte of output; each long list is then
+derived again as it is written, in chunks, so that no command holds it whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -63,7 +61,6 @@ from .residue import (
     MAX_ORACLE_P,
     classify,
     consecutive_runs,
-    consecutive_triples,
     count_bound,
     enumerate_all,
     gen_nontrivial,
@@ -138,8 +135,11 @@ def _batches(items) -> Iterator[list]:
         yield batch
 
 
-def _encode_ints(batch: list, inner: str) -> str:
-    return ("," + inner).join(map(str, batch))
+def _encode_items(batch: list, inner: str) -> str:
+    """List items as `_chunks` writes them at indent `inner`, joined."""
+    return ("," + inner).join(
+        [str(v) if type(v) is int else "".join(_chunks(v, inner)) for v in batch]
+    )
 
 
 class LazyList:
@@ -151,7 +151,7 @@ class LazyList:
 
     __slots__ = ("items", "encode")
 
-    def __init__(self, items, encode=_encode_ints):
+    def __init__(self, items, encode=_encode_items):
         self.items = items
         self.encode = encode
 
@@ -203,8 +203,7 @@ def _chunks(o, newline: str) -> Iterator[str]:
             yield "[]"
             return
         inner = newline + "  "
-        items = [str(v) if type(v) is int else "".join(_chunks(v, inner)) for v in o]
-        yield "[" + inner + ("," + inner).join(items) + newline + "]"
+        yield "[" + inner + _encode_items(o, inner) + newline + "]"
     else:
         yield json.dumps(o)
 
@@ -327,7 +326,7 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             results["trivial_midedge"] = _grid_payload(midedge.vals, midedge.roots())
         results["nontrivial_classes"] = LazyList(lambda: _class_fields(ctx), _encode_class_entries)
         if p <= max_oracle_p:
-            found = enumerate_all(ctx, max_p=max_oracle_p)
+            found = enumerate_all(ctx)
             results["oracle"] = {
                 "count": len(found),
                 "bound": results["count_bound"],
@@ -390,49 +389,52 @@ def _render_analyze(r: dict) -> Iterator[str]:
 # ------------------------------------------------------------------ table
 
 
-def run_table(max_p: int) -> OutputDocument:
-    if max_p < 5:
-        raise BadRange(f"table needs max >= 5, got {max_p}")
-    if max_p > MAX_CONTEXT_P:
-        raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
-    rows = []
+def _table_rows(max_p: int) -> Iterator[dict]:
     for p in primes_up_to(max_p):
         if p % 4 != 1:
             continue
         runs = run_count(p)
-        rows.append(
-            {
-                "p": p,
-                "qr_count": (p - 1) // 2,
-                "run_count": runs,
-                "coverage_status": _classify_prime(p).value,
-                "count_bound": count_bound(p, runs),
-            }
-        )
-    return OutputDocument("table", {"max": max_p}, {"rows": rows})
+        yield {
+            "p": p,
+            "qr_count": (p - 1) // 2,
+            "run_count": runs,
+            "coverage_status": _classify_prime(p).value,
+            "count_bound": count_bound(p, runs),
+        }
+
+
+def run_table(max_p: int) -> OutputDocument:
+    """Every refusal is raised here; the rows are a LazyList, made from closed
+    forms, one prime at a time, each time they are written."""
+    if max_p < 5:
+        raise BadRange(f"table needs max >= 5, got {max_p}")
+    if max_p > MAX_CONTEXT_P:
+        raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
+    return OutputDocument("table", {"max": max_p}, {"rows": LazyList(lambda: _table_rows(max_p))})
 
 
 _TABLE_COLUMNS = ("p", "qr_count", "run_count", "coverage_status", "count_bound")
 
 
 def _render_table(r: dict) -> Iterator[str]:
+    # the column widths need every row, so this form holds the rows; it reads
+    # them once, since each read of the LazyList makes them again
+    rows = list(r["rows"])
     widths = {c: len(c) for c in _TABLE_COLUMNS}
-    for row in r["rows"]:
+    for row in rows:
         for c in _TABLE_COLUMNS:
             widths[c] = max(widths[c], len(str(row[c])))
     lines = ["  ".join(c.ljust(widths[c]) for c in _TABLE_COLUMNS)]
-    for row in r["rows"]:
+    for row in rows:
         lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in _TABLE_COLUMNS))
     yield "\n".join(lines) + "\n"
 
 
-def _render_table_csv(r: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
+def _render_table_csv(r: dict) -> Iterator[str]:
+    # no field holds a comma, quote or newline, so none is quoted
+    yield ",".join(_TABLE_COLUMNS) + "\n"
     for row in r["rows"]:
-        writer.writerow([row[c] for c in _TABLE_COLUMNS])
-    return buf.getvalue()
+        yield ",".join([str(row[c]) for c in _TABLE_COLUMNS]) + "\n"
 
 
 # ----------------------------------------------------------------- verify
@@ -609,17 +611,17 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     status = coverage_status(p)
     ctx = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
+    runs = LazyList(lambda: consecutive_runs(ctx))
     try:
         route, prog, triple = construct(ctx)
     except NotCovered:
-        cset = list(consecutive_triples(ctx))
         tried = eligible_params(sweep_max_m)
         successes = [
             [m, n, t.squares()[2]] for m, n, t in sweep_congrua(ctx, sweep_max_m)
         ]
         note = (
             f"no consecutive residue runs exist mod {p}"
-            if not cset
+            if run_count(p) == 0
             else f"neither residue criterion reaches {p}; its runs are only known numerically"
         )
         results = {
@@ -627,7 +629,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
             "coverage": status.value,
             "constructed": False,
             "note": note,
-            "consecutive_triples": cset,
+            "consecutive_triples": runs,
             "sweeps_tried": [[m, n] for m, n in tried],
             "sweeps_successful": successes,
         }
@@ -637,7 +639,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     progression = None
     table_members = None
     if prog is None:
-        table_members = list(consecutive_triples(ctx))
+        table_members = runs
     else:
         root = sqrt_mod(ctx, prog.d)
         progression = {"x": prog.x, "y": prog.y, "z": prog.z, "d": prog.d}
@@ -871,10 +873,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "table":
         doc = run_table(args.max)
-        if args.format == FORMAT_CSV:
-            sys.stdout.write(_render_table_csv(doc.results))
-        else:
-            _emit(doc, args.format, _render_table)
+        _emit(doc, args.format, _render_table_csv if args.format == FORMAT_CSV else _render_table)
         return EXIT_OK
     if args.command == "verify":
         doc = run_verify(args.path)

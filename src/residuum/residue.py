@@ -282,12 +282,14 @@ def count_bound(p: int, runs: int) -> int:
     return (p - 1) * (runs + 2 * k)
 
 
-# Largest p the CLI lets enumerate_all run at: its cost grows about as p^3,
-# 1.3 s at p = 401 and 17.9 s at p = 1009 (Python 3.11, 2-vCPU machine).
+# Largest p enumerate_all runs at: its cost grows about as p^3, 1.3 s at
+# p = 401 and 17.9 s at p = 1009 (Python 3.11, 2-vCPU machine).
 MAX_ORACLE_P = 500
+# Largest p naive_enumerate runs at: it walks eight cells, not four.
+MAX_NAIVE_P = 13
 
 
-def enumerate_all(ctx: PrimeContext, max_p: int = 100) -> frozenset[ResidueGrid]:
+def enumerate_all(ctx: PrimeContext) -> frozenset[ResidueGrid]:
     """Every magic zero-center grid over squares of F_p except the all-zero
     grid, by brute force over four independent cells.
 
@@ -299,8 +301,8 @@ def enumerate_all(ctx: PrimeContext, max_p: int = 100) -> frozenset[ResidueGrid]
     """
     if ctx.p % 4 != 1:
         raise BadPrimeForm(f"zero-center enumeration needs p = 1 (mod 4), got {ctx.p}")
-    if ctx.p > max_p:
-        raise BoundExceeded(f"p={ctx.p} exceeds the enumeration bound {max_p}")
+    if ctx.p > MAX_ORACLE_P:
+        raise BoundExceeded(f"p={ctx.p} exceeds the enumeration bound {MAX_ORACLE_P}")
     p = ctx.p
     sq0 = (0, *ctx.qr_set)
     out = set()
@@ -319,18 +321,18 @@ def enumerate_all(ctx: PrimeContext, max_p: int = 100) -> frozenset[ResidueGrid]
                     assert set(line_sums(grid)) == {0}
                     out.add(grid)
     result = frozenset(out)
-    if p <= 13:
+    if p <= MAX_NAIVE_P:
         # cheap enough to cross-validate against the 8-cell oracle in-line
         assert result == naive_enumerate(ctx)
     return result
 
 
-def naive_enumerate(ctx: PrimeContext, max_p: int = 13) -> frozenset[ResidueGrid]:
+def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
     """Fully naive cross-check oracle: enumerate all eight non-center cells
     over squares and keep grids whose eight sums agree, using nothing but
     the sum equations themselves (no negation shortcut, no fixed total)."""
-    if ctx.p > max_p:
-        raise BoundExceeded(f"p={ctx.p} exceeds the naive enumeration bound {max_p}")
+    if ctx.p > MAX_NAIVE_P:
+        raise BoundExceeded(f"p={ctx.p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
     p = ctx.p
     sq0 = (0, *ctx.qr_set)
     out = set()

@@ -163,6 +163,8 @@ def search_msos(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
             f"got {near_miss_threshold}"
         )
+    if workers < 1:
+        raise BadParameters(f"need at least one worker, got {workers}")
     centers = range(e_min, e_max + 1)
     # most centers cost microseconds, so each task is a block of centers:
     # 16 blocks a worker keep the load balanced, and the parent holds only

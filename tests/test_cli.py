@@ -506,13 +506,25 @@ def test_analyze_into_a_reader_that_closes_early():
     assert err == b""
 
 
-def test_analyze_memory_is_bounded_by_its_root_table():
+@pytest.mark.parametrize(
+    "argv, exit_code, bound_mb",
+    [
+        # the root table is 4 MB; the output is 93 MB
+        (["analyze", "1000033", "--format", "structured"], 0, 60),
+        # 375,360 runs; the root table is 11 MB
+        (["construct", "3000017", "--format", "structured"], 1, 40),
+        # 39,175 rows, each made from closed forms as it is written
+        (["table", "1000000", "--format", "structured"], 0, 30),
+        (["table", "1000000", "--format", "csv"], 0, 25),
+    ],
+)
+def test_long_lists_are_derived_as_they_are_written(argv, exit_code, bound_mb):
     # a bare interpreter starts the call: a child's max-RSS starts from its
     # parent's high-water mark, which for pytest alone is above the bound
     spawn = (
         "import os, subprocess, sys; "
-        "proc = subprocess.Popen([sys.executable, '-S', '-m', 'residuum', 'analyze', "
-        "'1000033', '--format', 'structured'], stdout=subprocess.DEVNULL); "
+        f"proc = subprocess.Popen([sys.executable, '-S', '-m', 'residuum', *{argv!r}], "
+        "stdout=subprocess.DEVNULL); "
         "_, status, usage = os.wait4(proc.pid, 0); "
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
     )
@@ -522,8 +534,7 @@ def test_analyze_memory_is_bounded_by_its_root_table():
         check=True, timeout=120,
     )
     code, peak_kb = map(int, done.stdout.split())
-    # the root table is 4 MB; the output is 93 MB
-    assert code == 0 and peak_kb < 60 * 1024
+    assert code == exit_code and peak_kb < bound_mb * 1024
 
 
 def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):

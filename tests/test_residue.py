@@ -278,7 +278,9 @@ def test_enumerate_all_small_primes(grid_f29):
 
 def test_enumerate_all_bounds():
     with pytest.raises(BoundExceeded):
-        enumerate_all(make_context(101), max_p=100)
+        enumerate_all(make_context(509))
+    with pytest.raises(BoundExceeded):
+        naive_enumerate(make_context(17))
     with pytest.raises(BadPrimeForm):
         enumerate_all(make_context(7))
 

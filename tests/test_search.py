@@ -265,10 +265,13 @@ def test_candidates_counted_once_per_symmetry_class():
     assert report.candidates_tested == expected
 
 
-def test_search_refuses_threshold_outside_line_count():
+def test_search_msos_refuses_bad_settings():
     for threshold in (-1, 9, 99):
         with pytest.raises(BadParameters):
             search_msos(1, 10, near_miss_threshold=threshold)
+    for workers in (0, -1):
+        with pytest.raises(BadParameters):
+            search_msos(1, 10, workers=workers)
     for threshold in (0, 8):
         assert search_msos(1, 10, near_miss_threshold=threshold).hits == ()
 
