@@ -6,8 +6,11 @@ requested prime), 2 usage error (including a modulus or flag above its
 ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
 reader closed stdout before the output was written.
 
-Every refusal happens before the first byte of output; each long list is then
-derived again as it is written, in chunks, so that no command holds it whole.
+Every refusal happens before the first byte of output. Each form is then
+written in pieces as it is made: every long list is derived again as it is
+written, in chunks, and `search` maps the grids of its report as it writes
+them. Only the human `table` holds its rows, since its column widths need
+them all; `search`'s report holds its grids.
 """
 
 from __future__ import annotations
@@ -424,10 +427,9 @@ def _render_table(r: dict) -> Iterator[str]:
     for row in rows:
         for c in _TABLE_COLUMNS:
             widths[c] = max(widths[c], len(str(row[c])))
-    lines = ["  ".join(c.ljust(widths[c]) for c in _TABLE_COLUMNS)]
+    yield "  ".join(c.ljust(widths[c]) for c in _TABLE_COLUMNS) + "\n"
     for row in rows:
-        lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in _TABLE_COLUMNS))
-    yield "\n".join(lines) + "\n"
+        yield "  ".join(str(row[c]).ljust(widths[c]) for c in _TABLE_COLUMNS) + "\n"
 
 
 def _render_table_csv(r: dict) -> Iterator[str]:
@@ -551,43 +553,41 @@ def _residue_report(grid: IntGrid, q: int) -> dict:
 
 
 def _render_verify(r: dict) -> Iterator[str]:
-    out = [f"grid from {r['path']}:"]
-    out.append(_payload_block(r["grid"]))
-    out.append(f"magic: {_yn(r['magic'])}" + (f" (T = {r['total']})" if r["magic"] else ""))
+    yield f"grid from {r['path']}:\n" + _payload_block(r["grid"]) + "\n"
+    yield f"magic: {_yn(r['magic'])}" + (f" (T = {r['total']})" if r["magic"] else "") + "\n"
     if r["total_is_triple_center"] is not None:
-        out.append(f"total = 3 x center: {_yn(r['total_is_triple_center'])}")
-    out.append(f"square-entried: {_yn(r['square_entried'])}")
-    out.append(f"distinct entries: {_yn(r['distinct'])}")
+        yield f"total = 3 x center: {_yn(r['total_is_triple_center'])}\n"
+    yield f"square-entried: {_yn(r['square_entried'])}\n"
+    yield f"distinct entries: {_yn(r['distinct'])}\n"
     if r["primitive"] is not None:
-        out.append(f"primitive: {_yn(r['primitive'])}")
+        yield f"primitive: {_yn(r['primitive'])}\n"
         if r["reduced"] is not None:
-            out.append("reduced form:")
-            out.append(_payload_block(r["reduced"]))
-    if r["center_root"] is None:
-        out.append(f"center {r['center']} is not a perfect square; no center-root analysis")
+            yield "reduced form:\n" + _payload_block(r["reduced"]) + "\n"
+    if r["center"] == 0:
+        yield "center 0 = 0^2 has no prime factors; no center-root analysis\n"
+    elif r["center_root"] is None:
+        yield f"center {r['center']} is not a perfect square; no center-root analysis\n"
     else:
-        out.append(f"center root e = {r['center_root']}")
+        yield f"center root e = {r['center_root']}\n"
         for q, verdict in r["center_check"]["verdicts"]:
-            out.append(f"  prime {q}: {verdict}")
+            yield f"  prime {q}: {verdict}\n"
         if r["center_check"]["warning"]:
-            out.append(f"  warning: {r['center_check']['warning']}")
+            yield f"  warning: {r['center_check']['warning']}\n"
     for entry in r["residue_classes"] or []:
         if entry["kind"] == "parity":
             if entry["pattern_index"] is None:
-                out.append(f"mod 2: {entry['note']}")
+                yield f"mod 2: {entry['note']}\n"
             else:
-                out.append(
+                yield (
                     f"mod 2: pattern #{entry['pattern_index']} ({_bits(entry['bits'])}); "
-                    f"all-even center line: {_yn(entry['center_line_all_even'])}"
+                    f"all-even center line: {_yn(entry['center_line_all_even'])}\n"
                 )
         else:
-            out.append(f"residue class mod {entry['p']}:")
-            out.append(_payload_block(entry))
+            yield f"residue class mod {entry['p']}:\n" + _payload_block(entry) + "\n"
             if entry["classification"] is not None:
-                out.append(f"  magic with sum {entry['sum']}; class: {entry['classification']}")
+                yield f"  magic with sum {entry['sum']}; class: {entry['classification']}\n"
             else:
-                out.append(f"  magic: {_yn(entry['magic'])}")
-    yield "\n".join(out) + "\n"
+                yield f"  magic: {_yn(entry['magic'])}\n"
 
 
 def _yn(flag: bool) -> str:
@@ -704,6 +704,9 @@ def _render_construct(r: dict) -> Iterator[str]:
 def run_search(
     e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int
 ) -> tuple[OutputDocument, int]:
+    """Every refusal is raised by the search; the report holds its grids, and
+    the `hits` and `near_misses` lists are LazyLists of their payloads, made
+    as they are written."""
     report = search_msos(
         e_min,
         e_max,
@@ -711,21 +714,6 @@ def run_search(
         near_miss_threshold=threshold,
         workers=workers,
     )
-    results = {
-        "e_min": e_min,
-        "e_max": e_max,
-        "primitive_only": primitive_only,
-        "near_miss_threshold": threshold,
-        "workers": workers,
-        "pruned_centers": report.pruned_centers,
-        "candidates_tested": report.candidates_tested,
-        "hit_count": len(report.hits),
-        "near_miss_count": len(report.near_misses),
-        "hits": [_grid_payload(g.cells, _int_roots(g)) for g in report.hits],
-        "near_misses": [_grid_payload(g.cells, _int_roots(g)) for g in report.near_misses],
-        "pruning_rule": PRUNING_RULE if primitive_only else None,
-        "near_miss_note": NEAR_MISS_NOTE,
-    }
     parameters = {
         "e_min": e_min,
         "e_max": e_max,
@@ -733,29 +721,42 @@ def run_search(
         "near_miss_threshold": threshold,
         "workers": workers,
     }
+    results = {
+        **parameters,
+        "pruned_centers": report.pruned_centers,
+        "candidates_tested": report.candidates_tested,
+        "hit_count": len(report.hits),
+        "near_miss_count": len(report.near_misses),
+        "hits": _grid_payloads(report.hits),
+        "near_misses": _grid_payloads(report.near_misses),
+        "pruning_rule": PRUNING_RULE if primitive_only else None,
+        "near_miss_note": NEAR_MISS_NOTE,
+    }
     code = EXIT_HIT if report.hits else EXIT_OK
     return OutputDocument("search", parameters, results), code
 
 
+def _grid_payloads(grids) -> LazyList:
+    return LazyList(lambda: (_grid_payload(g.cells, _int_roots(g)) for g in grids))
+
+
 def _render_search(r: dict) -> Iterator[str]:
-    out = [
+    yield (
         f"searched center roots e in [{r['e_min']}, {r['e_max']}]; "
-        f"primitive-only: {_yn(r['primitive_only'])}"
-    ]
+        f"primitive-only: {_yn(r['primitive_only'])}\n"
+    )
     if r["pruning_rule"]:
-        out.append(f"pruning rule: {r['pruning_rule']}")
-    out.append(
+        yield f"pruning rule: {r['pruning_rule']}\n"
+    yield (
         f"pruned centers: {r['pruned_centers']}; "
         f"candidates tested: {r['candidates_tested']}; "
-        f"hits: {r['hit_count']}; near misses: {r['near_miss_count']}"
+        f"hits: {r['hit_count']}; near misses: {r['near_miss_count']}\n"
     )
-    for payload in r["hits"]:
-        out.append("HIT:")
-        out.append(_payload_block(payload))
-    for payload in r["near_misses"]:
-        out.append(f"near miss ({r['near_miss_threshold']}/8 sums or better):")
-        out.append(_payload_block(payload))
-    yield "\n".join(out) + "\n"
+    for batch in _batches(r["hits"]):
+        yield "".join(f"HIT:\n{_payload_block(g)}\n" for g in batch)
+    head = f"near miss ({r['near_miss_threshold']}/8 sums or better):\n"
+    for batch in _batches(r["near_misses"]):
+        yield "".join(f"{head}{_payload_block(g)}\n" for g in batch)
 
 
 # ------------------------------------------------------------------- main

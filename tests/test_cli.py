@@ -148,17 +148,31 @@ def test_csv_only_for_table(capsys):
     assert code == 2
 
 
-def test_verify_classical_magic(tmp_path, capsys):
-    f = tmp_path / "loshu.txt"
-    f.write_text("4 9 2\n3 5 7\n8 1 6\n")
+@pytest.mark.parametrize(
+    "text, total, square_entried, distinct, center_line",
+    [
+        ("4 9 2\n3 5 7\n8 1 6\n", 15, False, True,
+         "center 5 is not a perfect square; no center-root analysis"),
+        # 0 = 0^2, but 0 has no prime factors to check
+        ("0 0 0\n0 0 0\n0 0 0\n", 0, True, False,
+         "center 0 = 0^2 has no prime factors; no center-root analysis"),
+    ],
+    ids=["lo-shu", "all-zero"],
+)
+def test_verify_classical_magic(tmp_path, capsys, text, total, square_entried, distinct,
+                                center_line):
+    f = tmp_path / "grid.txt"
+    f.write_text(text)
     code, doc, _ = run_json(capsys, "verify", str(f))
     assert code == 0
     r = doc["results"]
-    assert r["magic"] is True and r["total"] == 15
+    assert r["magic"] is True and r["total"] == total
     assert r["total_is_triple_center"] is True
-    assert r["square_entried"] is False
-    assert r["distinct"] is True
-    assert r["center_root"] is None  # 5 is not a perfect square
+    assert r["square_entried"] is square_entried
+    assert r["distinct"] is distinct
+    assert r["center_root"] is None
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0 and f"\n{center_line}\n" in out
 
 
 def test_verify_square_grid_not_magic(tmp_path, capsys):
@@ -490,19 +504,33 @@ def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
     assert made == list(residue.consecutive_triples(fp.make_context(50021)))
 
 
-def test_analyze_into_a_reader_that_closes_early():
-    # `residuum analyze 200009 --format structured | head -c 10`
+# a search that writes 2.9 MB of text: a smaller one may be written whole
+# before the reader has closed
+SEARCH_ALL_1000 = ["search", "1", "1000", "--no-primitive-only", "--near-miss-threshold", "0",
+                   "--workers", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["analyze", "200009", "--format", "structured"], b'{\n  "comma'),
+        (["table", "1000000"], b"p       qr"),
+        (SEARCH_ALL_1000, b"searched c"),
+    ],
+)
+def test_a_reader_that_closes_early_gets_141(argv, head):
+    # `residuum <argv> | head -c 10`
     src = Path(residuum.__file__).resolve().parents[1]
     proc = subprocess.Popen(
-        [sys.executable, "-S", "-m", "residuum", "analyze", "200009", "--format", "structured"],
+        [sys.executable, "-S", "-m", "residuum", *argv],
         cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    head = proc.stdout.read(10)
+    first = proc.stdout.read(10)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
-    assert head == b'{\n  "comma'
+    assert first == head
     assert err == b""
 
 
@@ -516,6 +544,10 @@ def test_analyze_into_a_reader_that_closes_early():
         # 39,175 rows, each made from closed forms as it is written
         (["table", "1000000", "--format", "structured"], 0, 30),
         (["table", "1000000", "--format", "csv"], 0, 25),
+        # the report holds its 16,944 grids; their payloads and text are made
+        # as they are written
+        ([*SEARCH_ALL_1000, "--format", "structured"], 0, 45),
+        (SEARCH_ALL_1000, 0, 35),
     ],
 )
 def test_long_lists_are_derived_as_they_are_written(argv, exit_code, bound_mb):

@@ -303,11 +303,39 @@ def test_generated_equals_enumerated():
         assert generated_classes(ctx) == enumerate_all(ctx), p
 
 
+def classes_from_sum_equations(p: int) -> int:
+    """The zero-center classes mod p, counted from the sum equations alone. A
+    grid with line sum 0 has opposite cells negated, so its top-left a and
+    top-right c fix it; since -1 is a square, it is a class exactly when a,
+    c, a+c and c-a all lie in S_p + {0}. With S_p + {0} as the bits of
+    `mask`, the c for one a are the bits of mask & rot(mask, a) &
+    rot(mask, -a). The all-zero grid is not counted."""
+    full = (1 << p) - 1
+    mask = 0
+    for x in range(p):
+        mask |= 1 << (x * x % p)
+
+    def rot(m: int, k: int) -> int:
+        # bit c of the result is bit (c + k) mod p of m
+        k %= p
+        return (m >> k | m << (p - k)) & full
+
+    count = sum(
+        (mask & rot(mask, a) & rot(mask, -a)).bit_count() for a in range(p) if mask >> a & 1
+    )
+    return count - 1
+
+
 def test_bound_holds():
-    # and holds exactly twice over, for every prime the oracle reaches
+    # and holds exactly twice over: by the oracle for every prime it reaches,
+    # and by the sum equations for every prime below 2000
     for p in P_1_MOD_4_TO_100:
         ctx = make_context(p)
         assert 2 * len(enumerate_all(ctx)) == count_bound(p, run_count(p)), p
+    primes = [p for p in primes_up_to(2000) if p % 4 == 1]
+    assert len(primes) == 147
+    for p in primes:
+        assert 2 * classes_from_sum_equations(p) == count_bound(p, run_count(p)), p
 
 
 def test_naive_matches_reduced_oracle():
