@@ -61,18 +61,18 @@ from .intgrid import (
     total_is_triple_center,
 )
 from .residue import (
-    MAX_ORACLE_P,
+    MAX_COUNT_P,
+    classes_from_sum_equations,
     classify,
     consecutive_runs,
     count_bound,
-    enumerate_all,
     gen_nontrivial,
     gen_trivial_corner,
     gen_trivial_midedge,
     is_magic_class,
     magic_sum,
+    nontrivial_fields,
     run_count,
-    triple_from_member,
 )
 from .search import MAX_CENTER_ROOT, search_msos
 
@@ -273,20 +273,15 @@ def _encode_class_entries(batch: list, inner: str) -> str:
     return ("," + inner).join(map(_class_entry_template(inner).__mod__, batch))
 
 
-def _class_fields(ctx) -> Iterator[tuple]:
-    """The fields of each nontrivial class's entry, ascending in n."""
-    for n in consecutive_runs(ctx):
-        grid = gen_nontrivial(triple_from_member(ctx, n))
-        yield (*grid.vals, *grid.roots(), n)
-
-
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     """Every refusal is raised here; the long lists of the result are
     LazyLists, read from the context's root table when they are written."""
-    if max_oracle_p > MAX_ORACLE_P:
+    if max_oracle_p < 0:
+        raise BadParameters(f"--max-oracle-p must be at least 0, got {max_oracle_p}")
+    if max_oracle_p > MAX_COUNT_P:
         raise BoundExceeded(
-            f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_ORACLE_P}; "
-            "the enumeration's cost grows as p^3"
+            f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_COUNT_P}; "
+            "the count's cost grows as p^2/64"
         )
     ctx = make_context(p)
     results: dict = {
@@ -327,13 +322,15 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
             results["trivial_midedge"] = _grid_payload(midedge.vals, midedge.roots())
-        results["nontrivial_classes"] = LazyList(lambda: _class_fields(ctx), _encode_class_entries)
+        results["nontrivial_classes"] = LazyList(
+            lambda: nontrivial_fields(ctx), _encode_class_entries
+        )
         if p <= max_oracle_p:
-            found = enumerate_all(ctx)
+            count = classes_from_sum_equations(p)
             results["oracle"] = {
-                "count": len(found),
+                "count": count,
                 "bound": results["count_bound"],
-                "within_bound": len(found) <= results["count_bound"],
+                "within_bound": count <= results["count_bound"],
             }
     return OutputDocument("analyze", {"p": p, "max_oracle_p": max_oracle_p}, results)
 
@@ -789,8 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-oracle-p",
         type=int,
         default=100,
-        help="run the brute-force class enumeration when p is at most this "
-        f"(default 100, at most {MAX_ORACLE_P})",
+        help="count the classes from the sum equations when p is at most this "
+        f"(default 100, at most {MAX_COUNT_P})",
     )
     _add_format(pa)
 

@@ -457,18 +457,18 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
 
 def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
     help_text = " ".join(run(capsys, "analyze", "--help")[1].split())  # unwrapped
-    assert "(default 100, at most 500)" in help_text
-    assert run(capsys, "analyze", "7", "--max-oracle-p", "500")[0] == 0
+    assert "(default 100, at most 100000)" in help_text
+    assert run(capsys, "analyze", "7", "--max-oracle-p", "100000")[0] == 0
 
     def started(*args):
         raise AssertionError("work started above the oracle ceiling")
 
     monkeypatch.setattr(cli, "make_context", started)
-    code, out, err = run(capsys, "analyze", "7", "--max-oracle-p", "501")
+    code, out, err = run(capsys, "analyze", "7", "--max-oracle-p", "100001")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "oracle ceiling 500" in err
+    assert "oracle ceiling 100000" in err
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
@@ -477,7 +477,8 @@ def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
     [
         (["analyze", "12"], "12 is not prime"),
         (["analyze", "10000019"], "exceeds the context ceiling"),
-        (["analyze", "29", "--max-oracle-p", "501"], "exceeds the oracle ceiling"),
+        (["analyze", "29", "--max-oracle-p", "100001"], "exceeds the oracle ceiling"),
+        (["analyze", "29", "--max-oracle-p", "-1"], "--max-oracle-p must be at least 0"),
     ],
 )
 def test_analyze_refuses_before_its_first_byte(capsys, argv, message, fmt):
@@ -490,11 +491,12 @@ def test_analyze_refuses_before_its_first_byte(capsys, argv, message, fmt):
 def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
     made = []
 
-    def counted(t):
-        made.append(t.squares()[2])
-        return residue.gen_nontrivial(t)
+    def counted(ctx):
+        for fields in residue.nontrivial_fields(ctx):
+            made.append(fields[18])
+            yield fields
 
-    monkeypatch.setattr(cli, "gen_nontrivial", counted)
+    monkeypatch.setattr(cli, "nontrivial_fields", counted)
     doc = cli.run_analyze(50021, 0)
     assert made == []
     chunks = doc.chunks()

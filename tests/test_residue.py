@@ -11,11 +11,12 @@ from residuum.errors import (
     NotMagic,
     NonzeroCenter,
 )
-from residuum.fp import _sqrt_int, legendre, make_context, primes_up_to
+from residuum.fp import PrimeContext, _sqrt_int, legendre, make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
     UnitTriple,
+    classes_from_sum_equations,
     classify,
     consecutive_triples,
     count_bound,
@@ -28,6 +29,7 @@ from residuum.residue import (
     line_sums,
     magic_sum,
     naive_enumerate,
+    nontrivial_fields,
     orbit,
     run_count,
     triple_from_member,
@@ -165,6 +167,8 @@ def test_gen_nontrivial_needs_an_order_4_element():
     assert t.squares() == (5, 4, 3)
     with pytest.raises(BadPrimeForm):
         gen_nontrivial(t)
+    with pytest.raises(BadPrimeForm):
+        next(nontrivial_fields(make_context(11)))
 
 
 def test_gen_nontrivial_f29(grid_f29):
@@ -283,6 +287,10 @@ def test_enumerate_all_bounds():
         naive_enumerate(make_context(17))
     with pytest.raises(BadPrimeForm):
         enumerate_all(make_context(7))
+    with pytest.raises(BoundExceeded):
+        classes_from_sum_equations(100049)
+    with pytest.raises(BadPrimeForm):
+        classes_from_sum_equations(7)
 
 
 def test_enumerate_members_are_honest():
@@ -303,27 +311,11 @@ def test_generated_equals_enumerated():
         assert generated_classes(ctx) == enumerate_all(ctx), p
 
 
-def classes_from_sum_equations(p: int) -> int:
-    """The zero-center classes mod p, counted from the sum equations alone. A
-    grid with line sum 0 has opposite cells negated, so its top-left a and
-    top-right c fix it; since -1 is a square, it is a class exactly when a,
-    c, a+c and c-a all lie in S_p + {0}. With S_p + {0} as the bits of
-    `mask`, the c for one a are the bits of mask & rot(mask, a) &
-    rot(mask, -a). The all-zero grid is not counted."""
-    full = (1 << p) - 1
-    mask = 0
-    for x in range(p):
-        mask |= 1 << (x * x % p)
-
-    def rot(m: int, k: int) -> int:
-        # bit c of the result is bit (c + k) mod p of m
-        k %= p
-        return (m >> k | m << (p - k)) & full
-
-    count = sum(
-        (mask & rot(mask, a) & rot(mask, -a)).bit_count() for a in range(p) if mask >> a & 1
-    )
-    return count - 1
+def test_sum_equation_count_equals_the_enumeration():
+    primes = [p for p in primes_up_to(200) if p % 4 == 1]
+    assert len(primes) == 21
+    for p in primes:
+        assert classes_from_sum_equations(p) == len(enumerate_all(make_context(p))), p
 
 
 def test_bound_holds():
@@ -336,6 +328,31 @@ def test_bound_holds():
     assert len(primes) == 147
     for p in primes:
         assert 2 * classes_from_sum_equations(p) == count_bound(p, run_count(p)), p
+
+
+def test_nontrivial_fields_equal_the_generated_grids():
+    # for every run of every p = 1 (mod 4) below 5000
+    primes = [p for p in primes_up_to(5000) if p % 4 == 1]
+    classes = 0
+    for p in primes:
+        ctx = make_context(p)
+        expected = []
+        for n in consecutive_triples(ctx):
+            g = gen_nontrivial(triple_from_member(ctx, n))
+            expected.append((*g.vals, *g.roots(), n))
+        assert list(nontrivial_fields(ctx)) == expected, p
+        classes += len(expected)
+    assert classes == 95362
+
+
+def test_nontrivial_fields_check_every_root():
+    # a table that has lost the root of -(4+1), -(4+2) or -4 mod 29, so that
+    # the class from n = 4, the first run, has a cell that is not a square
+    for cell in (24, 23, 25):
+        ctx = PrimeContext(29)
+        ctx.root[cell] = 0
+        with pytest.raises(NonSquareCell, match="from n = 4 "):
+            list(nontrivial_fields(ctx))
 
 
 def test_naive_matches_reduced_oracle():
