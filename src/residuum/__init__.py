@@ -5,74 +5,51 @@ grids mod p with their classification, orbits and counting bound (residue),
 integer three-square progressions and the modular coverage report (congrua),
 integer-side grid analysis (intgrid), and a pruned exhaustive search
 (search). The `residuum` command exposes everything for batch use.
+
+Each name below is imported from its submodule on first use (PEP 562), so
+that importing the package, or a command that needs only some of it, does
+not load every submodule.
 """
 
 __version__ = "0.1.0"
 
-from . import errors
-from .congrua import (
-    Coverage,
-    SquareProgression,
-    TABLE_ROUTE_PRIMES,
-    ap_to_unit_triple,
-    congruum_triple,
-    construct,
-    construct_mod20,
-    construct_mod24,
-    coverage_status,
-    eligible_params,
-    sweep_congrua,
-)
-from .fp import (
-    PrimeContext,
-    factorize,
-    is_prime,
-    legendre,
-    make_context,
-    primes_up_to,
-    sqrt_mod,
-    two_squares,
-)
-from .intgrid import (
-    CenterReport,
-    IntGrid,
-    Mod2Class,
-    admissible_center_check,
-    has_even_center_line,
-    is_distinct,
-    is_magic,
-    is_square_entried,
-    klein_group_table,
-    mod2_classify,
-    parametric_magic,
-    reduce_primitive,
-    residue_class_of,
-    total_is_triple_center,
-)
-from .residue import (
-    ClassKind,
-    ResidueGrid,
-    UnitTriple,
-    classify,
-    consecutive_triples,
-    count_bound,
-    enumerate_all,
-    gen_nontrivial,
-    gen_trivial_corner,
-    gen_trivial_midedge,
-    generated_classes,
-    is_magic_class,
-    line_sums,
-    magic_sum,
-    naive_enumerate,
-    orbit,
-    run_count,
-    triple_from_member,
-)
-from .search import (
-    SearchReport,
-    naive_center_enumeration,
-    pair_decompositions,
-    primitive_subset,
-    search_msos,
-)
+_SUBMODULES = ("congrua", "errors", "fp", "grid_ops", "intgrid", "residue", "search")
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
+            congruum_triple construct construct_mod20 construct_mod24 coverage_status
+            eligible_params sweep_congrua""",
+        "fp": "PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod two_squares",
+        "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check
+            has_even_center_line is_distinct is_magic is_square_entried klein_group_table
+            mod2_classify parametric_magic reduce_primitive residue_class_of
+            total_is_triple_center""",
+        "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
+            enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge
+            generated_classes is_magic_class line_sums magic_sum naive_enumerate orbit
+            run_count triple_from_member""",
+        "search": "SearchReport naive_center_enumeration pair_decompositions primitive_subset search_msos",
+    }.items()
+    for name in names.split()
+}
+
+# what `from residuum import *` binds: every submodule and exported name
+__all__ = [*_SUBMODULES, *_EXPORTS]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

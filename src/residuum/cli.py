@@ -11,12 +11,17 @@ written in pieces as it is made: every long list is derived again as it is
 written, in chunks, and `search` maps the grids of its report as it writes
 them. Only the human `table` holds its rows, since its column widths need
 them all; `search`'s report holds its grids.
+
+A call pays only for what its command uses. `_read_argv` reads a well-formed
+command line from the same table `build_parser` is made from, so argparse is
+imported only for help, usage errors and the forms the reader leaves to it;
+the structured form is written without `json`, which encodes only values
+that no command prints; and `intgrid` and `search` are imported by the
+functions that use them, so `analyze`, `table` and `construct` load neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
@@ -25,6 +30,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 from math import isqrt
+from types import SimpleNamespace
 
 from . import __version__
 from .congrua import (
@@ -47,19 +53,6 @@ from .errors import (
 )
 from .fp import MAX_CONTEXT_P, make_context, primes_up_to, sqrt_mod
 from .grid_ops import rows_of
-from .intgrid import (
-    IntGrid,
-    Mod2Class,
-    admissible_center_check,
-    has_even_center_line,
-    is_distinct,
-    is_magic,
-    is_square_entried,
-    mod2_classify,
-    reduce_primitive,
-    residue_class_of,
-    total_is_triple_center,
-)
 from .residue import (
     MAX_COUNT_P,
     classes_from_sum_equations,
@@ -74,7 +67,6 @@ from .residue import (
     nontrivial_fields,
     run_count,
 )
-from .search import MAX_CENTER_ROOT, search_msos
 
 FORMAT_TABLE = "table"
 FORMAT_STRUCTURED = "structured"
@@ -162,6 +154,28 @@ class LazyList:
         return self.items()
 
 
+_ESCAPES = {c: "\\u%04x" % c for c in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _escape_non_ascii(c: str) -> str:
+    n = ord(c)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    n -= 0x10000
+    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+
+
+def _quote(s: str) -> str:
+    """`json.dumps(s)`: `"` and `\\` escaped, the five short escapes, every
+    other character outside space..`~` as `\\uXXXX`, and one above U+FFFF
+    as its surrogate pair."""
+    text = s.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c < "\x80" else _escape_non_ascii(c) for c in text)
+    return '"' + text + '"'
+
+
 def _chunks(o, newline: str) -> Iterator[str]:
     """`json.dumps(o, sort_keys=True, indent=2)` in pieces, built directly:
     json's indenting encoder is pure Python, and most of what the commands
@@ -170,9 +184,10 @@ def _chunks(o, newline: str) -> Iterator[str]:
     any other value is one piece.
 
     Exact ints go through `str`; dicts, lists and tuples (subclasses
-    included) follow json's isinstance rules; every other value goes through
-    json itself. Keys must be str: json's coercion of other keys is not
-    imitated.
+    included) and strs follow json's isinstance rules, and True, False and
+    None are written as json writes them. Every other value, which no
+    command prints, goes through json itself, imported when one is met. Keys
+    must be str: json's coercion of other keys is not imitated.
     """
     if type(o) is int:
         yield str(o)
@@ -197,7 +212,7 @@ def _chunks(o, newline: str) -> Iterator[str]:
         inner = newline + "  "
         opening = "{" + inner
         for k in sorted(o):
-            yield opening + json.dumps(k) + ": "
+            yield opening + _quote(k) + ": "
             yield from _chunks(o[k], inner)
             opening = "," + inner
         yield newline + "}"
@@ -207,7 +222,15 @@ def _chunks(o, newline: str) -> Iterator[str]:
             return
         inner = newline + "  "
         yield "[" + inner + _encode_items(o, inner) + newline + "]"
+    elif isinstance(o, str):
+        yield _quote(o)
+    elif o is None:
+        yield "null"
+    elif o is True or o is False:
+        yield "true" if o else "false"
     else:
+        import json
+
         yield json.dumps(o)
 
 
@@ -217,7 +240,8 @@ def _grid_payload(cells, roots) -> dict:
     return {"cells": rows_of(cells), "roots": rows_of(roots)}
 
 
-def _int_roots(g: IntGrid) -> list:
+def _int_roots(g) -> list:
+    """The roots of an IntGrid's cells, None where a cell is not a square."""
     return [r if (r := isqrt(v)) * r == v else None for v in g.cells]
 
 
@@ -255,18 +279,36 @@ def _bits(rows) -> str:
 # ---------------------------------------------------------------- analyze
 
 
+def _fields_template(value, inner: str) -> str:
+    """The text `_chunks` writes at indent `inner` for `value`, whose ints are
+    0, 1, 2, ... in the order `_chunks` writes them, as a %-template of those
+    fields. The text has no other digits, so a field written out of order
+    shows."""
+    text = "".join(_chunks(value, inner))
+    fields = re.findall(r"\d+", text)
+    if fields != [str(i) for i in range(len(fields))]:
+        raise AssertionError("a template's fields must be in the order _chunks writes them")
+    return re.sub(r"\d+", "%d", text)
+
+
+# The structured form of a grid from its nine cells and nine roots, in that
+# order, since "cells" < "roots".
+_GRID_FIELDS = _grid_payload(range(9), range(9, 18))
+
+
 @lru_cache(maxsize=None)
 def _class_entry_template(inner: str) -> str:
     """The text `_chunks` writes at indent `inner` for one `nontrivial_classes`
     entry, as a %-template of its 19 fields: the nine cells and the nine cell
-    roots, row-major, then the member n. That is the order in which `_chunks`
-    writes them, since "cells" < "roots" and "grid" < "member"; the template
-    is made from `_chunks`' own text on first use, which has no other digits."""
-    entry = {"grid": _grid_payload(range(9), range(9, 18)), "member": 18}
-    text = "".join(_chunks(entry, inner))
-    if re.findall(r"\d+", text) != [str(i) for i in range(19)]:
-        raise AssertionError("a class entry's fields must be in the order _chunks writes them")
-    return re.sub(r"\d+", "%d", text)
+    roots, row-major, then the member n, since "grid" < "member"."""
+    return _fields_template({"grid": _GRID_FIELDS, "member": 18}, inner)
+
+
+@lru_cache(maxsize=None)
+def _grid_template(inner: str) -> str:
+    """The text `_chunks` writes at indent `inner` for one grid, as a
+    %-template of its nine cells and nine roots."""
+    return _fields_template(_GRID_FIELDS, inner)
 
 
 def _encode_class_entries(batch: list, inner: str) -> str:
@@ -301,6 +343,8 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         "mod2_patterns": None,
     }
     if p == 2:
+        from .intgrid import Mod2Class
+
         results["consecutive_triples"] = []
         results["mod2_patterns"] = [m.rows() for m in Mod2Class.patterns()]
         results["note"] = (
@@ -439,11 +483,14 @@ def _render_table_csv(r: dict) -> Iterator[str]:
 # ----------------------------------------------------------------- verify
 
 
-def parse_square_file(path: str) -> IntGrid:
-    """Read 9 whitespace-separated nonnegative integers, row-major.
+def parse_square_file(path: str):
+    """The IntGrid of 9 whitespace-separated nonnegative integers, row-major.
 
-    '#' starts a comment; ParseError messages carry line and column.
+    '#' starts a comment; ParseError messages carry line and column, and a
+    file that cannot be opened or read is a ParseError too.
     """
+    from .intgrid import IntGrid
+
     values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -463,12 +510,24 @@ def parse_square_file(path: str) -> IntGrid:
                     values.append(v)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
     if len(values) != 9:
         raise ParseError(f"{path}: expected 9 values, found {len(values)}")
     return IntGrid(tuple(values))
 
 
 def run_verify(path: str) -> OutputDocument:
+    from .intgrid import (
+        admissible_center_check,
+        is_distinct,
+        is_magic,
+        is_square_entried,
+        reduce_primitive,
+        total_is_triple_center,
+    )
+    from .search import MAX_CENTER_ROOT
+
     grid = parse_square_file(path)
     total = is_magic(grid)
     square_entried = is_square_entried(grid)
@@ -520,7 +579,9 @@ def run_verify(path: str) -> OutputDocument:
     return OutputDocument("verify", {"path": path}, results)
 
 
-def _residue_report(grid: IntGrid, q: int) -> dict:
+def _residue_report(grid, q: int) -> dict:
+    from .intgrid import has_even_center_line, mod2_classify, residue_class_of
+
     if q == 2:
         entry: dict = {"p": 2, "kind": "parity", "pattern_index": None, "bits": None,
                        "center_line_all_even": None, "note": None}
@@ -702,8 +763,10 @@ def run_search(
     e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int
 ) -> tuple[OutputDocument, int]:
     """Every refusal is raised by the search; the report holds its grids, and
-    the `hits` and `near_misses` lists are LazyLists of their payloads, made
-    as they are written."""
+    the `hits` and `near_misses` lists are LazyLists of them, each written
+    with one %-template per indent."""
+    from .search import search_msos
+
     report = search_msos(
         e_min,
         e_max,
@@ -724,8 +787,8 @@ def run_search(
         "candidates_tested": report.candidates_tested,
         "hit_count": len(report.hits),
         "near_miss_count": len(report.near_misses),
-        "hits": _grid_payloads(report.hits),
-        "near_misses": _grid_payloads(report.near_misses),
+        "hits": LazyList(lambda: iter(report.hits), _encode_grids),
+        "near_misses": LazyList(lambda: iter(report.near_misses), _encode_grids),
         "pruning_rule": PRUNING_RULE if primitive_only else None,
         "near_miss_note": NEAR_MISS_NOTE,
     }
@@ -733,8 +796,11 @@ def run_search(
     return OutputDocument("search", parameters, results), code
 
 
-def _grid_payloads(grids) -> LazyList:
-    return LazyList(lambda: (_grid_payload(g.cells, _int_roots(g)) for g in grids))
+def _encode_grids(batch: list, inner: str) -> str:
+    """IntGrids as `_chunks` writes their payloads at indent `inner`; a
+    candidate's cells are all squares, so a None root raises."""
+    template = _grid_template(inner)
+    return ("," + inner).join([template % (*g.cells, *_int_roots(g)) for g in batch])
 
 
 def _render_search(r: dict) -> Iterator[str]:
@@ -750,93 +816,193 @@ def _render_search(r: dict) -> Iterator[str]:
         f"hits: {r['hit_count']}; near misses: {r['near_miss_count']}\n"
     )
     for batch in _batches(r["hits"]):
-        yield "".join(f"HIT:\n{_payload_block(g)}\n" for g in batch)
+        yield "".join(f"HIT:\n{_grid_block(g.cells, _int_roots(g))}\n" for g in batch)
     head = f"near miss ({r['near_miss_threshold']}/8 sums or better):\n"
     for batch in _batches(r["near_misses"]):
-        yield "".join(f"{head}{_payload_block(g)}\n" for g in batch)
+        yield "".join(f"{head}{_grid_block(g.cells, _int_roots(g))}\n" for g in batch)
 
 
 # ------------------------------------------------------------------- main
 
 
-def _add_format(sub: argparse.ArgumentParser, csv_ok: bool = False) -> None:
-    choices = [FORMAT_TABLE, FORMAT_STRUCTURED] + ([FORMAT_CSV] if csv_ok else [])
-    sub.add_argument(
+# The command line, one entry per command: its help, its positionals and its
+# options, each in the order of the help text. `build_parser` makes the
+# argparse parser from it and `_read_argv` reads well-formed calls with it,
+# so the two share every name, type, default and choice. An option of type
+# bool is an on/off flag with a `--no-` form; argparse's BooleanOptionalAction.
+_Arg = namedtuple("_Arg", "name type help default choices", defaults=(None, None))
+
+
+def _format_option(csv_ok: bool = False) -> _Arg:
+    return _Arg(
         "--format",
-        choices=choices,
-        default=FORMAT_TABLE,
-        help="table (human-readable, default) or structured (deterministic JSON)"
+        str,
+        "table (human-readable, default) or structured (deterministic JSON)"
         + ("; csv for spreadsheets" if csv_ok else ""),
+        FORMAT_TABLE,
+        (FORMAT_TABLE, FORMAT_STRUCTURED) + ((FORMAT_CSV,) if csv_ok else ()),
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "analyze": (
+        "residue tables, canonical classes, bound and oracle for one prime",
+        [_Arg("p", int, "prime modulus")],
+        [
+            _Arg(
+                "--max-oracle-p",
+                int,
+                "count the classes from the sum equations when p is at most this "
+                f"(default 100, at most {MAX_COUNT_P})",
+                100,
+            ),
+            _format_option(),
+        ],
+    ),
+    "table": (
+        "per-prime summary rows up to a bound",
+        [_Arg("max", int, "largest prime to include (>= 5)")],
+        [_format_option(csv_ok=True)],
+    ),
+    "verify": (
+        "check a candidate grid from a file",
+        [_Arg("path", str, "file with 9 whitespace-separated nonnegative integers")],
+        [_format_option()],
+    ),
+    "construct": (
+        "build a nontrivial residue class for a prime, showing the chain",
+        [_Arg("p", int, "prime = 1 (mod 4)")],
+        [
+            _Arg(
+                "--sweep-max-m",
+                int,
+                "largest m for the exploratory progression sweep on uncovered primes "
+                f"(default 10, from 2 to {MAX_SWEEP_M})",
+                10,
+            ),
+            _format_option(),
+        ],
+    ),
+    "search": (
+        "exhaustive integer search over center roots",
+        [_Arg("e_min", int, None), _Arg("e_max", int, None)],
+        [
+            _Arg(
+                "--primitive-only",
+                bool,
+                "prune center roots with a prime factor = 3 (mod 4) (default on)",
+                True,
+            ),
+            _Arg(
+                "--near-miss-threshold",
+                int,
+                "report grids with at least this many of the 8 sums correct, 0 to 8 "
+                "(default 7); every candidate has 4, 6 or 8, so 7 reports hits only",
+                7,
+            ),
+            _Arg(
+                "--workers",
+                int,
+                f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
+                "or one per core",
+            ),
+            _format_option(),
+        ],
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS: the parser of record, which answers
+    help and every call `_read_argv` leaves to it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="residuum",
         description="mod-p analysis of 3x3 magic squares of squares",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser(
-        "analyze", help="residue tables, canonical classes, bound and oracle for one prime"
-    )
-    pa.add_argument("p", type=int, help="prime modulus")
-    pa.add_argument(
-        "--max-oracle-p",
-        type=int,
-        default=100,
-        help="count the classes from the sum equations when p is at most this "
-        f"(default 100, at most {MAX_COUNT_P})",
-    )
-    _add_format(pa)
-
-    pt = sub.add_parser("table", help="per-prime summary rows up to a bound")
-    pt.add_argument("max", type=int, help="largest prime to include (>= 5)")
-    _add_format(pt, csv_ok=True)
-
-    pv = sub.add_parser("verify", help="check a candidate grid from a file")
-    pv.add_argument("path", help="file with 9 whitespace-separated nonnegative integers")
-    _add_format(pv)
-
-    pc = sub.add_parser(
-        "construct", help="build a nontrivial residue class for a prime, showing the chain"
-    )
-    pc.add_argument("p", type=int, help="prime = 1 (mod 4)")
-    pc.add_argument(
-        "--sweep-max-m",
-        type=int,
-        default=10,
-        help="largest m for the exploratory progression sweep on uncovered primes "
-        f"(default 10, from 2 to {MAX_SWEEP_M})",
-    )
-    _add_format(pc)
-
-    ps = sub.add_parser("search", help="exhaustive integer search over center roots")
-    ps.add_argument("e_min", type=int)
-    ps.add_argument("e_max", type=int)
-    ps.add_argument(
-        "--primitive-only",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="prune center roots with a prime factor = 3 (mod 4) (default on)",
-    )
-    ps.add_argument(
-        "--near-miss-threshold",
-        type=int,
-        default=7,
-        help="report grids with at least this many of the 8 sums correct, 0 to 8 "
-        "(default 7); every candidate has 4, 6 or 8, so 7 reports hits only",
-    )
-    ps.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
-        "or one per core",
-    )
-    _add_format(ps)
+    for command, (help_text, positionals, options) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        for a in positionals:
+            parser.add_argument(a.name, type=a.type, help=a.help)
+        for o in options:
+            if o.type is bool:
+                parser.add_argument(
+                    o.name, action=argparse.BooleanOptionalAction, default=o.default, help=o.help
+                )
+            else:
+                parser.add_argument(
+                    o.name, type=o.type, default=o.default, choices=o.choices, help=o.help
+                )
     return ap
+
+
+def _dest(option: _Arg) -> str:
+    return option.name[2:].replace("-", "_")
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse takes `token` as a value rather than an option: it
+    does not start with `-`, or it is `-` and ASCII digits, a negative int."""
+    return token[:1] != "-" or (token[1:].isdigit() and token[1:].isascii())
+
+
+def _convert(arg: _Arg, token: str):
+    """`token` through the type and choices of `arg`, as argparse applies
+    them; ValueError where argparse would refuse it."""
+    value = arg.type(token)
+    if arg.choices is not None and value not in arg.choices:
+        raise ValueError(token)
+    return value
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns for a well-formed call,
+    without argparse, or None for argparse to read.
+
+    The well-formed calls are `--version` on its own, read as command None,
+    and a command followed, in any order, by its positionals, its
+    `--option VALUE` pairs and its on/off flags. Values go through the
+    option's type and choices, and a repeated option keeps its last value,
+    as in argparse. Everything else is None: help, abbreviations,
+    `--opt=value`, `--`, a missing or extra positional, a missing or bad
+    value, and any token that starts with `-` and is neither an option of
+    the command nor a negative int.
+    """
+    if argv == ["--version"]:
+        return SimpleNamespace(command=None)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options = COMMANDS[argv[0]]
+    flags = {o.name: o for o in options}
+    flags.update({"--no-" + o.name[2:]: o for o in options if o.type is bool})
+    values = {_dest(o): o.default for o in options}
+    free = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if _is_value(token):
+                free.append(token)
+                continue
+            option = flags.get(token)
+            if option is None:
+                return None
+            if option.type is bool:
+                values[_dest(option)] = not token.startswith("--no-")
+                continue
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                return None
+            values[_dest(option)] = _convert(option, value)
+        if len(free) != len(positionals):
+            return None
+        for a, token in zip(positionals, free):
+            values[a.name] = _convert(a, token)
+    except ValueError:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _resolve_workers(requested: int | None) -> int:
@@ -864,7 +1030,7 @@ def _emit(doc: OutputDocument, fmt: str, renderer) -> None:
     sys.stdout.writelines(doc.chunks() if fmt == FORMAT_STRUCTURED else renderer(doc.results))
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args) -> int:
     if args.command == "analyze":
         doc = run_analyze(args.p, args.max_oracle_p)
         _emit(doc, args.format, _render_analyze)
@@ -892,12 +1058,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help; normalize its exit code
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage/help; normalize its exit code
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if args.command is None:
+        # `--version`, written as argparse's version action writes it
+        sys.stdout.write(f"residuum {__version__}\n")
+        return EXIT_OK
     try:
         code = _dispatch(args)
         sys.stdout.flush()  # so that a reader gone early shows here, not at exit
@@ -907,7 +1079,7 @@ def main(argv=None) -> int:
         # buffered goes to devnull, so the interpreter's last flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotPrime, BadPrimeForm, BadRange, BadParameters, BoundExceeded) as exc:

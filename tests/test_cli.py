@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,15 +9,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import residuum
-from residuum import cli, congrua, fp, residue
+from residuum import cli, congrua, fp, residue, search
 from residuum.cli import main
 from residuum.fp import PrimeContext, primes_up_to
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
+from test_golden import GOLDEN, VERIFY_FILES
 
 
 def run(capsys, *argv):
@@ -239,8 +242,13 @@ def test_verify_parse_errors(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(f3))
     assert code == 3
 
-    code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
-    assert code == 3
+    # a path that cannot be opened: missing, a directory, too long, under a
+    # plain file, or a symlink loop
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    for path in (tmp_path / "missing.txt", tmp_path, "x" * 5000, f3 / "x", tmp_path / "loop"):
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, ""), path
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     f4 = tmp_path / "binary.txt"
     f4.write_bytes(b"\xff\xfe\x00bad")
@@ -251,7 +259,7 @@ def test_verify_parse_errors(tmp_path, capsys):
 
 
 def test_verify_center_root_ceiling(tmp_path, capsys):
-    assert cli.MAX_CENTER_ROOT == 10**14
+    assert search.MAX_CENTER_ROOT == 10**14
     for e, code in ((10**14, 0), (10**14 + 1, 2)):
         f = tmp_path / f"center{e}.txt"
         f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
@@ -404,7 +412,7 @@ def test_search_exit_code_on_hit(capsys, monkeypatch):
         hits=(IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6)),),
         near_misses=(),
     )
-    monkeypatch.setattr(cli, "search_msos", lambda *a, **k: fake)
+    monkeypatch.setattr(search, "search_msos", lambda *a, **k: fake)
     monkeypatch.setenv("RESIDUUM_THREADS", "1")
     code, out, err = run(capsys, "search", "1", "1")
     assert code == 10
@@ -592,6 +600,24 @@ def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):
             assert f"--sweep-max-m must be in [2, 500], got {m}" in err
 
 
+def _loaded_after(argv, watched):
+    """Exit code of `main(argv)` in a fresh `python -S` interpreter, its
+    output discarded, and which of `watched` it left in sys.modules."""
+    code = (
+        "import os, sys\n"
+        "from residuum.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        f"print(code, [m for m in {watched!r} if m in sys.modules], file=sys.stderr)"
+    )
+    src = Path(residuum.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    return done.stderr
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only search with more than one worker needs the pool, and every command
     # pays for the rest of these; -S keeps a host's .pth files from preloading
@@ -603,6 +629,61 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+    # a well-formed call loads neither argparse nor json, and only the
+    # modules of its command; help still goes through argparse
+    unused = ("argparse", "gettext", "locale", "json", "residuum.intgrid", "residuum.search")
+    for argv, code in (
+        (["analyze", "29", "--format", "structured"], 0),
+        (["table", "100", "--format", "csv"], 0),
+        (["construct", "61", "--format", "structured"], 0),
+        (["construct", "113", "--format", "structured"], 1),
+        (["--version"], 0),
+    ):
+        assert _loaded_after(argv, unused) == f"{code} []\n", argv
+    assert _loaded_after(["analyze", "29", "--help"], ("argparse",)) == "0 ['argparse']\n"
+
+
+# every name the package exported when it imported all of its submodules
+EXPORTS = {
+    "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
+        congruum_triple construct construct_mod20 construct_mod24 coverage_status
+        eligible_params sweep_congrua""",
+    "fp": "PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod two_squares",
+    "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check has_even_center_line
+        is_distinct is_magic is_square_entried klein_group_table mod2_classify
+        parametric_magic reduce_primitive residue_class_of total_is_triple_center""",
+    "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
+        enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge generated_classes
+        is_magic_class line_sums magic_sum naive_enumerate orbit run_count triple_from_member""",
+    "search": "SearchReport naive_center_enumeration pair_decompositions primitive_subset search_msos",
+}
+
+
+def test_package_exports_resolve_to_their_submodules():
+    import importlib
+
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"residuum.{module}")
+        assert getattr(residuum, module) is home
+        for name in names.split():
+            assert getattr(residuum, name) is getattr(home, name), name
+            assert name in dir(residuum)
+    assert residuum.errors is importlib.import_module("residuum.errors")
+    assert sorted(residuum.__all__) == sorted(
+        [*EXPORTS, "errors", "grid_ops", *" ".join(EXPORTS.values()).split()]
+    )
+    with pytest.raises(AttributeError):
+        residuum.no_such_name
+    # a fresh interpreter: `from residuum import ...` loads the submodule it names
+    code = (
+        "import sys; from residuum import IntGrid, errors; "
+        "print(IntGrid.__module__, 'residuum.search' in sys.modules, errors.__name__)"
+    )
+    src = Path(residuum.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "residuum.intgrid False residuum.errors\n"
 
 
 Payload = namedtuple("Payload", "first second")
@@ -690,3 +771,137 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+# ------------------------------------------------- argv reader and argparse
+
+PARSER = cli.build_parser()
+# what argparse takes for each type: ints in every form int() reads,
+# negative ones included, and paths that look like ints or hold a space
+INT_TOKENS = ["0", "5", "29", "100", "-3", "+7", "1_0", "٣", " 8"]
+PATH_TOKENS = ["grid.txt", "-5", "a b", "analyze"]
+JUNK_TOKENS = [
+    "-x", "-x5", "-", "--", "--form", "--format=csv", "-h", "--help", "-1e5", "-1.5",
+    "--version", "", "x", "-٣", "--no-format", "--primitive", "--no-workers",
+]
+VOCABULARY = sorted(
+    {*cli.COMMANDS, *INT_TOKENS, *PATH_TOKENS, *JUNK_TOKENS, "table", "structured", "csv",
+     "--no-primitive-only"}
+    | {o.name for _, _, options in cli.COMMANDS.values() for o in options}
+)
+
+
+@st.composite
+def argv_forms(draw):
+    """A command, its positionals and some of its options, in any order, with
+    about one value in five drawn from the junk tokens; and whether every
+    value was one argparse takes."""
+    clean = True
+
+    def value(good):
+        nonlocal clean
+        token = draw(st.sampled_from(good if draw(st.integers(0, 4)) else JUNK_TOKENS))
+        clean = clean and token in good
+        return token
+
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, positionals, options = cli.COMMANDS[command]
+    groups = [[value(INT_TOKENS if a.type is int else PATH_TOKENS)] for a in positionals]
+    for o in draw(st.lists(st.sampled_from(options), max_size=4)):
+        if o.type is bool:
+            groups.append([draw(st.sampled_from([o.name, "--no-" + o.name[2:]]))])
+        else:
+            groups.append([o.name, value(o.choices or INT_TOKENS)])
+    groups = draw(st.permutations(groups))
+    return [command] + [token for group in groups for token in group], clean
+
+
+def perturb(argv, edits):
+    argv = list(argv)
+    for kind, at, token in edits:
+        at %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            if kind == "delete":
+                del argv[at]
+            else:
+                argv[at] = token
+    return argv
+
+
+def parsed_by_argparse(argv):
+    """("ok", the namespace's attributes) or ("exit", code, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+    return ("ok", vars(ns))
+
+
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 8),
+              st.sampled_from(VOCABULARY)),
+    max_size=3,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(form=argv_forms() | st.just((["--version"], True)), changes=edits)
+@example(form=(["verify", "-x5"], False), changes=[])
+@example(form=(["search", "1", "2", "--no-primitive-only"], True), changes=[])
+def test_argv_reader_agrees_with_argparse(form, changes):
+    argv, clean = form
+    argv = perturb(argv, changes)
+    read = cli._read_argv(argv)
+    if clean and not changes:
+        # every well-formed call is read without argparse
+        assert read is not None, argv
+    if read is None:
+        return
+    if read.command is None:
+        assert parsed_by_argparse(argv) == ("exit", 0, f"residuum {cli.__version__}\n")
+    else:
+        assert parsed_by_argparse(argv) == ("ok", vars(read)), argv
+
+
+# (argv, whether the reader reads it); every golden command, then the forms
+# argparse answers: help, usage errors, abbreviations and `--opt=value`
+PARITY_ARGV = [
+    *[(command.split() + ([] if "--format" in command else ["--format", "structured"]), True)
+      for command in GOLDEN],
+    (["--version"], True),
+    (["construct", "113", "--sweep-max-m", "-5"], True),
+    (["--help"], False),
+    *[([command, "--help"], False) for command in cli.COMMANDS],
+    ([], False),
+    (["analyze"], False),
+    (["analyze", "x"], False),
+    (["analyze", "29", "--format", "csv"], False),
+    (["search", "1", "5", "--form", "structured"], False),
+    (["analyze", "29", "--format=structured"], False),
+]
+
+
+@pytest.mark.parametrize("argv, read", PARITY_ARGV, ids=[" ".join(a) for a, _ in PARITY_ARGV])
+def test_reader_and_argparse_write_the_same(capsys, tmp_path, monkeypatch, argv, read):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RESIDUUM_THREADS", "1")
+    for name, cells in VERIFY_FILES.items():
+        (tmp_path / name).write_text(" ".join(map(str, cells)) + "\n")
+    assert (cli._read_argv(argv) is not None) == read
+    through_reader = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert run(capsys, *argv) == through_reader
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(
+    st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+    | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80￿\U0001f600')
+))
+def test_quote_matches_json(text):
+    # lone surrogates included: a non-UTF-8 byte in a path arrives as one
+    assert cli._quote(text) == json.dumps(text)
