@@ -18,10 +18,15 @@ imported only for help, usage errors and the forms the reader leaves to it;
 the structured form is written without `json`, which encodes only values
 that no command prints; and `intgrid` and `search` are imported by the
 functions that use them, so `analyze`, `table` and `construct` load neither.
+A process started by `python -m residuum` or the `residuum` script runs
+`entry`, which after `main` returns freezes the garbage collector, so the
+interpreter's final collections skip every object the call made; `main`,
+which tests and library callers run in-process, never freezes.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -611,7 +616,10 @@ def _residue_report(grid, q: int) -> dict:
 
 
 def _render_verify(r: dict) -> Iterator[str]:
-    yield f"grid from {r['path']}:\n" + _payload_block(r["grid"]) + "\n"
+    # a name's undecodable bytes (lone surrogates) are escaped as stderr
+    # escapes them, so that a strict stdout can write the line
+    path = r["path"].encode("utf-8", "backslashreplace").decode("utf-8")
+    yield f"grid from {path}:\n" + _payload_block(r["grid"]) + "\n"
     yield f"magic: {_yn(r['magic'])}" + (f" (T = {r['total']})" if r["magic"] else "") + "\n"
     if r["total_is_triple_center"] is not None:
         yield f"total = 3 x center: {_yn(r['total_is_triple_center'])}\n"
@@ -1090,5 +1098,16 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
 
 
+def entry() -> int:
+    """`main` for a process that ends when it returns: the exit code of
+    `main()` on `sys.argv`. Freezing the collector moves every tracked object
+    to a generation that no collection visits, so shutdown's collections
+    skip what the call made; shutdown is otherwise the normal one, with
+    atexit callbacks and the last flush of stdout."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

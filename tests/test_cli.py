@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -279,6 +280,29 @@ def test_verify_center_root_ceiling(tmp_path, capsys):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "factoring ceiling" in done.stderr
     assert elapsed < 2
+
+
+def test_verify_path_with_an_undecodable_byte(tmp_path):
+    # a strict stdout cannot write the name's lone surrogate, so the human
+    # form escapes it as the error lines on stderr do
+    name = os.fsencode(tmp_path) + b"/g\xff.txt"
+    with open(name, "wb") as f:
+        f.write(b"4 9 2\n3 5 7\n8 1 6\n")
+    src = Path(residuum.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+
+    def verify(*fmt):
+        return subprocess.run(
+            [sys.executable, "-S", "-m", "residuum", "verify", name, *fmt],
+            cwd=src, env=env, capture_output=True, timeout=60,
+        )
+
+    human = verify()
+    assert (human.returncode, human.stderr) == (0, b"")
+    assert human.stdout.startswith(b"grid from " + os.fsencode(tmp_path) + b"/g\\udcff.txt:\n")
+    structured = verify("--format", "structured")
+    assert (structured.returncode, structured.stderr) == (0, b"")
+    assert json.loads(structured.stdout)["results"]["path"] == os.fsdecode(name)
 
 
 def test_verify_comments_and_whitespace(tmp_path, capsys):
