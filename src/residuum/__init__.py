@@ -22,7 +22,8 @@ _EXPORTS = {
         "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
             congruum_triple construct construct_mod20 construct_mod24 coverage_status
             eligible_params sweep_congrua""",
-        "fp": "PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod two_squares",
+        "fp": """PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod
+            two_square_splits two_squares""",
         "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check
             has_even_center_line is_distinct is_magic is_square_entried klein_group_table
             mod2_classify parametric_magic reduce_primitive residue_class_of
@@ -30,7 +31,7 @@ _EXPORTS = {
         "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
             enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge
             generated_classes is_magic_class line_sums magic_sum naive_enumerate orbit
-            run_count triple_from_member""",
+            run_count runs_from_split triple_from_member""",
         "search": "SearchReport naive_center_enumeration pair_decompositions primitive_subset search_msos",
     }.items()
     for name in names.split()

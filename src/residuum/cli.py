@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import gc
 import os
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
 from math import isqrt
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import __version__
@@ -56,7 +56,7 @@ from .errors import (
     ParseError,
     ResiduumError,
 )
-from .fp import MAX_CONTEXT_P, make_context, primes_up_to, sqrt_mod
+from .fp import MAX_CONTEXT_P, make_context, sqrt_mod, two_square_splits
 from .grid_ops import rows_of
 from .residue import (
     MAX_COUNT_P,
@@ -71,6 +71,7 @@ from .residue import (
     magic_sum,
     nontrivial_fields,
     run_count,
+    runs_from_split,
 )
 
 FORMAT_TABLE = "table"
@@ -288,12 +289,18 @@ def _fields_template(value, inner: str) -> str:
     """The text `_chunks` writes at indent `inner` for `value`, whose ints are
     0, 1, 2, ... in the order `_chunks` writes them, as a %-template of those
     fields. The text has no other digits, so a field written out of order
-    shows."""
-    text = "".join(_chunks(value, inner))
-    fields = re.findall(r"\d+", text)
+    shows. A str "%s" in `value` is written as json writes any str, quoted,
+    so it stays a %s field between its quotes."""
+    fields, template = [], []
+    for digits, run in groupby("".join(_chunks(value, inner)), str.isdecimal):
+        piece = "".join(run)
+        if digits:
+            fields.append(piece)
+            piece = "%d"
+        template.append(piece)
     if fields != [str(i) for i in range(len(fields))]:
         raise AssertionError("a template's fields must be in the order _chunks writes them")
-    return re.sub(r"\d+", "%d", text)
+    return "".join(template)
 
 
 # The structured form of a grid from its nine cells and nine roots, in that
@@ -439,53 +446,87 @@ def _render_analyze(r: dict) -> Iterator[str]:
 
 
 def _table_rows(max_p: int) -> Iterator[dict]:
-    for p in primes_up_to(max_p):
-        if p % 4 != 1:
-            continue
-        runs = run_count(p)
+    for p, a, b in two_square_splits(max_p):
+        runs = runs_from_split(p, a, b)
         yield {
             "p": p,
             "qr_count": (p - 1) // 2,
             "run_count": runs,
-            "coverage_status": _classify_prime(p).value,
+            # _value_ is what the Enum property `value` returns, without its lookup
+            "coverage_status": _classify_prime(p)._value_,
             "count_bound": count_bound(p, runs),
         }
 
 
 def run_table(max_p: int) -> OutputDocument:
     """Every refusal is raised here; the rows are a LazyList, made from closed
-    forms, one prime at a time, each time they are written."""
+    forms and one sieve with one walk over the two-square splits
+    (`fp.two_square_splits`), each time they are written."""
     if max_p < 5:
         raise BadRange(f"table needs max >= 5, got {max_p}")
     if max_p > MAX_CONTEXT_P:
         raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
-    return OutputDocument("table", {"max": max_p}, {"rows": LazyList(lambda: _table_rows(max_p))})
+    rows = LazyList(lambda: _table_rows(max_p), _encode_table_rows)
+    return OutputDocument("table", {"max": max_p}, {"rows": rows})
 
 
 _TABLE_COLUMNS = ("p", "qr_count", "run_count", "coverage_status", "count_bound")
+_table_cells = itemgetter(*_TABLE_COLUMNS)
+# a row's fields in the order `_chunks` writes them, by sorted key
+_table_fields = itemgetter(*sorted(_TABLE_COLUMNS))
+
+
+@lru_cache(maxsize=None)
+def _table_row_template(inner: str) -> str:
+    """The text `_chunks` writes at indent `inner` for one table row, as a
+    %-template of count_bound, coverage_status, p, qr_count and run_count,
+    the keys in sorted order. A coverage status is an ASCII word, which json
+    writes between quotes unescaped, so it fills its %s field as it is."""
+    return _fields_template(
+        {"count_bound": 0, "coverage_status": "%s", "p": 1, "qr_count": 2, "run_count": 3},
+        inner,
+    )
+
+
+def _encode_table_rows(batch: list, inner: str) -> str:
+    return ("," + inner).join(map(_table_row_template(inner).__mod__, map(_table_fields, batch)))
 
 
 def _render_table(r: dict) -> Iterator[str]:
     # the column widths need every row, so this form holds the rows; it reads
     # them once, since each read of the LazyList makes them again
     rows = list(r["rows"])
-    widths = {c: len(c) for c in _TABLE_COLUMNS}
-    for row in rows:
-        for c in _TABLE_COLUMNS:
-            widths[c] = max(widths[c], len(str(row[c])))
-    yield "  ".join(c.ljust(widths[c]) for c in _TABLE_COLUMNS) + "\n"
-    for row in rows:
-        yield "  ".join(str(row[c]).ljust(widths[c]) for c in _TABLE_COLUMNS) + "\n"
+    widths = [max([len(c)] + [len(str(row[c])) for row in rows]) for c in _TABLE_COLUMNS]
+    # each cell left-aligned in its column, as str(value).ljust(width)
+    line = "  ".join(f"%-{w}s" for w in widths) + "\n"
+    yield line % _TABLE_COLUMNS
+    for batch in _batches(rows):
+        yield "".join(map(line.__mod__, map(_table_cells, batch)))
+
+
+# no field holds a comma, quote or newline, so none is quoted
+_CSV_ROW = ",".join(["%s"] * len(_TABLE_COLUMNS)) + "\n"
 
 
 def _render_table_csv(r: dict) -> Iterator[str]:
-    # no field holds a comma, quote or newline, so none is quoted
-    yield ",".join(_TABLE_COLUMNS) + "\n"
-    for row in r["rows"]:
-        yield ",".join([str(row[c]) for c in _TABLE_COLUMNS]) + "\n"
+    yield _CSV_ROW % _TABLE_COLUMNS
+    for batch in _batches(r["rows"]):
+        yield "".join(map(_CSV_ROW.__mod__, map(_table_cells, batch)))
 
 
 # ----------------------------------------------------------------- verify
+
+
+def _tokens(text: str) -> Iterator[tuple[int, str]]:
+    """(column, token) for each run of non-whitespace in `text`, the column
+    1-based: the runs `re.finditer(r"\\S+", text)` finds, since str.split
+    and re's \\s take the same characters for whitespace."""
+    end = 0
+    for token in text.split():
+        # only whitespace lies between the last token and this one
+        start = text.index(token, end)
+        end = start + len(token)
+        yield start + 1, token
 
 
 def parse_square_file(path: str):
@@ -500,10 +541,8 @@ def parse_square_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0]
-                for match in re.finditer(r"\S+", body):
-                    token = match.group()
-                    where = f"{path}:{lineno}:{match.start() + 1}"
+                for column, token in _tokens(line.split("#", 1)[0]):
+                    where = f"{path}:{lineno}:{column}"
                     try:
                         v = int(token)
                     except ValueError:

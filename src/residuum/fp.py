@@ -12,7 +12,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from math import isqrt
 
 from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
@@ -52,16 +52,49 @@ def factorize(n: int) -> dict[int, int]:
     return dict(Counter(prime_factors(n)))
 
 
+def _prime_flags(n: int) -> bytearray:
+    """Sieve of Eratosthenes for n >= 1: flags[k] is 1 when k is prime, else
+    0, for 0 <= k <= n. One byte per k."""
+    flags = bytearray(2) + b"\x01" * (n - 1)
+    for q in range(2, isqrt(n) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return flags
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:
         return []
-    composite = bytearray(n + 1)
-    for q in range(2, isqrt(n) + 1):
-        if not composite[q]:
-            step = len(range(q * q, n + 1, q))
-            composite[q * q :: q] = b"\x01" * step
-    return [k for k in range(2, n + 1) if not composite[k]]
+    return list(compress(range(n + 1), _prime_flags(n)))
+
+
+def two_square_splits(n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, a, b) for every prime p = 1 (mod 4) up to n, ascending, with
+    p = a^2 + b^2, a odd and b even, both positive: the pair two_squares(p)
+    gives, for every such p at once.
+
+    One walk over odd a and even b with a^2 + b^2 <= n, about pi*n/16 pairs,
+    writes a at index m // 4 of each sum m; the sieve then picks the primes
+    and b is read back as sqrt(p - a^2). By Fermat a prime p = 1 (mod 4) is
+    such a sum in exactly one way, so its entry is its split; a composite
+    may be a sum (25 = 3^2 + 4^2) or several, and the sieve drops it, so no
+    Euler pseudoprime such as 3277 gets the split two_squares would give it.
+    The sieve takes a byte per n while it runs; its flags for 1, 5, 9, ...
+    and the entries, a < 2^16, then take 0.75 bytes per n.
+    """
+    if n < 5:
+        return
+    prime = _prime_flags(n)[1::4]  # prime[i] for 4i + 1, the only ones read
+    split = array("H", [0]) * (n // 4 + 1)
+    squares = [c * c for c in range(isqrt(n // 4) + 1)]
+    for a in range(1, isqrt(n - 4) + 1, 2):
+        base = (a * a) >> 2  # (a^2 + (2c)^2) // 4 = base + c^2 for odd a
+        for c2 in islice(squares, 1, isqrt((n - a * a) >> 2) + 1):
+            split[base + c2] = a
+    for p in compress(range(1, n + 1, 4), prime):
+        a = split[p >> 2]
+        yield p, a, isqrt(p - a * a)
 
 
 def _sqrt_int(a: int, p: int) -> int:

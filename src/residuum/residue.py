@@ -266,22 +266,28 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
     return frozenset(out)
 
 
-def run_count(p: int) -> int:
-    """|C_p|, the number of consecutive residue runs, for a prime p = 1 (mod 4),
-    in O(log p) and without a residue table.
+def runs_from_split(p: int, a: int, b: int) -> int:
+    """|C_p|, the number of consecutive residue runs, for a prime p = 1 (mod 4)
+    given as p = a^2 + b^2 with a odd and both positive; O(1).
 
     The runs are counted by points on the CM curve y^2 = x(x+1)(x+2) (Ireland &
-    Rosen, ch. 18): with p = a^2 + b^2 and a odd, 8|C_p| = p - k - 2*eps*a,
-    where k = 15 for p = 1 (mod 8), else 7, and eps = (+1 if a = 1 (mod 4)
-    else -1) * (+1 if 4 | b else -1). len(consecutive_triples) is the oracle.
+    Rosen, ch. 18): 8|C_p| = p - k - 2*eps*a, where k = 15 for p = 1 (mod 8),
+    else 7, and eps = (+1 if a = 1 (mod 4) else -1) * (+1 if 4 | b else -1).
+    len(consecutive_triples) is the oracle.
+    """
+    k = 15 if p % 8 == 1 else 7
+    eps = (1 if a % 4 == 1 else -1) * (1 if b % 4 == 0 else -1)
+    return (p - k - 2 * eps * a) // 8
+
+
+def run_count(p: int) -> int:
+    """|C_p| for a prime p = 1 (mod 4), in O(log p) and without a residue
+    table: runs_from_split on two_squares(p).
 
     p must be proved prime first: a composite gives a meaningless count, or
     NotPrime from two_squares. run_count(3277) returns 396, and 3277 = 29 * 113.
     """
-    a, b = two_squares(p)
-    k = 15 if p % 8 == 1 else 7
-    eps = (1 if a % 4 == 1 else -1) * (1 if b % 4 == 0 else -1)
-    return (p - k - 2 * eps * a) // 8
+    return runs_from_split(p, *two_squares(p))
 
 
 def count_bound(p: int, runs: int) -> int:

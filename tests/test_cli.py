@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -142,6 +143,55 @@ def test_table_builds_no_contexts(monkeypatch):
         assert (row["qr_count"], row["run_count"], row["count_bound"]) == (qr_count, runs, bound), p
 
 
+def _per_prime_rows(max_p):
+    """table's rows made one prime at a time: the sieve's primes, each split by
+    Euclid inside run_count, and _classify_prime."""
+    for p in primes_up_to(max_p):
+        if p % 4 == 1:
+            runs = residue.run_count(p)
+            yield {
+                "p": p,
+                "qr_count": (p - 1) // 2,
+                "run_count": runs,
+                "coverage_status": congrua._classify_prime(p).value,
+                "count_bound": residue.count_bound(p, runs),
+            }
+
+
+def test_table_rows_match_the_per_prime_path(monkeypatch):
+    expected = list(_per_prime_rows(10**5))
+
+    def euclid(*args):
+        raise AssertionError("table split a prime by Euclid")
+
+    monkeypatch.setattr(residue, "two_squares", euclid)
+    monkeypatch.setattr(cli, "run_count", euclid)
+    assert list(cli.run_table(10**5).results["rows"]) == expected
+    for n in range(5, 3001):
+        rows = [row for row in expected if row["p"] <= n]
+        assert list(cli.run_table(n).results["rows"]) == rows, n
+
+
+def test_table_forms_write_the_rows(capsys):
+    # the structured form is json's, and csv and the human form are the
+    # rows' values joined, the human form's padded to each column's width
+    for n in (5, 29, 1000):
+        rows = list(_per_prime_rows(n))
+        code, out, _ = run(capsys, "table", str(n), "--format", "structured")
+        doc = {"command": "table", "parameters": {"max": n}, "results": {"rows": rows},
+               "tool_version": cli.__version__}
+        assert (code, out) == (0, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        columns = list(rows[0])
+        cells = [columns] + [[str(row[c]) for c in columns] for row in rows]
+        code, out, _ = run(capsys, "table", str(n), "--format", "csv")
+        assert (code, out) == (0, "".join(",".join(line) + "\n" for line in cells))
+        widths = [max(len(line[i]) for line in cells) for i in range(len(columns))]
+        code, out, _ = run(capsys, "table", str(n))
+        assert (code, out) == (0, "".join(
+            "  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n" for line in cells
+        ))
+
+
 def test_table_bad_range(capsys):
     code, out, err = run(capsys, "table", "4")
     assert code == 2
@@ -238,6 +288,13 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert code == 3
     assert f"{f2}:2:3" in err
 
+    # columns count characters, Unicode whitespace included
+    f5 = tmp_path / "long.txt"
+    f5.write_text("1 1 1\n1\u3000\u20031 1 # 1 1\n1 1 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(f5))
+    assert code == 3
+    assert f"{f5}:3:7: more than 9 values" in err
+
     f3 = tmp_path / "neg.txt"
     f3.write_text("1 2 3 4 -5 6 7 8 9\n")
     code, out, err = run(capsys, "verify", str(f3))
@@ -257,6 +314,17 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {f4}: ") and err.count("\n") == 1
+
+
+# every character str.isspace takes, all of them below U+3001
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(WHITESPACE) | st.sampled_from("1#-") | st.characters()))
+def test_tokens_match_the_regex(text):
+    expected = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", text)]
+    assert list(cli._tokens(text)) == expected
 
 
 def test_verify_center_root_ceiling(tmp_path, capsys):
@@ -472,7 +540,8 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(fp, "is_prime", started)
     monkeypatch.setattr(congrua, "is_prime", started)
-    monkeypatch.setattr(cli, "primes_up_to", started)
+    monkeypatch.setattr(cli, "two_square_splits", started)
+    monkeypatch.setattr(fp, "_prime_flags", started)
     if argv == ["verify"]:
         # center root 1000000009 is a prime = 1 (mod 4): its residue class
         # would need a context of about 5*10**8 residues
@@ -642,6 +711,28 @@ def _loaded_after(argv, watched):
     return done.stderr
 
 
+def test_cli_calls_leave_re_unloaded(tmp_path):
+    # cli tokenizes grid files with str.split and makes its templates with
+    # groupby, so no call but a parallel search pays for importing re
+    code = "import sys, residuum.cli; print('re' in sys.modules)"
+    src = Path(residuum.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 2 3\n4 5 6\n7 8 9\n")
+    for argv in (
+        ["table", "100"],
+        ["table", "100", "--format", "structured"],
+        ["analyze", "29", "--format", "structured"],
+        ["construct", "61"],
+        ["verify", str(grid)],
+        ["search", "1", "100", "--workers", "1"],
+    ):
+        assert _loaded_after(argv, ("re",)) == "0 []\n", argv
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only search with more than one worker needs the pool, and every command
     # pays for the rest of these; -S keeps a host's .pth files from preloading
@@ -672,13 +763,15 @@ EXPORTS = {
     "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
         congruum_triple construct construct_mod20 construct_mod24 coverage_status
         eligible_params sweep_congrua""",
-    "fp": "PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod two_squares",
+    "fp": """PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod
+        two_square_splits two_squares""",
     "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check has_even_center_line
         is_distinct is_magic is_square_entried klein_group_table mod2_classify
         parametric_magic reduce_primitive residue_class_of total_is_triple_center""",
     "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
         enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge generated_classes
-        is_magic_class line_sums magic_sum naive_enumerate orbit run_count triple_from_member""",
+        is_magic_class line_sums magic_sum naive_enumerate orbit run_count runs_from_split
+        triple_from_member""",
     "search": "SearchReport naive_center_enumeration pair_decompositions primitive_subset search_msos",
 }
 
@@ -781,6 +874,22 @@ def test_class_entry_template_matches_the_encoder(fields, depth):
     inner = "\n" + "  " * depth
     text = "".join(cli._chunks(class_entry(fields), inner))
     assert cli._class_entry_template(inner) % fields == text
+
+
+table_rows = st.fixed_dictionaries({
+    "p": st.integers(-(10**20), 10**20),
+    "qr_count": st.integers(-(10**20), 10**20),
+    "run_count": st.integers(-(10**20), 10**20),
+    "coverage_status": st.sampled_from([c.value for c in congrua.Coverage]),
+    "count_bound": st.integers(-(10**20), 10**20),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(table_rows, min_size=1, max_size=4), depth=st.integers(0, 6))
+def test_table_row_template_matches_the_encoder(rows, depth):
+    inner = "\n" + "  " * depth
+    assert cli._encode_table_rows(rows, inner) == cli._encode_items(rows, inner)
 
 
 @pytest.mark.parametrize("value", [{1: 2}, [{"a": {(1, 2): 0}}], {None: 0}])

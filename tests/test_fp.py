@@ -19,6 +19,7 @@ from residuum.fp import (
     make_context,
     primes_up_to,
     sqrt_mod,
+    two_square_splits,
     two_squares,
 )
 
@@ -115,6 +116,19 @@ def test_two_squares_matches_brute_search():
             continue
         with pytest.raises(NotPrime):
             two_squares(n)
+
+
+def test_two_square_splits_match_two_squares():
+    n = 2 * 10**5
+    splits = list(two_square_splits(n))
+    assert splits == [(p, *two_squares(p)) for p in primes_up_to(n) if p % 4 == 1]
+    # composite sums of two squares get no entry, the Euler pseudoprimes
+    # that two_squares splits like primes among them
+    assert {p for p, _, _ in splits}.isdisjoint({25, 65, 3277, 29341, 49141, 80581, 88357})
+    for n in range(-3, 200):
+        assert list(two_square_splits(n)) == [
+            (p, *two_squares(p)) for p in primes_up_to(n) if p % 4 == 1
+        ], n
 
 
 def test_qr_tables_small():
