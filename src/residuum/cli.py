@@ -7,9 +7,11 @@ ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
 reader closed stdout before the output was written.
 
 Every refusal happens before the first byte of output. Each form is then
-written in pieces as it is made: every long list is derived again as it is
-written, in chunks, and `search` maps the grids of its report as it writes
-them. Only the human `table` holds its rows, since its column widths need
+written in pieces as it is made: every long list is a `LazyList`, derived
+again as it is written, in batches. A list of class entries, table rows or
+grids declares the shape of its items, and the structured form writes each
+such list through one %-template of that shape, built when the list is
+written. Only the human `table` holds its rows, since its column widths need
 them all; `search`'s report holds its grids.
 
 A call pays only for what its command uses. `_read_argv` reads a well-formed
@@ -31,7 +33,6 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import groupby, islice
 from math import isqrt
 from operator import itemgetter
@@ -146,18 +147,34 @@ def _encode_items(batch: list, inner: str) -> str:
 class LazyList:
     """A list of the structured output that is made again, in order, each time
     it is read, so that no output holds it whole: `items()` returns a fresh
-    iterator over its items, and `encode(batch, inner)` the text of a batch
-    of them at indent `inner`, joined as `_chunks` joins list items. It
-    stands as a dict value, which is where `_chunks` reads it in batches."""
+    iterator over its items. It stands as a dict value, which is where
+    `_chunks` reads it in batches.
 
-    __slots__ = ("items", "encode")
+    A list without a `shape` is written item by item as `_chunks` writes
+    any value. A list with one is written through the %-template of its
+    shape (see `_fields_template`): each item is the tuple of the shape's
+    fields, in the order `_chunks` writes them, or `fields(item)` makes it."""
 
-    def __init__(self, items, encode=_encode_items):
+    __slots__ = ("items", "shape", "fields")
+
+    def __init__(self, items, shape=None, fields=None):
         self.items = items
-        self.encode = encode
+        self.shape = shape
+        self.fields = fields
 
     def __iter__(self):
         return self.items()
+
+    def encoder(self, inner: str):
+        """The function from a batch of items to their text at indent
+        `inner`, joined as `_chunks` joins list items; a shaped list's
+        template is built here, once for each list written."""
+        if self.shape is None:
+            return lambda batch: _encode_items(batch, inner)
+        sep, fill = "," + inner, _fields_template(self.shape, inner).__mod__
+        if self.fields is None:
+            return lambda batch: sep.join(map(fill, batch))
+        return lambda batch: sep.join(map(fill, map(self.fields, batch)))
 
 
 _ESCAPES = {c: "\\u%04x" % c for c in (*range(0x20), 0x7F)}
@@ -204,9 +221,10 @@ def _chunks(o, newline: str) -> Iterator[str]:
             yield "[]"
             return
         inner = newline + "  "
-        yield "[" + inner + o.encode(first, inner)
+        encode = o.encoder(inner)
+        yield "[" + inner + encode(first)
         for batch in batches:
-            yield "," + inner + o.encode(batch, inner)
+            yield "," + inner + encode(batch)
         yield newline + "]"
     elif isinstance(o, dict):
         for k in o:
@@ -251,6 +269,42 @@ def _int_roots(g) -> list:
     return [r if (r := isqrt(v)) * r == v else None for v in g.cells]
 
 
+def _fields_template(shape, inner: str) -> str:
+    """The text `_chunks` writes at indent `inner` for `shape`, whose ints are
+    0, 1, 2, ... in the order `_chunks` writes them, as a %-template of those
+    fields. The text has no other digits, so a field written out of order
+    shows. A str "%s" in `shape` is written as json writes any str, quoted,
+    so it stays a %s field between its quotes."""
+    fields, template = [], []
+    for digits, run in groupby("".join(_chunks(shape, inner)), str.isdecimal):
+        piece = "".join(run)
+        if digits:
+            fields.append(piece)
+            piece = "%d"
+        template.append(piece)
+    if fields != [str(i) for i in range(len(fields))]:
+        raise AssertionError("a template's fields must be in the order _chunks writes them")
+    return "".join(template)
+
+
+# The shapes of the shaped LazyLists' items. A grid: its nine cells and nine
+# roots, row-major, in that order, since "cells" < "roots".
+_GRID_FIELDS = _grid_payload(range(9), range(9, 18))
+# A `nontrivial_classes` entry: its grid, then the member n, since
+# "grid" < "member".
+_CLASS_ENTRY = {"grid": _GRID_FIELDS, "member": 18}
+# A table row, by sorted key. A coverage status is an ASCII word, which json
+# writes between quotes unescaped, so it fills its %s field as it is.
+_TABLE_ROW = {"count_bound": 0, "coverage_status": "%s", "p": 1, "qr_count": 2, "run_count": 3}
+
+
+def _grid_fields(g) -> tuple:
+    """An IntGrid's fields in the order of `_GRID_FIELDS`: its cells, then
+    their roots. A candidate's cells are all squares, so none of its roots is
+    None, which the template's %d field would refuse."""
+    return (*g.cells, *_int_roots(g))
+
+
 def _triple_payload(t) -> dict:
     a2, b2, g2 = t.squares()
     return {
@@ -264,17 +318,18 @@ def _triple_payload(t) -> dict:
 _BLOCK = "  {}  {}  {}\n  {}  {}  {}\n  {}  {}  {}"
 
 
-def _grid_block(cells, roots) -> str:
+def _grid_block(fields) -> str:
     """Three indented rows of `v=r^2`, or `v` where r is None, right-aligned
-    to the widest."""
-    texts = [str(v) if r is None else f"{v}={r}^2" for v, r in zip(cells, roots)]
+    to the widest, from a grid's fields: its nine cells, then their nine
+    roots, row-major; fields after those are not read."""
+    texts = [str(v) if r is None else f"{v}={r}^2" for v, r in zip(fields[:9], fields[9:18])]
     width = max(map(len, texts))
     return _BLOCK.format(*[t.rjust(width) for t in texts])
 
 
 def _payload_block(g: dict) -> str:
     """`_grid_block` of a grid payload."""
-    return _grid_block(sum(g["cells"], []), sum(g["roots"], []))
+    return _grid_block(sum(g["cells"] + g["roots"], []))
 
 
 def _bits(rows) -> str:
@@ -283,48 +338,6 @@ def _bits(rows) -> str:
 
 
 # ---------------------------------------------------------------- analyze
-
-
-def _fields_template(value, inner: str) -> str:
-    """The text `_chunks` writes at indent `inner` for `value`, whose ints are
-    0, 1, 2, ... in the order `_chunks` writes them, as a %-template of those
-    fields. The text has no other digits, so a field written out of order
-    shows. A str "%s" in `value` is written as json writes any str, quoted,
-    so it stays a %s field between its quotes."""
-    fields, template = [], []
-    for digits, run in groupby("".join(_chunks(value, inner)), str.isdecimal):
-        piece = "".join(run)
-        if digits:
-            fields.append(piece)
-            piece = "%d"
-        template.append(piece)
-    if fields != [str(i) for i in range(len(fields))]:
-        raise AssertionError("a template's fields must be in the order _chunks writes them")
-    return "".join(template)
-
-
-# The structured form of a grid from its nine cells and nine roots, in that
-# order, since "cells" < "roots".
-_GRID_FIELDS = _grid_payload(range(9), range(9, 18))
-
-
-@lru_cache(maxsize=None)
-def _class_entry_template(inner: str) -> str:
-    """The text `_chunks` writes at indent `inner` for one `nontrivial_classes`
-    entry, as a %-template of its 19 fields: the nine cells and the nine cell
-    roots, row-major, then the member n, since "grid" < "member"."""
-    return _fields_template({"grid": _GRID_FIELDS, "member": 18}, inner)
-
-
-@lru_cache(maxsize=None)
-def _grid_template(inner: str) -> str:
-    """The text `_chunks` writes at indent `inner` for one grid, as a
-    %-template of its nine cells and nine roots."""
-    return _fields_template(_GRID_FIELDS, inner)
-
-
-def _encode_class_entries(batch: list, inner: str) -> str:
-    return ("," + inner).join(map(_class_entry_template(inner).__mod__, batch))
 
 
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
@@ -378,9 +391,7 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
             results["trivial_midedge"] = _grid_payload(midedge.vals, midedge.roots())
-        results["nontrivial_classes"] = LazyList(
-            lambda: nontrivial_fields(ctx), _encode_class_entries
-        )
+        results["nontrivial_classes"] = LazyList(lambda: nontrivial_fields(ctx), _CLASS_ENTRY)
         if p <= max_oracle_p:
             count = classes_from_sum_equations(p)
             results["oracle"] = {
@@ -425,7 +436,7 @@ def _render_analyze(r: dict) -> Iterator[str]:
         yield "trivial mid-edge class:\n" + _payload_block(r["trivial_midedge"]) + "\n"
     for batch in _batches(r["nontrivial_classes"] or ()):
         yield "".join(
-            f"nontrivial class from n = {f[18]}:\n{_grid_block(f[0:9], f[9:18])}\n"
+            f"nontrivial class from n = {f[18]}:\n{_grid_block(f)}\n"
             for f in batch
         )
     if r["oracle"] is not None:
@@ -466,30 +477,12 @@ def run_table(max_p: int) -> OutputDocument:
         raise BadRange(f"table needs max >= 5, got {max_p}")
     if max_p > MAX_CONTEXT_P:
         raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
-    rows = LazyList(lambda: _table_rows(max_p), _encode_table_rows)
+    rows = LazyList(lambda: _table_rows(max_p), _TABLE_ROW, itemgetter(*sorted(_TABLE_ROW)))
     return OutputDocument("table", {"max": max_p}, {"rows": rows})
 
 
 _TABLE_COLUMNS = ("p", "qr_count", "run_count", "coverage_status", "count_bound")
 _table_cells = itemgetter(*_TABLE_COLUMNS)
-# a row's fields in the order `_chunks` writes them, by sorted key
-_table_fields = itemgetter(*sorted(_TABLE_COLUMNS))
-
-
-@lru_cache(maxsize=None)
-def _table_row_template(inner: str) -> str:
-    """The text `_chunks` writes at indent `inner` for one table row, as a
-    %-template of count_bound, coverage_status, p, qr_count and run_count,
-    the keys in sorted order. A coverage status is an ASCII word, which json
-    writes between quotes unescaped, so it fills its %s field as it is."""
-    return _fields_template(
-        {"count_bound": 0, "coverage_status": "%s", "p": 1, "qr_count": 2, "run_count": 3},
-        inner,
-    )
-
-
-def _encode_table_rows(batch: list, inner: str) -> str:
-    return ("," + inner).join(map(_table_row_template(inner).__mod__, map(_table_fields, batch)))
 
 
 def _render_table(r: dict) -> Iterator[str]:
@@ -530,7 +523,8 @@ def _tokens(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_square_file(path: str):
-    """The IntGrid of 9 whitespace-separated nonnegative integers, row-major.
+    """The IntGrid of 9 whitespace-separated nonnegative integers, row-major,
+    each written in ASCII digits after at most one sign.
 
     '#' starts a comment; ParseError messages carry line and column, and a
     file that cannot be opened or read is a ParseError too.
@@ -543,7 +537,12 @@ def parse_square_file(path: str):
             for lineno, line in enumerate(fh, start=1):
                 for column, token in _tokens(line.split("#", 1)[0]):
                     where = f"{path}:{lineno}:{column}"
+                    # ASCII digits after at most one sign: int() would also
+                    # read underscores and the digits of other scripts
+                    digits = token[1:] if token[0] in "+-" else token
                     try:
+                        if not (digits.isascii() and digits.isdigit()):
+                            raise ValueError(token)
                         v = int(token)
                     except ValueError:
                         raise ParseError(f"{where}: not an integer: {token!r}") from None
@@ -810,8 +809,8 @@ def run_search(
     e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int
 ) -> tuple[OutputDocument, int]:
     """Every refusal is raised by the search; the report holds its grids, and
-    the `hits` and `near_misses` lists are LazyLists of them, each written
-    with one %-template per indent."""
+    the `hits` and `near_misses` lists are LazyLists of them, each of the
+    grid shape."""
     from .search import search_msos
 
     report = search_msos(
@@ -834,20 +833,13 @@ def run_search(
         "candidates_tested": report.candidates_tested,
         "hit_count": len(report.hits),
         "near_miss_count": len(report.near_misses),
-        "hits": LazyList(lambda: iter(report.hits), _encode_grids),
-        "near_misses": LazyList(lambda: iter(report.near_misses), _encode_grids),
+        "hits": LazyList(lambda: iter(report.hits), _GRID_FIELDS, _grid_fields),
+        "near_misses": LazyList(lambda: iter(report.near_misses), _GRID_FIELDS, _grid_fields),
         "pruning_rule": PRUNING_RULE if primitive_only else None,
         "near_miss_note": NEAR_MISS_NOTE,
     }
     code = EXIT_HIT if report.hits else EXIT_OK
     return OutputDocument("search", parameters, results), code
-
-
-def _encode_grids(batch: list, inner: str) -> str:
-    """IntGrids as `_chunks` writes their payloads at indent `inner`; a
-    candidate's cells are all squares, so a None root raises."""
-    template = _grid_template(inner)
-    return ("," + inner).join([template % (*g.cells, *_int_roots(g)) for g in batch])
 
 
 def _render_search(r: dict) -> Iterator[str]:
@@ -863,10 +855,10 @@ def _render_search(r: dict) -> Iterator[str]:
         f"hits: {r['hit_count']}; near misses: {r['near_miss_count']}\n"
     )
     for batch in _batches(r["hits"]):
-        yield "".join(f"HIT:\n{_grid_block(g.cells, _int_roots(g))}\n" for g in batch)
+        yield "".join(f"HIT:\n{_grid_block(_grid_fields(g))}\n" for g in batch)
     head = f"near miss ({r['near_miss_threshold']}/8 sums or better):\n"
     for batch in _batches(r["near_misses"]):
-        yield "".join(f"{head}{_grid_block(g.cells, _int_roots(g))}\n" for g in batch)
+        yield "".join(f"{head}{_grid_block(_grid_fields(g))}\n" for g in batch)
 
 
 # ------------------------------------------------------------------- main

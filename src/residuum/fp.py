@@ -146,8 +146,9 @@ def two_squares(p: int) -> tuple[int, int]:
     remainder below sqrt(p), which is one of the two; O(log p) steps.
 
     Primality is not tested, as it would cost more than the rest: callers
-    hold p from the sieve, is_prime, a PrimeContext or the factors of trial
-    division (the search's pair construction). A composite p raises
+    hold p from is_prime, a PrimeContext or the factors of trial division
+    (the search's pair construction), and `table` takes its splits from
+    `two_square_splits` instead. A composite p raises
     NotPrime when Euler's criterion exposes it, as it does for every composite
     below 10^5 except the Euler pseudoprimes 3277, 29341, 49141, 80581 and
     88357, which get a split like a prime's.

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import namedtuple
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -299,6 +300,15 @@ def test_verify_parse_errors(tmp_path, capsys):
     f3.write_text("1 2 3 4 -5 6 7 8 9\n")
     code, out, err = run(capsys, "verify", str(f3))
     assert code == 3
+
+    # an entry is ASCII digits after at most one sign: int() alone would read
+    # 1_0 as 10 and the Arabic-Indic three as 3
+    for token in ("1_0", "\u0663", "\uff11", "\u00b2"):
+        f6 = tmp_path / "numeral.txt"
+        f6.write_text(f"1 4 9\n16 {token} 36\n49 64 81\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(f6))
+        assert (code, out) == (3, ""), token
+        assert err.startswith(f"error: {f6}:2:4: not an integer"), token
 
     # a path that cannot be opened: missing, a directory, too long, under a
     # plain file, or a symlink loop
@@ -835,15 +845,46 @@ def class_entry(f):
 
 entry_fields = st.tuples(*[st.integers(-(10**20), 10**20)] * 19)
 
+table_rows = st.fixed_dictionaries({
+    "p": st.integers(-(10**20), 10**20),
+    "qr_count": st.integers(-(10**20), 10**20),
+    "run_count": st.integers(-(10**20), 10**20),
+    "coverage_status": st.sampled_from([c.value for c in congrua.Coverage]),
+    "count_bound": st.integers(-(10**20), 10**20),
+})
 
-# (document part, the plain value json.dumps should encode the same), with
-# int and class-entry LazyLists at the depth analyze writes them: results[key]
+# IntGrids of squares, with the roots they were made from
+square_grids = st.tuples(*[st.integers(0, 10**12)] * 9).map(
+    lambda roots: (IntGrid(tuple(r * r for r in roots)), list(roots))
+)
+
+
+def grid_payload(grid, roots):
+    """The structured form of a grid, built apart from the CLI's builder."""
+    return {
+        "cells": [list(grid.cells[i:i + 3]) for i in (0, 3, 6)],
+        "roots": [roots[i:i + 3] for i in (0, 3, 6)],
+    }
+
+
+# (document part, the plain value json.dumps should encode the same), with a
+# LazyList of each shape at the depth the commands write them, results[key]:
+# ints, analyze's class entries, and table's rows and search's grids made by
+# the LazyList calls of `run_table` and `run_search`
 result_values = (
     json_values.map(lambda v: (v, v))
     | st.lists(st.integers(), max_size=12).map(lambda xs: (cli.LazyList(lambda: iter(xs)), xs))
     | st.lists(entry_fields, max_size=5).map(lambda fs: (
-        cli.LazyList(lambda: iter(fs), cli._encode_class_entries),
+        cli.LazyList(lambda: iter(fs), cli._CLASS_ENTRY),
         [class_entry(f) for f in fs],
+    ))
+    | st.lists(table_rows, max_size=5).map(lambda rows: (
+        cli.LazyList(lambda: iter(rows), cli._TABLE_ROW, itemgetter(*sorted(cli._TABLE_ROW))),
+        rows,
+    ))
+    | st.lists(square_grids, max_size=5).map(lambda gs: (
+        cli.LazyList(lambda: iter([g for g, _ in gs]), cli._GRID_FIELDS, cli._grid_fields),
+        [grid_payload(g, roots) for g, roots in gs],
     ))
 )
 documents = st.builds(
@@ -873,23 +914,15 @@ def test_streamed_output_matches_json(document, batch):
 def test_class_entry_template_matches_the_encoder(fields, depth):
     inner = "\n" + "  " * depth
     text = "".join(cli._chunks(class_entry(fields), inner))
-    assert cli._class_entry_template(inner) % fields == text
-
-
-table_rows = st.fixed_dictionaries({
-    "p": st.integers(-(10**20), 10**20),
-    "qr_count": st.integers(-(10**20), 10**20),
-    "run_count": st.integers(-(10**20), 10**20),
-    "coverage_status": st.sampled_from([c.value for c in congrua.Coverage]),
-    "count_bound": st.integers(-(10**20), 10**20),
-})
+    assert cli._fields_template(cli._CLASS_ENTRY, inner) % fields == text
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(table_rows, min_size=1, max_size=4), depth=st.integers(0, 6))
 def test_table_row_template_matches_the_encoder(rows, depth):
     inner = "\n" + "  " * depth
-    assert cli._encode_table_rows(rows, inner) == cli._encode_items(rows, inner)
+    shaped = cli.LazyList(lambda: iter(rows), cli._TABLE_ROW, itemgetter(*sorted(cli._TABLE_ROW)))
+    assert shaped.encoder(inner)(rows) == cli._encode_items(rows, inner)
 
 
 @pytest.mark.parametrize("value", [{1: 2}, [{"a": {(1, 2): 0}}], {None: 0}])
