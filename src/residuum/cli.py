@@ -17,9 +17,10 @@ them all; `search`'s report holds its grids.
 A call pays only for what its command uses. `_read_argv` reads a well-formed
 command line from the same table `build_parser` is made from, so argparse is
 imported only for help, usage errors and the forms the reader leaves to it;
-the structured form is written without `json`, which encodes only values
-that no command prints; and `intgrid` and `search` are imported by the
-functions that use them, so `analyze`, `table` and `construct` load neither.
+the structured form is written without `json`, which encodes only a str
+that needs escaping and values that no command prints; and `intgrid` and
+`search` are imported by the functions that use them, so `analyze`, `table`
+and `construct` load neither, and `verify` loads no `search`.
 A process started by `python -m residuum` or the `residuum` script runs
 `entry`, which after `main` returns freezes the garbage collector, so the
 interpreter's final collections skip every object the call made; `main`,
@@ -41,6 +42,7 @@ from types import SimpleNamespace
 from . import __version__
 from .congrua import (
     MAX_SWEEP_M,
+    Coverage,
     _classify_prime,
     construct,
     coverage_status,
@@ -57,7 +59,7 @@ from .errors import (
     ParseError,
     ResiduumError,
 )
-from .fp import MAX_CONTEXT_P, make_context, sqrt_mod, two_square_splits
+from .fp import MAX_CENTER_ROOT, MAX_CONTEXT_P, make_context, sqrt_mod, two_square_splits
 from .grid_ops import rows_of
 from .residue import (
     MAX_COUNT_P,
@@ -177,26 +179,15 @@ class LazyList:
         return lambda batch: sep.join(map(fill, map(self.fields, batch)))
 
 
-_ESCAPES = {c: "\\u%04x" % c for c in (*range(0x20), 0x7F)}
-_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
-
-
-def _escape_non_ascii(c: str) -> str:
-    n = ord(c)
-    if n < 0x10000:
-        return "\\u%04x" % n
-    n -= 0x10000
-    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
-
-
 def _quote(s: str) -> str:
-    """`json.dumps(s)`: `"` and `\\` escaped, the five short escapes, every
-    other character outside space..`~` as `\\uXXXX`, and one above U+FFFF
-    as its surrogate pair."""
-    text = s.translate(_ESCAPES)
-    if not text.isascii():
-        text = "".join(c if c < "\x80" else _escape_non_ascii(c) for c in text)
-    return '"' + text + '"'
+    """`json.dumps(s)`. A str of printable ASCII without `"` or `\\` is
+    written between quotes as it is, as every key, note and status a command
+    prints is; any other str goes through json, imported when one is met."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _chunks(o, newline: str) -> Iterator[str]:
@@ -209,8 +200,9 @@ def _chunks(o, newline: str) -> Iterator[str]:
     Exact ints go through `str`; dicts, lists and tuples (subclasses
     included) and strs follow json's isinstance rules, and True, False and
     None are written as json writes them. Every other value, which no
-    command prints, goes through json itself, imported when one is met. Keys
-    must be str: json's coercion of other keys is not imitated.
+    command prints, and a str that needs escaping go through json itself,
+    imported when one is met. Keys must be str: json's coercion of other
+    keys is not imitated.
     """
     if type(o) is int:
         yield str(o)
@@ -522,15 +514,26 @@ def _tokens(text: str) -> Iterator[tuple[int, str]]:
         yield start + 1, token
 
 
+def _shown(token: str) -> str:
+    """`token` as an error message echoes it: its repr, cut after 20
+    characters."""
+    return repr(token) if len(token) <= 20 else repr(token[:20]) + "..."
+
+
 def parse_square_file(path: str):
     """The IntGrid of 9 whitespace-separated nonnegative integers, row-major,
     each written in ASCII digits after at most one sign.
 
-    '#' starts a comment; ParseError messages carry line and column, and a
-    file that cannot be opened or read is a ParseError too.
+    An entry has fewer digits than the interpreter's limit on converting
+    between int and str (`sys.get_int_max_str_digits()`, 4300 by default;
+    no bound where it sets none), so a line sum of three entries, which has
+    at most one digit more, can still be printed. '#' starts a comment;
+    ParseError messages carry line and column, and a file that cannot be
+    opened or read is a ParseError too.
     """
     from .intgrid import IntGrid
 
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -540,12 +543,14 @@ def parse_square_file(path: str):
                     # ASCII digits after at most one sign: int() would also
                     # read underscores and the digits of other scripts
                     digits = token[1:] if token[0] in "+-" else token
-                    try:
-                        if not (digits.isascii() and digits.isdigit()):
-                            raise ValueError(token)
-                        v = int(token)
-                    except ValueError:
-                        raise ParseError(f"{where}: not an integer: {token!r}") from None
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ParseError(f"{where}: not an integer: {_shown(token)}")
+                    if limit and len(digits) >= limit:
+                        raise ParseError(
+                            f"{where}: an entry of {len(digits)} digits is too long; "
+                            f"at most {limit - 1} are read: {_shown(token)}"
+                        )
+                    v = int(token)
                     if v < 0:
                         raise ParseError(f"{where}: negative entry {v}")
                     if len(values) == 9:
@@ -569,7 +574,6 @@ def run_verify(path: str) -> OutputDocument:
         reduce_primitive,
         total_is_triple_center,
     )
-    from .search import MAX_CENTER_ROOT
 
     grid = parse_square_file(path)
     total = is_magic(grid)
@@ -723,9 +727,10 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         successes = [
             [m, n, t.squares()[2]] for m, n, t in sweep_congrua(ctx, sweep_max_m)
         ]
+        # C_p is empty exactly for 5, 13 and 17; see _classify_prime
         note = (
             f"no consecutive residue runs exist mod {p}"
-            if run_count(p) == 0
+            if status is Coverage.EXCLUDED_5_13_17
             else f"neither residue criterion reaches {p}; its runs are only known numerically"
         )
         results = {

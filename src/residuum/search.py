@@ -13,16 +13,11 @@ from itertools import chain
 from math import comb, gcd, isqrt
 
 from .errors import BadParameters, BadRange, BoundExceeded
-from .fp import factorize, prime_factors, two_squares
+from .fp import MAX_CENTER_ROOT, factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
 SearchReport = namedtuple("SearchReport", "pruned_centers candidates_tested hits near_misses")
-
-# Largest center root that `search` scans and `verify` factors: trial division
-# costs about sqrt(e)/2 steps for a prime e, 0.65 s near 10**14 (Python 3.11,
-# 2-vCPU machine).
-MAX_CENTER_ROOT = 10**14
 
 
 def pair_decompositions(e: int) -> list[tuple[int, int]]:

@@ -309,6 +309,10 @@ def test_verify_parse_errors(tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(f6))
         assert (code, out) == (3, ""), token
         assert err.startswith(f"error: {f6}:2:4: not an integer"), token
+    # the message echoes a long token cut short
+    f6.write_text("1 1 1 1 " + "x" * 5000 + " 1 1 1 1\n")
+    code, out, err = run(capsys, "verify", str(f6))
+    assert (code, out, err) == (3, "", f"error: {f6}:1:9: not an integer: {'x' * 20!r}...\n")
 
     # a path that cannot be opened: missing, a directory, too long, under a
     # plain file, or a symlink loop
@@ -326,6 +330,74 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert err.startswith(f"error: {f4}: ") and err.count("\n") == 1
 
 
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no limit on int digits")
+    return limit
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_verify_refuses_entries_at_the_digit_limit(tmp_path, capsys, monkeypatch, fmt):
+    # an entry of the limit's digits makes a line sum with one more, which
+    # str() refuses, and int() refuses a longer entry; both are input errors,
+    # with the token cut short in the message
+    limit = _digit_limit()
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "wide.txt": ([str(9 * 10 ** (limit - 1))] * 9, "1:1"),
+        "nines.txt": (["1"] * 8 + ["9" * (limit + 700)], "1:17"),
+    }
+    for name, (tokens, where) in inputs.items():
+        Path(name).write_text(" ".join(tokens) + "\n")
+        code, out, err = run(capsys, "verify", name, "--format", fmt)
+        assert (code, out) == (3, ""), name
+        assert err.startswith(f"error: {name}:{where}: an entry of "), name
+        assert err.count("\n") == 1 and len(err.encode()) < 200, name
+    # one digit fewer verifies: a line sum has the limit's digits at most
+    Path("widest.txt").write_text(" ".join([str(10 ** (limit - 2) + 1)] * 9) + "\n")
+    code, out, err = run(capsys, "verify", "widest.txt", "--format", fmt)
+    assert (code, err) == (0, "")
+
+
+def test_verify_reads_any_length_without_a_digit_limit(tmp_path):
+    f = tmp_path / "long.txt"
+    f.write_text(" ".join(["1"] * 8 + ["9" * 5000]) + "\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cli.parse_square_file(str(f)).cells[8] == 10**5000 - 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_verify_skips_inadmissible_primes(tmp_path, capsys):
+    # center 36: its root 6 has the factor 3 = 3 (mod 4), which gets a
+    # verdict but no residue class
+    f = tmp_path / "six.txt"
+    f.write_text("1 4 9\n16 36 25\n49 64 81\n")
+    code, doc, _ = run_json(capsys, "verify", str(f))
+    assert code == 0
+    r = doc["results"]
+    assert r["center_root"] == 6
+    assert r["center_check"]["verdicts"] == [[2, "admissible"], [3, "inadmissible"]]
+    assert [entry["p"] for entry in r["residue_classes"]] == [2]
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0 and "\n  prime 3: inadmissible\n" in out and "mod 3" not in out
+
+
+def test_verify_warns_below_the_least_center_root(tmp_path, capsys):
+    f = tmp_path / "ones.txt"
+    f.write_text("1 1 1\n1 1 1\n1 1 1\n")
+    code, doc, _ = run_json(capsys, "verify", str(f))
+    warning = doc["results"]["center_check"]["warning"]
+    assert code == 0 and warning.startswith("e=1 cannot be the center root")
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0 and f"\ncenter root e = 1\n  warning: {warning}\n" in out
+
+
 # every character str.isspace takes, all of them below U+3001
 WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
 
@@ -338,7 +410,8 @@ def test_tokens_match_the_regex(text):
 
 
 def test_verify_center_root_ceiling(tmp_path, capsys):
-    assert search.MAX_CENTER_ROOT == 10**14
+    # one ceiling, beside the trial division it bounds, for search and verify
+    assert fp.MAX_CENTER_ROOT is search.MAX_CENTER_ROOT == 10**14
     for e, code in ((10**14, 0), (10**14 + 1, 2)):
         f = tmp_path / f"center{e}.txt"
         f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
@@ -743,7 +816,7 @@ def test_cli_calls_leave_re_unloaded(tmp_path):
         assert _loaded_after(argv, ("re",)) == "0 []\n", argv
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     # only search with more than one worker needs the pool, and every command
     # pays for the rest of these; -S keeps a host's .pth files from preloading
     # any of them
@@ -765,6 +838,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         (["--version"], 0),
     ):
         assert _loaded_after(argv, unused) == f"{code} []\n", argv
+    # verify needs intgrid, but its factoring ceiling lives in fp, and a path
+    # of printable ASCII is written without json
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 4 9\n16 36 25\n49 64 81\n")
+    for fmt in ("table", "structured"):
+        argv = ["verify", str(grid), "--format", fmt]
+        assert _loaded_after(argv, ("argparse", "json", "residuum.search")) == "0 []\n", fmt
     assert _loaded_after(["analyze", "29", "--help"], ("argparse",)) == "0 ['argparse']\n"
 
 
