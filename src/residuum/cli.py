@@ -527,7 +527,8 @@ def parse_square_file(path: str):
     An entry has fewer digits than the interpreter's limit on converting
     between int and str (`sys.get_int_max_str_digits()`, 4300 by default;
     no bound where it sets none), so a line sum of three entries, which has
-    at most one digit more, can still be printed. '#' starts a comment;
+    at most one digit more, can still be printed. The text is UTF-8, with or
+    without a leading byte-order mark. '#' starts a comment;
     ParseError messages carry line and column, and a file that cannot be
     opened or read is a ParseError too.
     """
@@ -536,7 +537,7 @@ def parse_square_file(path: str):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 for column, token in _tokens(line.split("#", 1)[0]):
                     where = f"{path}:{lineno}:{column}"

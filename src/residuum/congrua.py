@@ -20,11 +20,10 @@ from .errors import (
 from .fp import PrimeContext, is_prime, sqrt_mod
 from .residue import UnitTriple, consecutive_runs, triple_from_member
 
-# Primes served from their first consecutive run: 41 divides 41, the middle
-# term of the (5,4) progression (49, 41, 31); 37 meets neither residue
-# criterion; and 29, which the progression reaches with squares (7, 6, 5),
-# keeps this route because the output of `construct 29` is pinned.
-TABLE_ROUTE_PRIMES = (29, 37, 41)
+# Primes served from their first consecutive run, the two that neither
+# progression reaches: 37 meets neither residue criterion, and 41 divides 41,
+# the middle term of the (5,4) progression (49, 41, 31), and is 17 (mod 24).
+TABLE_ROUTE_PRIMES = (37, 41)
 
 
 class SquareProgression(namedtuple("SquareProgression", "x y z")):
@@ -88,9 +87,8 @@ MOD24_PROGRESSION = congruum_triple(2, 1)  # 7^2, 5^2, 1^2; difference 24
 def construct_mod20(ctx: PrimeContext) -> UnitTriple:
     """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
-    29 and 41 satisfy the residue condition but are served from their first
-    consecutive run: 41 divides the middle term 41, and 29 keeps that route
-    because `construct 29` is pinned, though the progression reaches it.
+    41 satisfies the residue condition but divides the middle term 41, so it
+    is served from its first consecutive run.
     """
     p = ctx.p
     if p % 20 not in (1, 9):
@@ -115,8 +113,8 @@ def construct_mod24(ctx: PrimeContext) -> UnitTriple:
 
 def construct(ctx: PrimeContext) -> tuple[str, SquareProgression | None, UnitTriple]:
     """The route to a unit triple mod p, the progression it reduces (None on
-    the table route) and the triple: the first consecutive run for 29, 37 and
-    41, else mod20 where it applies, else mod24. Raises NotCovered, or
+    the table route) and the triple: the first consecutive run for 37 and 41,
+    else mod20 where it applies, else mod24. Raises NotCovered, or
     FiveExcluded for p = 5, when no route reaches p."""
     p = ctx.p
     if p in TABLE_ROUTE_PRIMES:

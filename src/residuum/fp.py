@@ -2,14 +2,16 @@
 
 Everything is exact integer arithmetic. An element of F_p is a plain int in
 [0, p-1], passed beside the one PrimeContext that owns it; the inverse of a
-nonzero a is pow(a, -1, p). A PrimeContext is immutable after construction
-and safe to share between threads; all operations are pure.
+nonzero a is pow(a, -1, p). A PrimeContext is a named tuple, so none of its
+fields can be set, and it is safe to share between threads; its root table is
+an array the context owns, which callers read and never write. All
+operations are pure.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, compress, count, islice
@@ -167,7 +169,7 @@ def two_squares(p: int) -> tuple[int, int]:
     return (y, z) if y % 2 else (z, y)
 
 
-class PrimeContext:
+class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
     """A prime modulus p with its square-root table and special roots.
 
     root[a] is the smaller square root of a, in [1, p//2], for a nonzero
@@ -177,12 +179,12 @@ class PrimeContext:
     the smaller element of order 4 (present iff p = 1 mod 4); tau is the
     smaller square root of 2 (present iff p = 2 or p = +-1 mod 8). Where two
     roots exist we always pick the representative in [0, (p-1)/2] so that
-    outputs are reproducible.
+    outputs are reproducible. Contexts compare and hash by p alone.
     """
 
-    __slots__ = ("p", "root", "w", "tau")
+    __slots__ = ()
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if p > MAX_CONTEXT_P:
             raise BoundExceeded(
                 f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
@@ -190,19 +192,18 @@ class PrimeContext:
             )
         if p < 2 or not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        self.p = p
         root = array("I", [0]) * p
         for x in range(1, p // 2 + 1):
             root[x * x % p] = x
-        self.root = root
-        self.w = root[p - 1] if p % 4 == 1 else None
-        if p == 2:
-            # 2 = 0 in F_2; its only root is 0
-            self.tau = 0
-        elif p % 8 in (1, 7):
-            self.tau = root[2]
-        else:
-            self.tau = None
+        w = root[p - 1] if p % 4 == 1 else None
+        # 2 = 0 in F_2; its only root is 0
+        tau = 0 if p == 2 else root[2] if p % 8 in (1, 7) else None
+        return super().__new__(cls, p, root, w, tau)
+
+    # The rest follows from p, so _replace, copy and pickle rebuild from p
+    # alone; _replace of any other field is left over and refused.
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
+    __getnewargs__ = lambda self: (self.p,)
 
     def residues(self) -> Iterator[int]:
         """The nonzero quadratic residues, ascending, one at a time."""
@@ -224,6 +225,9 @@ class PrimeContext:
 
     def __eq__(self, other):
         return isinstance(other, PrimeContext) and other.p == self.p
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self.p)

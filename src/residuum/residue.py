@@ -43,12 +43,12 @@ class ClassKind(Enum):
     ALL_ZERO = "all_zero"
 
 
-class ResidueGrid:
+class ResidueGrid(namedtuple("ResidueGrid", "context vals")):
     """3x3 grid of squares in F_p, row-major, compared and hashed by value."""
 
-    __slots__ = ("context", "vals")
+    __slots__ = ()
 
-    def __init__(self, context: PrimeContext, vals):
+    def __new__(cls, context: PrimeContext, vals):
         p, root = context.p, context.root
         vals = tuple([v % p for v in vals])
         if len(vals) != 9:
@@ -57,8 +57,9 @@ class ResidueGrid:
             # a zero root marks 0 or a non-residue, and 0 is a square
             if v and not root[v]:
                 raise NonSquareCell(f"{v} is not a square mod {p}")
-        self.context = context
-        self.vals = vals
+        return super().__new__(cls, context, vals)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def rows(self) -> list[list[int]]:
         return rows_of(self.vals)
@@ -87,16 +88,6 @@ class ResidueGrid:
 
     def reflected_anti_diagonal(self) -> "ResidueGrid":
         return self.transformed(ANTI_TRANSPOSE)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueGrid)
-            and other.context.p == self.context.p
-            and other.vals == self.vals
-        )
-
-    def __hash__(self):
-        return hash((self.context.p, self.vals))
 
     def __repr__(self):
         r = self.rows()

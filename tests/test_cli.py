@@ -330,6 +330,25 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert err.startswith(f"error: {f4}: ") and err.count("\n") == 1
 
 
+def test_verify_reads_a_leading_byte_order_mark(tmp_path, capsys):
+    # Sallows' square; a UTF-8 byte-order mark may start the file, and
+    # U+FEFF anywhere else is still a token that is not an integer
+    text = "16129 2116 3364\n4 12769 8836\n5476 6724 9409\n".encode()
+    bom = b"\xef\xbb\xbf"
+    f = tmp_path / "sallows.txt"
+    for form in ("table", "structured"):
+        f.write_bytes(text)
+        plain = run(capsys, "verify", str(f), "--format", form)
+        f.write_bytes(bom + text)
+        assert run(capsys, "verify", str(f), "--format", form) == plain, form
+        assert plain[0] == 0 and plain[1], form
+    for data, column in ((bom + bom + text, 1), (text.replace(b" ", b" " + bom, 1), 7)):
+        f.write_bytes(data)
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {f}:1:{column}: not an integer: '\\ufeff"), err
+
+
 def _digit_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -479,14 +498,19 @@ def test_construct_61_chain(capsys):
     assert r["member"] == 47
 
 
-def test_construct_29_table_route(capsys):
-    code, doc, _ = run_json(capsys, "construct", "29")
+def test_construct_table_route(capsys):
+    code, doc, _ = run_json(capsys, "construct", "41")
     assert code == 0
     r = doc["results"]
     assert r["route"] == "table"
-    assert r["table_members"] == [4, 5, 22, 23]
-    assert r["member"] == 4
+    assert r["table_members"] == [8, 31]
+    assert r["member"] == 8
     assert r["chain"] is None
+    # the (5,4) progression reaches 29, so 29 takes the mod-20 route
+    code, doc, _ = run_json(capsys, "construct", "29")
+    r = doc["results"]
+    assert (code, r["route"], r["member"], r["table_members"]) == (0, "mod20", 5, None)
+    assert r["chain"] is not None
 
 
 def test_construct_13_not_covered(capsys):

@@ -16,8 +16,9 @@ table` hashes pin the human form of `construct`, `verify`, `analyze 2` and
 `search`; they were taken from the sources in which `cli.py` still chose
 `construct`'s route itself and built the grid payload in four places, so
 the one route in `congrua` and the one grid layout are held to that output.
-A change
-that alters output on purpose updates the hash and says why.
+The two `construct 29` hashes were re-pinned when 29 left the table route
+for the mod-20 progression, which reaches it. A change that alters output
+on purpose updates the hash and says why.
 """
 
 import hashlib
@@ -40,7 +41,7 @@ GOLDEN = {
     "table 10000 --format csv": (0, "b494623aa086f57515111119f609a26dc5eb1dd5388ae9608a5052dc4cb33817"),
     "table 10000": (0, "a4575af9a2fcb9add86d604fa9f09968cbbeff77974766942ca8394f74ae4d73"),
     "construct 13": (1, "0d779f49cf01b5463114cc01365c4d3fbf653830b029185985d4bad55a47f980"),
-    "construct 29": (0, "8eea7acfa254fe4deb69c01c1a902bf44d39ac1a428fe4416d04ce0e0e7e2083"),
+    "construct 29": (0, "27dd531ad0fd062d1690e76d129c4106becf6f9b38015367c7ab61816323d250"),
     "construct 61": (0, "c5623c73f1b9ce4c4f59ffe49e5c70bb53566ec7ccb670ed334d87ddc9cdcdec"),
     "construct 113": (1, "c6059837fe0193345485a46dc87b0ed329f65a44fa1171f64eefa20e6076fc0f"),
     "analyze 1009": (0, "684d354bcb603d8c354e5cdb5a626b73fabd2fa45c0405911c009a6ea71790cd"),
@@ -55,7 +56,7 @@ GOLDEN = {
     "analyze 29 --format table": (0, "a3022da964011f6ee40b9fd17543b9f0fb63d270df4fa7b2f1a488746d52fb17"),
     "analyze 1009 --format table": (0, "b6a5605f2a99cce48e7a7ef056a4f090eb09944bdced4967e14dc238e206e342"),
     "analyze 50021 --format table": (0, "28d4fc243212a88ce0d6b450f755aa3e90491f90bdc0c9d18bf3810644c80595"),
-    "construct 29 --format table": (0, "b60cda2a7e5376456f658a22f10a95f15781b27360a2157d7cd7e3247e65435c"),
+    "construct 29 --format table": (0, "20bdf51d3ebe50781a96e868b9df0e64c4dc4523120860548f48e3a1fedd4fa3"),
     "construct 61 --format table": (0, "4dbb18eb3b59e61626d5c85e6aa833eda2de1861bdda0a158ee3ade9061747f7"),
     "construct 113 --format table": (1, "5db16ccbbc684e35cfef25b32e530f33c39e6e88333b795cc8b72ffbf716d408"),
     "verify sallows.txt --format table": (0, "90174c0cd57a090154e97a71555adf6523568017c423a8112d5d0488b02100a7"),

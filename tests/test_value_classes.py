@@ -2,24 +2,37 @@
 set, equal fields make equal objects with equal hashes, construction by
 keyword and by position agree, bad fields raise the documented exception
 (through `_replace` too), instances pickle, and the repr names every
-field."""
+field, a context only by its p."""
 
+import copy
 import pickle
 
 import pytest
 
 from residuum.cli import OutputDocument
 from residuum.congrua import SquareProgression
-from residuum.errors import BadParameters, UnexpectedPattern
+from residuum.errors import BadParameters, NonSquareCell, NotPrime, UnexpectedPattern
 from residuum.fp import PrimeContext, make_context
 from residuum.intgrid import CenterReport, IntGrid, Mod2Class
-from residuum.residue import UnitTriple
+from residuum.residue import ResidueGrid, UnitTriple
 from residuum.search import SearchReport
 
 LO_SHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 
 # class -> (valid fields, fields the constructor refuses or None, the exception, repr)
 CASES = {
+    PrimeContext: (
+        dict(p=29),
+        dict(p=15),
+        NotPrime,
+        "PrimeContext(p=29)",
+    ),
+    ResidueGrid: (
+        dict(context=make_context(29), vals=(0, 1, 28, 28, 0, 1, 1, 28, 0)),
+        dict(context=make_context(29), vals=(2, 0, 0, 0, 0, 0, 0, 0, 0)),  # 2 is not a square
+        NonSquareCell,
+        "ResidueGrid(p=29, [0, 1, 28] / [28, 0, 1] / [1, 28, 0])",
+    ),
     SquareProgression: (
         dict(x=17, y=13, z=7),
         dict(x=17, y=13, z=8),
@@ -76,7 +89,7 @@ def test_value_class_contract(cls):
     if cls is not OutputDocument:  # its dict fields are unhashable
         assert hash(a) == hash(b)
     assert repr(a) == text
-    for name in (next(iter(fields)), "extra"):
+    for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     if bad is not None:
@@ -94,4 +107,30 @@ def test_fields_are_only_what_cannot_be_derived():
     assert SquareProgression._fields == ("x", "y", "z")
     assert SearchReport._fields == ("pruned_centers", "candidates_tested", "hits", "near_misses")
     assert CenterReport._fields == ("verdicts", "warning")
-    assert PrimeContext.__slots__ == ("p", "root", "w", "tau")
+    assert PrimeContext._fields == ("p", "root", "w", "tau")
+
+
+def test_a_cached_context_cannot_be_changed():
+    ctx = make_context(13)
+    for name in PrimeContext._fields:
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 17)
+    assert make_context(13) is ctx
+    assert (ctx.p, ctx.w, ctx.tau) == (13, 5, None)
+    assert list(ctx.root) == [0, 1, 0, 4, 2, 0, 0, 0, 0, 3, 6, 0, 5]
+
+
+def test_contexts_compare_by_p_and_rebuild_from_it():
+    ctx = make_context(41)
+    other = PrimeContext(41)
+    assert ctx == other and not ctx != other and hash(ctx) == hash(41)
+    assert ctx != make_context(37) and ctx != tuple(ctx)
+    for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert type(twin) is PrimeContext and tuple(twin) == tuple(ctx)
+    rebuilt = ctx._replace(p=37)
+    assert tuple(rebuilt) == tuple(make_context(37))
+    # the table and the roots follow from p, so none is replaced on its own
+    with pytest.raises(ValueError, match="unexpected field names"):
+        ctx._replace(w=1)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        ctx._replace(p=37, root=ctx.root)
