@@ -59,7 +59,7 @@ from .errors import (
     ParseError,
     ResiduumError,
 )
-from .fp import MAX_CENTER_ROOT, MAX_CONTEXT_P, make_context, sqrt_mod, two_square_splits
+from .fp import MAX_CONTEXT_P, MAX_WORKERS, make_context, sqrt_mod, two_square_splits
 from .grid_ops import rows_of
 from .residue import (
     MAX_COUNT_P,
@@ -87,10 +87,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_HIT = 10
 EXIT_PIPE = 141
-
-# Most worker processes `search` may start: a process pool forks all of its
-# workers at the first task, so a larger count is refused before any start.
-MAX_WORKERS = 64
 
 PRUNING_RULE = (
     "primitive-only mode skips center roots with any prime factor = 3 (mod 4): "
@@ -605,11 +601,6 @@ def run_verify(path: str) -> OutputDocument:
             results["reduced"] = _grid_payload(reduced.cells, _int_roots(reduced))
     e = isqrt(grid.center)
     if e * e == grid.center and e >= 1:
-        if e > MAX_CENTER_ROOT:
-            raise BoundExceeded(
-                f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-                "trial division takes about sqrt(e)/2 steps"
-            )
         results["center_root"] = e
         check = admissible_center_check(e)
         results["center_check"] = {
@@ -831,7 +822,6 @@ def run_search(
         "e_max": e_max,
         "primitive_only": primitive_only,
         "near_miss_threshold": threshold,
-        "workers": workers,
     }
     results = {
         **parameters,
@@ -1051,22 +1041,16 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _resolve_workers(requested: int | None) -> int:
+    """Where the worker count comes from; `search_msos` checks its range."""
     if requested is not None:
-        if not 1 <= requested <= MAX_WORKERS:
-            raise BadParameters(f"--workers must be in [1, {MAX_WORKERS}], got {requested}")
         return requested
     env = os.environ.get("RESIDUUM_THREADS")
     if not env:
         return min(os.cpu_count() or 1, MAX_WORKERS)
     try:
-        workers = int(env)
+        return int(env)
     except ValueError:
-        workers = 0
-    if not 1 <= workers <= MAX_WORKERS:
-        raise BadParameters(
-            f"RESIDUUM_THREADS must be an integer in [1, {MAX_WORKERS}], got {env!r}"
-        )
-    return workers
+        raise BadParameters(f"RESIDUUM_THREADS must be an integer, got {env!r}") from None
 
 
 def _emit(doc: OutputDocument, fmt: str, renderer) -> None:

@@ -24,10 +24,15 @@ from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 # before any work is done.
 MAX_CONTEXT_P = 10**7
 
-# Largest center root that `search` scans and `verify` factors with
-# `prime_factors`: trial division costs about sqrt(e)/2 steps for a prime e,
-# 0.65 s near 10**14 (Python 3.11, 2-vCPU machine).
+# Largest center root that `search_msos` scans and `admissible_center_check`
+# factors with `prime_factors`: trial division costs about sqrt(e)/2 steps
+# for a prime e, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine).
 MAX_CENTER_ROOT = 10**14
+
+# Most worker processes `search_msos` may start: a process pool forks all of
+# its workers at the first task, so a larger count is refused before any start.
+# It lives here so that `cli` reads it without importing `search`.
+MAX_WORKERS = 64
 
 
 def prime_factors(n: int) -> Iterator[int]:

@@ -8,8 +8,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import AllZero, NotMagic, OddCenter, UnexpectedPattern
-from .fp import PrimeContext, factorize
+from .errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
+from .fp import MAX_CENTER_ROOT, PrimeContext, factorize
 from .grid_ops import CENTER, CENTER_LINES, LINES, rows_of
 from .residue import ResidueGrid
 
@@ -91,6 +91,11 @@ def admissible_center_check(e: int) -> CenterReport:
     q = 1 (mod 4) are admissible in a primitive grid."""
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
+    if e > MAX_CENTER_ROOT:
+        raise BoundExceeded(
+            f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
+            "trial division takes about sqrt(e)/2 steps"
+        )
     verdicts = tuple(
         (q, ADMISSIBLE if q == 2 or q % 4 == 1 else INADMISSIBLE)
         for q in sorted(factorize(e))

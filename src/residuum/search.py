@@ -13,7 +13,7 @@ from itertools import chain
 from math import comb, gcd, isqrt
 
 from .errors import BadParameters, BadRange, BoundExceeded
-from .fp import MAX_CENTER_ROOT, factorize, prime_factors, two_squares
+from .fp import MAX_CENTER_ROOT, MAX_WORKERS, factorize, prime_factors, two_squares
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
@@ -158,8 +158,8 @@ def search_msos(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
             f"got {near_miss_threshold}"
         )
-    if workers < 1:
-        raise BadParameters(f"need at least one worker, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise BadParameters(f"worker count must be in [1, {MAX_WORKERS}], got {workers}")
     centers = range(e_min, e_max + 1)
     # most centers cost microseconds, so each task is a block of centers:
     # 16 blocks a worker keep the load balanced, and the parent holds only

@@ -604,6 +604,25 @@ def test_search_takes_workers_up_to_the_ceiling(capsys, monkeypatch, pool_sizes,
     assert pool_sizes == [2]
 
 
+def test_search_output_is_independent_of_the_worker_count(capsys, monkeypatch, pool_sizes):
+    # the count is an execution setting, like --format: no form records it
+    argv = ["search", "60", "600", "--no-primitive-only", "--near-miss-threshold", "0"]
+    sources = [(None, ["--workers", n]) for n in ("1", "2", "3")]
+    sources += [(threads, []) for threads in (None, "1", "5")]
+    for fmt in ("structured", "table"):
+        outputs = set()
+        for threads, extra in sources:
+            if threads is None:
+                monkeypatch.delenv("RESIDUUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("RESIDUUM_THREADS", threads)
+            code, out, err = run(capsys, *argv, *extra, "--format", fmt)
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert len(outputs) == 1, fmt
+    assert {2, 3, 5} <= set(pool_sizes)
+
+
 def test_search_exit_code_on_hit(capsys, monkeypatch):
     fake = SearchReport(
         pruned_centers=0,

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residuum.errors import AllZero, NotMagic, OddCenter, UnexpectedPattern
-from residuum.fp import make_context
+from residuum import intgrid
+from residuum.errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
+from residuum.fp import MAX_CENTER_ROOT, make_context
 from residuum.intgrid import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -94,6 +95,19 @@ def test_admissible_center_check_examples():
     assert admissible_center_check(2).warning is not None
     assert admissible_center_check(3).warning is None
     assert admissible_center_check(10).verdicts == ((2, ADMISSIBLE), (5, ADMISSIBLE))
+
+
+def test_admissible_center_check_refuses_above_the_factoring_ceiling(monkeypatch):
+    assert admissible_center_check(MAX_CENTER_ROOT).verdicts == ((2, ADMISSIBLE), (5, ADMISSIBLE))
+
+    def factored(e):
+        raise AssertionError(f"trial division of {e} began")
+
+    # refused before any factoring: 2**89 - 1 is prime, about 10**13 divisions
+    monkeypatch.setattr(intgrid, "factorize", factored)
+    for e in (MAX_CENTER_ROOT + 1, 2**89 - 1):
+        with pytest.raises(BoundExceeded, match="factoring ceiling"):
+            admissible_center_check(e)
 
 
 def test_residue_class_of_examples():

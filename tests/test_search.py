@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuum.errors import BadParameters, BadRange
-from residuum.fp import primes_up_to
+from residuum.fp import MAX_WORKERS, primes_up_to
 from residuum.grid_ops import DIHEDRAL, LINES, permute
 from residuum.intgrid import (
     INADMISSIBLE,
@@ -191,10 +191,18 @@ def test_search_starts_no_more_processes_than_blocks(pool_sizes):
     # 10 centers make 2 blocks of 8 at most, and 8 centers make 1, which
     # runs in-process; 90 centers on 2 workers make 12 blocks
     serial = search_msos(1, 10, workers=1)
-    assert search_msos(1, 10, workers=10**5) == serial
-    assert search_msos(1, 8, workers=10**5) == search_msos(1, 8, workers=1)
+    assert search_msos(1, 10, workers=MAX_WORKERS) == serial
+    assert search_msos(1, 8, workers=MAX_WORKERS) == search_msos(1, 8, workers=1)
     search_msos(1, 90, workers=2)
     assert pool_sizes == [2, 2]
+
+
+def test_search_refuses_workers_above_the_ceiling(pool_sizes):
+    # a million centers would fill every worker, so the count is refused
+    # before the pool is asked for them
+    with pytest.raises(BadParameters, match=f"\\[1, {MAX_WORKERS}\\]"):
+        search_msos(1, 10**6, workers=MAX_WORKERS + 1)
+    assert pool_sizes == []
 
 
 def test_search_report_deterministic_across_chunks():
