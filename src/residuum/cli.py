@@ -939,7 +939,7 @@ COMMANDS = {
                 "--workers",
                 int,
                 f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
-                "or one per core",
+                "or one per usable CPU",
             ),
             _format_option(),
         ],
@@ -1046,6 +1046,9 @@ def _resolve_workers(requested: int | None) -> int:
         return requested
     env = os.environ.get("RESIDUUM_THREADS")
     if not env:
+        # the CPUs this process may run on, where the platform can say
+        if hasattr(os, "sched_getaffinity"):
+            return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
         return min(os.cpu_count() or 1, MAX_WORKERS)
     try:
         return int(env)

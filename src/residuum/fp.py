@@ -14,7 +14,7 @@ from array import array
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, cycle, islice
 from math import isqrt
 
 from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
@@ -25,9 +25,18 @@ from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 MAX_CONTEXT_P = 10**7
 
 # Largest center root that `search_msos` scans and `admissible_center_check`
-# factors with `prime_factors`: trial division costs about sqrt(e)/2 steps
-# for a prime e, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine).
+# factors. Both end in trial division for a prime e: `factorize` tries about
+# sqrt(e)/2 numbers, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine), and
+# `factorize_block` about sqrt(e)/4, those prime to 30 past its sieve.
 MAX_CENTER_ROOT = 10**14
+
+# `factorize_block` sieves by the primes below this bound and trial-divides a
+# center's cofactor past it, so a block of centers near MAX_CENTER_ROOT pays
+# for 6542 sieving primes, not the 664,579 below sqrt(MAX_CENTER_ROOT).
+BLOCK_SIEVE_BOUND = 2**16
+# `factorize_block` sieves a block this many centers at a time, so that at
+# most this many factorisations, about 1 MB, exist at once.
+SIEVE_SEGMENT = 2**12
 
 # Most worker processes `search_msos` may start: a process pool forks all of
 # its workers at the first task, so a larger count is refused before any start.
@@ -62,6 +71,80 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, ascending. Exact
     for any n; a prime near 10**12 takes about 0.07 s on Python 3.11."""
     return dict(Counter(prime_factors(n)))
+
+
+# steps from 1 through the residues mod 30 prime to 30: 1, 7, 11, ..., 29, 31
+_WHEEL_GAPS = (6, 4, 2, 4, 2, 4, 6, 2)
+
+
+def _wheel_factors(n: int, least: int) -> Iterator[int]:
+    """prime_factors(n) for an n with no prime factor below least >= 7, by
+    trial division over the numbers prime to 30 from about least: 8 in each
+    30, not prime_factors' 15."""
+    for f in accumulate(cycle(_WHEEL_GAPS), initial=least - least % 30 + 1):
+        if f * f > n:
+            break
+        while n % f == 0:
+            yield f
+            n //= f
+    if n > 1:
+        yield n
+
+
+@lru_cache(maxsize=None)
+def _sieving_primes(bound: int) -> tuple[int, ...]:
+    """The primes below bound, sieved once per process for each bound."""
+    return tuple(primes_up_to(bound - 1))
+
+
+def factorize_block(block: range) -> Iterator[dict[int, int]]:
+    """factorize(e) for each e of a block of consecutive integers >= 1, in
+    order, from a segmented sieve of the block (Bays & Hudson, BIT 17 (1977)
+    121-127). The block is sieved SIEVE_SEGMENT numbers at a time, each
+    segment when the one before is used up, so a long block never holds all
+    its factorisations at once; ValueError comes at the call.
+
+    Each prime q up to sqrt(max e) and below BLOCK_SIEVE_BOUND visits only
+    its multiples in a segment and divides each by q while it can, so a
+    segment of n costs about n log log n divisions and a step per sieving
+    prime. The sieving primes are those below the power of two above
+    sqrt(max e), so a process sieves them at most 16 times. What is left of
+    e has no prime factor up to the sieve's limit s; below (s + 1)^2 it is 1
+    or a prime, and above it, which happens only for e above 2**32, it is
+    trial-divided from s + 1 over the numbers prime to 30.
+    """
+    if block and (block[0] < 1 or block.step != 1):
+        raise ValueError(f"need a block of consecutive integers >= 1, got {block}")
+    segments = (block[i : i + SIEVE_SEGMENT] for i in range(0, len(block), SIEVE_SEGMENT))
+    return chain.from_iterable(map(_sieve_segment, segments))
+
+
+def _sieve_segment(segment: range) -> list[dict[int, int]]:
+    """factorize(e) for each e of a nonempty segment; see factorize_block."""
+    lo, n = segment[0], len(segment)
+    rest = list(segment)
+    factors = [{} for _ in segment]
+    root = isqrt(segment[-1])
+    limit = min(root, BLOCK_SIEVE_BOUND - 1)  # every prime up to it is sieved
+    for q in _sieving_primes(min(1 << root.bit_length(), BLOCK_SIEVE_BOUND)):
+        if q > limit:
+            break
+        for i in range(-lo % q, n, q):
+            r, k = rest[i] // q, 1
+            while r % q == 0:
+                r //= q
+                k += 1
+            rest[i] = r
+            factors[i][q] = k
+    for f, r in zip(factors, rest):
+        if r == 1:
+            continue
+        if r <= limit * (limit + 2):  # below (limit + 1)^2, so prime
+            f[r] = 1
+            continue
+        for p in _wheel_factors(r, limit + 1):
+            f[p] = f.get(p, 0) + 1
+    return factors
 
 
 def _prime_flags(n: int) -> bytearray:
@@ -158,9 +241,9 @@ def two_squares(p: int) -> tuple[int, int]:
     remainder below sqrt(p), which is one of the two; O(log p) steps.
 
     Primality is not tested, as it would cost more than the rest: callers
-    hold p from is_prime, a PrimeContext or the factors of trial division
-    (the search's pair construction), and `table` takes its splits from
-    `two_square_splits` instead. A composite p raises
+    hold p from is_prime, a PrimeContext or a factorisation (the search's
+    pair construction, from `factorize` or `factorize_block`), and `table`
+    takes its splits from `two_square_splits` instead. A composite p raises
     NotPrime when Euler's criterion exposes it, as it does for every composite
     below 10^5 except the Euler pseudoprimes 3277, 29341, 49141, 80581 and
     88357, which get a split like a prime's.

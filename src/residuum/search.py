@@ -9,18 +9,30 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import ExitStack
-from itertools import chain
-from math import comb, gcd, isqrt
+from functools import lru_cache
+from math import comb, gcd, isqrt, prod
 
 from .errors import BadParameters, BadRange, BoundExceeded
-from .fp import MAX_CENTER_ROOT, MAX_WORKERS, factorize, prime_factors, two_squares
+from .fp import (
+    BLOCK_SIEVE_BOUND,
+    MAX_CENTER_ROOT,
+    MAX_WORKERS,
+    factorize,
+    factorize_block,
+    prime_factors,
+    two_squares,
+)
 from .intgrid import IntGrid, is_magic, is_square_entried
 
 
 SearchReport = namedtuple("SearchReport", "pruned_centers candidates_tested hits near_misses")
 
+# two_squares of the primes = 1 (mod 4) met lately: a block meets its small
+# primes again and again
+_split = lru_cache(maxsize=1024)(two_squares)
 
-def pair_decompositions(e: int) -> list[tuple[int, int]]:
+
+def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[tuple[int, int]]:
     """Unordered pairs of distinct squares, both != e^2, summing to 2e^2, as
     (x^2, y^2) with x < e < y, ascending in x.
 
@@ -31,38 +43,45 @@ def pair_decompositions(e: int) -> list[tuple[int, int]]:
     contributes pi^j * conj(pi)^(2k - j) for j = 0..2k, where p = pi*conj(pi)
     comes from `two_squares`. The prod(2k + 1) products include x = y = e
     once; the others meet every pair twice, as z and its conjugate. So a
-    center costs one trial division and O(prod(2k + 1)) products.
+    center costs O(prod(2k + 1)) products. Given `factors`, e's
+    factorisation, the splits come from a cache; without it, e is
+    trial-divided and each p split anew, the tests' reference.
     """
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
+    if factors is None:
+        factors, split = factorize(e), two_squares
+    else:
+        split = _split
     scale = 1
     zs = [(1, 1)]
-    for p, k in factorize(e).items():
+    for p, k in factors.items():
         if p % 4 != 1:
             scale *= p**k
             continue
-        # p comes from trial division, so it is prime and two_squares exact
-        a, b = two_squares(p)
+        # p is a prime factor of e, so two_squares is exact
+        a, b = split(p)
         powers = [(1, 0)]
         for _ in range(2 * k):
             x, y = powers[-1]
             powers.append((a * x - b * y, a * y + b * x))
-        factors = [
+        parts = [
             (x * u + y * v, y * u - x * v)  # pi^j * conj(pi^(2k - j))
             for (x, y), (u, v) in zip(powers, reversed(powers))
         ]
-        zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in factors]
+        zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in parts]
     pairs = {(min(abs(x), abs(y)), max(abs(x), abs(y))) for x, y in zs if abs(x) != abs(y)}
     return [((scale * x) ** 2, (scale * y) ** 2) for x, y in sorted(pairs)]
 
 
-def center_has_inadmissible_factor(e: int) -> bool:
-    """True when some prime = 3 (mod 4) divides e.
+def center_has_inadmissible_factor(e: int, factors: dict[int, int] | None = None) -> bool:
+    """True when some prime = 3 (mod 4) divides e: one of `factors`, e's
+    factorisation, or one found by trial division, which stops there.
 
     Such a center root is impossible for a primitive hit; reducible hits
     reappear at the reduced center root, so pruning these e loses nothing.
     """
-    return any(q % 4 == 3 for q in prime_factors(e))
+    return any(q % 4 == 3 for q in (prime_factors(e) if factors is None else factors))
 
 
 def _assemble(m: int, offsets, threshold: int):
@@ -109,16 +128,21 @@ def _assemble(m: int, offsets, threshold: int):
     return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
 
 
-def _scan_center(task: tuple[int, bool, int]):
+def _scan_center(task: tuple[int, bool, int], factors: dict[int, int] | None = None):
     """Assemble and test all candidate grids for one center root.
 
     Returns (pruned, candidates, hit_cells, near_cells); see `_assemble`.
+    Given e's factorisation, a center with fewer than four pairs, where
+    prod(2k + 1) < 9 (see `pair_decompositions`), returns before any pair
+    is built, as it holds no layout; without it, e is trial-divided.
     """
     e, primitive_only, threshold = task
-    if primitive_only and center_has_inadmissible_factor(e):
+    if primitive_only and center_has_inadmissible_factor(e, factors):
         return (True, 0, (), ())
+    if factors is not None and prod(2 * k + 1 for p, k in factors.items() if p % 4 == 1) < 9:
+        return (False, 0, (), ())
     m = e * e
-    offsets = [m - lo for lo, _ in pair_decompositions(e)]
+    offsets = [m - lo for lo, _ in pair_decompositions(e, factors)]
     candidates, hits, nears = _assemble(m, offsets, threshold)
     for cells in hits:
         grid = IntGrid(cells)
@@ -126,10 +150,23 @@ def _scan_center(task: tuple[int, bool, int]):
     return (False, candidates, hits, nears)
 
 
-def _scan_block(task: tuple[range, bool, int]) -> list:
-    """`_scan_center` over a contiguous block of center roots."""
+def _scan_block(task: tuple[range, bool, int]):
+    """`_scan_center` over a contiguous block of center roots, each given its
+    factorisation from one sieve of the block. Returns the block's merged
+    (pruned, candidates, hit_cells, near_cells), in ascending e."""
     block, primitive_only, threshold = task
-    return [_scan_center((e, primitive_only, threshold)) for e in block]
+    pruned = candidates = 0
+    hits = []
+    nears = []
+    for e, factors in zip(block, factorize_block(block)):
+        was_pruned, count, hit_cells, near_cells = _scan_center(
+            (e, primitive_only, threshold), factors
+        )
+        pruned += was_pruned
+        candidates += count
+        hits += hit_cells
+        nears += near_cells
+    return pruned, candidates, hits, nears
 
 
 def search_msos(
@@ -151,7 +188,8 @@ def search_msos(
     if e_max > MAX_CENTER_ROOT:
         raise BoundExceeded(
             f"e_max {e_max} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-            "trial division takes about sqrt(e)/2 steps per center"
+            f"past the sieve's primes below {BLOCK_SIEVE_BOUND}, trial division "
+            "takes about sqrt(e)/4 steps per center"
         )
     if not 0 <= near_miss_threshold <= 8:
         raise BadParameters(
@@ -177,9 +215,7 @@ def search_msos(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=procs)).map
-        for was_pruned, count, hit_cells, near_cells in chain.from_iterable(
-            mapper(_scan_block, blocks)
-        ):
+        for was_pruned, count, hit_cells, near_cells in mapper(_scan_block, blocks):
             pruned += was_pruned
             candidates += count
             hits.extend(IntGrid(c) for c in hit_cells)

@@ -586,7 +586,7 @@ def test_search_refuses_bad_settings(capsys, monkeypatch, pool_sizes, threads, e
 )
 def test_search_center_root_ceiling(capsys, e_min, e_max, code):
     # [1, 10**20] is too long a range for len(); below that, a prime center
-    # near the top would take about sqrt(e)/2 trial divisions
+    # near the top would take about sqrt(e)/4 trial divisions past the sieve
     out_code, out, err = run(capsys, "search", str(e_min), str(e_max), "--workers", "1")
     assert out_code == code
     if code == 2:
@@ -602,6 +602,24 @@ def test_search_takes_workers_up_to_the_ceiling(capsys, monkeypatch, pool_sizes,
     assert run(capsys, "search", "1", "10", *extra)[0] == 0
     # two blocks of centers, so a pool of two whatever the count asked
     assert pool_sizes == [2]
+
+
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    # `taskset -c 0` leaves one usable CPU on a many-core host
+    monkeypatch.delenv("RESIDUUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._resolve_workers(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
+    assert cli._resolve_workers(None) == cli.MAX_WORKERS
+    assert cli._resolve_workers(3) == 3
+    # without an affinity call, the host's count, or 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_workers(None) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._resolve_workers(None) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 100)
+    assert cli._resolve_workers(None) == cli.MAX_WORKERS
 
 
 def test_search_output_is_independent_of_the_worker_count(capsys, monkeypatch, pool_sizes):

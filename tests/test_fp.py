@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from residuum import fp
 from residuum.errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 from residuum.fp import (
+    BLOCK_SIEVE_BOUND,
+    MAX_CENTER_ROOT,
     MAX_CONTEXT_P,
+    SIEVE_SEGMENT,
     PrimeContext,
     _sqrt_int,
     factorize,
+    factorize_block,
     is_prime,
     legendre,
     make_context,
@@ -43,6 +47,51 @@ def test_factorize_multiplies_back(n):
     assert list(f) == sorted(f)
     for q in f:
         assert q >= 2 and all(q % d for d in range(2, isqrt(q) + 1)), q
+
+
+FACTORED = [factorize(e) for e in range(1, 10**5 + 1)]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 31, 1000, 10**5])
+def test_factorize_block_matches_factorize(width):
+    # every e in [1, 10**5], cut into blocks of `width` after a first block
+    # of `offset`, so blocks start at many residues of the small primes; a
+    # block of 10**5 is sieved in segments
+    assert SIEVE_SEGMENT < 10**5
+    for offset in (0,) if width == 1 else (0, 3, 5):
+        starts = [1, *range(1 + offset, 10**5 + 1, width)]
+        got = []
+        for lo, hi in zip(starts, starts[1:] + [10**5 + 1]):
+            got += factorize_block(range(lo, hi))
+        assert got == FACTORED, offset
+        # ascending, as factorize gives them
+        assert all(list(f) == sorted(f) for f in got)
+
+
+@pytest.mark.parametrize(
+    "block", [range(10**12, 10**12 + 100), range(MAX_CENTER_ROOT - 99, MAX_CENTER_ROOT + 1)]
+)
+def test_factorize_block_matches_factorize_on_large_centers(block):
+    got = list(factorize_block(block))
+    assert got == [factorize(e) for e in block]
+    assert all(list(f) == sorted(f) for f in got)
+
+
+@pytest.mark.parametrize("e", [65537**2, 65537 * 65539, 2 * 65537 * 65539])
+def test_factorize_block_splits_what_the_sieve_leaves(e):
+    # above 2**32 the sieve stops short of sqrt(e), and these e keep a
+    # composite cofactor with no prime factor below BLOCK_SIEVE_BOUND
+    assert e >= BLOCK_SIEVE_BOUND**2
+    for block in (range(e, e + 1), range(e - 40, e + 60)):
+        assert list(factorize_block(block)) == [factorize(n) for n in block]
+
+
+def test_factorize_block_refuses_what_is_not_a_block():
+    assert list(factorize_block(range(5, 5))) == []
+    # refused at the call, before any segment is sieved
+    for block in (range(0, 10), range(1, 10, 2)):
+        with pytest.raises(ValueError):
+            factorize_block(block)
 
 
 def test_composite_with_huge_cofactor_stops_at_small_factor():

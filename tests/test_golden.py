@@ -20,8 +20,11 @@ for the mod-20 progression, which reaches it. The ten structured `search`
 hashes were re-pinned when the document stopped recording the worker count,
 an execution setting like `--format`: a search's bytes follow from its range,
 `--primitive-only` and `--near-miss-threshold` alone, so `search 1 2000`
-has one hash at one worker and at two. A change that alters output
-on purpose updates the hash and says why.
+has one hash at one worker and at two. The `search 1 20000` hash was
+taken from the sources in which every center was still trial-divided, before
+each block of centers was factored by one sieve, so the sieve is held to
+that output across many blocks, at one worker and at two. A change that
+alters output on purpose updates the hash and says why.
 """
 
 import hashlib
@@ -33,6 +36,8 @@ from residuum.cli import main
 GOLDEN = {
     "search 1 2000 --workers 1": (0, "263ce6f33709447d313e517b763ef29afc70e94e7487ff63c6bf636be995cd47"),
     "search 1 2000 --workers 2": (0, "263ce6f33709447d313e517b763ef29afc70e94e7487ff63c6bf636be995cd47"),
+    "search 1 20000 --workers 1": (0, "58ecd188ad25049fff54863947e59296684560fca400f0701f08be915dc4c043"),
+    "search 1 20000 --workers 2": (0, "58ecd188ad25049fff54863947e59296684560fca400f0701f08be915dc4c043"),
     "search 1235 1734 --workers 1": (0, "6f9455189bb37018b367f2eb99a6375f6b27a606ed69478a1a0dcdab0cfa3b73"),
     "search 60 600 --no-primitive-only --near-miss-threshold 0 --workers 1": (0, "b697212359d595d560da9d465a5fac89642da2dd98bf1b2cd8e71f98da2b8c5d"),
     "search 60 600 --no-primitive-only --near-miss-threshold 4 --workers 1": (0, "64b23011d209310e703738c852241634bc8b23497c8a1ef1236c8c603654ad98"),

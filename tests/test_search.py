@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuum.errors import BadParameters, BadRange
-from residuum.fp import MAX_WORKERS, primes_up_to
+from residuum.fp import MAX_WORKERS, factorize_block, primes_up_to
 from residuum.grid_ops import DIHEDRAL, LINES, permute
 from residuum.intgrid import (
     INADMISSIBLE,
@@ -18,6 +18,7 @@ from residuum.intgrid import (
     parametric_magic,
 )
 from residuum.search import (
+    SearchReport,
     _assemble,
     _scan_center,
     center_has_inadmissible_factor,
@@ -302,6 +303,45 @@ def test_scan_center_matches_layout_walker():
                 else:
                     assert got[1:] == expected, (e, threshold, primitive_only)
     assert near_misses_compared > 0
+
+
+def test_sieve_fed_scan_matches_the_trial_division_reference():
+    # given the block sieve's factorisation, a center skips its assembly
+    # below four pairs and takes its splits from the cache; without it, it
+    # trial-divides and splits each prime anew, as before the sieve
+    skipped = 0
+    for e, factors in zip(range(1, 3001), factorize_block(range(1, 3001))):
+        for threshold in (0, 4, 7, 8):
+            for primitive_only in (True, False):
+                task = (e, primitive_only, threshold)
+                assert _scan_center(task, factors) == _scan_center(task), task
+        skipped += len(isqrt_pairs(e)) < 4
+    # 5 * 13 and 5**4 have exactly four pairs, so they are assembled
+    assert len(isqrt_pairs(65)) == len(isqrt_pairs(625)) == 4
+    assert skipped > 2500
+
+
+@pytest.mark.parametrize("e_max, primitive_only, threshold", [(20000, True, 7), (400, False, 4)])
+def test_search_folds_the_per_center_reference_scans(e_max, primitive_only, threshold):
+    # blocks of many centers, sieved and merged per block, against a fold of
+    # one trial-division scan per center in ascending e; below 20000 no
+    # center gives a grid at the defaults, so the second case lists grids
+    pruned = candidates = 0
+    hits, nears = [], []
+    for e in range(1, e_max + 1):
+        was_pruned, count, hit_cells, near_cells = _scan_center((e, primitive_only, threshold))
+        pruned += was_pruned
+        candidates += count
+        hits += map(IntGrid, hit_cells)
+        nears += map(IntGrid, near_cells)
+    expected = SearchReport(pruned, candidates, tuple(hits), tuple(nears))
+    assert candidates > 0 and (pruned > 0) == primitive_only
+    assert len(nears) == (0 if primitive_only else candidates)
+    for workers in (1, 2):
+        got = search_msos(
+            1, e_max, primitive_only, near_miss_threshold=threshold, workers=workers
+        )
+        assert got == expected, workers
 
 
 def test_assemble_finds_the_lo_shu():
