@@ -699,8 +699,8 @@ def _yn(flag: bool) -> str:
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     # refuse before the O(p) context: the sweep bound, the ceiling, then the
-    # primality proof, then p = 3 (mod 4); make_context's second proof is
-    # O(sqrt(p))
+    # primality proof, then p = 3 (mod 4); make_context's second proof is a
+    # few modular powers
     if not 2 <= sweep_max_m <= MAX_SWEEP_M:
         raise BadParameters(
             f"--sweep-max-m must be in [2, {MAX_SWEEP_M}], got {sweep_max_m}; "

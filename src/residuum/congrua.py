@@ -135,7 +135,7 @@ class Coverage(Enum):
 
 def coverage_status(p: int) -> Coverage:
     """Which construction (if any) reaches p; see `_classify_prime`. Proves p
-    prime first, by trial division, O(sqrt(p)).
+    prime first, by Miller-Rabin (`fp.is_prime`), a few modular powers.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")

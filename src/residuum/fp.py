@@ -14,7 +14,7 @@ from array import array
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, cycle, islice
+from itertools import accumulate, chain, compress, cycle, dropwhile, islice
 from math import isqrt
 
 from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
@@ -25,14 +25,16 @@ from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 MAX_CONTEXT_P = 10**7
 
 # Largest center root that `search_msos` scans and `admissible_center_check`
-# factors. Both end in trial division for a prime e: `factorize` tries about
-# sqrt(e)/2 numbers, 0.65 s near 10**14 (Python 3.11, 2-vCPU machine), and
-# `factorize_block` about sqrt(e)/4, those prime to 30 past its sieve.
+# factors. is_prime proves a prime e or prime cofactor at once, but
+# `prime_factors` still walks up to the smaller factor of a semiprime:
+# 0.3-0.4 s for 9999973 * 9999991 near 10**14 (Python 3.11, 2-vCPU machine),
+# and that walk grows as sqrt(e).
 MAX_CENTER_ROOT = 10**14
 
-# `factorize_block` sieves by the primes below this bound and trial-divides a
-# center's cofactor past it, so a block of centers near MAX_CENTER_ROOT pays
-# for 6542 sieving primes, not the 664,579 below sqrt(MAX_CENTER_ROOT).
+# `factorize_block` sieves by the primes below this bound and hands a
+# center's cofactor past it to `prime_factors`, so a block of centers near
+# MAX_CENTER_ROOT pays for 6542 sieving primes, not the 664,579 below
+# sqrt(MAX_CENTER_ROOT).
 BLOCK_SIEVE_BOUND = 2**16
 # `factorize_block` sieves a block this many centers at a time, so that at
 # most this many factorisations, about 1 MB, exist at once.
@@ -44,51 +46,98 @@ SIEVE_SEGMENT = 2**12
 MAX_WORKERS = 64
 
 
-def prime_factors(n: int) -> Iterator[int]:
-    """Prime factors of n >= 1, ascending and with multiplicity, by trial
-    division over 2 and the odd numbers. Lazy, so a caller that stops early
-    skips the rest of the work. Run to the end, it tries each f up to the
-    square root of n's largest prime factor or up to its second-largest,
-    whichever is later: about sqrt(n)/2 divisions for n prime."""
-    for f in chain((2,), count(3, 2)):
-        if f * f > n:
-            break
-        while n % f == 0:
-            yield f
-            n //= f
-    if n > 1:
-        yield n
+# (a, psi) for the first 13 primes a: psi is the least odd composite that is
+# a strong probable prime to every base up to a, so Miller-Rabin to those
+# bases is exact below it (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_ROUNDS = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Exact; n is prime when it is its own smallest prime factor. A composite
-    returns at that factor; a prime below MAX_CONTEXT_P takes at most 1581
-    divisions."""
-    return n >= 2 and next(prime_factors(n)) == n
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, ascending. Exact
-    for any n; a prime near 10**12 takes about 0.07 s on Python 3.11."""
-    return dict(Counter(prime_factors(n)))
+    """Exact, by deterministic Miller-Rabin, for every n below about
+    3.3 * 10**24. n is first divided by the 13 bases 2..41, then tested as a
+    strong probable prime to each base in turn until n is below that base's
+    psi: two rounds below 1.37 * 10**6, seven near 10**14, each one modular
+    power and at most log2(n) squarings. A composite mostly fails the first
+    round. An n that passes all 13 rounds and is not below the last psi is
+    not proven, and raises BoundExceeded."""
+    if n < 2:
+        return False
+    for a, _ in _MR_ROUNDS:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a, psi in _MR_ROUNDS:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise BoundExceeded(
+        f"{n} passes Miller-Rabin to the first 13 prime bases, which proves a "
+        f"prime only below {psi}"
+    )
 
 
 # steps from 1 through the residues mod 30 prime to 30: 1, 7, 11, ..., 29, 31
 _WHEEL_GAPS = (6, 4, 2, 4, 2, 4, 6, 2)
 
 
-def _wheel_factors(n: int, least: int) -> Iterator[int]:
-    """prime_factors(n) for an n with no prime factor below least >= 7, by
-    trial division over the numbers prime to 30 from about least: 8 in each
-    30, not prime_factors' 15."""
-    for f in accumulate(cycle(_WHEEL_GAPS), initial=least - least % 30 + 1):
-        if f * f > n:
-            break
-        while n % f == 0:
-            yield f
-            n //= f
+def prime_factors(n: int, least: int = 2) -> Iterator[int]:
+    """Prime factors of n >= 1, ascending and with multiplicity, for an n with
+    no prime factor below least. Lazy, so a caller that stops early skips the
+    rest of the work.
+
+    Trial division by 2, 3 and 5 and then the numbers prime to 30, 8 in each
+    30, from least on. The walk stops at a divisor f with f^2 > n, or once
+    is_prime proves what is left of n; the proof runs only while the walk
+    still has such an f to try, once at the start and once after each factor.
+    So a prime or a prime cofactor costs one Miller-Rabin test, and a
+    semiprime with two factors near 10**7 the full walk, about 2.7 * 10**6
+    divisions. BoundExceeded comes from is_prime for a cofactor of about
+    3.3 * 10**24 or more that it cannot prove.
+    """
+    start = max(least, 7)
+    wheel = accumulate(cycle(_WHEEL_GAPS), initial=start - start % 30 + 1)
+    if n < least * least or not is_prime(n):
+        for f in chain((q for q in (2, 3, 5) if q >= least), dropwhile(start.__gt__, wheel)):
+            if f * f > n:
+                break
+            if n % f:
+                continue
+            while n % f == 0:
+                yield f
+                n //= f
+            if f * f <= n and is_prime(n):
+                break
     if n > 1:
         yield n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, ascending, from
+    prime_factors. A prime near 10**14 takes about 0.1 ms; the slowest n below
+    10**14 are semiprimes with two factors near 10**7, 0.3-0.4 s."""
+    return dict(Counter(prime_factors(n)))
 
 
 @lru_cache(maxsize=None)
@@ -110,8 +159,8 @@ def factorize_block(block: range) -> Iterator[dict[int, int]]:
     prime. The sieving primes are those below the power of two above
     sqrt(max e), so a process sieves them at most 16 times. What is left of
     e has no prime factor up to the sieve's limit s; below (s + 1)^2 it is 1
-    or a prime, and above it, which happens only for e above 2**32, it is
-    trial-divided from s + 1 over the numbers prime to 30.
+    or a prime, and above it, which happens only for e above 2**32, it goes
+    to prime_factors from s + 1.
     """
     if block and (block[0] < 1 or block.step != 1):
         raise ValueError(f"need a block of consecutive integers >= 1, got {block}")
@@ -142,7 +191,7 @@ def _sieve_segment(segment: range) -> list[dict[int, int]]:
         if r <= limit * (limit + 2):  # below (limit + 1)^2, so prime
             f[r] = 1
             continue
-        for p in _wheel_factors(r, limit + 1):
+        for p in prime_factors(r, limit + 1):
             f[p] = f.get(p, 0) + 1
     return factors
 
@@ -173,9 +222,8 @@ def two_square_splits(n: int) -> Iterator[tuple[int, int, int]]:
     writes a at index m // 4 of each sum m; the sieve then picks the primes
     and b is read back as sqrt(p - a^2). By Fermat a prime p = 1 (mod 4) is
     such a sum in exactly one way, so its entry is its split; a composite
-    may be a sum (25 = 3^2 + 4^2) or several, and the sieve drops it, so no
-    Euler pseudoprime such as 3277 gets the split two_squares would give it.
-    The sieve takes a byte per n while it runs; its flags for 1, 5, 9, ...
+    may be a sum (25 = 3^2 + 4^2) or several, and the sieve drops it. The
+    sieve takes a byte per n while it runs; its flags for 1, 5, 9, ...
     and the entries, a < 2^16, then take 0.75 bytes per n.
     """
     if n < 5:
@@ -193,12 +241,9 @@ def two_square_splits(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _sqrt_int(a: int, p: int) -> int:
-    """Smaller square root of a mod p (Tonelli-Shanks), for callers that hold
-    no PrimeContext root table, such as two_squares.
-
-    The caller must ensure a is 0 or a quadratic residue. For p = 1 (mod 4),
-    NotPrime when Euler's criterion shows p composite.
-    """
+    """Smaller square root of a mod a prime p (Tonelli-Shanks), for callers
+    that hold no PrimeContext root table, such as two_squares. The caller
+    must ensure p is prime and a is 0 or a quadratic residue."""
     a %= p
     if a == 0:
         return 0
@@ -213,9 +258,7 @@ def _sqrt_int(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while (euler := pow(z, (p - 1) // 2, p)) != p - 1:
-        if euler != 1:  # Euler's criterion is +-1 modulo a prime
-            raise NotPrime(f"{p} is not prime")
+    while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
@@ -240,16 +283,13 @@ def two_squares(p: int) -> tuple[int, int]:
     Number Theory, 1.5): Euclid on p and sqrt(-1) mod p stops at the first
     remainder below sqrt(p), which is one of the two; O(log p) steps.
 
-    Primality is not tested, as it would cost more than the rest: callers
-    hold p from is_prime, a PrimeContext or a factorisation (the search's
-    pair construction, from `factorize` or `factorize_block`), and `table`
-    takes its splits from `two_square_splits` instead. A composite p raises
-    NotPrime when Euler's criterion exposes it, as it does for every composite
-    below 10^5 except the Euler pseudoprimes 3277, 29341, 49141, 80581 and
-    88357, which get a split like a prime's.
+    p is proved prime by is_prime first, so a composite raises NotPrime,
+    the Euler pseudoprimes to base 2 (3277 = 29 * 113) among them.
     """
     if p % 4 != 1:
         raise BadPrimeForm(f"two squares need p = 1 (mod 4), got {p}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     x, y = p, _sqrt_int(p - 1, p)
     while y * y > p:
         x, y = y, x % y
@@ -278,7 +318,7 @@ class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
                 f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
                 "a context holds a root table of p entries"
             )
-        if p < 2 or not is_prime(p):
+        if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         root = array("I", [0]) * p
         for x in range(1, p // 2 + 1):

@@ -94,7 +94,7 @@ def admissible_center_check(e: int) -> CenterReport:
     if e > MAX_CENTER_ROOT:
         raise BoundExceeded(
             f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-            "trial division takes about sqrt(e)/2 steps"
+            "a root with two large prime factors is trial-divided up to the smaller one"
         )
     verdicts = tuple(
         (q, ADMISSIBLE if q == 2 or q % 4 == 1 else INADMISSIBLE)

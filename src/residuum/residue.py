@@ -273,11 +273,8 @@ def runs_from_split(p: int, a: int, b: int) -> int:
 
 def run_count(p: int) -> int:
     """|C_p| for a prime p = 1 (mod 4), in O(log p) and without a residue
-    table: runs_from_split on two_squares(p).
-
-    p must be proved prime first: a composite gives a meaningless count, or
-    NotPrime from two_squares. run_count(3277) returns 396, and 3277 = 29 * 113.
-    """
+    table: runs_from_split on two_squares(p), which raises NotPrime for a
+    composite p."""
     return runs_from_split(p, *two_squares(p))
 
 

@@ -59,7 +59,6 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
         if p % 4 != 1:
             scale *= p**k
             continue
-        # p is a prime factor of e, so two_squares is exact
         a, b = split(p)
         powers = [(1, 0)]
         for _ in range(2 * k):
@@ -76,7 +75,7 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
 
 def center_has_inadmissible_factor(e: int, factors: dict[int, int] | None = None) -> bool:
     """True when some prime = 3 (mod 4) divides e: one of `factors`, e's
-    factorisation, or one found by trial division, which stops there.
+    factorisation, or one found by `prime_factors`, which stops there.
 
     Such a center root is impossible for a primitive hit; reducible hits
     reappear at the reduced center root, so pruning these e loses nothing.
@@ -188,8 +187,8 @@ def search_msos(
     if e_max > MAX_CENTER_ROOT:
         raise BoundExceeded(
             f"e_max {e_max} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-            f"past the sieve's primes below {BLOCK_SIEVE_BOUND}, trial division "
-            "takes about sqrt(e)/4 steps per center"
+            f"past the sieve's primes below {BLOCK_SIEVE_BOUND}, a center with "
+            "two large prime factors is trial-divided up to the smaller one"
         )
     if not 0 <= near_miss_threshold <= 8:
         raise BadParameters(

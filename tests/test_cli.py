@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import residuum
 from residuum import cli, congrua, fp, residue, search
 from residuum.cli import main
-from residuum.fp import PrimeContext, primes_up_to
+from residuum.fp import PrimeContext, is_prime, primes_up_to
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
 from test_golden import GOLDEN, VERIFY_FILES
@@ -435,8 +435,9 @@ def test_verify_center_root_ceiling(tmp_path, capsys):
         f = tmp_path / f"center{e}.txt"
         f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
         assert run(capsys, "verify", str(f))[0] == code, e
-    # nine cells (10**18 + 3)^2: trial division of the root would run for
-    # hours, so the whole call must end at the ceiling
+    # nine cells (10**18 + 3)^2: the root is past the factoring ceiling, where
+    # a root with two prime factors near 10**9 would be trial-divided for
+    # minutes, so the whole call must end at the ceiling
     f = tmp_path / "huge.txt"
     f.write_text(" ".join([str((10**18 + 3) ** 2)] * 9) + "\n")
     src = Path(residuum.__file__).resolve().parents[1]
@@ -585,8 +586,9 @@ def test_search_refuses_bad_settings(capsys, monkeypatch, pool_sizes, threads, e
     "e_min, e_max, code", [(10**14, 10**14, 0), (10**14 + 1, 10**14 + 1, 2), (1, 10**20, 2)]
 )
 def test_search_center_root_ceiling(capsys, e_min, e_max, code):
-    # [1, 10**20] is too long a range for len(); below that, a prime center
-    # near the top would take about sqrt(e)/4 trial divisions past the sieve
+    # [1, 10**20] is too long a range for len(); past the ceiling, a center
+    # with two large prime factors would be trial-divided past the sieve up to
+    # the smaller one
     out_code, out, err = run(capsys, "search", str(e_min), str(e_max), "--workers", "1")
     assert out_code == code
     if code == 2:
@@ -686,13 +688,22 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(congrua, "is_prime", started)
     monkeypatch.setattr(cli, "two_square_splits", started)
     monkeypatch.setattr(fp, "_prime_flags", started)
+    proved = []
     if argv == ["verify"]:
         # center root 1000000009 is a prime = 1 (mod 4): its residue class
-        # would need a context of about 5*10**8 residues
+        # would need a context of about 5*10**8 residues. Factoring the root
+        # proves it prime, once; a context would prove it again
         f = tmp_path / "grid.txt"
         f.write_text(f"1 1 1\n1 {1000000009**2} 1\n1 1 1\n")
         argv = ["verify", str(f)]
+
+        def proving(n):
+            proved.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(fp, "is_prime", proving)
     code, out, err = run(capsys, *argv)
+    assert proved == ([1000000009] if argv[0] == "verify" else [])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

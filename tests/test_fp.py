@@ -1,6 +1,7 @@
 import random
 import tracemalloc
-from itertools import compress
+from collections import Counter
+from itertools import chain, compress, count, islice
 from math import isqrt, prod
 
 import pytest
@@ -21,6 +22,7 @@ from residuum.fp import (
     is_prime,
     legendre,
     make_context,
+    prime_factors,
     primes_up_to,
     sqrt_mod,
     two_square_splits,
@@ -34,9 +36,69 @@ def brute_qr_set(p):
     return tuple(sorted({n * n % p for n in range(1, p)}))
 
 
+def trial_factors(n):
+    """Prime factors of n >= 1, ascending and with multiplicity, by trial
+    division over 2 and the odd numbers up to the square root of what is
+    left: the reference for fp's divider, about sqrt(n)/2 steps for n prime."""
+    for f in chain((2,), count(3, 2)):
+        if f * f > n:
+            break
+        while n % f == 0:
+            yield f
+            n //= f
+    if n > 1:
+        yield n
+
+
 def test_primes_up_to_matches_trial_division():
-    assert primes_up_to(10**5) == [n for n in range(10**5 + 1) if is_prime(n)]
+    assert primes_up_to(10**5) == [n for n in range(2, 10**5 + 1) if next(trial_factors(n)) == n]
     assert primes_up_to(1) == []
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(10**6) if is_prime(n)] == primes_up_to(10**6 - 1)
+    assert not any(map(is_prime, range(-5, 2)))
+
+
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases, for k = 1..12 (psi_8 = psi_7, psi_10 = psi_11 =
+# psi_9): each passes its first k bases and fails Miller-Rabin to all 13
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_the_strong_pseudoprimes(n):
+    assert is_prime(n) is False
+
+
+def test_is_prime_refuses_what_it_cannot_prove():
+    # psi_13 = 1287836182261 * 2575672364521 passes all 13 bases
+    assert 1287836182261 * 2575672364521 == PSI_13
+    with pytest.raises(BoundExceeded, match="Miller-Rabin"):
+        is_prime(PSI_13)
+    with pytest.raises(BoundExceeded):
+        is_prime(2**89 - 1)  # prime, past psi_13
+    assert is_prime(PSI_13 + 2) is False  # divisible by 3
+    assert is_prime(2**61 - 1) is True
+
+
+def test_is_prime_proves_a_proth_prime_below_psi_13():
+    # Proth: N = k * 2^m + 1 with k < 2^m is prime when 3^((N-1)/2) = -1
+    # mod N, so N needs all 13 rounds and an independent proof
+    n = 313 * 2**70 + 1
+    assert STRONG_PSEUDOPRIMES[-1] < n < PSI_13 and pow(3, (n - 1) // 2, n) == n - 1
+    assert is_prime(n) is True
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,11 +111,15 @@ def test_factorize_multiplies_back(n):
         assert q >= 2 and all(q % d for d in range(2, isqrt(q) + 1)), q
 
 
-FACTORED = [factorize(e) for e in range(1, 10**5 + 1)]
+@pytest.fixture(scope="module")
+def factored():
+    # made when first asked for, not at import, so that a divider that loops
+    # hangs only the tests that factor, not every test of this file
+    return [factorize(e) for e in range(1, 10**5 + 1)]
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 31, 1000, 10**5])
-def test_factorize_block_matches_factorize(width):
+def test_factorize_block_matches_factorize(width, factored):
     # every e in [1, 10**5], cut into blocks of `width` after a first block
     # of `offset`, so blocks start at many residues of the small primes; a
     # block of 10**5 is sieved in segments
@@ -63,7 +129,7 @@ def test_factorize_block_matches_factorize(width):
         got = []
         for lo, hi in zip(starts, starts[1:] + [10**5 + 1]):
             got += factorize_block(range(lo, hi))
-        assert got == FACTORED, offset
+        assert got == factored, offset
         # ascending, as factorize gives them
         assert all(list(f) == sorted(f) for f in got)
 
@@ -75,6 +141,25 @@ def test_factorize_block_matches_factorize_on_large_centers(block):
     got = list(factorize_block(block))
     assert got == [factorize(e) for e in block]
     assert all(list(f) == sorted(f) for f in got)
+
+
+@pytest.mark.parametrize(
+    "block", [range(10**12, 10**12 + 100), range(MAX_CENTER_ROOT - 29, MAX_CENTER_ROOT + 1)]
+)
+def test_factorize_matches_trial_division_on_large_centers(block):
+    # the top window holds the primes 10**14 - 29 and 10**14 - 27, and
+    # 10**14 - 11 = 2460707 * 40638727
+    assert [factorize(e) for e in block] == [dict(Counter(trial_factors(e))) for e in block]
+
+
+def test_prime_factors_walks_from_least():
+    # every start of the wheel, each against an n with no prime factor below
+    # least; islice bounds the walk, so a divider that loops fails here
+    primes = primes_up_to(1000)
+    for least in range(2, 101):
+        p, q, r, *_ = (x for x in primes if x >= least)
+        for n in (1, p, p * p, p * q, p**3 * r, q * r * 99991, 10**9 + 7, p * (10**9 + 7)):
+            assert list(islice(prime_factors(n, least), 64)) == list(trial_factors(n)), (least, n)
 
 
 @pytest.mark.parametrize("e", [65537**2, 65537 * 65539, 2 * 65537 * 65539])
@@ -153,15 +238,11 @@ def test_two_squares_matches_brute_search():
     for p in (2, 3, 7, 10007):
         with pytest.raises(BadPrimeForm):
             two_squares(p)
-    # Euler's criterion exposes every composite n = 1 (mod 4) below 10**5
-    # but these Euler pseudoprimes, which get a split like a prime's
-    pseudoprimes = {3277, 29341, 49141, 80581, 88357}
-    for n in range(5, 10**5, 4):
-        if is_prime(n):
-            continue
-        if n in pseudoprimes:
-            a, b = two_squares(n)
-            assert a * a + b * b == n
+    # every composite n = 1 (mod 4) below 10**5 is refused, the Euler
+    # pseudoprimes to base 2, which pass Euler's criterion, among them
+    primes = set(primes_up_to(10**5))
+    for n in (1, 3277, 29341, 49141, 80581, 88357, *range(5, 10**5, 4)):
+        if n in primes:
             continue
         with pytest.raises(NotPrime):
             two_squares(n)
@@ -172,7 +253,7 @@ def test_two_square_splits_match_two_squares():
     splits = list(two_square_splits(n))
     assert splits == [(p, *two_squares(p)) for p in primes_up_to(n) if p % 4 == 1]
     # composite sums of two squares get no entry, the Euler pseudoprimes
-    # that two_squares splits like primes among them
+    # among them
     assert {p for p, _, _ in splits}.isdisjoint({25, 65, 3277, 29341, 49141, 80581, 88357})
     for n in range(-3, 200):
         assert list(two_square_splits(n)) == [

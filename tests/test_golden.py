@@ -23,7 +23,11 @@ an execution setting like `--format`: a search's bytes follow from its range,
 has one hash at one worker and at two. The `search 1 20000` hash was
 taken from the sources in which every center was still trial-divided, before
 each block of centers was factored by one sieve, so the sieve is held to
-that output across many blocks, at one worker and at two. A change that
+that output across many blocks, at one worker and at two. The
+`verify prime14.txt` hash, a grid of 2s around the square of the prime
+99999999999973, was taken from the sources that still proved a center root
+prime by trial division over the odd numbers, before Miller-Rabin did, so
+the one divider and its proof are held to that output. A change that
 alters output on purpose updates the hash and says why.
 """
 
@@ -61,6 +65,7 @@ GOLDEN = {
     "construct 53": (0, "f9baafe34eed6f8285950604c5c9f0361ce2a3a156ddb35d2cbfa3153942a6b4"),
     "verify sallows.txt": (0, "a1ae2310fc9278c43d5dc2c980b829e1e6c90a2a66330e6bb3cfb4c7ffa26006"),
     "verify tens.txt": (0, "01d796a570f82923908707c283323a77a63807d4eca09a0b170037ff7116db00"),
+    "verify prime14.txt": (0, "809dd24f2086a8efaa882168985b96b70e30ea18bf797087ece34b7ca8384d40"),
     "analyze 29 --format table": (0, "a3022da964011f6ee40b9fd17543b9f0fb63d270df4fa7b2f1a488746d52fb17"),
     "analyze 1009 --format table": (0, "b6a5605f2a99cce48e7a7ef056a4f090eb09944bdced4967e14dc238e206e342"),
     "analyze 50021 --format table": (0, "28d4fc243212a88ce0d6b450f755aa3e90491f90bdc0c9d18bf3810644c80595"),
@@ -80,6 +85,8 @@ VERIFY_FILES = {
     "sallows.txt": (127**2, 46**2, 58**2, 2**2, 113**2, 94**2, 74**2, 82**2, 97**2),
     # nine 10^2 cells: the parity pattern, and magic_sum and classify mod 5
     "tens.txt": (10**2,) * 9,
+    # 2s around the square of the largest prime below 10**14
+    "prime14.txt": (2,) * 4 + (99999999999973**2,) + (2,) * 4,
 }
 
 

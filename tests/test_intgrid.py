@@ -101,9 +101,10 @@ def test_admissible_center_check_refuses_above_the_factoring_ceiling(monkeypatch
     assert admissible_center_check(MAX_CENTER_ROOT).verdicts == ((2, ADMISSIBLE), (5, ADMISSIBLE))
 
     def factored(e):
-        raise AssertionError(f"trial division of {e} began")
+        raise AssertionError(f"factoring of {e} began")
 
-    # refused before any factoring: 2**89 - 1 is prime, about 10**13 divisions
+    # refused before any factoring, with the ceiling's message: 2**89 - 1 is
+    # a prime past psi_13, which is_prime would refuse with its own
     monkeypatch.setattr(intgrid, "factorize", factored)
     for e in (MAX_CENTER_ROOT + 1, 2**89 - 1):
         with pytest.raises(BoundExceeded, match="factoring ceiling"):
