@@ -118,7 +118,7 @@ def prime_factors(n: int, least: int = 2) -> Iterator[int]:
     """
     start = max(least, 7)
     wheel = accumulate(cycle(_WHEEL_GAPS), initial=start - start % 30 + 1)
-    if n < least * least or not is_prime(n):
+    if not is_prime(n):
         for f in chain((q for q in (2, 3, 5) if q >= least), dropwhile(start.__gt__, wheel)):
             if f * f > n:
                 break

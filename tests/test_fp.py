@@ -138,18 +138,14 @@ def test_factorize_block_matches_factorize(width, factored):
     "block", [range(10**12, 10**12 + 100), range(MAX_CENTER_ROOT - 99, MAX_CENTER_ROOT + 1)]
 )
 def test_factorize_block_matches_factorize_on_large_centers(block):
-    got = list(factorize_block(block))
-    assert got == [factorize(e) for e in block]
-    assert all(list(f) == sorted(f) for f in got)
-
-
-@pytest.mark.parametrize(
-    "block", [range(10**12, 10**12 + 100), range(MAX_CENTER_ROOT - 29, MAX_CENTER_ROOT + 1)]
-)
-def test_factorize_matches_trial_division_on_large_centers(block):
-    # the top window holds the primes 10**14 - 29 and 10**14 - 27, and
+    # against the odd-number divider, which shares no code with fp's; the top
+    # window holds the primes 10**14 - 29 and 10**14 - 27, and
     # 10**14 - 11 = 2460707 * 40638727
-    assert [factorize(e) for e in block] == [dict(Counter(trial_factors(e))) for e in block]
+    want = [dict(Counter(trial_factors(e))) for e in block]
+    got = list(factorize_block(block))
+    assert got == want
+    assert [factorize(e) for e in block] == want
+    assert all(list(f) == sorted(f) for f in got)
 
 
 def test_prime_factors_walks_from_least():
@@ -168,7 +164,9 @@ def test_factorize_block_splits_what_the_sieve_leaves(e):
     # composite cofactor with no prime factor below BLOCK_SIEVE_BOUND
     assert e >= BLOCK_SIEVE_BOUND**2
     for block in (range(e, e + 1), range(e - 40, e + 60)):
-        assert list(factorize_block(block)) == [factorize(n) for n in block]
+        want = [dict(Counter(trial_factors(n))) for n in block]
+        assert list(factorize_block(block)) == want
+        assert [factorize(n) for n in block] == want
 
 
 def test_factorize_block_refuses_what_is_not_a_block():
