@@ -92,8 +92,14 @@ def _assemble(m: int, offsets, threshold: int):
     center lines sum to 3m by construction. The top row does exactly when
     db = -(da + dc), and so does the bottom row; the left column does exactly
     when dd = dc - da, and so does the right one. So a layout has 4, 6 or 8
-    correct lines. Above threshold 4, dd is taken from its equation whenever
-    db misses its own; above threshold 6, both are.
+    correct lines. One with 6 or more has db = -(da + dc) or dd = dc - da.
+    With s = -da and t = |dc|, both fixes are positive and one is s - t, the
+    other s + t; so the layout holds a sum triple of offsets. Above threshold
+    4, a pair (da, dc) whose two fixes are not offsets is skipped whatever db
+    and dd are. No real center below 3 * 10**6 holds a sum triple, so there
+    every pair is skipped and a center with k offsets costs O(k^2) lookups at
+    thresholds 5-8. At threshold 4 or below, db and dd walk all 2k signed
+    offsets, O(k^4), as every layout is listed.
 
     Offsets must be distinct and positive, so the nine cells are distinct and
     the 8 symmetries of the square act freely on the 384 layouts of each
@@ -112,11 +118,13 @@ def _assemble(m: int, offsets, threshold: int):
                 continue
             row_fix = -(da + dc)
             col_fix = dc - da
-            for db in signed if threshold <= 6 else (row_fix,):
-                if abs(db) not in lengths or abs(db) in (-da, abs(dc)):
+            if threshold > 4 and row_fix not in lengths and col_fix not in lengths:
+                continue
+            for db in signed:
+                if abs(db) in (-da, abs(dc)):
                     continue
-                for dd in signed if 4 + 2 * (db == row_fix) >= threshold else (col_fix,):
-                    if dd <= db or abs(dd) not in lengths or abs(dd) in (-da, abs(db), abs(dc)):
+                for dd in signed:
+                    if dd <= db or abs(dd) in (-da, abs(db), abs(dc)):
                         continue
                     correct = 4 + 2 * (db == row_fix) + 2 * (dd == col_fix)
                     if correct < threshold:

@@ -7,11 +7,15 @@ imported or written.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from residuum import fp, search
 
 TRACE_PY = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
+SRC = Path(fp.__file__).resolve().parents[1]
 
 
 def traced_names() -> dict:
@@ -44,3 +48,23 @@ def test_context_cache_is_observable():
 def test_scan_center_prunes_through_module_global():
     # the tracer swaps search.center_has_inadmissible_factor in place
     assert "center_has_inadmissible_factor" in search._scan_center.__code__.co_names
+
+
+def test_bench_imports_load_every_traced_layer():
+    # bench/run.py imports residuum and its cli, fp and search, then
+    # Tracer.install reads sys.modules["residuum.<layer>"] for each layer;
+    # a layer loaded only on first use would be missing there
+    code = (
+        "import sys, residuum, residuum.cli, residuum.fp, residuum.search; "
+        "print(*(m for m in sys.modules if m.startswith('residuum.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    missing = {f"residuum.{layer}" for layer in traced_names()} - set(done.stdout.split())
+    assert missing == set()

@@ -267,17 +267,26 @@ def test_qr_tables_small():
 
 
 def test_root_table_matches_tonelli_shanks_and_euler():
-    # every residue of every prime below 10**4, against Euler's criterion and
-    # Tonelli-Shanks (_sqrt_int), neither of which reads a table
+    # every residue of every prime below 10**4: Euler's criterion, which reads
+    # no table, decides residuosity, and a root r of a must satisfy r*r = a
+    # with 1 <= r <= p//2, which of the two roots r and p - r only the
+    # smaller meets; below 2000, Tonelli-Shanks (_sqrt_int) gives it too
     for p in primes_up_to(10**4):
         ctx = PrimeContext(p)
-        assert ctx.qr_set == brute_qr_set(p), p
-        qr = [a == 1 for a in range(p)] if p == 2 else [pow(a, p // 2, p) == 1 for a in range(p)]
-        square = [q or a == 0 for a, q in enumerate(qr)]
-        assert [ctx.is_qr(a) for a in range(p)] == qr, p
-        assert [ctx.is_square(a) for a in range(p)] == square, p
-        assert list(ctx.root) == [_sqrt_int(a, p) if s else 0 for a, s in enumerate(square)], p
-        for a in compress(range(p), (not s for s in square)):
+        half = p // 2
+        qr = [a == 1 for a in range(p)] if p == 2 else [pow(a, half, p) == 1 for a in range(p)]
+        assert ctx.qr_set == tuple(compress(range(p), qr)), p
+        assert list(map(ctx.is_qr, range(p))) == qr, p
+        assert list(map(ctx.is_square, range(p))) == [True, *qr[1:]], p
+        wrong = [
+            a
+            for a, (r, q) in enumerate(zip(ctx.root, qr))
+            if not (1 <= r <= half and r * r % p == a if q else r == 0)
+        ]
+        assert wrong == [], p
+        if p < 2000:
+            assert list(ctx.root) == [_sqrt_int(a, p) if q else 0 for a, q in enumerate(qr)], p
+        for a in compress(range(1, p), (not q for q in qr[1:])):
             try:  # pytest.raises would cost more than the rest of the test
                 sqrt_mod(ctx, a)
             except NonResidue:

@@ -1,5 +1,5 @@
 from itertools import combinations, permutations, product
-from math import comb, isqrt, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -95,6 +95,39 @@ def brute_pairs(e):
             if x * x + y * y == target and x != e and y != e:
                 out.append((x * x, y * y))
     return out
+
+
+def euclid_offsets(n):
+    """Whole-range oracle for `pair_decompositions`: the full offsets of
+    every center root e <= n, as offsets[e], with no factoring.
+
+    x^2 + y^2 = 2e^2 with x < e < y exactly when a = (x + y)/2 and
+    b = (y - x)/2 are the legs of a right triangle with hypotenuse e, and
+    then the offset e^2 - x^2 is 2ab. Every such triangle is k times one of
+    Euclid's primitive triples (p^2 - q^2, 2pq, p^2 + q^2), p > q > 0
+    coprime and of opposite parity."""
+    offsets = [[] for _ in range(n + 1)]
+    for p in range(2, isqrt(n) + 1):
+        for q in range(1 + p % 2, p, 2):
+            c = p * p + q * q
+            if c > n:
+                break
+            if gcd(p, q) == 1:
+                ab = (p * p - q * q) * 2 * p * q
+                for k in range(1, n // c + 1):
+                    offsets[k * c].append(2 * k * k * ab)
+    return offsets
+
+
+def smallest_prime_factors(n):
+    """spf[e] is the least prime factor of 2 <= e <= n: each prime p up to
+    sqrt(n), by trial division, marks its multiples from p^2, largest p
+    first so that smaller primes overwrite it."""
+    spf = list(range(n + 1))
+    for p in reversed(range(2, isqrt(n) + 1)):
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
 
 
 def test_pair_decompositions_examples():
@@ -344,6 +377,45 @@ def test_search_folds_the_per_center_reference_scans(e_max, primitive_only, thre
         assert got == expected, workers
 
 
+EUCLID_MAX = 10**5
+
+
+@pytest.fixture(scope="module")
+def euclid():
+    return euclid_offsets(EUCLID_MAX)
+
+
+def test_pair_decompositions_match_euclid_over_the_whole_range(euclid):
+    # every center root to 10**5, factored by the block sieve as search does
+    centers = range(1, EUCLID_MAX + 1)
+    for e, factors in zip(centers, factorize_block(centers)):
+        got = [e * e - lo for lo, _ in pair_decompositions(e, factors)]
+        assert sorted(got) == sorted(euclid[e]), e
+
+
+def test_search_matches_euclid_over_the_whole_range(euclid):
+    # a layout with 6 or more correct lines holds a sum triple s, t, s + t
+    # of one center's offsets (see _assemble); below 10**5 there is none,
+    # so no threshold 5-8 reports a grid, and candidates_tested sums
+    # 48 * C(k, 4) over the k offsets of each center that no prime
+    # = 3 (mod 4) divides
+    for e in range(1, EUCLID_MAX + 1):
+        lengths = set(euclid[e])
+        assert not any(s + t in lengths for s in lengths for t in lengths if s < t), e
+    spf = smallest_prime_factors(EUCLID_MAX)
+    pruned = candidates = 0
+    for e in range(1, EUCLID_MAX + 1):
+        n = e
+        while n > 1 and spf[n] % 4 != 3:
+            n //= spf[n]
+        pruned += n > 1
+        candidates += 48 * comb(len(euclid[e]), 4) if n == 1 else 0
+    assert pruned > 0 and candidates > 10**8
+    for threshold in (5, 6, 7, 8):
+        report = search_msos(1, EUCLID_MAX, near_miss_threshold=threshold)
+        assert report == SearchReport(pruned, candidates, (), ()), threshold
+
+
 def test_assemble_finds_the_lo_shu():
     # 4 9 2 / 3 5 7 / 8 1 6 is 5 +- 1..4: the positive control that the
     # square search itself cannot give, with 6-line near misses besides
@@ -375,6 +447,31 @@ def test_assemble_matches_walker_where_hits_exist(t, gap, extra):
         got = _assemble(m, offsets, threshold)
         assert got == walk_layouts(m, pairs, threshold), threshold
         assert (lucas in got[1]) == (threshold <= 8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    t=st.integers(1, 20),
+    gap=st.integers(1, 20),
+    extra=st.sets(st.integers(1, 45), min_size=1, max_size=2),
+)
+def test_assemble_matches_walker_on_sum_triples_without_hits(t, gap, extra):
+    # s, t and s + t without s - t: the row or the column fix of some pairs
+    # (da, dc) is an offset, so only those escape the prune above
+    # threshold 4, and they give 6-line layouts but no magic square
+    s = t + gap
+    assume(gap != t)
+    lengths = {s, t, s + t} | extra - {gap}
+    assume(len(lengths) >= 4)
+    # nor any four offsets u, v, u + v, u - v of a hit
+    assume(not any(u + v in lengths and u - v in lengths - {v} for u in lengths for v in lengths))
+    offsets = sorted(lengths)
+    m = 100
+    pairs = [(m - u, m + u) for u in offsets]
+    for threshold in range(10):
+        got = _assemble(m, offsets, threshold)
+        assert got == walk_layouts(m, pairs, threshold), threshold
+        assert got[1] == () and bool(got[2]) == (threshold <= 6), threshold
 
 
 @settings(max_examples=60, deadline=None)
