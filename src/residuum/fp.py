@@ -240,57 +240,26 @@ def two_square_splits(n: int) -> Iterator[tuple[int, int, int]]:
         yield p, a, isqrt(p - a * a)
 
 
-def _sqrt_int(a: int, p: int) -> int:
-    """Smaller square root of a mod a prime p (Tonelli-Shanks), for callers
-    that hold no PrimeContext root table, such as two_squares. The caller
-    must ensure p is prime and a is 0 or a quadratic residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # factor p - 1 as q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
 def two_squares(p: int) -> tuple[int, int]:
     """(a, b) with a^2 + b^2 = p, a odd and both positive, for a prime
     p = 1 (mod 4). Hermite-Serret (Cohen, A Course in Computational Algebraic
     Number Theory, 1.5): Euclid on p and sqrt(-1) mod p stops at the first
     remainder below sqrt(p), which is one of the two; O(log p) steps.
 
-    p is proved prime by is_prime first, so a composite raises NotPrime,
-    the Euler pseudoprimes to base 2 (3277 = 29 * 113) among them.
+    sqrt(-1) is c^((p - 1)/4) for the least non-residue c: its square is
+    c^((p - 1)/2), which is -1 by Euler's criterion (Brillhart, Math. Comp.
+    26 (1972)). p is proved prime by is_prime first, so a composite raises
+    NotPrime, the Euler pseudoprimes to base 2 (3277 = 29 * 113) among
+    them, and a non-residue exists.
     """
     if p % 4 != 1:
         raise BadPrimeForm(f"two squares need p = 1 (mod 4), got {p}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    x, y = p, _sqrt_int(p - 1, p)
+    c = 2
+    while legendre(c, p) != -1:
+        c += 1
+    x, y = p, pow(c, (p - 1) // 4, p)
     while y * y > p:
         x, y = y, x % y
     z = isqrt(p - y * y)

@@ -43,23 +43,21 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
     contributes pi^j * conj(pi)^(2k - j) for j = 0..2k, where p = pi*conj(pi)
     comes from `two_squares`. The prod(2k + 1) products include x = y = e
     once; the others meet every pair twice, as z and its conjugate. So a
-    center costs O(prod(2k + 1)) products. Given `factors`, e's
-    factorisation, the splits come from a cache; without it, e is
-    trial-divided and each p split anew, the tests' reference.
+    center costs O(prod(2k + 1)) products, and each split comes from a
+    cache. `factors` is e's factorisation; without it, e is trial-divided,
+    the tests' reference.
     """
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
     if factors is None:
-        factors, split = factorize(e), two_squares
-    else:
-        split = _split
+        factors = factorize(e)
     scale = 1
     zs = [(1, 1)]
     for p, k in factors.items():
         if p % 4 != 1:
             scale *= p**k
             continue
-        a, b = split(p)
+        a, b = _split(p)
         powers = [(1, 0)]
         for _ in range(2 * k):
             x, y = powers[-1]

@@ -27,8 +27,13 @@ that output across many blocks, at one worker and at two. The
 `verify prime14.txt` hash, a grid of 2s around the square of the prime
 99999999999973, was taken from the sources that still proved a center root
 prime by trial division over the odd numbers, before Miller-Rabin did, so
-the one divider and its proof are held to that output. A change that
-alters output on purpose updates the hash and says why.
+the one divider and its proof are held to that output. The two `search`
+windows below 10**12 and 10**14 list layouts built from the splits of
+15228581, 148456057, 13513513513, 58823529409 and 19999999999997, the last
+three through the sieve's cofactors above 2**32; their hashes were taken from
+the sources in which `two_squares` still found sqrt(-1) by Tonelli-Shanks,
+so the power of a non-residue is held to that output. A change that alters
+output on purpose updates the hash and says why.
 """
 
 import hashlib
@@ -50,6 +55,8 @@ GOLDEN = {
     "search 60 600 --no-primitive-only --near-miss-threshold 7 --workers 1": (0, "b101b9d2ee8f9e520ef1681d4878c051349f476cbcc0b2bd4577caacb290a930"),
     "search 60 600 --no-primitive-only --near-miss-threshold 8 --workers 1": (0, "67bf40d357fc4a9e5eed3ed702df1750dfdbce1e07b37cdbca07fb35c62e0e8f"),
     "search 60 300 --near-miss-threshold 4 --workers 1": (0, "3b0d45352f0ab57b02617361a89cc77ed9a55ea4825bd6826c1791b3c52b3c1a"),
+    "search 999999999946 999999999962 --near-miss-threshold 4 --workers 1": (0, "8e1a947b31ef0661246f4468d75cf0bd3139588575af487ae51e0350f4ade4bd"),
+    "search 99999999999980 99999999999990 --near-miss-threshold 4 --workers 1": (0, "e6fe46647afb1adf028872abb8627529c69367ad20e16d21fe315bf62ea6d758"),
     "table 10000 --format csv": (0, "b494623aa086f57515111119f609a26dc5eb1dd5388ae9608a5052dc4cb33817"),
     "table 10000": (0, "a4575af9a2fcb9add86d604fa9f09968cbbeff77974766942ca8394f74ae4d73"),
     "construct 13": (1, "0d779f49cf01b5463114cc01365c4d3fbf653830b029185985d4bad55a47f980"),

@@ -11,7 +11,7 @@ from residuum.errors import (
     NotMagic,
     NonzeroCenter,
 )
-from residuum.fp import PrimeContext, _sqrt_int, legendre, make_context, primes_up_to
+from residuum.fp import PrimeContext, legendre, make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
@@ -181,25 +181,24 @@ def test_gen_nontrivial_f29(grid_f29):
     assert classify(g37) is ClassKind.NONTRIVIAL
 
 
-def slow_class_entry(ctx, n):
-    """One nontrivial_classes entry of analyze, independent of the context's
-    root table: roots by Tonelli-Shanks after Euler's criterion, the w*b
-    products on ints mod p, and one Tonelli-Shanks root per cell."""
-    p = ctx.p
+def slow_class_entry(p, root, n):
+    """One nontrivial_classes entry of analyze mod p, independent of the
+    context's root table: `root` maps each square mod p to its smaller root,
+    residuosity is Euler's criterion, and the w*b products are ints mod p."""
 
-    def sqrt_ts(v):
+    def sqrt_checked(v):
         assert legendre(v, p) == 1
-        return _sqrt_int(v, p)
+        return root[v % p]
 
-    w = sqrt_ts(-1)
-    a, b, g = sqrt_ts(n + 2), sqrt_ts(n + 1), sqrt_ts(n)
+    w = sqrt_checked(-1)
+    a, b, g = sqrt_checked(n + 2), sqrt_checked(n + 1), sqrt_checked(n)
     cells = [
         (w * b) ** 2, g * g, 1,
         a * a, 0, (w * a) ** 2,
         w * w, (w * g) ** 2, b * b,
     ]
     vals = [c % p for c in cells]
-    roots = [_sqrt_int(v, p) for v in vals]
+    roots = [root[v] for v in vals]
     rows = [vals[0:3], vals[3:6], vals[6:9]]
     return {"member": n, "grid": {"cells": rows, "roots": [roots[0:3], roots[3:6], roots[6:9]]}}
 
@@ -208,13 +207,15 @@ def test_analyze_classes_match_the_field_element_path():
     for p in primes_up_to(2000):
         if p % 4 != 1:
             continue
-        ctx = make_context(p)
+        # the smaller root by definition: x*x for x = 0..p//2 meets each
+        # square once
+        root = {x * x % p: x for x in range(p // 2 + 1)}
         members = [
             n for n in range(1, p - 2)
             if all(legendre(n + i, p) == 1 for i in range(3))
         ]
         got = json.loads(run_analyze(p, 0).to_json())["results"]["nontrivial_classes"]
-        assert got == [slow_class_entry(ctx, n) for n in members], p
+        assert got == [slow_class_entry(p, root, n) for n in members], p
 
 
 def test_orbit_all_zero_is_fixed():

@@ -340,8 +340,7 @@ def test_scan_center_matches_layout_walker():
 
 def test_sieve_fed_scan_matches_the_trial_division_reference():
     # given the block sieve's factorisation, a center skips its assembly
-    # below four pairs and takes its splits from the cache; without it, it
-    # trial-divides and splits each prime anew, as before the sieve
+    # below four pairs; without it, it trial-divides, as before the sieve
     skipped = 0
     for e, factors in zip(range(1, 3001), factorize_block(range(1, 3001))):
         for threshold in (0, 4, 7, 8):
