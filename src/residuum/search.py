@@ -41,11 +41,11 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
     1.5). Write e = 2^a * prod q^j * prod p^k with q = 3 and p = 1 (mod 4).
     Then (1 + i) supplies the 2, 2^a and each q^j only scale, and each p^k
     contributes pi^j * conj(pi)^(2k - j) for j = 0..2k, where p = pi*conj(pi)
-    comes from `two_squares`. The prod(2k + 1) products include x = y = e
-    once; the others meet every pair twice, as z and its conjugate. So a
-    center costs O(prod(2k + 1)) products, and each split comes from a
-    cache. `factors` is e's factorisation; without it, e is trial-divided,
-    the tests' reference.
+    comes from `two_squares`. Each product has x^2 + y^2 = 2(e/scale)^2, so
+    its smaller square fixes its pair; only x = y gives (e/scale)^2, and the
+    others meet every pair twice, as z and its conjugate. So a center costs
+    O(prod(2k + 1)) products, each split from a cache. `factors` is e's
+    factorisation; without it, e is trial-divided, the tests' reference.
     """
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
@@ -67,8 +67,9 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
             for (x, y), (u, v) in zip(powers, reversed(powers))
         ]
         zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in parts]
-    pairs = {(min(abs(x), abs(y)), max(abs(x), abs(y))) for x, y in zs if abs(x) != abs(y)}
-    return [((scale * x) ** 2, (scale * y) ** 2) for x, y in sorted(pairs)]
+    half = (e // scale) ** 2
+    los = sorted({min(x * x, y * y) for x, y in zs} - {half})
+    return [(scale**2 * lo, scale**2 * (2 * half - lo)) for lo in los]
 
 
 def center_has_inadmissible_factor(e: int, factors: dict[int, int] | None = None) -> bool:
@@ -133,15 +134,16 @@ def _assemble(m: int, offsets, threshold: int):
     return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
 
 
-def _scan_center(task: tuple[int, bool, int], factors: dict[int, int] | None = None):
-    """Assemble and test all candidate grids for one center root.
+def _scan_center(
+    e: int, primitive_only: bool, threshold: int, factors: dict[int, int] | None = None
+):
+    """Assemble and test all candidate grids around the center e^2.
 
     Returns (pruned, candidates, hit_cells, near_cells); see `_assemble`.
     Given e's factorisation, a center with fewer than four pairs, where
     prod(2k + 1) < 9 (see `pair_decompositions`), returns before any pair
     is built, as it holds no layout; without it, e is trial-divided.
     """
-    e, primitive_only, threshold = task
     if primitive_only and center_has_inadmissible_factor(e, factors):
         return (True, 0, (), ())
     if factors is not None and prod(2 * k + 1 for p, k in factors.items() if p % 4 == 1) < 9:
@@ -155,23 +157,27 @@ def _scan_center(task: tuple[int, bool, int], factors: dict[int, int] | None = N
     return (False, candidates, hits, nears)
 
 
-def _scan_block(task: tuple[range, bool, int]):
-    """`_scan_center` over a contiguous block of center roots, each given its
-    factorisation from one sieve of the block. Returns the block's merged
-    (pruned, candidates, hit_cells, near_cells), in ascending e."""
-    block, primitive_only, threshold = task
+def _merge(results):
+    """Sums the counts and joins the cells, in order, of (pruned, candidates, hits, nears)."""
     pruned = candidates = 0
     hits = []
     nears = []
-    for e, factors in zip(block, factorize_block(block)):
-        was_pruned, count, hit_cells, near_cells = _scan_center(
-            (e, primitive_only, threshold), factors
-        )
+    for was_pruned, count, hit_cells, near_cells in results:
         pruned += was_pruned
         candidates += count
         hits += hit_cells
         nears += near_cells
     return pruned, candidates, hits, nears
+
+
+def _scan_block(task: tuple[range, bool, int]):
+    """`_scan_center` over a contiguous block of center roots, each given its
+    factorisation from one sieve of the block, merged in ascending e."""
+    block, primitive_only, threshold = task
+    return _merge(
+        _scan_center(e, primitive_only, threshold, factors)
+        for e, factors in zip(block, factorize_block(block))
+    )
 
 
 def search_msos(
@@ -210,9 +216,6 @@ def search_msos(
     size = max(8, len(centers) // (16 * workers))
     starts = range(0, len(centers), size)
     blocks = ((centers[i : i + size], primitive_only, near_miss_threshold) for i in starts)
-    pruned = candidates = 0
-    hits = []
-    nears = []
     with ExitStack() as stack:
         mapper = map
         procs = min(workers, len(starts))
@@ -220,12 +223,8 @@ def search_msos(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=procs)).map
-        for was_pruned, count, hit_cells, near_cells in mapper(_scan_block, blocks):
-            pruned += was_pruned
-            candidates += count
-            hits.extend(IntGrid(c) for c in hit_cells)
-            nears.extend(IntGrid(c) for c in near_cells)
-    return SearchReport(pruned, candidates, tuple(hits), tuple(nears))
+        pruned, candidates, hits, nears = _merge(mapper(_scan_block, blocks))
+    return SearchReport(pruned, candidates, tuple(map(IntGrid, hits)), tuple(map(IntGrid, nears)))
 
 
 def naive_center_enumeration(e: int) -> set[IntGrid]:

@@ -690,9 +690,10 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(fp, "_prime_flags", started)
     proved = []
     if argv == ["verify"]:
-        # center root 1000000009 is a prime = 1 (mod 4): its residue class
-        # would need a context of about 5*10**8 residues. Factoring the root
-        # proves it prime, once; a context would prove it again
+        # center root 1000000009 is a prime = 1 (mod 4): verify builds a
+        # context to reduce the grid mod it, a table of about 5*10**8
+        # residues, though the integer roots would give every root. Factoring
+        # the root proves it prime, once; a context would prove it again
         f = tmp_path / "grid.txt"
         f.write_text(f"1 1 1\n1 {1000000009**2} 1\n1 1 1\n")
         argv = ["verify", str(f)]

@@ -97,37 +97,70 @@ def brute_pairs(e):
     return out
 
 
-def euclid_offsets(n):
-    """Whole-range oracle for `pair_decompositions`: the full offsets of
-    every center root e <= n, as offsets[e], with no factoring.
-
-    x^2 + y^2 = 2e^2 with x < e < y exactly when a = (x + y)/2 and
-    b = (y - x)/2 are the legs of a right triangle with hypotenuse e, and
-    then the offset e^2 - x^2 is 2ab. Every such triangle is k times one of
-    Euclid's primitive triples (p^2 - q^2, 2pq, p^2 + q^2), p > q > 0
-    coprime and of opposite parity."""
-    offsets = [[] for _ in range(n + 1)]
+def primitive_triples(n):
+    """Euclid's primitive right triangles with hypotenuse c <= n, as
+    (c, ab) sorted by c: (p^2 - q^2, 2pq, p^2 + q^2) for p > q > 0 coprime
+    and of opposite parity."""
+    triples = []
     for p in range(2, isqrt(n) + 1):
         for q in range(1 + p % 2, p, 2):
             c = p * p + q * q
             if c > n:
                 break
             if gcd(p, q) == 1:
-                ab = (p * p - q * q) * 2 * p * q
-                for k in range(1, n // c + 1):
-                    offsets[k * c].append(2 * k * k * ab)
+                triples.append((c, (p * p - q * q) * 2 * p * q))
+    return sorted(triples)
+
+
+def euclid_offsets(lo, hi, triples):
+    """Whole-window oracle for `pair_decompositions`: the full offsets of
+    every center root lo <= e <= hi, as offsets[e - lo], with no factoring.
+
+    x^2 + y^2 = 2e^2 with x < e < y exactly when a = (x + y)/2 and
+    b = (y - x)/2 are the legs of a right triangle with hypotenuse e, and
+    then the offset e^2 - x^2 is 2ab. Every such triangle is k times one of
+    `triples`, Euclid's primitive ones, which must reach hi; each is scaled
+    by every k that puts its hypotenuse in the window."""
+    offsets = [[] for _ in range(lo, hi + 1)]
+    for c, ab in triples:
+        if c > hi:
+            break
+        for k in range(-(-lo // c), hi // c + 1):
+            offsets[k * c - lo].append(2 * k * k * ab)
     return offsets
 
 
-def smallest_prime_factors(n):
-    """spf[e] is the least prime factor of 2 <= e <= n: each prime p up to
-    sqrt(n), by trial division, marks its multiples from p^2, largest p
-    first so that smaller primes overwrite it."""
-    spf = list(range(n + 1))
-    for p in reversed(range(2, isqrt(n) + 1)):
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
-    return spf
+def inert_flags(n):
+    """flags[e] is 1 when some prime = 3 (mod 4) divides 1 <= e <= n: a
+    sieve of Eratosthenes in which each such prime marks its multiples."""
+    composite = bytearray(n + 1)
+    flags = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, n + 1, p))
+        if p % 4 == 3:
+            flags[p::p] = b"\x01" * len(range(p, n + 1, p))
+    return flags
+
+
+def check_search_against_euclid(lo, hi, triples, inert, thresholds, workers):
+    """A layout with 6 or more correct lines holds a sum triple s, t, s + t
+    of one center's offsets (see _assemble). Check that no center in
+    [lo, hi] holds one, so that no threshold 5-8 reports a grid, and that
+    `search_msos` counts as pruned the centers that `inert` flags and
+    tests 48 * C(k, 4) layouts for the k offsets of each other center.
+    Returns the report."""
+    offsets = euclid_offsets(lo, hi, triples)
+    for e, lengths in zip(range(lo, hi + 1), map(set, offsets)):
+        assert not any(s + t in lengths for s in lengths for t in lengths if s < t), e
+    flags = inert[lo : hi + 1]
+    candidates = sum(48 * comb(len(u), 4) for u, bad in zip(offsets, flags) if not bad)
+    expected = SearchReport(sum(flags), candidates, (), ())
+    for threshold in thresholds:
+        report = search_msos(lo, hi, near_miss_threshold=threshold, workers=workers)
+        assert report == expected, (lo, hi, threshold)
+    return expected
 
 
 def test_pair_decompositions_examples():
@@ -329,7 +362,7 @@ def test_scan_center_matches_layout_walker():
             expected = walk_layouts(e * e, isqrt_pairs(e), threshold)
             near_misses_compared += len(expected[2])
             for primitive_only in (True, False):
-                got = _scan_center((e, primitive_only, threshold))
+                got = _scan_center(e, primitive_only, threshold)
                 if got[0]:
                     assert primitive_only and center_has_inadmissible_factor(e)
                     assert got[1:] == (0, (), ())
@@ -345,8 +378,8 @@ def test_sieve_fed_scan_matches_the_trial_division_reference():
     for e, factors in zip(range(1, 3001), factorize_block(range(1, 3001))):
         for threshold in (0, 4, 7, 8):
             for primitive_only in (True, False):
-                task = (e, primitive_only, threshold)
-                assert _scan_center(task, factors) == _scan_center(task), task
+                args = (e, primitive_only, threshold)
+                assert _scan_center(*args, factors) == _scan_center(*args), args
         skipped += len(isqrt_pairs(e)) < 4
     # 5 * 13 and 5**4 have exactly four pairs, so they are assembled
     assert len(isqrt_pairs(65)) == len(isqrt_pairs(625)) == 4
@@ -361,7 +394,7 @@ def test_search_folds_the_per_center_reference_scans(e_max, primitive_only, thre
     pruned = candidates = 0
     hits, nears = [], []
     for e in range(1, e_max + 1):
-        was_pruned, count, hit_cells, near_cells = _scan_center((e, primitive_only, threshold))
+        was_pruned, count, hit_cells, near_cells = _scan_center(e, primitive_only, threshold)
         pruned += was_pruned
         candidates += count
         hits += map(IntGrid, hit_cells)
@@ -379,40 +412,36 @@ def test_search_folds_the_per_center_reference_scans(e_max, primitive_only, thre
 EUCLID_MAX = 10**5
 
 
-@pytest.fixture(scope="module")
-def euclid():
-    return euclid_offsets(EUCLID_MAX)
-
-
-def test_pair_decompositions_match_euclid_over_the_whole_range(euclid):
+def test_pair_decompositions_match_euclid_over_the_whole_range():
     # every center root to 10**5, factored by the block sieve as search does
     centers = range(1, EUCLID_MAX + 1)
-    for e, factors in zip(centers, factorize_block(centers)):
+    offsets = euclid_offsets(1, EUCLID_MAX, primitive_triples(EUCLID_MAX))
+    for e, factors, expected in zip(centers, factorize_block(centers), offsets):
         got = [e * e - lo for lo, _ in pair_decompositions(e, factors)]
-        assert sorted(got) == sorted(euclid[e]), e
+        assert sorted(got) == sorted(expected), e
 
 
-def test_search_matches_euclid_over_the_whole_range(euclid):
-    # a layout with 6 or more correct lines holds a sum triple s, t, s + t
-    # of one center's offsets (see _assemble); below 10**5 there is none,
-    # so no threshold 5-8 reports a grid, and candidates_tested sums
-    # 48 * C(k, 4) over the k offsets of each center that no prime
-    # = 3 (mod 4) divides
-    for e in range(1, EUCLID_MAX + 1):
-        lengths = set(euclid[e])
-        assert not any(s + t in lengths for s in lengths for t in lengths if s < t), e
-    spf = smallest_prime_factors(EUCLID_MAX)
+def test_search_matches_euclid_over_the_whole_range():
+    report = check_search_against_euclid(
+        1, EUCLID_MAX, primitive_triples(EUCLID_MAX), inert_flags(EUCLID_MAX), (5, 6, 7, 8), 1
+    )
+    assert report.pruned_centers > 0 and report.candidates_tested > 10**8
+
+
+@pytest.mark.slow
+def test_search_matches_euclid_to_three_million():
+    # windows of 10**5 centers bound the memory: every window re-walks the
+    # primitive triples up to its top, and one sieve flags every center
+    top, window = 3 * 10**6, 10**5
+    triples = primitive_triples(top)
+    inert = inert_flags(top)
     pruned = candidates = 0
-    for e in range(1, EUCLID_MAX + 1):
-        n = e
-        while n > 1 and spf[n] % 4 != 3:
-            n //= spf[n]
-        pruned += n > 1
-        candidates += 48 * comb(len(euclid[e]), 4) if n == 1 else 0
-    assert pruned > 0 and candidates > 10**8
-    for threshold in (5, 6, 7, 8):
-        report = search_msos(1, EUCLID_MAX, near_miss_threshold=threshold)
-        assert report == SearchReport(pruned, candidates, (), ()), threshold
+    for lo in range(1, top + 1, window):
+        report = check_search_against_euclid(lo, lo + window - 1, triples, inert, (5,), 2)
+        pruned += report.pruned_centers
+        candidates += report.candidates_tested
+    assert len(triples) == 477_471
+    assert (pruned, candidates) == (2_479_091, 48_394_869_696)
 
 
 def test_assemble_finds_the_lo_shu():
