@@ -91,46 +91,45 @@ def _assemble(m: int, offsets, threshold: int):
     center lines sum to 3m by construction. The top row does exactly when
     db = -(da + dc), and so does the bottom row; the left column does exactly
     when dd = dc - da, and so does the right one. So a layout has 4, 6 or 8
-    correct lines. One with 6 or more has db = -(da + dc) or dd = dc - da.
-    With s = -da and t = |dc|, both fixes are positive and one is s - t, the
-    other s + t; so the layout holds a sum triple of offsets. Above threshold
-    4, a pair (da, dc) whose two fixes are not offsets is skipped whatever db
-    and dd are. No real center below 3 * 10**6 holds a sum triple, so there
-    every pair is skipped and a center with k offsets costs O(k^2) lookups at
-    thresholds 5-8. At threshold 4 or below, db and dd walk all 2k signed
-    offsets, O(k^4), as every layout is listed.
+    correct lines.
 
     Offsets must be distinct and positive, so the nine cells are distinct and
     the 8 symmetries of the square act freely on the 384 layouts of each
     4-subset. Only the lexicographically smallest layout of each class is
     visited: m + da is the smallest corner (da < 0 and |dc| < -da) and
-    db < dd. Returns (candidates, hits, near_misses): the number of layouts
-    up to symmetry, and the emitted grids as sorted cell tuples.
+    db < dd. The loop order gives that rule: each pair u > v of offsets takes
+    da = -u and dc = +-v, and db < dd run over the other signed offsets, with
+    dd != -db. The row fix is then u - dc and the column fix u + dc, so for
+    either sign of dc the two fixes are u - v and u + v, and a layout with 6
+    or more correct lines holds a sum triple. Above threshold 4, a pair whose
+    fixes are not offsets is skipped: k(k - 1)/2 set tests for k offsets. No
+    real center below 3 * 10**6 holds a sum triple, so there every pair is
+    skipped at thresholds 5-8. At threshold 4 or below, db and dd walk all
+    2k signed offsets, O(k^4), as every layout is listed. Returns
+    (candidates, hits, near_misses): the number of layouts up to symmetry,
+    and the emitted grids as sorted cell tuples.
     """
     lengths = set(offsets)
-    signed = [s * u for u in offsets for s in (1, -1)]
+    descending = sorted(offsets, reverse=True)
+    signed = sorted(s * u for u in offsets for s in (1, -1))
     hits = []
     nears = []
-    for da in (-u for u in offsets):
-        for dc in signed:
-            if abs(dc) >= -da:
+    for i, u in enumerate(descending):
+        for v in descending[i + 1 :]:
+            if threshold > 4 and u - v not in lengths and u + v not in lengths:
                 continue
-            row_fix = -(da + dc)
-            col_fix = dc - da
-            if threshold > 4 and row_fix not in lengths and col_fix not in lengths:
-                continue
-            for db in signed:
-                if abs(db) in (-da, abs(dc)):
-                    continue
-                for dd in signed:
-                    if dd <= db or abs(dd) in (-da, abs(db), abs(dc)):
-                        continue
-                    correct = 4 + 2 * (db == row_fix) + 2 * (dd == col_fix)
-                    if correct < threshold:
-                        continue
-                    cells = (m + da, m + db, m + dc, m + dd, m, m - dd, m - dc, m - db, m - da)
-                    assert len(set(cells)) == 9
-                    (hits if correct == 8 else nears).append(cells)
+            others = [d for d in signed if d not in (u, -u, v, -v)]
+            for dc, row_fix, col_fix in ((v, u - v, u + v), (-v, u + v, u - v)):
+                for j, db in enumerate(others):
+                    for dd in others[j + 1 :]:
+                        if dd == -db:
+                            continue
+                        correct = 4 + 2 * (db == row_fix) + 2 * (dd == col_fix)
+                        if correct < threshold:
+                            continue
+                        cells = (m - u, m + db, m + dc, m + dd, m, m - dd, m - dc, m - db, m + u)
+                        assert len(set(cells)) == 9
+                        (hits if correct == 8 else nears).append(cells)
     return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
 
 

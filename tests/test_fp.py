@@ -275,15 +275,22 @@ def test_qr_tables_small():
         assert make_context(p).qr_set == brute_qr_set(p)
 
 
-def test_root_table_matches_euler():
-    # every residue of every prime below 10**4: Euler's criterion, which reads
-    # no table, decides residuosity, and a root r of a must satisfy r*r = a
-    # with 1 <= r <= p//2, which of the two roots r and p - r only the
-    # smaller meets
+def test_root_table_matches_powers_of_a_generator():
+    # every residue of every prime below 10**4: the residues are exactly the
+    # even powers g^(2i) of a generator g of F_p^*, found by factoring p - 1
+    # with trial_factors, so neither step reads a table; and a root r of a
+    # must satisfy r*r = a with 1 <= r <= p//2, which of the two roots r and
+    # p - r only the smaller meets
     for p in primes_up_to(10**4):
         ctx = PrimeContext(p)
         half = p // 2
-        qr = [a == 1 for a in range(p)] if p == 2 else [pow(a, half, p) == 1 for a in range(p)]
+        factors = set(trial_factors(p - 1))
+        g = next(g for g in count(1) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+        qr = [False] * p
+        x = 1
+        for _ in range(half):
+            qr[x] = True
+            x = x * g * g % p
         assert ctx.qr_set == tuple(compress(range(p), qr)), p
         assert list(map(ctx.is_qr, range(p))) == qr, p
         assert list(map(ctx.is_square, range(p))) == [True, *qr[1:]], p

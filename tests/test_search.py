@@ -484,8 +484,8 @@ def test_assemble_matches_walker_where_hits_exist(t, gap, extra):
     extra=st.sets(st.integers(1, 45), min_size=1, max_size=2),
 )
 def test_assemble_matches_walker_on_sum_triples_without_hits(t, gap, extra):
-    # s, t and s + t without s - t: the row or the column fix of some pairs
-    # (da, dc) is an offset, so only those escape the prune above
+    # s, t and s + t without s - t: for some pairs u > v of offsets, u - v
+    # or u + v is an offset, so only those escape the prune above
     # threshold 4, and they give 6-line layouts but no magic square
     s = t + gap
     assume(gap != t)
