@@ -1,7 +1,7 @@
 """Residue-class toolkit for 3x3 magic squares of squares.
 
 Prime contexts with quadratic-residue tables (fp), zero-center residue
-grids mod p with their classification, orbits and counting bound (residue),
+grids mod p with their classification and counting bound (residue),
 integer three-square progressions and the modular coverage report (congrua),
 integer-side grid analysis (intgrid), and a pruned exhaustive search
 (search). The `residuum` command exposes everything for batch use.
@@ -25,14 +25,12 @@ _EXPORTS = {
         "fp": """PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod
             two_square_splits two_squares""",
         "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check
-            has_even_center_line is_distinct is_magic is_square_entried klein_group_table
-            mod2_classify parametric_magic reduce_primitive residue_class_of
-            total_is_triple_center""",
+            has_even_center_line is_distinct is_magic is_square_entried mod2_classify
+            reduce_primitive residue_class_of total_is_triple_center""",
         "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
-            enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge
-            generated_classes is_magic_class line_sums magic_sum naive_enumerate orbit
-            run_count runs_from_split triple_from_member""",
-        "search": "SearchReport naive_center_enumeration pair_decompositions primitive_subset search_msos",
+            enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
+            line_sums magic_sum run_count runs_from_split triple_from_member""",
+        "search": "SearchReport pair_decompositions search_msos",
     }.items()
     for name in names.split()
 }

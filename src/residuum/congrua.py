@@ -44,10 +44,6 @@ class SquareProgression(namedtuple("SquareProgression", "x y z")):
     def d(self) -> int:
         return self.x * self.x - self.y * self.y
 
-    @property
-    def primitive(self) -> bool:
-        return gcd(self.x, self.y, self.z) == 1
-
 
 def congruum_triple(m: int, n: int) -> SquareProgression:
     """Parametric progression with difference 4mn(m^2 - n^2).

@@ -315,11 +315,6 @@ class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
         """True iff value reduces to a nonzero quadratic residue."""
         return self.root[value % self.p] != 0
 
-    def is_square(self, value: int) -> bool:
-        """True iff value reduces to zero or a quadratic residue."""
-        value %= self.p
-        return value == 0 or self.root[value] != 0
-
     def __eq__(self, other):
         return isinstance(other, PrimeContext) and other.p == self.p
 

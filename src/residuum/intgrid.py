@@ -167,24 +167,6 @@ def mod2_classify(g: IntGrid) -> Mod2Class:
     return Mod2Class(bits)
 
 
-def klein_group_table() -> tuple[tuple[Mod2Class, ...], ...]:
-    """Cell-wise XOR table of the four parity patterns (a Klein four-group)."""
-    pats = Mod2Class.patterns()
-    return tuple(tuple(a ^ b for b in pats) for a in pats)
-
-
 def has_even_center_line(m: Mod2Class) -> bool:
     """Whether the central row, central column, or a main diagonal is all even."""
     return any(all(m.bits[i] == 0 for i in line) for line in CENTER_LINES)
-
-
-def parametric_magic(center: int, s: int, t: int) -> IntGrid:
-    """The generic 3x3 magic grid with the given center and two offsets.
-
-    Every 3x3 magic square has this form; cells must come out nonnegative,
-    so center >= |s| + |t| is required.
-    """
-    m = center
-    return IntGrid(
-        (m - s, m + s + t, m - t, m + s - t, m, m - s + t, m + t, m - s - t, m + s)
-    )

@@ -1,6 +1,7 @@
-"""Zero-center magic grids over F_p: generation, classification, orbits,
-the counting bound, two brute-force enumeration oracles, and a counting
-oracle from the sum equations.
+"""Zero-center magic grids over F_p: generation, classification, the
+counting bound, a brute-force enumeration over four cells, and a counting
+oracle from the sum equations. The orbits and the 8-cell enumeration that
+check these live in the tests (tests/oracles.py).
 
 Grids store cell VALUES (each zero or a quadratic residue), never chosen
 roots: root choices are non-canonical, so grid identity is value-wise.
@@ -22,18 +23,7 @@ from .errors import (
     NonzeroCenter,
 )
 from .fp import PrimeContext, two_squares
-from .grid_ops import (
-    ANTI_TRANSPOSE,
-    CENTER,
-    CORNERS,
-    FLIP_ROWS,
-    LINES,
-    MID_EDGES,
-    ROT180,
-    ROTATIONS,
-    permute,
-    rows_of,
-)
+from .grid_ops import CENTER, CORNERS, LINES, MID_EDGES, rows_of
 
 
 class ClassKind(Enum):
@@ -72,22 +62,6 @@ class ResidueGrid(namedtuple("ResidueGrid", "context vals")):
     @property
     def center(self) -> int:
         return self.vals[CENTER]
-
-    def scaled(self, s: int) -> "ResidueGrid":
-        p = self.context.p
-        return ResidueGrid(self.context, tuple(v * s % p for v in self.vals))
-
-    def transformed(self, index_map) -> "ResidueGrid":
-        return ResidueGrid(self.context, permute(self.vals, index_map))
-
-    def rotated180(self) -> "ResidueGrid":
-        return self.transformed(ROT180)
-
-    def reflected_rows(self) -> "ResidueGrid":
-        return self.transformed(FLIP_ROWS)
-
-    def reflected_anti_diagonal(self) -> "ResidueGrid":
-        return self.transformed(ANTI_TRANSPOSE)
 
     def __repr__(self):
         r = self.rows()
@@ -235,28 +209,6 @@ def nontrivial_fields(ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
                wb, g, 1, a, 0, wa, w, wg, b, n)
 
 
-def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
-    """All distinct grids reachable by the 4 rotations composed with scaling
-    by each quadratic residue.
-
-    Reflections are intentionally not applied; they are tracked separately
-    as fixing/duality properties of the canonical classes.
-    """
-    if not is_magic_class(g):
-        raise NotMagic("orbits are defined for magic grids")
-    if g.center != 0:
-        raise NonzeroCenter("orbits are defined for zero-center grids")
-    ctx = g.context
-    p = ctx.p
-    squares = ctx.qr_set
-    out = set()
-    for rot in ROTATIONS:
-        base = permute(g.vals, rot)
-        for s in squares:
-            out.add(ResidueGrid(ctx, tuple(v * s % p for v in base)))
-    return frozenset(out)
-
-
 def runs_from_split(p: int, a: int, b: int) -> int:
     """|C_p|, the number of consecutive residue runs, for a prime p = 1 (mod 4)
     given as p = a^2 + b^2 with a odd and both positive; O(1).
@@ -291,9 +243,10 @@ def count_bound(p: int, runs: int) -> int:
     in C_p, x = 0, and x = +-1 exactly when 2 is a square, so |C_p| + 2k - 1
     values of x. Summed without the all-zero grid, the count is
     (p-1)/2 * (|C_p| + 2k). test_bound_holds checks that enumerate_all finds
-    exactly this many grids, all of them generated_classes, for every
-    p = 1 (mod 4) up to 100, and that classes_from_sum_equations counts
-    exactly this many for every such p below 2000.
+    exactly this many grids for every p = 1 (mod 4) up to 100, and that
+    classes_from_sum_equations counts exactly this many for every such p
+    below 2000; test_generated_equals_enumerated checks that those grids are
+    the orbits of the canonical classes.
     """
     if p % 4 != 1:
         raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {p}")
@@ -307,8 +260,6 @@ MAX_ORACLE_P = 500
 # Largest p classes_from_sum_equations runs at: its cost grows about as
 # p^2/64 word operations, 0.03 s at p = 10009 and 2.0 s at p = 99989.
 MAX_COUNT_P = 100_000
-# Largest p naive_enumerate runs at: it walks eight cells, not four.
-MAX_NAIVE_P = 13
 
 
 def enumerate_all(ctx: PrimeContext) -> frozenset[ResidueGrid]:
@@ -342,11 +293,7 @@ def enumerate_all(ctx: PrimeContext) -> frozenset[ResidueGrid]:
                     grid = ResidueGrid(ctx, vals)
                     assert set(line_sums(grid)) == {0}
                     out.add(grid)
-    result = frozenset(out)
-    if p <= MAX_NAIVE_P:
-        # cheap enough to cross-validate against the 8-cell oracle in-line
-        assert result == naive_enumerate(ctx)
-    return result
+    return frozenset(out)
 
 
 def classes_from_sum_equations(p: int) -> int:
@@ -374,50 +321,3 @@ def classes_from_sum_equations(p: int) -> int:
         (mask & rot(mask, a) & rot(mask, -a)).bit_count() for a in range(p) if mask >> a & 1
     )
     return count - 1
-
-
-def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
-    """Fully naive cross-check oracle: enumerate all eight non-center cells
-    over squares and keep grids whose eight sums agree, using nothing but
-    the sum equations themselves (no negation shortcut, no fixed total)."""
-    if ctx.p > MAX_NAIVE_P:
-        raise BoundExceeded(f"p={ctx.p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
-    p = ctx.p
-    sq0 = (0, *ctx.qr_set)
-    out = set()
-    for a in sq0:
-        for b in sq0:
-            for c in sq0:
-                t = (a + b + c) % p
-                for d in sq0:
-                    for f in sq0:
-                        if (d + f) % p != t:
-                            continue
-                        for g in sq0:
-                            if (a + d + g) % p != t or (c + g) % p != t:
-                                continue
-                            for h in sq0:
-                                if (b + h) % p != t:
-                                    continue
-                                for i in sq0:
-                                    if (
-                                        (g + h + i) % p != t
-                                        or (c + f + i) % p != t
-                                        or (a + i) % p != t
-                                    ):
-                                        continue
-                                    vals = (a, b, c, d, 0, f, g, h, i)
-                                    if any(vals):
-                                        out.add(ResidueGrid(ctx, vals))
-    return frozenset(out)
-
-
-def generated_classes(ctx: PrimeContext) -> frozenset[ResidueGrid]:
-    """Union of the orbits of every canonical class: the constructive side of
-    the generated-equals-enumerated comparison."""
-    grids = set(orbit(gen_trivial_corner(ctx)))
-    if ctx.p % 8 == 1:
-        grids |= orbit(gen_trivial_midedge(ctx))
-    for n in consecutive_triples(ctx):
-        grids |= orbit(gen_nontrivial(triple_from_member(ctx, n)))
-    return frozenset(grids)

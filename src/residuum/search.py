@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from contextlib import ExitStack
 from functools import lru_cache
-from math import comb, gcd, isqrt, prod
+from math import comb, prod
 
 from .errors import BadParameters, BadRange, BoundExceeded
 from .fp import (
@@ -224,50 +224,3 @@ def search_msos(
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=procs)).map
         pruned, candidates, hits, nears = _merge(mapper(_scan_block, blocks))
     return SearchReport(pruned, candidates, tuple(map(IntGrid, hits)), tuple(map(IntGrid, nears)))
-
-
-def naive_center_enumeration(e: int) -> set[IntGrid]:
-    """Independent oracle: every magic grid of nine distinct squares with
-    center e^2 and entries bounded by 3e^2, by direct enumeration.
-
-    Three corner-ish cells range freely; the rest follow from the eight sum
-    equations alone, with no structural shortcuts. Used to validate search
-    completeness for small e.
-    """
-    if e < 1:
-        raise ValueError(f"center root must be positive, got {e}")
-    limit = 3 * e * e
-    squares = [k * k for k in range(isqrt(limit) + 1)]
-    in_range = set(squares)
-    c2 = e * e
-    out = set()
-    for a in squares:
-        for b in squares:
-            for i in squares:
-                t = a + c2 + i          # main diagonal fixes the total
-                c = t - a - b           # top row
-                if c < 0 or c not in in_range:
-                    continue
-                g = t - c - c2          # anti-diagonal
-                if g < 0 or g not in in_range:
-                    continue
-                d = t - a - g           # left column
-                if d < 0 or d not in in_range:
-                    continue
-                f = t - d - c2          # middle row
-                if f < 0 or f not in in_range:
-                    continue
-                h = t - b - c2          # middle column
-                if h < 0 or h not in in_range:
-                    continue
-                if g + h + i != t or c + f + i != t:
-                    continue
-                cells = (a, b, c, d, c2, f, g, h, i)
-                if len(set(cells)) == 9:
-                    out.add(IntGrid(cells))
-    return out
-
-
-def primitive_subset(grids) -> set[IntGrid]:
-    """The grids whose cells have gcd 1."""
-    return {g for g in grids if gcd(*g.cells) == 1}

@@ -1,0 +1,210 @@
+"""Mutation table: each row is a small defect planted in one file of
+src/residuum and the tests that must catch it.
+
+`tests/test_mutants.py` applies each row to its own copy of the tree, where
+every listed node id must fail, and runs the same node ids on an unmutated
+copy, where they must pass. A row's old text must occur exactly once in its
+file; when a refactor moves or rewrites that text, re-target the row at the
+code that now does the job, or retire it and say so in CHANGES.md.
+
+The rows come in two groups: defects that earlier changes showed their tests
+catch, and one defect per oracle that lives in tests/ (oracles.py, or the
+test module that uses it), caught through that oracle.
+"""
+
+from collections import namedtuple
+
+Mutant = namedtuple("Mutant", "name path old new node_ids")
+
+MUTANTS = (
+    # prime_factors' wheel starts at 1 for 7 <= least < 30, so it yields 1
+    # forever
+    Mutant(
+        "wheel_starts_at_one",
+        "fp.py",
+        "dropwhile(start.__gt__, wheel)",
+        "wheel",
+        ("tests/test_fp.py::test_prime_factors_walks_from_least",),
+    ),
+    # the root table holds the larger root of each residue
+    Mutant(
+        "root_table_larger_root",
+        "fp.py",
+        "root[x * x % p] = x",
+        "root[x * x % p] = p - x",
+        ("tests/test_fp.py::test_root_table_matches_powers_of_a_generator",),
+    ),
+    # pair_decompositions drops the Gaussian product pi^0 * conj(pi)^(2k)
+    Mutant(
+        "pairs_drop_a_product",
+        "search.py",
+        "zip(powers, reversed(powers))",
+        "zip(powers[1:], reversed(powers))",
+        (
+            "tests/test_search.py::test_pair_decompositions_examples",
+            "tests/test_search.py::test_pair_decompositions_match_euclid_over_the_whole_range",
+        ),
+    ),
+    # two_squares: sqrt(-1) is c^((p-1)/4); c^((p-1)/2) is -1 itself
+    Mutant(
+        "two_squares_half_exponent",
+        "fp.py",
+        "pow(c, (p - 1) // 4, p)",
+        "pow(c, (p - 1) // 2, p)",
+        (
+            "tests/test_fp.py::test_two_squares_of_large_primes",
+            "tests/test_fp.py::test_two_square_splits_match_two_squares",
+        ),
+    ),
+    # two_squares: a loop that stops at the first residue, not non-residue
+    Mutant(
+        "two_squares_residue_base",
+        "fp.py",
+        "legendre(c, p) != -1",
+        "legendre(c, p) != 1",
+        (
+            "tests/test_fp.py::test_two_squares_of_large_primes",
+            "tests/test_fp.py::test_two_square_splits_match_two_squares",
+        ),
+    ),
+    # pair_decompositions keyed by the larger square of each product
+    Mutant(
+        "pairs_keyed_by_larger_square",
+        "search.py",
+        "min(x * x, y * y)",
+        "max(x * x, y * y)",
+        (
+            "tests/test_search.py::test_pair_decompositions_examples",
+            "tests/test_search.py::test_pair_decompositions_match_isqrt_oracle",
+        ),
+    ),
+    # pair_decompositions keeps the product at e'^2, the pair (e^2, e^2)
+    Mutant(
+        "pairs_keep_the_center",
+        "search.py",
+        " - {half}",
+        "",
+        (
+            "tests/test_search.py::test_pair_decompositions_examples",
+            "tests/test_search.py::test_pair_decompositions_match_isqrt_oracle",
+        ),
+    ),
+    # _merge drops the hit cells of every result
+    Mutant(
+        "merge_drops_hits",
+        "search.py",
+        "        hits += hit_cells\n",
+        "",
+        ("tests/test_search.py::test_merge_sums_the_counts_and_joins_the_cells_in_order",),
+    ),
+    # _assemble pairs each offset with the larger ones, not the smaller
+    Mutant(
+        "assemble_walks_the_wrong_half",
+        "search.py",
+        "descending[i + 1 :]",
+        "descending[:i]",
+        ("tests/test_search.py::test_scan_center_matches_layout_walker",),
+    ),
+    # _assemble's sum-triple skip reads only the row fix u - v
+    Mutant(
+        "assemble_skip_reads_one_fix",
+        "search.py",
+        "u - v not in lengths and u + v not in lengths",
+        "u - v not in lengths",
+        ("tests/test_search.py::test_assemble_matches_walker_where_hits_exist",),
+    ),
+    # _assemble keeps dd = -db, a layout with a repeated cell
+    Mutant(
+        "assemble_keeps_opposite_offsets",
+        "search.py",
+        "                        if dd == -db:\n                            continue\n",
+        "",
+        ("tests/test_search.py::test_scan_center_matches_layout_walker",),
+    ),
+    # naive_enumerate: enumerate_all without the zero cells misses every
+    # class with a zero
+    Mutant(
+        "enumerate_all_without_zero",
+        "residue.py",
+        "sq0 = (0, *ctx.qr_set)",
+        "sq0 = ctx.qr_set",
+        (
+            "tests/test_residue.py::test_naive_matches_reduced_oracle",
+            "tests/test_acceptance.py::test_criterion_05_naive_oracle_cross_validation",
+        ),
+    ),
+    # generated_classes: enumerate_all keeps the all-zero grid, which no
+    # orbit of a canonical class holds
+    Mutant(
+        "enumerate_all_keeps_all_zero",
+        "residue.py",
+        "                    if not any(vals):\n                        continue\n",
+        "",
+        (
+            "tests/test_residue.py::test_generated_equals_enumerated",
+            "tests/test_acceptance.py::test_criterion_04_bound_and_generated_equal_oracle",
+        ),
+    ),
+    # orbit: two corners of the nontrivial class swapped, so its top row
+    # sums to -2 and orbit refuses it as not magic
+    Mutant(
+        "nontrivial_corners_swapped",
+        "residue.py",
+        "(-b2, g2, 1, a2, 0, -a2, -1, -g2, b2)",
+        "(-b2, g2, -1, a2, 0, -a2, 1, -g2, b2)",
+        (
+            "tests/test_residue.py::test_orbit_members_stay_magic",
+            "tests/test_residue.py::test_generated_equals_enumerated",
+        ),
+    ),
+    # ROT180, FLIP_ROWS, ANTI_TRANSPOSE and permute: the corner class turned
+    # a quarter, which the anti-diagonal reflection no longer fixes
+    Mutant(
+        "corner_class_quarter_turn",
+        "residue.py",
+        "(0, 1, m1, m1, 0, 1, 1, m1, 0)",
+        "(1, m1, 0, m1, 0, 1, 0, 1, m1)",
+        (
+            "tests/test_residue.py::test_trivial_classes_fixed_by_reflections",
+            "tests/test_acceptance.py::test_criterion_10_property_suites",
+        ),
+    ),
+    # naive_center_enumeration: a center with fewer than four pairs reports
+    # the constant grid e^2, ..., e^2 as a hit; its cells are not distinct
+    Mutant(
+        "scan_reports_the_constant_grid",
+        "search.py",
+        "return (False, 0, (), ())",
+        "return (False, 0, ((e * e,) * 9,), ())",
+        ("tests/test_search.py::test_completeness_against_naive_enumeration",),
+    ),
+    # primitive_subset's test: the prune reads primes = 1 (mod 4); it fails
+    # on the prune's own assertion, since the oracle's side is empty
+    Mutant(
+        "prune_reads_split_primes",
+        "search.py",
+        "q % 4 == 3",
+        "q % 4 == 1",
+        ("tests/test_search.py::test_pruning_soundness_spot_check",),
+    ),
+    # parametric_magic: the total compared with the top-left cell, not the
+    # center
+    Mutant(
+        "triple_center_reads_a_corner",
+        "intgrid.py",
+        "return t == 3 * g.center",
+        "return t == 3 * g.cells[0]",
+        ("tests/test_intgrid.py::test_parametric_magic_total_is_triple_center",),
+    ),
+    # klein_group_table: parity patterns combined by OR, not XOR
+    Mutant(
+        "parity_patterns_or",
+        "intgrid.py",
+        "a ^ b",
+        "a | b",
+        (
+            "tests/test_intgrid.py::test_klein_group_table",
+            "tests/test_acceptance.py::test_criterion_09_klein_four_group",
+        ),
+    ),
+)

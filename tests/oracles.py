@@ -1,0 +1,172 @@
+"""Set-level oracles and grid symmetries that only the tests read.
+
+The commands never run these, so they live beside the tests rather than in
+the package: the 8-cell enumeration mod p, the orbits of the canonical
+classes, the direct enumeration of integer grids around a center, the
+parametric magic grid, the Klein four-group table of the parity patterns,
+and the dihedral index maps of a flat row-major 3x3 grid.
+"""
+
+from math import isqrt
+
+from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
+from residuum.fp import PrimeContext
+from residuum.intgrid import IntGrid, Mod2Class
+from residuum.residue import (
+    ResidueGrid,
+    consecutive_triples,
+    gen_nontrivial,
+    gen_trivial_corner,
+    gen_trivial_midedge,
+    is_magic_class,
+    triple_from_member,
+)
+
+IDENTITY = (0, 1, 2, 3, 4, 5, 6, 7, 8)
+ROT90 = (6, 3, 0, 7, 4, 1, 8, 5, 2)            # clockwise quarter turn
+ROT180 = (8, 7, 6, 5, 4, 3, 2, 1, 0)
+ROT270 = (2, 5, 8, 1, 4, 7, 0, 3, 6)
+FLIP_ROWS = (6, 7, 8, 3, 4, 5, 0, 1, 2)        # reflect about the horizontal axis
+FLIP_COLS = (2, 1, 0, 5, 4, 3, 8, 7, 6)
+TRANSPOSE = (0, 3, 6, 1, 4, 7, 2, 5, 8)        # reflect about the main diagonal
+ANTI_TRANSPOSE = (8, 5, 2, 7, 4, 1, 6, 3, 0)   # reflect about the anti-diagonal
+
+ROTATIONS = (IDENTITY, ROT90, ROT180, ROT270)
+DIHEDRAL = ROTATIONS + (FLIP_ROWS, FLIP_COLS, TRANSPOSE, ANTI_TRANSPOSE)
+
+
+def permute(cells, index_map):
+    return tuple(cells[i] for i in index_map)
+
+
+def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
+    """All distinct grids reachable by the 4 rotations composed with scaling
+    by each quadratic residue.
+
+    Reflections are intentionally not applied; they are tracked separately
+    as fixing/duality properties of the canonical classes.
+    """
+    if not is_magic_class(g):
+        raise NotMagic("orbits are defined for magic grids")
+    if g.center != 0:
+        raise NonzeroCenter("orbits are defined for zero-center grids")
+    ctx = g.context
+    p = ctx.p
+    squares = ctx.qr_set
+    out = set()
+    for rot in ROTATIONS:
+        base = permute(g.vals, rot)
+        for s in squares:
+            out.add(ResidueGrid(ctx, tuple(v * s % p for v in base)))
+    return frozenset(out)
+
+
+def generated_classes(ctx: PrimeContext) -> frozenset[ResidueGrid]:
+    """Union of the orbits of every canonical class: the constructive side of
+    the generated-equals-enumerated comparison."""
+    grids = set(orbit(gen_trivial_corner(ctx)))
+    if ctx.p % 8 == 1:
+        grids |= orbit(gen_trivial_midedge(ctx))
+    for n in consecutive_triples(ctx):
+        grids |= orbit(gen_nontrivial(triple_from_member(ctx, n)))
+    return frozenset(grids)
+
+
+# Largest p naive_enumerate runs at: it walks eight cells, not four.
+MAX_NAIVE_P = 13
+
+
+def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
+    """Fully naive cross-check oracle: enumerate all eight non-center cells
+    over squares and keep grids whose eight sums agree, using nothing but
+    the sum equations themselves (no negation shortcut, no fixed total)."""
+    if ctx.p > MAX_NAIVE_P:
+        raise BoundExceeded(f"p={ctx.p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
+    p = ctx.p
+    sq0 = (0, *ctx.qr_set)
+    out = set()
+    for a in sq0:
+        for b in sq0:
+            for c in sq0:
+                t = (a + b + c) % p
+                for d in sq0:
+                    for f in sq0:
+                        if (d + f) % p != t:
+                            continue
+                        for g in sq0:
+                            if (a + d + g) % p != t or (c + g) % p != t:
+                                continue
+                            for h in sq0:
+                                if (b + h) % p != t:
+                                    continue
+                                for i in sq0:
+                                    if (
+                                        (g + h + i) % p != t
+                                        or (c + f + i) % p != t
+                                        or (a + i) % p != t
+                                    ):
+                                        continue
+                                    vals = (a, b, c, d, 0, f, g, h, i)
+                                    if any(vals):
+                                        out.add(ResidueGrid(ctx, vals))
+    return frozenset(out)
+
+
+def naive_center_enumeration(e: int) -> set[IntGrid]:
+    """Independent oracle: every magic grid of nine distinct squares with
+    center e^2 and entries bounded by 3e^2, by direct enumeration.
+
+    Three corner-ish cells range freely; the rest follow from the eight sum
+    equations alone, with no structural shortcuts. Used to validate search
+    completeness for small e.
+    """
+    if e < 1:
+        raise ValueError(f"center root must be positive, got {e}")
+    limit = 3 * e * e
+    squares = [k * k for k in range(isqrt(limit) + 1)]
+    in_range = set(squares)
+    c2 = e * e
+    out = set()
+    for a in squares:
+        for b in squares:
+            for i in squares:
+                t = a + c2 + i          # main diagonal fixes the total
+                c = t - a - b           # top row
+                if c < 0 or c not in in_range:
+                    continue
+                g = t - c - c2          # anti-diagonal
+                if g < 0 or g not in in_range:
+                    continue
+                d = t - a - g           # left column
+                if d < 0 or d not in in_range:
+                    continue
+                f = t - d - c2          # middle row
+                if f < 0 or f not in in_range:
+                    continue
+                h = t - b - c2          # middle column
+                if h < 0 or h not in in_range:
+                    continue
+                if g + h + i != t or c + f + i != t:
+                    continue
+                cells = (a, b, c, d, c2, f, g, h, i)
+                if len(set(cells)) == 9:
+                    out.add(IntGrid(cells))
+    return out
+
+
+def parametric_magic(center: int, s: int, t: int) -> IntGrid:
+    """The generic 3x3 magic grid with the given center and two offsets.
+
+    Every 3x3 magic square has this form; cells must come out nonnegative,
+    so center >= |s| + |t| is required.
+    """
+    m = center
+    return IntGrid(
+        (m - s, m + s + t, m - t, m + s - t, m, m - s + t, m + t, m - s - t, m + s)
+    )
+
+
+def klein_group_table() -> tuple[tuple[Mod2Class, ...], ...]:
+    """Cell-wise XOR table of the four parity patterns (a Klein four-group)."""
+    pats = Mod2Class.patterns()
+    return tuple(tuple(a ^ b for b in pats) for a in pats)

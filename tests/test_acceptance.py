@@ -12,28 +12,33 @@ import time
 from residuum.cli import main
 from residuum.congrua import Coverage, construct_mod20, construct_mod24, coverage_status
 from residuum.fp import make_context, primes_up_to
-from residuum.intgrid import (
-    Mod2Class,
-    has_even_center_line,
-    is_magic,
-    klein_group_table,
-    parametric_magic,
-)
+from residuum.intgrid import Mod2Class, has_even_center_line, is_magic
 from residuum.residue import (
+    ResidueGrid,
     consecutive_triples,
     count_bound,
     enumerate_all,
     gen_nontrivial,
     gen_trivial_corner,
     gen_trivial_midedge,
-    generated_classes,
     is_magic_class,
     magic_sum,
-    naive_enumerate,
     run_count,
     triple_from_member,
 )
-from residuum.search import naive_center_enumeration, search_msos
+from residuum.search import search_msos
+
+from oracles import (
+    ANTI_TRANSPOSE,
+    FLIP_ROWS,
+    ROT180,
+    generated_classes,
+    klein_group_table,
+    naive_center_enumeration,
+    naive_enumerate,
+    parametric_magic,
+    permute,
+)
 
 EXPECTED_QR_SETS = {
     5: (1, 4),
@@ -190,13 +195,14 @@ def test_criterion_10_property_suites():
             continue
         ctx = make_context(p)
         corner = gen_trivial_corner(ctx)
-        assert corner.reflected_anti_diagonal() == corner
+        assert ResidueGrid(ctx, permute(corner.vals, ANTI_TRANSPOSE)) == corner
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
-            assert midedge.reflected_rows() == midedge
+            assert ResidueGrid(ctx, permute(midedge.vals, FLIP_ROWS)) == midedge
         for n in consecutive_triples(ctx):
             g = gen_nontrivial(triple_from_member(ctx, n))
-            assert g.rotated180() == g.scaled(p - 1)  # w^2 = -1
+            half_turn = ResidueGrid(ctx, permute(g.vals, ROT180))
+            assert half_turn == ResidueGrid(ctx, [v * (p - 1) for v in g.vals])  # w^2 = -1
 
     # run-set symmetry n <-> -(n+2) for every 1 (mod 4) prime up to 500
     for p in primes_up_to(500):

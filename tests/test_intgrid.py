@@ -18,14 +18,14 @@ from residuum.intgrid import (
     is_distinct,
     is_magic,
     is_square_entried,
-    klein_group_table,
     mod2_classify,
-    parametric_magic,
     reduce_primitive,
     residue_class_of,
     total_is_triple_center,
 )
 from residuum.residue import is_magic_class, magic_sum
+
+from oracles import klein_group_table, parametric_magic
 
 LOSHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 SQUARES = IntGrid((1, 4, 9, 16, 25, 36, 49, 64, 81))

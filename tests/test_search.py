@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from residuum.errors import BadParameters, BadRange
 from residuum.fp import MAX_WORKERS, factorize_block, primes_up_to
-from residuum.grid_ops import DIHEDRAL, LINES, permute
+from residuum.grid_ops import LINES
 from residuum.intgrid import (
     INADMISSIBLE,
     IntGrid,
@@ -15,18 +15,18 @@ from residuum.intgrid import (
     is_distinct,
     is_magic,
     is_square_entried,
-    parametric_magic,
 )
 from residuum.search import (
     SearchReport,
     _assemble,
+    _merge,
     _scan_center,
     center_has_inadmissible_factor,
-    naive_center_enumeration,
     pair_decompositions,
-    primitive_subset,
     search_msos,
 )
+
+from oracles import DIHEDRAL, naive_center_enumeration, parametric_magic, permute
 
 
 def walk_layouts(m, pairs, threshold):
@@ -85,6 +85,11 @@ def isqrt_pairs(e):
 
 def canonical(cells):
     return min(permute(cells, sym) for sym in DIHEDRAL)
+
+
+def primitive_subset(grids) -> set[IntGrid]:
+    """The grids whose cells have gcd 1."""
+    return {g for g in grids if gcd(*g.cells) == 1}
 
 
 def brute_pairs(e):
@@ -270,6 +275,14 @@ def test_search_refuses_workers_above_the_ceiling(pool_sizes):
     with pytest.raises(BadParameters, match=f"\\[1, {MAX_WORKERS}\\]"):
         search_msos(1, 10**6, workers=MAX_WORKERS + 1)
     assert pool_sizes == []
+
+
+def test_merge_sums_the_counts_and_joins_the_cells_in_order():
+    # no center a test can scan holds a hit, so only made-up results show
+    # that hits are carried through
+    a, b, c = (1,) * 9, (2,) * 9, (3,) * 9
+    results = [(False, 48, (a,), (b,)), (True, 0, (), ()), (False, 96, (c,), (a, b))]
+    assert _merge(results) == (1, 144, [a, c], [b, a, b])
 
 
 def test_search_report_deterministic_across_chunks():
