@@ -26,7 +26,7 @@ _EXPORTS = {
             two_square_splits two_squares""",
         "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check
             has_even_center_line is_distinct is_magic is_square_entried mod2_classify
-            reduce_primitive residue_class_of total_is_triple_center""",
+            reduce_primitive total_is_triple_center""",
         "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
             enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
             line_sums magic_sum run_count runs_from_split triple_from_member""",

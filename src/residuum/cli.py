@@ -63,6 +63,7 @@ from .fp import MAX_CONTEXT_P, MAX_WORKERS, make_context, sqrt_mod, two_square_s
 from .grid_ops import rows_of
 from .residue import (
     MAX_COUNT_P,
+    ResidueGrid,
     classes_from_sum_equations,
     classify,
     consecutive_runs,
@@ -375,10 +376,12 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
         results["count_bound"] = count_bound(p, run_count(p))
         corner = gen_trivial_corner(ctx)
-        results["trivial_corner"] = _grid_payload(corner.vals, corner.roots())
+        results["trivial_corner"] = _grid_payload(corner.vals, [ctx.root[v] for v in corner.vals])
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
-            results["trivial_midedge"] = _grid_payload(midedge.vals, midedge.roots())
+            results["trivial_midedge"] = _grid_payload(
+                midedge.vals, [ctx.root[v] for v in midedge.vals]
+            )
         results["nontrivial_classes"] = LazyList(lambda: nontrivial_fields(ctx), _CLASS_ENTRY)
         if p <= max_oracle_p:
             count = classes_from_sum_equations(p)
@@ -567,18 +570,18 @@ def run_verify(path: str) -> OutputDocument:
         admissible_center_check,
         is_distinct,
         is_magic,
-        is_square_entried,
         reduce_primitive,
         total_is_triple_center,
     )
 
     grid = parse_square_file(path)
     total = is_magic(grid)
-    square_entried = is_square_entried(grid)
+    roots = _int_roots(grid)
+    square_entried = None not in roots
     all_zero = not any(grid.cells)
     results: dict = {
         "path": path,
-        "grid": _grid_payload(grid.cells, _int_roots(grid)),
+        "grid": _grid_payload(grid.cells, roots),
         "magic": total is not None,
         "total": total,
         "total_is_triple_center": (
@@ -613,13 +616,16 @@ def run_verify(path: str) -> OutputDocument:
             for q, verdict in check.verdicts:
                 if verdict != "admissible":
                     continue
-                classes.append(_residue_report(grid, q))
+                classes.append(_residue_report(grid, roots, q))
             results["residue_classes"] = classes
     return OutputDocument("verify", {"path": path}, results)
 
 
-def _residue_report(grid, q: int) -> dict:
-    from .intgrid import has_even_center_line, mod2_classify, residue_class_of
+def _residue_report(grid, roots: list[int], q: int) -> dict:
+    """The class mod q of a square-entried grid whose cells have the integer
+    `roots`; a cell r^2 has the smaller root min(r mod q, -r mod q), so no
+    root table is built."""
+    from .intgrid import has_even_center_line, mod2_classify
 
     if q == 2:
         entry: dict = {"p": 2, "kind": "parity", "pattern_index": None, "bits": None,
@@ -633,13 +639,12 @@ def _residue_report(grid, q: int) -> dict:
         entry["bits"] = pattern.rows()
         entry["center_line_all_even"] = has_even_center_line(pattern)
         return entry
-    ctx = make_context(q)
-    rgrid = residue_class_of(grid, ctx)
+    rgrid = ResidueGrid(q, grid.cells)
     magic = is_magic_class(rgrid)
     entry = {
         "p": q,
         "kind": "residue",
-        **_grid_payload(rgrid.vals, rgrid.roots()),
+        **_grid_payload(rgrid.vals, [min(r % q, -r % q) for r in roots]),
         "magic": magic,
         "sum": magic_sum(rgrid),
         "classification": None,
@@ -763,7 +768,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         "table_members": table_members,
         "triple": _triple_payload(triple),
         "member": triple.squares()[2],
-        "grid": _grid_payload(grid.vals, grid.roots()),
+        "grid": _grid_payload(grid.vals, [ctx.root[v] for v in grid.vals]),
     }
     return OutputDocument("construct", parameters, results), EXIT_OK
 

@@ -1,6 +1,7 @@
 """Integer-side 3x3 grids: magic checks, the triple-center total, center
-divisibility analysis, primitivity reduction, residue extraction, and the
-mod-2 parity classification with its Klein four-group structure.
+divisibility analysis, primitivity reduction, and the mod-2 parity
+classification. A square-entried grid's class mod a prime q is
+`ResidueGrid(q, grid.cells)`.
 """
 
 from __future__ import annotations
@@ -9,9 +10,8 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from .errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
-from .fp import MAX_CENTER_ROOT, PrimeContext, factorize
+from .fp import MAX_CENTER_ROOT, factorize
 from .grid_ops import CENTER, CENTER_LINES, LINES, rows_of
-from .residue import ResidueGrid
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
@@ -109,13 +109,6 @@ def admissible_center_check(e: int) -> CenterReport:
     return CenterReport(verdicts, warning)
 
 
-def residue_class_of(g: IntGrid, ctx: PrimeContext) -> ResidueGrid:
-    """Cell-wise reduction mod p; defined for grids of perfect squares."""
-    if not is_square_entried(g):
-        raise ValueError("residue classes are defined for grids of squares")
-    return ResidueGrid(ctx, [v % ctx.p for v in g.cells])
-
-
 _M2_PATTERNS = (
     (0, 0, 0, 0, 0, 0, 0, 0, 0),
     (1, 1, 0, 1, 0, 1, 0, 1, 1),
@@ -146,9 +139,6 @@ class Mod2Class(namedtuple("Mod2Class", "bits")):
 
     def rows(self) -> list[list[int]]:
         return rows_of(self.bits)
-
-    def __xor__(self, other: "Mod2Class") -> "Mod2Class":
-        return Mod2Class(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
 
 def mod2_classify(g: IntGrid) -> Mod2Class:

@@ -21,8 +21,9 @@ from .errors import (
     NotAMember,
     NotMagic,
     NonzeroCenter,
+    NotPrime,
 )
-from .fp import PrimeContext, two_squares
+from .fp import PrimeContext, is_prime, two_squares
 from .grid_ops import CENTER, CORNERS, LINES, MID_EDGES, rows_of
 
 
@@ -33,31 +34,27 @@ class ClassKind(Enum):
     ALL_ZERO = "all_zero"
 
 
-class ResidueGrid(namedtuple("ResidueGrid", "context vals")):
-    """3x3 grid of squares in F_p, row-major, compared and hashed by value."""
+class ResidueGrid(namedtuple("ResidueGrid", "p vals")):
+    """3x3 grid of squares in F_p, row-major, compared and hashed by value.
+    It holds p alone: Euler's criterion checks its cells with no table."""
 
     __slots__ = ()
 
-    def __new__(cls, context: PrimeContext, vals):
-        p, root = context.p, context.root
+    def __new__(cls, p: int, vals):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         vals = tuple([v % p for v in vals])
         if len(vals) != 9:
             raise ValueError("a grid needs exactly 9 cells")
         for v in vals:
-            # a zero root marks 0 or a non-residue, and 0 is a square
-            if v and not root[v]:
+            if v and pow(v, (p - 1) // 2, p) != 1:
                 raise NonSquareCell(f"{v} is not a square mod {p}")
-        return super().__new__(cls, context, vals)
+        return super().__new__(cls, p, vals)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def rows(self) -> list[list[int]]:
         return rows_of(self.vals)
-
-    def roots(self) -> list[int]:
-        """The smaller square root of each cell, row-major; 0 for a zero cell."""
-        root = self.context.root
-        return [root[v] for v in self.vals]
 
     @property
     def center(self) -> int:
@@ -65,7 +62,7 @@ class ResidueGrid(namedtuple("ResidueGrid", "context vals")):
 
     def __repr__(self):
         r = self.rows()
-        return f"ResidueGrid(p={self.context.p}, {r[0]} / {r[1]} / {r[2]})"
+        return f"ResidueGrid(p={self.p}, {r[0]} / {r[1]} / {r[2]})"
 
 
 class UnitTriple(namedtuple("UnitTriple", "context alpha beta gamma")):
@@ -92,7 +89,7 @@ class UnitTriple(namedtuple("UnitTriple", "context alpha beta gamma")):
 
 def line_sums(g: ResidueGrid) -> tuple[int, ...]:
     """The 8 line sums (3 rows, 3 columns, 2 main diagonals), reduced mod p."""
-    p = g.context.p
+    p = g.p
     v = g.vals
     return tuple(sum(v[i] for i in line) % p for line in LINES)
 
@@ -134,7 +131,7 @@ def gen_trivial_corner(ctx: PrimeContext) -> ResidueGrid:
     if ctx.p % 4 != 1:
         raise BadPrimeForm(f"corner-zero classes need p = 1 (mod 4), got {ctx.p}")
     m1 = ctx.p - 1
-    return ResidueGrid(ctx, (0, 1, m1, m1, 0, 1, 1, m1, 0))
+    return ResidueGrid(ctx.p, (0, 1, m1, m1, 0, 1, 1, m1, 0))
 
 
 def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
@@ -148,7 +145,7 @@ def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
             + (" (2 is a non-residue for p = 5 mod 8)" if ctx.p % 8 == 5 else "")
         )
     p = ctx.p
-    return ResidueGrid(ctx, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
+    return ResidueGrid(p, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
 
 
 def consecutive_runs(ctx: PrimeContext) -> Iterator[int]:
@@ -183,7 +180,7 @@ def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
     if ctx.w is None:
         raise BadPrimeForm(f"no order-4 element mod {ctx.p}; need p = 1 (mod 4)")
     a2, b2, g2 = t.squares()
-    return ResidueGrid(ctx, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
+    return ResidueGrid(ctx.p, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
 
 
 def nontrivial_fields(ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
@@ -194,8 +191,8 @@ def nontrivial_fields(ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
     triple_from_member(ctx, n) has squares (n+2, n+1, n), so gen_nontrivial
     gives the cells (p-n-1, n, 1, n+2, 0, p-n-2, p-1, p-n, n+1), all in
     [0, p-1] since 1 <= n <= p-3. Each root is one table read: the root of 1
-    is 1, and the root of p-1 is w. The six other roots are checked as
-    ResidueGrid checks its cells, so a zero one raises NonSquareCell.
+    is 1, and the root of p-1 is w. A zero root marks a non-residue, so a zero
+    among the six other roots raises NonSquareCell, as ResidueGrid would.
     """
     p, root, w = ctx.p, ctx.root, ctx.w
     if w is None:
@@ -290,7 +287,7 @@ def enumerate_all(ctx: PrimeContext) -> frozenset[ResidueGrid]:
                     vals = (a, b, c, d, 0, -d % p, -c % p, -b % p, -a % p)
                     if not any(vals):
                         continue
-                    grid = ResidueGrid(ctx, vals)
+                    grid = ResidueGrid(p, vals)
                     assert set(line_sums(grid)) == {0}
                     out.add(grid)
     return frozenset(out)

@@ -196,15 +196,73 @@ MUTANTS = (
         "return t == 3 * g.cells[0]",
         ("tests/test_intgrid.py::test_parametric_magic_total_is_triple_center",),
     ),
-    # klein_group_table: parity patterns combined by OR, not XOR
+    # klein_group_table: one bit of a parity pattern flipped, so the XOR of
+    # two patterns is no pattern and Mod2Class refuses it
     Mutant(
-        "parity_patterns_or",
+        "parity_pattern_bit_flipped",
         "intgrid.py",
-        "a ^ b",
-        "a | b",
+        "    (1, 0, 1, 0, 0, 0, 1, 0, 1),\n",
+        "    (1, 0, 1, 0, 0, 0, 1, 0, 0),\n",
         (
             "tests/test_intgrid.py::test_klein_group_table",
             "tests/test_acceptance.py::test_criterion_09_klein_four_group",
+        ),
+    ),
+    # ResidueGrid's Euler criterion with exponent p - 1, which every unit
+    # passes, so a non-square cell is accepted
+    Mutant(
+        "residue_grid_accepts_every_unit",
+        "residue.py",
+        "pow(v, (p - 1) // 2, p)",
+        "pow(v, p - 1, p)",
+        (
+            "tests/test_residue.py::test_cells_must_be_squares",
+            "tests/test_value_classes.py::test_value_class_contract[ResidueGrid]",
+        ),
+    ),
+    # ResidueGrid without its primality proof, so it takes a composite p
+    Mutant(
+        "residue_grid_skips_the_proof",
+        "residue.py",
+        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n",
+        "",
+        ("tests/test_residue.py::test_modulus_must_be_prime",),
+    ),
+    # verify's class roots: the larger root of each cell mod q, not the
+    # smaller
+    Mutant(
+        "verify_takes_the_larger_root",
+        "cli.py",
+        "min(r % q, -r % q)",
+        "max(r % q, -r % q)",
+        (
+            "tests/test_golden.py::test_structured_output_is_pinned[verify sallows.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned[verify root9999929.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned[verify root10000121.txt]",
+        ),
+    ),
+    # is_prime without its last round: a prime between psi_12 and psi_13,
+    # and psi_12 itself, pass the 12 rounds and are refused as unproven
+    Mutant(
+        "miller_rabin_drops_the_last_round",
+        "fp.py",
+        "    (41, 3317044064679887385961981),\n",
+        "",
+        (
+            "tests/test_fp.py::test_is_prime_proves_a_proth_prime_below_psi_13",
+            "tests/test_fp.py::test_is_prime_rejects_the_strong_pseudoprimes"
+            "[318665857834031151167461]",
+        ),
+    ),
+    # pair_decompositions returns its pairs at e / scale, not at e
+    Mutant(
+        "pairs_drop_the_scale",
+        "search.py",
+        "(scale**2 * lo, scale**2 * (2 * half - lo))",
+        "(lo, 2 * half - lo)",
+        (
+            "tests/test_search.py::test_pair_decompositions_match_isqrt_oracle",
+            "tests/test_search.py::test_pair_decompositions_match_euclid_over_the_whole_range",
         ),
     ),
 )

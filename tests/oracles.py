@@ -10,7 +10,7 @@ and the dihedral index maps of a flat row-major 3x3 grid.
 from math import isqrt
 
 from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
-from residuum.fp import PrimeContext
+from residuum.fp import PrimeContext, make_context
 from residuum.intgrid import IntGrid, Mod2Class
 from residuum.residue import (
     ResidueGrid,
@@ -50,14 +50,13 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
         raise NotMagic("orbits are defined for magic grids")
     if g.center != 0:
         raise NonzeroCenter("orbits are defined for zero-center grids")
-    ctx = g.context
-    p = ctx.p
-    squares = ctx.qr_set
+    p = g.p
+    squares = make_context(p).qr_set
     out = set()
     for rot in ROTATIONS:
         base = permute(g.vals, rot)
         for s in squares:
-            out.add(ResidueGrid(ctx, tuple(v * s % p for v in base)))
+            out.add(ResidueGrid(p, tuple(v * s % p for v in base)))
     return frozenset(out)
 
 
@@ -108,7 +107,7 @@ def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
                                         continue
                                     vals = (a, b, c, d, 0, f, g, h, i)
                                     if any(vals):
-                                        out.add(ResidueGrid(ctx, vals))
+                                        out.add(ResidueGrid(p, vals))
     return frozenset(out)
 
 
@@ -169,4 +168,7 @@ def parametric_magic(center: int, s: int, t: int) -> IntGrid:
 def klein_group_table() -> tuple[tuple[Mod2Class, ...], ...]:
     """Cell-wise XOR table of the four parity patterns (a Klein four-group)."""
     pats = Mod2Class.patterns()
-    return tuple(tuple(a ^ b for b in pats) for a in pats)
+    return tuple(
+        tuple(Mod2Class(tuple(x ^ y for x, y in zip(a.bits, b.bits))) for b in pats)
+        for a in pats
+    )

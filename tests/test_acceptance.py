@@ -195,14 +195,14 @@ def test_criterion_10_property_suites():
             continue
         ctx = make_context(p)
         corner = gen_trivial_corner(ctx)
-        assert ResidueGrid(ctx, permute(corner.vals, ANTI_TRANSPOSE)) == corner
+        assert ResidueGrid(p, permute(corner.vals, ANTI_TRANSPOSE)) == corner
         if p % 8 == 1:
             midedge = gen_trivial_midedge(ctx)
-            assert ResidueGrid(ctx, permute(midedge.vals, FLIP_ROWS)) == midedge
+            assert ResidueGrid(p, permute(midedge.vals, FLIP_ROWS)) == midedge
         for n in consecutive_triples(ctx):
             g = gen_nontrivial(triple_from_member(ctx, n))
-            half_turn = ResidueGrid(ctx, permute(g.vals, ROT180))
-            assert half_turn == ResidueGrid(ctx, [v * (p - 1) for v in g.vals])  # w^2 = -1
+            half_turn = ResidueGrid(p, permute(g.vals, ROT180))
+            assert half_turn == ResidueGrid(p, [v * (p - 1) for v in g.vals])  # w^2 = -1
 
     # run-set symmetry n <-> -(n+2) for every 1 (mod 4) prime up to 500
     for p in primes_up_to(500):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import residuum
 from residuum import cli, congrua, fp, residue, search
 from residuum.cli import main
-from residuum.fp import PrimeContext, is_prime, primes_up_to
+from residuum.fp import PrimeContext, primes_up_to
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
 from test_golden import GOLDEN, VERIFY_FILES
@@ -677,10 +677,9 @@ def test_structured_output_round_trips(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["analyze", "1000000009"], ["construct", "1000000009"], ["table", "10000001"], ["verify"]],
+    "argv", [["analyze", "1000000009"], ["construct", "1000000009"], ["table", "10000001"]]
 )
-def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+def test_context_ceiling_is_usage_error(capsys, monkeypatch, argv):
     def started(*args):
         raise AssertionError("work started above the context ceiling")
 
@@ -688,28 +687,32 @@ def test_context_ceiling_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(congrua, "is_prime", started)
     monkeypatch.setattr(cli, "two_square_splits", started)
     monkeypatch.setattr(fp, "_prime_flags", started)
-    proved = []
-    if argv == ["verify"]:
-        # center root 1000000009 is a prime = 1 (mod 4): verify builds a
-        # context to reduce the grid mod it, a table of about 5*10**8
-        # residues, though the integer roots would give every root. Factoring
-        # the root proves it prime, once; a context would prove it again
-        f = tmp_path / "grid.txt"
-        f.write_text(f"1 1 1\n1 {1000000009**2} 1\n1 1 1\n")
-        argv = ["verify", str(f)]
-
-        def proving(n):
-            proved.append(n)
-            return is_prime(n)
-
-        monkeypatch.setattr(fp, "is_prime", proving)
     code, out, err = run(capsys, *argv)
-    assert proved == ([1000000009] if argv[0] == "verify" else [])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     # table builds no contexts; the same ceiling bounds its sieve
     assert ("sieve ceiling" if argv[0] == "table" else "context ceiling") in err
+
+
+def test_verify_builds_no_context_above_the_context_ceiling(capsys, tmp_path, monkeypatch):
+    # center root 1000000009 is a prime = 1 (mod 4), a hundred times the
+    # context ceiling: a cell r^2 has the root min(r mod q, -r mod q), so the
+    # class mod q needs no table of its roots
+    def built(*args):
+        raise AssertionError("verify built a prime context")
+
+    monkeypatch.setattr(fp, "PrimeContext", built)
+    q = 1000000009
+    f = tmp_path / "grid.txt"
+    f.write_text(f"1 1 1\n1 {q**2} 1\n1 1 1\n")
+    code, doc, _ = run_json(capsys, "verify", str(f))
+    assert code == 0
+    (entry,) = doc["results"]["residue_classes"]
+    assert (entry["p"], entry["kind"]) == (q, "residue")
+    for cell_row, root_row in zip(entry["cells"], entry["roots"]):
+        for v, r in zip(cell_row, root_row):
+            assert r * r % q == v and 0 <= r <= q // 2
 
 
 def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
@@ -930,7 +933,7 @@ EXPORTS = {
         two_square_splits two_squares""",
     "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check has_even_center_line
         is_distinct is_magic is_square_entried mod2_classify reduce_primitive
-        residue_class_of total_is_triple_center""",
+        total_is_triple_center""",
     "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
         enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
         line_sums magic_sum run_count runs_from_split triple_from_member""",
@@ -940,18 +943,19 @@ EXPORTS = {
 # package to it too
 PACKAGE_ALL = sorted([*EXPORTS, "errors", "grid_ops", *" ".join(EXPORTS.values()).split()])
 
-# names only the tests read, which live in tests/oracles.py or in the one test
-# module that uses them: none resolves from the package or from the submodule
-# that defined it
+# names the package no longer holds: those only the tests read, which live in
+# tests/oracles.py or in the one test module that uses them, and the wrappers
+# deleted with their last caller. None resolves from the package or from the
+# submodule that defined it
 MOVED = {
     "congrua": "SquareProgression.primitive",
     "fp": "PrimeContext.is_square",
     "grid_ops": """IDENTITY ROT90 ROT180 ROT270 FLIP_ROWS FLIP_COLS TRANSPOSE ANTI_TRANSPOSE
         ROTATIONS DIHEDRAL permute""",
-    "intgrid": "klein_group_table parametric_magic",
+    "intgrid": "klein_group_table parametric_magic residue_class_of Mod2Class.__xor__",
     "residue": """MAX_NAIVE_P generated_classes naive_enumerate orbit ResidueGrid.scaled
         ResidueGrid.transformed ResidueGrid.rotated180 ResidueGrid.reflected_rows
-        ResidueGrid.reflected_anti_diagonal""",
+        ResidueGrid.reflected_anti_diagonal ResidueGrid.roots""",
     "search": "naive_center_enumeration primitive_subset",
 }
 

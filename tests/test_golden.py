@@ -32,8 +32,15 @@ windows below 10**12 and 10**14 list layouts built from the splits of
 15228581, 148456057, 13513513513, 58823529409 and 19999999999997, the last
 three through the sieve's cofactors above 2**32; their hashes were taken from
 the sources in which `two_squares` still found sqrt(-1) by Tonelli-Shanks,
-so the power of a non-residue is held to that output. A change that alters
-output on purpose updates the hash and says why.
+so the power of a non-residue is held to that output. The two `verify`
+grids around the squares of 9999929 and 10000121 have one residue class mod
+their center root. The `root9999929.txt` hash, at the largest prime below the
+context ceiling of 10**7, was taken from the sources that still read each
+root of that class from a prime context's table, so the closed form
+min(r mod q, -r mod q) is held to that output. Those sources refused the
+`root10000121.txt` grid at the ceiling, so its hash was taken from the
+sources with the closed form. A change that alters output on purpose
+updates the hash and says why.
 """
 
 import hashlib
@@ -73,6 +80,8 @@ GOLDEN = {
     "verify sallows.txt": (0, "a1ae2310fc9278c43d5dc2c980b829e1e6c90a2a66330e6bb3cfb4c7ffa26006"),
     "verify tens.txt": (0, "01d796a570f82923908707c283323a77a63807d4eca09a0b170037ff7116db00"),
     "verify prime14.txt": (0, "809dd24f2086a8efaa882168985b96b70e30ea18bf797087ece34b7ca8384d40"),
+    "verify root9999929.txt": (0, "5b91b9ae80abdefbfc698a818b59568fe69e620b51078d7c205046607bfa3b8f"),
+    "verify root10000121.txt": (0, "abe746c13d96543ba411f431aced5b7b4230207d8cb4ba3082327ff52f3f74da"),
     "analyze 29 --format table": (0, "a3022da964011f6ee40b9fd17543b9f0fb63d270df4fa7b2f1a488746d52fb17"),
     "analyze 1009 --format table": (0, "b6a5605f2a99cce48e7a7ef056a4f090eb09944bdced4967e14dc238e206e342"),
     "analyze 50021 --format table": (0, "28d4fc243212a88ce0d6b450f755aa3e90491f90bdc0c9d18bf3810644c80595"),
@@ -94,6 +103,10 @@ VERIFY_FILES = {
     "tens.txt": (10**2,) * 9,
     # 2s around the square of the largest prime below 10**14
     "prime14.txt": (2,) * 4 + (99999999999973**2,) + (2,) * 4,
+    # 1..8 squared around the square of the largest prime below 10**7, and
+    # of a prime above it: one residue class each, not magic
+    "root9999929.txt": (1, 4, 9, 16, 9999929**2, 25, 36, 49, 64),
+    "root10000121.txt": (1, 4, 9, 16, 10000121**2, 25, 36, 49, 64),
 }
 
 

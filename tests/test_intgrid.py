@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from residuum import intgrid
 from residuum.errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
-from residuum.fp import MAX_CENTER_ROOT, make_context
+from residuum.fp import MAX_CENTER_ROOT
 from residuum.intgrid import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -20,10 +20,9 @@ from residuum.intgrid import (
     is_square_entried,
     mod2_classify,
     reduce_primitive,
-    residue_class_of,
     total_is_triple_center,
 )
-from residuum.residue import is_magic_class, magic_sum
+from residuum.residue import ResidueGrid, is_magic_class, magic_sum
 
 from oracles import klein_group_table, parametric_magic
 
@@ -111,13 +110,9 @@ def test_admissible_center_check_refuses_above_the_factoring_ceiling(monkeypatch
             admissible_center_check(e)
 
 
-def test_residue_class_of_examples():
-    ctx5 = make_context(5)
-    assert residue_class_of(SQUARES, ctx5).rows() == [[1, 4, 4], [1, 0, 1], [4, 4, 1]]
-    ctx2 = make_context(2)
-    assert set(residue_class_of(SQUARES, ctx2).vals) <= {0, 1}
-    with pytest.raises(ValueError):
-        residue_class_of(LOSHU, ctx5)
+def test_residue_class_examples():
+    assert ResidueGrid(5, SQUARES.cells).rows() == [[1, 4, 4], [1, 0, 1], [4, 4, 1]]
+    assert set(ResidueGrid(2, SQUARES.cells).vals) <= {0, 1}
 
 
 def test_residue_class_of_magic_grid_is_magic_mod_center_prime():
@@ -140,7 +135,7 @@ def test_residue_class_of_magic_grid_is_magic_mod_center_prime():
                     continue
                 if q == 2:
                     continue
-                rg = residue_class_of(grid, make_context(q))
+                rg = ResidueGrid(q, grid.cells)
                 assert is_magic_class(rg) and magic_sum(rg) == 0
 
 
@@ -190,11 +185,11 @@ def test_klein_group_table():
             assert entry in pats  # closure (constructor would reject otherwise)
             assert table[i][j] == table[j][i]
     for i, pat in enumerate(pats):
-        assert (pat ^ pat).index == 0  # self-inverse
-        assert (pats[0] ^ pat) == pat  # identity
-    assert (pats[1] ^ pats[2]) == pats[3]
-    assert (pats[1] ^ pats[3]) == pats[2]
-    assert (pats[2] ^ pats[3]) == pats[1]
+        assert table[i][i].index == 0  # self-inverse
+        assert table[0][i] == pat  # identity
+    assert table[1][2] == pats[3]
+    assert table[1][3] == pats[2]
+    assert table[2][3] == pats[1]
 
 
 def test_has_even_center_line_for_all_patterns():

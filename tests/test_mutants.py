@@ -35,7 +35,10 @@ def run_node_ids(tree: Path, node_ids) -> tuple[int, set[str], str]:
          "--hypothesis-seed=0", *node_ids],
         cwd=tree, env=env, capture_output=True, text=True, timeout=900,
     )
-    return run.returncode, set(re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M)), run.stdout
+    # a node id may hold spaces, as the golden commands do; a summary line
+    # puts " - " and the message after it
+    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", run.stdout, re.M)
+    return run.returncode, set(failed), run.stdout
 
 
 @pytest.mark.slow

@@ -28,8 +28,8 @@ CASES = {
         "PrimeContext(p=29)",
     ),
     ResidueGrid: (
-        dict(context=make_context(29), vals=(0, 1, 28, 28, 0, 1, 1, 28, 0)),
-        dict(context=make_context(29), vals=(2, 0, 0, 0, 0, 0, 0, 0, 0)),  # 2 is not a square
+        dict(p=29, vals=(0, 1, 28, 28, 0, 1, 1, 28, 0)),
+        dict(p=29, vals=(2, 0, 0, 0, 0, 0, 0, 0, 0)),  # 2 is not a square
         NonSquareCell,
         "ResidueGrid(p=29, [0, 1, 28] / [28, 0, 1] / [1, 28, 0])",
     ),
