@@ -375,10 +375,10 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     else:
         results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
         results["count_bound"] = count_bound(p, run_count(p))
-        corner = gen_trivial_corner(ctx)
+        corner = gen_trivial_corner(p)
         results["trivial_corner"] = _grid_payload(corner.vals, [ctx.root[v] for v in corner.vals])
         if p % 8 == 1:
-            midedge = gen_trivial_midedge(ctx)
+            midedge = gen_trivial_midedge(p)
             results["trivial_midedge"] = _grid_payload(
                 midedge.vals, [ctx.root[v] for v in midedge.vals]
             )

@@ -72,7 +72,7 @@ def ap_to_unit_triple(prog: SquareProgression, ctx: PrimeContext) -> UnitTriple:
     if not ctx.is_qr(prog.d):
         raise NonResidueDifference(f"{prog.d} is not a nonzero square mod {p}")
     r_inv = pow(sqrt_mod(ctx, prog.d), -1, p)
-    return UnitTriple(ctx, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
+    return UnitTriple(p, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
 
 
 # The progressions the two residue criteria reduce mod p.

@@ -276,7 +276,8 @@ class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
     the smaller element of order 4 (present iff p = 1 mod 4); tau is the
     smaller square root of 2 (present iff p = 2 or p = +-1 mod 8). Where two
     roots exist we always pick the representative in [0, (p-1)/2] so that
-    outputs are reproducible. Contexts compare and hash by p alone.
+    outputs are reproducible. Contexts compare field by field, like the other
+    named tuples, and, holding an array, are unhashable.
     """
 
     __slots__ = ()
@@ -314,15 +315,6 @@ class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
     def is_qr(self, value: int) -> bool:
         """True iff value reduces to a nonzero quadratic residue."""
         return self.root[value % self.p] != 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeContext) and other.p == self.p
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.p)
 
     def __repr__(self):
         return f"PrimeContext(p={self.p})"

@@ -65,25 +65,27 @@ class ResidueGrid(namedtuple("ResidueGrid", "p vals")):
         return f"ResidueGrid(p={self.p}, {r[0]} / {r[1]} / {r[2]})"
 
 
-class UnitTriple(namedtuple("UnitTriple", "context alpha beta gamma")):
+class UnitTriple(namedtuple("UnitTriple", "p alpha beta gamma")):
     """(alpha, beta, gamma) in [1, p-1] with alpha^2 - beta^2 = beta^2 - gamma^2 = 1
-    mod p, where p is the one context the three members belong to."""
+    mod a prime p. Like ResidueGrid, it holds p alone, so no copy or pickle
+    of it rebuilds a root table."""
 
     __slots__ = ()
 
-    def __new__(cls, context: PrimeContext, alpha: int, beta: int, gamma: int):
-        p = context.p
+    def __new__(cls, p: int, alpha: int, beta: int, gamma: int):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         a, b, g = alpha, beta, gamma
         if not all(0 < x < p for x in (a, b, g)):
             raise ValueError(f"unit-triple members must lie in [1, {p - 1}]")
         if (a * a - b * b) % p != 1 or (b * b - g * g) % p != 1:
             raise ValueError("consecutive squares must differ by exactly 1")
-        return super().__new__(cls, context, alpha, beta, gamma)
+        return super().__new__(cls, p, alpha, beta, gamma)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def squares(self) -> tuple[int, int, int]:
-        p = self.context.p
+        p = self.p
         return (self.alpha ** 2 % p, self.beta ** 2 % p, self.gamma ** 2 % p)
 
 
@@ -123,28 +125,27 @@ def classify(g: ResidueGrid) -> ClassKind:
     return ClassKind.NONTRIVIAL
 
 
-def gen_trivial_corner(ctx: PrimeContext) -> ResidueGrid:
-    """Canonical corner-zero class: 0 1 -1 / -1 0 1 / 1 -1 0.
+def gen_trivial_corner(p: int) -> ResidueGrid:
+    """Canonical corner-zero class mod p: 0 1 -1 / -1 0 1 / 1 -1 0.
 
     Needs -1 to be a square, hence p = 1 (mod 4).
     """
-    if ctx.p % 4 != 1:
-        raise BadPrimeForm(f"corner-zero classes need p = 1 (mod 4), got {ctx.p}")
-    m1 = ctx.p - 1
-    return ResidueGrid(ctx.p, (0, 1, m1, m1, 0, 1, 1, m1, 0))
+    if p % 4 != 1:
+        raise BadPrimeForm(f"corner-zero classes need p = 1 (mod 4), got {p}")
+    m1 = p - 1
+    return ResidueGrid(p, (0, 1, m1, m1, 0, 1, 1, m1, 0))
 
 
-def gen_trivial_midedge(ctx: PrimeContext) -> ResidueGrid:
-    """Canonical mid-edge-zero class: 1 0 -1 / -2 0 2 / 1 0 -1.
+def gen_trivial_midedge(p: int) -> ResidueGrid:
+    """Canonical mid-edge-zero class mod p: 1 0 -1 / -2 0 2 / 1 0 -1.
 
     Needs both -1 and 2 to be squares, hence p = 1 (mod 8).
     """
-    if ctx.p % 8 != 1:
+    if p % 8 != 1:
         raise BadPrimeForm(
-            f"mid-edge-zero classes need p = 1 (mod 8), got {ctx.p}"
-            + (" (2 is a non-residue for p = 5 mod 8)" if ctx.p % 8 == 5 else "")
+            f"mid-edge-zero classes need p = 1 (mod 8), got {p}"
+            + (" (2 is a non-residue for p = 5 mod 8)" if p % 8 == 5 else "")
         )
-    p = ctx.p
     return ResidueGrid(p, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
 
 
@@ -168,7 +169,7 @@ def triple_from_member(ctx: PrimeContext, n: int) -> UnitTriple:
     a, b, g = ctx.root[(n + 2) % p], ctx.root[(n + 1) % p], ctx.root[n]
     if 0 in (a, b, g):
         raise NotAMember(f"{n} does not start a consecutive residue run mod {p}")
-    return UnitTriple(ctx, a, b, g)
+    return UnitTriple(p, a, b, g)
 
 
 def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
@@ -176,11 +177,11 @@ def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
 
     w^2 = -1, so the cells are -b^2 g^2 1 / a^2 0 -a^2 / -1 -g^2 b^2.
     """
-    ctx = t.context
-    if ctx.w is None:
-        raise BadPrimeForm(f"no order-4 element mod {ctx.p}; need p = 1 (mod 4)")
+    p = t.p
+    if p % 4 != 1:
+        raise BadPrimeForm(f"no order-4 element mod {p}; need p = 1 (mod 4)")
     a2, b2, g2 = t.squares()
-    return ResidueGrid(ctx.p, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
+    return ResidueGrid(p, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
 
 
 def nontrivial_fields(ctx: PrimeContext) -> Iterator[tuple[int, ...]]:

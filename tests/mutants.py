@@ -113,6 +113,27 @@ MUTANTS = (
         "u - v not in lengths",
         ("tests/test_search.py::test_assemble_matches_walker_where_hits_exist",),
     ),
+    # _assemble's sum-triple skip reads only the fix u + v, so it loses the
+    # Lo Shu's 6-line near misses whose fix is u - v
+    Mutant(
+        "assemble_skip_reads_the_other_fix",
+        "search.py",
+        "u - v not in lengths and u + v not in lengths",
+        "u + v not in lengths",
+        ("tests/test_search.py::test_assemble_finds_the_lo_shu",),
+    ),
+    # _assemble sends every hit to the near misses; the naive oracle's
+    # positive control, the Lo Shu, is the one hit the tests assemble
+    Mutant(
+        "assemble_hits_become_near_misses",
+        "search.py",
+        "(hits if correct == 8 else nears).append(cells)",
+        "nears.append(cells)",
+        (
+            "tests/test_search.py::test_completeness_against_naive_enumeration",
+            "tests/test_acceptance.py::test_criterion_11_search_is_hit_free",
+        ),
+    ),
     # _assemble keeps dd = -db, a layout with a repeated cell
     Mutant(
         "assemble_keeps_opposite_offsets",
@@ -224,9 +245,29 @@ MUTANTS = (
     Mutant(
         "residue_grid_skips_the_proof",
         "residue.py",
-        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n",
-        "",
+        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n"
+        "        vals",
+        "        vals",
         ("tests/test_residue.py::test_modulus_must_be_prime",),
+    ),
+    # UnitTriple without its primality proof, so it takes a composite p
+    Mutant(
+        "unit_triple_skips_the_proof",
+        "residue.py",
+        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n"
+        "        a, b, g",
+        "        a, b, g",
+        ("tests/test_residue.py::test_unit_triple_modulus_must_be_prime",),
+    ),
+    # gen_nontrivial without its p = 1 (mod 4) check, so a triple mod 11
+    # meets ResidueGrid's refusal of -1 instead
+    Mutant(
+        "gen_nontrivial_skips_the_form_check",
+        "residue.py",
+        "    if p % 4 != 1:\n        raise BadPrimeForm(f\"no order-4 element mod {p}; "
+        "need p = 1 (mod 4)\")\n",
+        "",
+        ("tests/test_residue.py::test_gen_nontrivial_needs_an_order_4_element",),
     ),
     # verify's class roots: the larger root of each cell mod q, not the
     # smaller
@@ -240,6 +281,15 @@ MUTANTS = (
             "tests/test_golden.py::test_structured_output_is_pinned[verify root9999929.txt]",
             "tests/test_golden.py::test_structured_output_is_pinned[verify root10000121.txt]",
         ),
+    ),
+    # cli drops residuum.congrua from sys.modules, where the benchmark's
+    # tracer looks each traced layer up
+    Mutant(
+        "cli_drops_a_traced_layer",
+        "cli.py",
+        "    sweep_congrua,\n)\n",
+        "    sweep_congrua,\n)\nsys.modules.pop(__package__ + \".congrua\")\n",
+        ("tests/test_bench_contract.py::test_bench_imports_load_every_traced_layer",),
     ),
     # is_prime without its last round: a prime between psi_12 and psi_13,
     # and psi_12 itself, pass the 12 rounds and are refused as unproven

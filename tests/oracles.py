@@ -63,9 +63,9 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
 def generated_classes(ctx: PrimeContext) -> frozenset[ResidueGrid]:
     """Union of the orbits of every canonical class: the constructive side of
     the generated-equals-enumerated comparison."""
-    grids = set(orbit(gen_trivial_corner(ctx)))
+    grids = set(orbit(gen_trivial_corner(ctx.p)))
     if ctx.p % 8 == 1:
-        grids |= orbit(gen_trivial_midedge(ctx))
+        grids |= orbit(gen_trivial_midedge(ctx.p))
     for n in consecutive_triples(ctx):
         grids |= orbit(gen_nontrivial(triple_from_member(ctx, n)))
     return frozenset(grids)
@@ -113,41 +113,44 @@ def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
 
 def naive_center_enumeration(e: int) -> set[IntGrid]:
     """Independent oracle: every magic grid of nine distinct squares with
-    center e^2 and entries bounded by 3e^2, by direct enumeration.
-
-    Three corner-ish cells range freely; the rest follow from the eight sum
-    equations alone, with no structural shortcuts. Used to validate search
-    completeness for small e.
+    center e^2 and entries bounded by 3e^2, by direct enumeration (see
+    naive_magic_grids). Used to validate search completeness for small e.
     """
     if e < 1:
         raise ValueError(f"center root must be positive, got {e}")
-    limit = 3 * e * e
-    squares = [k * k for k in range(isqrt(limit) + 1)]
-    in_range = set(squares)
-    c2 = e * e
+    return naive_magic_grids(e * e, [k * k for k in range(isqrt(3 * e * e) + 1)])
+
+
+def naive_magic_grids(m: int, values) -> set[IntGrid]:
+    """Every magic grid of nine distinct members of `values` around the center m.
+
+    Three corner-ish cells range freely; the rest follow from the eight sum
+    equations alone, with no structural shortcuts.
+    """
+    in_range = set(values)
     out = set()
-    for a in squares:
-        for b in squares:
-            for i in squares:
-                t = a + c2 + i          # main diagonal fixes the total
-                c = t - a - b           # top row
-                if c < 0 or c not in in_range:
+    for a in in_range:
+        for b in in_range:
+            for i in in_range:
+                t = a + m + i          # main diagonal fixes the total
+                c = t - a - b          # top row
+                if c not in in_range:
                     continue
-                g = t - c - c2          # anti-diagonal
-                if g < 0 or g not in in_range:
+                g = t - c - m          # anti-diagonal
+                if g not in in_range:
                     continue
-                d = t - a - g           # left column
-                if d < 0 or d not in in_range:
+                d = t - a - g          # left column
+                if d not in in_range:
                     continue
-                f = t - d - c2          # middle row
-                if f < 0 or f not in in_range:
+                f = t - d - m          # middle row
+                if f not in in_range:
                     continue
-                h = t - b - c2          # middle column
-                if h < 0 or h not in in_range:
+                h = t - b - m          # middle column
+                if h not in in_range:
                     continue
                 if g + h + i != t or c + f + i != t:
                     continue
-                cells = (a, b, c, d, c2, f, g, h, i)
+                cells = (a, b, c, d, m, f, g, h, i)
                 if len(set(cells)) == 9:
                     out.add(IntGrid(cells))
     return out

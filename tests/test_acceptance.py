@@ -12,7 +12,7 @@ import time
 from residuum.cli import main
 from residuum.congrua import Coverage, construct_mod20, construct_mod24, coverage_status
 from residuum.fp import make_context, primes_up_to
-from residuum.intgrid import Mod2Class, has_even_center_line, is_magic
+from residuum.intgrid import IntGrid, Mod2Class, has_even_center_line, is_magic
 from residuum.residue import (
     ResidueGrid,
     consecutive_triples,
@@ -26,15 +26,17 @@ from residuum.residue import (
     run_count,
     triple_from_member,
 )
-from residuum.search import search_msos
+from residuum.search import _assemble, search_msos
 
 from oracles import (
     ANTI_TRANSPOSE,
+    DIHEDRAL,
     FLIP_ROWS,
     ROT180,
     generated_classes,
     klein_group_table,
     naive_center_enumeration,
+    naive_magic_grids,
     naive_enumerate,
     parametric_magic,
     permute,
@@ -194,10 +196,10 @@ def test_criterion_10_property_suites():
         if p % 4 != 1:
             continue
         ctx = make_context(p)
-        corner = gen_trivial_corner(ctx)
+        corner = gen_trivial_corner(p)
         assert ResidueGrid(p, permute(corner.vals, ANTI_TRANSPOSE)) == corner
         if p % 8 == 1:
-            midedge = gen_trivial_midedge(ctx)
+            midedge = gen_trivial_midedge(p)
             assert ResidueGrid(p, permute(midedge.vals, FLIP_ROWS)) == midedge
         for n in consecutive_triples(ctx):
             g = gen_nontrivial(triple_from_member(ctx, n))
@@ -216,7 +218,11 @@ def test_criterion_10_property_suites():
 def test_criterion_11_search_is_hit_free():
     start = time.perf_counter()
     report = search_msos(1, 200, primitive_only=True)
-    assert report.hits == ()
+    assert report.hits == () and report.candidates_tested > 0
+    # both sides are empty up to 15, so a positive control: the Lo Shu
+    _, hits, _ = _assemble(5, [1, 2, 3, 4], 8)
+    lo_shu = {IntGrid(permute(cells, s)) for cells in hits for s in DIHEDRAL}
+    assert naive_magic_grids(5, range(1, 10)) == lo_shu and len(lo_shu) == 8
     for e in range(1, 16):
         naive = naive_center_enumeration(e)
         assembled = set(search_msos(e, e, primitive_only=False).hits)

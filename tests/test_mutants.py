@@ -2,7 +2,8 @@
 
 pyproject.toml's `pythonpath = ["src"]` puts src ahead of PYTHONPATH, so a
 run that pointed only PYTHONPATH at a mutated src would load the clean
-package: each run gets its own copy of src, tests and pyproject.toml.
+package: each run gets its own copy of src, tests, pyproject.toml and
+bench/trace.py.
 """
 
 import os
@@ -23,6 +24,9 @@ def copy_tree(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    # tests/test_bench_contract.py reads the tracer's table from its source
+    (dest / "bench").mkdir()
+    shutil.copy2(ROOT / "bench" / "trace.py", dest / "bench")
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
 

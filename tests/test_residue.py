@@ -105,22 +105,22 @@ def test_classify_preconditions():
 
 
 def test_gen_trivial_corner():
-    assert gen_trivial_corner(F13).rows() == [[0, 1, 12], [12, 0, 1], [1, 12, 0]]
-    assert gen_trivial_corner(make_context(5)).rows() == [[0, 1, 4], [4, 0, 1], [1, 4, 0]]
+    assert gen_trivial_corner(13).rows() == [[0, 1, 12], [12, 0, 1], [1, 12, 0]]
+    assert gen_trivial_corner(5).rows() == [[0, 1, 4], [4, 0, 1], [1, 4, 0]]
     with pytest.raises(BadPrimeForm):
-        gen_trivial_corner(make_context(7))
-    g = gen_trivial_corner(F29)
+        gen_trivial_corner(7)
+    g = gen_trivial_corner(29)
     assert is_magic_class(g) and classify(g) is ClassKind.TRIVIAL_CORNER
 
 
 def test_gen_trivial_midedge():
-    assert gen_trivial_midedge(make_context(17)).rows() == [[1, 0, 16], [15, 0, 2], [1, 0, 16]]
-    assert gen_trivial_midedge(make_context(41)).rows() == [[1, 0, 40], [39, 0, 2], [1, 0, 40]]
+    assert gen_trivial_midedge(17).rows() == [[1, 0, 16], [15, 0, 2], [1, 0, 16]]
+    assert gen_trivial_midedge(41).rows() == [[1, 0, 40], [39, 0, 2], [1, 0, 40]]
     with pytest.raises(BadPrimeForm):
-        gen_trivial_midedge(F13)  # 13 = 5 (mod 8)
+        gen_trivial_midedge(13)  # 13 = 5 (mod 8)
     with pytest.raises(BadPrimeForm):
-        gen_trivial_midedge(make_context(7))
-    g = gen_trivial_midedge(make_context(17))
+        gen_trivial_midedge(7)
+    g = gen_trivial_midedge(17)
     assert is_magic_class(g) and classify(g) is ClassKind.TRIVIAL_MIDEDGE
 
 
@@ -160,19 +160,25 @@ def test_triple_roots_are_canonical():
 
 
 def test_unit_triple_invariants_enforced():
-    ctx = F29
+    p = 29
     with pytest.raises(ValueError):
-        UnitTriple(ctx, 1, 1, 1)
+        UnitTriple(p, 1, 1, 1)
     with pytest.raises(ValueError):
-        UnitTriple(ctx, 6, 8, 0)
-    t = triple_from_member(ctx, 5)
-    assert UnitTriple(ctx, t.alpha, t.beta, t.gamma) == t
+        UnitTriple(p, 6, 8, 0)
+    t = triple_from_member(F29, 5)
+    assert UnitTriple(p, t.alpha, t.beta, t.gamma) == t
     # members outside [1, p-1] are refused, even where the relations hold mod p
     for out_of_range in (0, 29):
         with pytest.raises(ValueError, match="must lie in"):
-            UnitTriple(ctx, t.alpha, t.beta, out_of_range)
+            UnitTriple(p, t.alpha, t.beta, out_of_range)
     with pytest.raises(ValueError, match="must lie in"):
-        UnitTriple(ctx, t.alpha + 29, t.beta, t.gamma)
+        UnitTriple(p, t.alpha + 29, t.beta, t.gamma)
+
+
+def test_unit_triple_modulus_must_be_prime():
+    # the triple holds p alone, so p is proven prime first, as in ResidueGrid
+    with pytest.raises(NotPrime, match="^15 is not prime$"):
+        UnitTriple(15, 1, 1, 1)
 
 
 def test_gen_nontrivial_needs_an_order_4_element():
@@ -239,7 +245,6 @@ def test_orbit_all_zero_is_fixed():
 
 def test_orbit_f5_explicit_expansion():
     # independent expansion: rotate by hand-rolled index shuffles, scale by 1 and 4
-    ctx = make_context(5)
     base = [[0, 1, 4], [4, 0, 1], [1, 4, 0]]
 
     def rot_cw(rows):
@@ -255,7 +260,7 @@ def test_orbit_f5_explicit_expansion():
         for s in (1, 4):
             expected.add(tuple(v * s % 5 for row in rows for v in row))
         rows = rot_cw(rows)
-    got = orbit(gen_trivial_corner(ctx))
+    got = orbit(gen_trivial_corner(5))
     assert {g.vals for g in got} == expected
     assert len(got) <= 8
     assert len(got) == len(expected)
@@ -390,11 +395,10 @@ def test_run_set_symmetry():
 
 def test_trivial_classes_fixed_by_reflections():
     for p in (5, 13, 17, 29, 37, 41):
-        ctx = make_context(p)
-        corner = gen_trivial_corner(ctx)
+        corner = gen_trivial_corner(p)
         assert ResidueGrid(p, permute(corner.vals, ANTI_TRANSPOSE)) == corner
         if p % 8 == 1:
-            midedge = gen_trivial_midedge(ctx)
+            midedge = gen_trivial_midedge(p)
             assert ResidueGrid(p, permute(midedge.vals, FLIP_ROWS)) == midedge
 
 
@@ -414,7 +418,7 @@ def test_w_reflection_duality():
         w = ctx.w
         for n in consecutive_triples(ctx):
             t = triple_from_member(ctx, n)
-            dual = UnitTriple(ctx, w * t.gamma % p, w * t.beta % p, w * t.alpha % p)
+            dual = UnitTriple(p, w * t.gamma % p, w * t.beta % p, w * t.alpha % p)
             reflected = ResidueGrid(p, permute(gen_nontrivial(t).vals, ANTI_TRANSPOSE))
             assert gen_nontrivial(dual) == reflected
 

@@ -26,7 +26,13 @@ from residuum.search import (
     search_msos,
 )
 
-from oracles import DIHEDRAL, naive_center_enumeration, parametric_magic, permute
+from oracles import (
+    DIHEDRAL,
+    naive_center_enumeration,
+    naive_magic_grids,
+    parametric_magic,
+    permute,
+)
 
 
 def walk_layouts(m, pairs, threshold):
@@ -295,6 +301,14 @@ def test_search_report_deterministic_across_chunks():
 
 
 def test_completeness_against_naive_enumeration():
+    # no center root up to 15 holds a layout, so both sides are empty there;
+    # as a positive control, 1..9 around 5 hold one grid up to symmetry, the
+    # Lo Shu, and both sides must find it
+    _, hits, _ = _assemble(5, [1, 2, 3, 4], 8)
+    assert len(hits) == 1
+    naive = naive_magic_grids(5, range(1, 10))
+    assert naive == {IntGrid(permute(cells, s)) for cells in hits for s in DIHEDRAL}
+    assert len(naive) == 8
     for e in range(1, 16):
         naive = naive_center_enumeration(e)
         assembled = set(search_msos(e, e, primitive_only=False).hits)

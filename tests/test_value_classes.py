@@ -1,8 +1,9 @@
 """The contract of the library's immutable value classes: no attribute can be
-set, equal fields make equal objects with equal hashes, construction by
-keyword and by position agree, bad fields raise the documented exception
-(through `_replace` too), instances pickle, and the repr names every
-field, a context only by its p."""
+set, equal fields make equal objects, with equal hashes where every field is
+hashable, construction by keyword and by position agree, bad fields raise
+the documented exception (through `_replace` too), instances pickle, and
+the repr names every field, a context only by its p. No class but the
+context holds a root table, so none rebuilds one when it is copied."""
 
 import copy
 import pickle
@@ -10,7 +11,7 @@ import pickle
 import pytest
 
 from residuum.cli import OutputDocument
-from residuum.congrua import SquareProgression
+from residuum.congrua import SquareProgression, construct
 from residuum.errors import BadParameters, NonSquareCell, NotPrime, UnexpectedPattern
 from residuum.fp import PrimeContext, make_context
 from residuum.intgrid import CenterReport, IntGrid, Mod2Class
@@ -58,10 +59,10 @@ CASES = {
         "Mod2Class(bits=(1, 1, 0, 1, 0, 1, 0, 1, 1))",
     ),
     UnitTriple: (
-        dict(context=make_context(29), alpha=8, beta=11, gamma=2),
-        dict(context=make_context(29), alpha=8, beta=11, gamma=29),
+        dict(p=29, alpha=8, beta=11, gamma=2),
+        dict(p=29, alpha=8, beta=11, gamma=29),
         ValueError,
-        "UnitTriple(context=PrimeContext(p=29), alpha=8, beta=11, gamma=2)",
+        "UnitTriple(p=29, alpha=8, beta=11, gamma=2)",
     ),
     SearchReport: (
         dict(pruned_centers=0, candidates_tested=1, hits=(LO_SHU,), near_misses=()),
@@ -86,7 +87,7 @@ def test_value_class_contract(cls):
     a = cls(**fields)
     b = cls(*fields.values())
     assert a == b and a is not b
-    if cls is not OutputDocument:  # its dict fields are unhashable
+    if cls not in (OutputDocument, PrimeContext):  # dict and array fields are unhashable
         assert hash(a) == hash(b)
     assert repr(a) == text
     for name in (*fields, "extra"):
@@ -108,6 +109,7 @@ def test_fields_are_only_what_cannot_be_derived():
     assert SearchReport._fields == ("pruned_centers", "candidates_tested", "hits", "near_misses")
     assert CenterReport._fields == ("verdicts", "warning")
     assert PrimeContext._fields == ("p", "root", "w", "tau")
+    assert UnitTriple._fields == ("p", "alpha", "beta", "gamma")
 
 
 def test_a_cached_context_cannot_be_changed():
@@ -120,11 +122,13 @@ def test_a_cached_context_cannot_be_changed():
     assert list(ctx.root) == [0, 1, 0, 4, 2, 0, 0, 0, 0, 3, 6, 0, 5]
 
 
-def test_contexts_compare_by_p_and_rebuild_from_it():
+def test_contexts_compare_by_field_and_rebuild_from_p():
     ctx = make_context(41)
     other = PrimeContext(41)
-    assert ctx == other and not ctx != other and hash(ctx) == hash(41)
-    assert ctx != make_context(37) and ctx != tuple(ctx)
+    assert ctx == other and not ctx != other and ctx == tuple(ctx)
+    assert ctx != make_context(37)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ctx)
     for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
         assert type(twin) is PrimeContext and tuple(twin) == tuple(ctx)
     rebuilt = ctx._replace(p=37)
@@ -134,3 +138,14 @@ def test_contexts_compare_by_p_and_rebuild_from_it():
         ctx._replace(w=1)
     with pytest.raises(ValueError, match="unexpected field names"):
         ctx._replace(p=37, root=ctx.root)
+
+
+def test_a_triple_copies_without_building_a_context(monkeypatch):
+    triple = construct(make_context(29))[2]
+
+    def refuse(cls, *args):
+        raise AssertionError("a prime context was built")
+
+    monkeypatch.setattr(PrimeContext, "__new__", staticmethod(refuse))
+    for twin in (pickle.loads(pickle.dumps(triple)), copy.deepcopy(triple)):
+        assert type(twin) is UnitTriple and twin == triple
