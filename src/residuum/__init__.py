@@ -1,6 +1,6 @@
 """Residue-class toolkit for 3x3 magic squares of squares.
 
-Prime contexts with quadratic-residue tables (fp), zero-center residue
+Prime fields with their square-root tables (fp), zero-center residue
 grids mod p with their classification and counting bound (residue),
 integer three-square progressions and the modular coverage report (congrua),
 integer-side grid analysis (intgrid), and a pruned exhaustive search
@@ -22,8 +22,8 @@ _EXPORTS = {
         "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
             congruum_triple construct construct_mod20 construct_mod24 coverage_status
             eligible_params sweep_congrua""",
-        "fp": """PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod
-            two_square_splits two_squares""",
+        "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
+            two_squares""",
         "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check
             has_even_center_line is_distinct is_magic is_square_entried mod2_classify
             reduce_primitive total_is_triple_center""",

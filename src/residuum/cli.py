@@ -34,7 +34,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import groupby, islice
+from itertools import compress, groupby, islice
 from math import isqrt
 from operator import itemgetter
 from types import SimpleNamespace
@@ -331,7 +331,7 @@ def _bits(rows) -> str:
 
 def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     """Every refusal is raised here; the long lists of the result are
-    LazyLists, read from the context's root table when they are written."""
+    LazyLists, read from p's root table when they are written."""
     if max_oracle_p < 0:
         raise BadParameters(f"--max-oracle-p must be at least 0, got {max_oracle_p}")
     if max_oracle_p > MAX_COUNT_P:
@@ -339,14 +339,16 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_COUNT_P}; "
             "the count's cost grows as p^2/64"
         )
-    ctx = make_context(p)
+    root = make_context(p)
     results: dict = {
         "p": p,
         "residue_form": "two" if p == 2 else ("one_mod_four" if p % 4 == 1 else "three_mod_four"),
-        "qr_set": LazyList(ctx.residues),
+        "qr_set": LazyList(lambda: compress(range(p), root)),
         "qr_count": 1 if p == 2 else (p - 1) // 2,
-        "w": ctx.w,
-        "tau": ctx.tau,
+        # the smaller element of order 4, and the smaller root of 2, which is
+        # 0 in F_2
+        "w": root[p - 1] if p % 4 == 1 else None,
+        "tau": 0 if p == 2 else root[2] if p % 8 in (1, 7) else None,
         "consecutive_triples": None,
         "count_bound": None,
         "trivial_corner": None,
@@ -373,16 +375,14 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
             "primitive magic square of squares"
         )
     else:
-        results["consecutive_triples"] = LazyList(lambda: consecutive_runs(ctx))
+        results["consecutive_triples"] = LazyList(lambda: consecutive_runs(p))
         results["count_bound"] = count_bound(p, run_count(p))
         corner = gen_trivial_corner(p)
-        results["trivial_corner"] = _grid_payload(corner.vals, [ctx.root[v] for v in corner.vals])
+        results["trivial_corner"] = _grid_payload(corner.vals, [root[v] for v in corner.vals])
         if p % 8 == 1:
             midedge = gen_trivial_midedge(p)
-            results["trivial_midedge"] = _grid_payload(
-                midedge.vals, [ctx.root[v] for v in midedge.vals]
-            )
-        results["nontrivial_classes"] = LazyList(lambda: nontrivial_fields(ctx), _CLASS_ENTRY)
+            results["trivial_midedge"] = _grid_payload(midedge.vals, [root[v] for v in midedge.vals])
+        results["nontrivial_classes"] = LazyList(lambda: nontrivial_fields(p), _CLASS_ENTRY)
         if p <= max_oracle_p:
             count = classes_from_sum_equations(p)
             results["oracle"] = {
@@ -703,7 +703,7 @@ def _yn(flag: bool) -> str:
 
 
 def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
-    # refuse before the O(p) context: the sweep bound, the ceiling, then the
+    # refuse before the O(p) root table: the sweep bound, the ceiling, then the
     # primality proof, then p = 3 (mod 4); make_context's second proof is a
     # few modular powers
     if not 2 <= sweep_max_m <= MAX_SWEEP_M:
@@ -714,15 +714,15 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     if p > MAX_CONTEXT_P:
         raise BoundExceeded(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
     status = coverage_status(p)
-    ctx = make_context(p)
+    root = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
-    runs = LazyList(lambda: consecutive_runs(ctx))
+    runs = LazyList(lambda: consecutive_runs(p))
     try:
-        route, prog, triple = construct(ctx)
+        route, prog, triple = construct(p)
     except NotCovered:
         tried = eligible_params(sweep_max_m)
         successes = [
-            [m, n, t.squares()[2]] for m, n, t in sweep_congrua(ctx, sweep_max_m)
+            [m, n, t.squares()[2]] for m, n, t in sweep_congrua(p, sweep_max_m)
         ]
         # C_p is empty exactly for 5, 13 and 17; see _classify_prime
         note = (
@@ -747,15 +747,15 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     if prog is None:
         table_members = runs
     else:
-        root = sqrt_mod(ctx, prog.d)
+        d_root = sqrt_mod(p, prog.d)
         progression = {"x": prog.x, "y": prog.y, "z": prog.z, "d": prog.d}
         chain = {
             "x_sq_mod_p": prog.x ** 2 % p,
             "y_sq_mod_p": prog.y ** 2 % p,
             "z_sq_mod_p": prog.z ** 2 % p,
             "d_mod_p": prog.d % p,
-            "d_root": root,
-            "root_inverse": pow(root, -1, p),
+            "d_root": d_root,
+            "root_inverse": pow(d_root, -1, p),
         }
     grid = gen_nontrivial(triple)
     results = {
@@ -768,7 +768,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         "table_members": table_members,
         "triple": _triple_payload(triple),
         "member": triple.squares()[2],
-        "grid": _grid_payload(grid.vals, [ctx.root[v] for v in grid.vals]),
+        "grid": _grid_payload(grid.vals, [root[v] for v in grid.vals]),
     }
     return OutputDocument("construct", parameters, results), EXIT_OK
 

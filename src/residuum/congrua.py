@@ -17,7 +17,7 @@ from .errors import (
     NotCovered,
     NotPrime,
 )
-from .fp import PrimeContext, is_prime, sqrt_mod
+from .fp import is_prime, make_context
 from .residue import UnitTriple, consecutive_runs, triple_from_member
 
 # Primes served from their first consecutive run, the two that neither
@@ -60,18 +60,19 @@ def congruum_triple(m: int, n: int) -> SquareProgression:
     )
 
 
-def ap_to_unit_triple(prog: SquareProgression, ctx: PrimeContext) -> UnitTriple:
+def ap_to_unit_triple(prog: SquareProgression, p: int) -> UnitTriple:
     """Scale an integer progression by the inverse root of its difference and
     reduce mod p, yielding a unit triple (so gamma^2 starts a consecutive
     residue run)."""
-    p = ctx.p
+    root = make_context(p)
     if p % 4 != 1:
         raise BadPrimeForm(f"unit triples need p = 1 (mod 4), got {p}")
     if (prog.x * prog.y * prog.z) % p == 0:
         raise DividesTerm(f"{p} divides a term of ({prog.x}, {prog.y}, {prog.z})")
-    if not ctx.is_qr(prog.d):
+    r = root[prog.d % p]  # 0 for a non-residue, and for 0
+    if not r:
         raise NonResidueDifference(f"{prog.d} is not a nonzero square mod {p}")
-    r_inv = pow(sqrt_mod(ctx, prog.d), -1, p)
+    r_inv = pow(r, -1, p)
     return UnitTriple(p, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
 
 
@@ -80,44 +81,41 @@ MOD20_PROGRESSION = congruum_triple(5, 4)  # 49^2, 41^2, 31^2; difference 720
 MOD24_PROGRESSION = congruum_triple(2, 1)  # 7^2, 5^2, 1^2; difference 24
 
 
-def construct_mod20(ctx: PrimeContext) -> UnitTriple:
+def construct_mod20(p: int) -> UnitTriple:
     """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
     41 satisfies the residue condition but divides the middle term 41, so it
     is served from its first consecutive run.
     """
-    p = ctx.p
     if p % 20 not in (1, 9):
         raise NotCovered(f"{p} is not 1 or 9 (mod 20)")
     if p in TABLE_ROUTE_PRIMES:
-        return triple_from_member(ctx, next(consecutive_runs(ctx)))
-    return ap_to_unit_triple(MOD20_PROGRESSION, ctx)
+        return triple_from_member(p, next(consecutive_runs(p)))
+    return ap_to_unit_triple(MOD20_PROGRESSION, p)
 
 
-def construct_mod24(ctx: PrimeContext) -> UnitTriple:
+def construct_mod24(p: int) -> UnitTriple:
     """Unit triple for p = 1 or 5 (mod 24), p != 5, via MOD24_PROGRESSION.
     The triple constructor asserts the unit relations, so a successful
     return is itself the verification."""
-    p = ctx.p
     if p == 5:
         raise FiveExcluded("5 divides a term of (7, 5, 1); no construction exists")
     if p % 24 not in (1, 5):
         raise NotCovered(f"{p} is not 1 or 5 (mod 24)")
     # p | 7*5*1 is impossible here: 7 = 3 (mod 4) and 5 was excluded above
-    return ap_to_unit_triple(MOD24_PROGRESSION, ctx)
+    return ap_to_unit_triple(MOD24_PROGRESSION, p)
 
 
-def construct(ctx: PrimeContext) -> tuple[str, SquareProgression | None, UnitTriple]:
+def construct(p: int) -> tuple[str, SquareProgression | None, UnitTriple]:
     """The route to a unit triple mod p, the progression it reduces (None on
     the table route) and the triple: the first consecutive run for 37 and 41,
     else mod20 where it applies, else mod24. Raises NotCovered, or
     FiveExcluded for p = 5, when no route reaches p."""
-    p = ctx.p
     if p in TABLE_ROUTE_PRIMES:
-        return "table", None, triple_from_member(ctx, next(consecutive_runs(ctx)))
+        return "table", None, triple_from_member(p, next(consecutive_runs(p)))
     if p % 20 in (1, 9):
-        return "mod20", MOD20_PROGRESSION, construct_mod20(ctx)
-    return "mod24", MOD24_PROGRESSION, construct_mod24(ctx)
+        return "mod20", MOD20_PROGRESSION, construct_mod20(p)
+    return "mod24", MOD24_PROGRESSION, construct_mod24(p)
 
 
 class Coverage(Enum):
@@ -181,14 +179,14 @@ def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:
     ]
 
 
-def sweep_congrua(ctx: PrimeContext, m_max: int = 10) -> list[tuple[int, int, UnitTriple]]:
+def sweep_congrua(p: int, m_max: int = 10) -> list[tuple[int, int, UnitTriple]]:
     """Try every small primitive progression against F_p and return the
     (m, n, triple) combinations that map in. Purely exploratory: success
     here proves nothing beyond the individual prime."""
     out = []
     for m, n in eligible_params(m_max):
         try:
-            t = ap_to_unit_triple(congruum_triple(m, n), ctx)
+            t = ap_to_unit_triple(congruum_triple(m, n), p)
         except (DividesTerm, NonResidueDifference):
             continue
         out.append((m, n, t))

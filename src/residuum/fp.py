@@ -1,17 +1,16 @@
 """Prime fields F_p and the quadratic-residue machinery built on them.
 
 Everything is exact integer arithmetic. An element of F_p is a plain int in
-[0, p-1], passed beside the one PrimeContext that owns it; the inverse of a
-nonzero a is pow(a, -1, p). A PrimeContext is a named tuple, so none of its
-fields can be set, and it is safe to share between threads; its root table is
-an array the context owns, which callers read and never write. All
-operations are pure.
+[0, p-1], passed beside its prime p; the inverse of a nonzero a is
+pow(a, -1, p). The one table kept per prime is its root table, which
+make_context(p) builds, memoizes and returns read-only, so it is safe to share
+between threads. All operations are pure.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle, dropwhile, islice
@@ -19,8 +18,8 @@ from math import isqrt
 
 from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 
-# A PrimeContext holds a 4-byte root table per element of F_p, about 4 MB
-# per 10**6 of p, and builds it in O(p) time, so larger moduli are refused
+# A root table holds 4 bytes per element of F_p, about 4 MB per 10**6 of p,
+# and make_context builds it in O(p) time, so larger moduli are refused
 # before any work is done.
 MAX_CONTEXT_P = 10**7
 
@@ -266,66 +265,31 @@ def two_squares(p: int) -> tuple[int, int]:
     return (y, z) if y % 2 else (z, y)
 
 
-class PrimeContext(namedtuple("PrimeContext", "p root w tau")):
-    """A prime modulus p with its square-root table and special roots.
+@lru_cache(maxsize=64)
+def make_context(p: int) -> memoryview:
+    """The root table of a prime modulus p, read-only, memoized for the 64
+    most recently used p; BoundExceeded above MAX_CONTEXT_P, NotPrime for
+    anything else not prime.
 
     root[a] is the smaller square root of a, in [1, p//2], for a nonzero
-    quadratic residue a, and 0 for 0 and every non-residue. One pass over
-    x = 1..p//2 fills it, so membership and roots are index reads; it takes
-    4 bytes per element of F_p and is the only table the context keeps. w is
-    the smaller element of order 4 (present iff p = 1 mod 4); tau is the
-    smaller square root of 2 (present iff p = 2 or p = +-1 mod 8). Where two
-    roots exist we always pick the representative in [0, (p-1)/2] so that
-    outputs are reproducible. Contexts compare field by field, like the other
-    named tuples, and, holding an array, are unhashable.
+    quadratic residue a, and 0 for 0 and every non-residue, so membership and
+    roots are index reads: compress(range(p), root) is the residues,
+    ascending, root[p - 1] the smaller element of order 4 for p = 1 (mod 4)
+    and root[2] the smaller square root of 2 for p = +-1 (mod 8). One pass
+    over x = 1..p//2 fills it. A write to it raises TypeError, so no caller
+    changes what later calls read.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int):
-        if p > MAX_CONTEXT_P:
-            raise BoundExceeded(
-                f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
-                "a context holds a root table of p entries"
-            )
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        root = array("I", [0]) * p
-        for x in range(1, p // 2 + 1):
-            root[x * x % p] = x
-        w = root[p - 1] if p % 4 == 1 else None
-        # 2 = 0 in F_2; its only root is 0
-        tau = 0 if p == 2 else root[2] if p % 8 in (1, 7) else None
-        return super().__new__(cls, p, root, w, tau)
-
-    # The rest follows from p, so _replace, copy and pickle rebuild from p
-    # alone; _replace of any other field is left over and refused.
-    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
-    __getnewargs__ = lambda self: (self.p,)
-
-    def residues(self) -> Iterator[int]:
-        """The nonzero quadratic residues, ascending, one at a time."""
-        return compress(range(self.p), self.root)
-
-    @property
-    def qr_set(self) -> tuple[int, ...]:
-        """The nonzero quadratic residues, ascending, derived on every read."""
-        return tuple(self.residues())
-
-    def is_qr(self, value: int) -> bool:
-        """True iff value reduces to a nonzero quadratic residue."""
-        return self.root[value % self.p] != 0
-
-    def __repr__(self):
-        return f"PrimeContext(p={self.p})"
-
-
-@lru_cache(maxsize=64)
-def make_context(p: int) -> PrimeContext:
-    """Build (and memoize the 64 most recently used) residue machinery for a
-    prime modulus; BoundExceeded above MAX_CONTEXT_P, NotPrime for anything
-    else not prime."""
-    return PrimeContext(p)
+    if p > MAX_CONTEXT_P:
+        raise BoundExceeded(
+            f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
+            "a context holds a root table of p entries"
+        )
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    root = array("I", [0]) * p
+    for x in range(1, p // 2 + 1):
+        root[x * x % p] = x
+    return memoryview(root).toreadonly()
 
 
 def legendre(a: int, p: int) -> int:
@@ -339,11 +303,12 @@ def legendre(a: int, p: int) -> int:
     return -1 if pow(a, (p - 1) // 2, p) == p - 1 else 1
 
 
-def sqrt_mod(ctx: PrimeContext, a: int) -> int:
-    """Canonical (smaller) square root of a mod ctx.p, read from the context's
-    root table; NonResidue when none exists."""
-    a %= ctx.p
-    r = ctx.root[a]
+def sqrt_mod(p: int, a: int) -> int:
+    """Canonical (smaller) square root of a mod p, read from the root table
+    of make_context(p); NonResidue when none exists."""
+    root = make_context(p)
+    a %= p
+    r = root[a]
     if r == 0 and a != 0:
-        raise NonResidue(f"{a} is not a square mod {ctx.p}")
+        raise NonResidue(f"{a} is not a square mod {p}")
     return r

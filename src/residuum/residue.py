@@ -23,7 +23,7 @@ from .errors import (
     NonzeroCenter,
     NotPrime,
 )
-from .fp import PrimeContext, is_prime, two_squares
+from .fp import is_prime, make_context, two_squares
 from .grid_ops import CENTER, CORNERS, LINES, MID_EDGES, rows_of
 
 
@@ -149,24 +149,24 @@ def gen_trivial_midedge(p: int) -> ResidueGrid:
     return ResidueGrid(p, (1, 0, p - 1, p - 2, 0, 2, 1, 0, p - 1))
 
 
-def consecutive_runs(ctx: PrimeContext) -> Iterator[int]:
-    """All n with n, n+1 and n+2 nonzero quadratic residues, ascending, read
-    from the root table one at a time."""
-    root = ctx.root  # a zero root marks 0 or a non-residue; n + 2 < p
-    return (n for n in compress(range(ctx.p - 2), root) if root[n + 1] and root[n + 2])
+def consecutive_runs(p: int) -> Iterator[int]:
+    """All n with n, n+1 and n+2 nonzero quadratic residues mod p, ascending,
+    read from the root table one at a time."""
+    root = make_context(p)  # a zero root marks 0 or a non-residue; n + 2 < p
+    return (n for n in compress(range(p - 2), root) if root[n + 1] and root[n + 2])
 
 
-def consecutive_triples(ctx: PrimeContext) -> tuple[int, ...]:
-    """All n with n, n+1 and n+2 nonzero quadratic residues, ascending."""
-    return tuple(consecutive_runs(ctx))
+def consecutive_triples(p: int) -> tuple[int, ...]:
+    """All n with n, n+1 and n+2 nonzero quadratic residues mod p, ascending."""
+    return tuple(consecutive_runs(p))
 
 
-def triple_from_member(ctx: PrimeContext, n: int) -> UnitTriple:
+def triple_from_member(p: int, n: int) -> UnitTriple:
     """Unit triple whose squares are n+2, n+1, n (canonical roots)."""
-    p = ctx.p
+    root = make_context(p)
     n %= p
     # a zero root marks 0 or a non-residue, so this is the membership test
-    a, b, g = ctx.root[(n + 2) % p], ctx.root[(n + 1) % p], ctx.root[n]
+    a, b, g = root[(n + 2) % p], root[(n + 1) % p], root[n]
     if 0 in (a, b, g):
         raise NotAMember(f"{n} does not start a consecutive residue run mod {p}")
     return UnitTriple(p, a, b, g)
@@ -184,21 +184,23 @@ def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
     return ResidueGrid(p, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
 
 
-def nontrivial_fields(ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
+def nontrivial_fields(p: int) -> Iterator[tuple[int, ...]]:
     """The 19 fields of each nontrivial class, ascending in n over
-    consecutive_runs(ctx): the nine cells and the nine cell roots, row-major,
+    consecutive_runs(p): the nine cells and the nine cell roots, row-major,
     then n. Read from the root table with no grid or triple made.
 
-    triple_from_member(ctx, n) has squares (n+2, n+1, n), so gen_nontrivial
+    triple_from_member(p, n) has squares (n+2, n+1, n), so gen_nontrivial
     gives the cells (p-n-1, n, 1, n+2, 0, p-n-2, p-1, p-n, n+1), all in
     [0, p-1] since 1 <= n <= p-3. Each root is one table read: the root of 1
-    is 1, and the root of p-1 is w. A zero root marks a non-residue, so a zero
-    among the six other roots raises NonSquareCell, as ResidueGrid would.
+    is 1, and the root of p-1 is w, the smaller element of order 4. A zero
+    root marks a non-residue, so a zero among the six other roots raises
+    NonSquareCell, as ResidueGrid would.
     """
-    p, root, w = ctx.p, ctx.root, ctx.w
-    if w is None:
+    if p % 4 != 1:
         raise BadPrimeForm(f"no order-4 element mod {p}; need p = 1 (mod 4)")
-    for n in consecutive_runs(ctx):
+    root = make_context(p)
+    w = root[p - 1]
+    for n in consecutive_runs(p):
         a, b, g = root[n + 2], root[n + 1], root[n]
         wb, wa, wg = root[p - n - 1], root[p - n - 2], root[p - n]
         if not (a and b and g and wa and wb and wg):
@@ -260,22 +262,21 @@ MAX_ORACLE_P = 500
 MAX_COUNT_P = 100_000
 
 
-def enumerate_all(ctx: PrimeContext) -> frozenset[ResidueGrid]:
+def enumerate_all(p: int) -> frozenset[ResidueGrid]:
     """Every magic zero-center grid over squares of F_p except the all-zero
     grid, by brute force over four independent cells.
 
-    Enumerates (a, b, c, d) over (qr_set + {0})^4 with the opposite cells
-    negated, keeping grids whose top-row and left-column sums vanish. This
-    is the validation oracle for the generated classes and the counting
-    bound, so every survivor is re-checked against all eight sums instead of
-    trusting the two filters that built it.
+    Enumerates (a, b, c, d) over (S_p + {0})^4, S_p the nonzero residues,
+    with the opposite cells negated, keeping grids whose top-row and
+    left-column sums vanish. This is the validation oracle for the generated
+    classes and the counting bound, so every survivor is re-checked against
+    all eight sums instead of trusting the two filters that built it.
     """
-    if ctx.p % 4 != 1:
-        raise BadPrimeForm(f"zero-center enumeration needs p = 1 (mod 4), got {ctx.p}")
-    if ctx.p > MAX_ORACLE_P:
-        raise BoundExceeded(f"p={ctx.p} exceeds the enumeration bound {MAX_ORACLE_P}")
-    p = ctx.p
-    sq0 = (0, *ctx.qr_set)
+    if p % 4 != 1:
+        raise BadPrimeForm(f"zero-center enumeration needs p = 1 (mod 4), got {p}")
+    if p > MAX_ORACLE_P:
+        raise BoundExceeded(f"p={p} exceeds the enumeration bound {MAX_ORACLE_P}")
+    sq0 = (0, *compress(range(p), make_context(p)))
     out = set()
     for a in sq0:
         for b in sq0:

@@ -34,6 +34,15 @@ MUTANTS = (
         "root[x * x % p] = p - x",
         ("tests/test_fp.py::test_root_table_matches_powers_of_a_generator",),
     ),
+    # make_context hands out its cached table writable, so one caller's write
+    # changes every later answer
+    Mutant(
+        "root_table_writable",
+        "fp.py",
+        "return memoryview(root).toreadonly()",
+        "return root",
+        ("tests/test_residue.py::test_a_write_to_a_cached_table_raises_and_changes_no_answer",),
+    ),
     # pair_decompositions drops the Gaussian product pi^0 * conj(pi)^(2k)
     Mutant(
         "pairs_drop_a_product",
@@ -147,8 +156,8 @@ MUTANTS = (
     Mutant(
         "enumerate_all_without_zero",
         "residue.py",
-        "sq0 = (0, *ctx.qr_set)",
-        "sq0 = ctx.qr_set",
+        "sq0 = (0, *compress(range(p), make_context(p)))",
+        "sq0 = tuple(compress(range(p), make_context(p)))",
         (
             "tests/test_residue.py::test_naive_matches_reduced_oracle",
             "tests/test_acceptance.py::test_criterion_05_naive_oracle_cross_validation",
@@ -265,8 +274,8 @@ MUTANTS = (
         "gen_nontrivial_skips_the_form_check",
         "residue.py",
         "    if p % 4 != 1:\n        raise BadPrimeForm(f\"no order-4 element mod {p}; "
-        "need p = 1 (mod 4)\")\n",
-        "",
+        "need p = 1 (mod 4)\")\n    a2, b2, g2",
+        "    a2, b2, g2",
         ("tests/test_residue.py::test_gen_nontrivial_needs_an_order_4_element",),
     ),
     # verify's class roots: the larger root of each cell mod q, not the

@@ -7,10 +7,11 @@ parametric magic grid, the Klein four-group table of the parity patterns,
 and the dihedral index maps of a flat row-major 3x3 grid.
 """
 
+from itertools import compress
 from math import isqrt
 
 from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
-from residuum.fp import PrimeContext, make_context
+from residuum.fp import make_context
 from residuum.intgrid import IntGrid, Mod2Class
 from residuum.residue import (
     ResidueGrid,
@@ -51,7 +52,7 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
     if g.center != 0:
         raise NonzeroCenter("orbits are defined for zero-center grids")
     p = g.p
-    squares = make_context(p).qr_set
+    squares = tuple(compress(range(p), make_context(p)))
     out = set()
     for rot in ROTATIONS:
         base = permute(g.vals, rot)
@@ -60,14 +61,14 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
     return frozenset(out)
 
 
-def generated_classes(ctx: PrimeContext) -> frozenset[ResidueGrid]:
+def generated_classes(p: int) -> frozenset[ResidueGrid]:
     """Union of the orbits of every canonical class: the constructive side of
     the generated-equals-enumerated comparison."""
-    grids = set(orbit(gen_trivial_corner(ctx.p)))
-    if ctx.p % 8 == 1:
-        grids |= orbit(gen_trivial_midedge(ctx.p))
-    for n in consecutive_triples(ctx):
-        grids |= orbit(gen_nontrivial(triple_from_member(ctx, n)))
+    grids = set(orbit(gen_trivial_corner(p)))
+    if p % 8 == 1:
+        grids |= orbit(gen_trivial_midedge(p))
+    for n in consecutive_triples(p):
+        grids |= orbit(gen_nontrivial(triple_from_member(p, n)))
     return frozenset(grids)
 
 
@@ -75,14 +76,13 @@ def generated_classes(ctx: PrimeContext) -> frozenset[ResidueGrid]:
 MAX_NAIVE_P = 13
 
 
-def naive_enumerate(ctx: PrimeContext) -> frozenset[ResidueGrid]:
+def naive_enumerate(p: int) -> frozenset[ResidueGrid]:
     """Fully naive cross-check oracle: enumerate all eight non-center cells
     over squares and keep grids whose eight sums agree, using nothing but
     the sum equations themselves (no negation shortcut, no fixed total)."""
-    if ctx.p > MAX_NAIVE_P:
-        raise BoundExceeded(f"p={ctx.p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
-    p = ctx.p
-    sq0 = (0, *ctx.qr_set)
+    if p > MAX_NAIVE_P:
+        raise BoundExceeded(f"p={p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
+    sq0 = (0, *compress(range(p), make_context(p)))
     out = set()
     for a in sq0:
         for b in sq0:

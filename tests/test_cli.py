@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import residuum
 from residuum import cli, congrua, fp, residue, search
 from residuum.cli import main
-from residuum.fp import PrimeContext, primes_up_to
+from residuum.fp import primes_up_to
 from residuum.intgrid import IntGrid
 from residuum.search import SearchReport
 from test_golden import GOLDEN, VERIFY_FILES
@@ -120,17 +120,15 @@ def test_table_builds_no_contexts(monkeypatch):
     sample = [p for p in primes_up_to(10000) if p % 4 == 1][::40] + [5, 13, 17, 37, 9973]
     direct = {}
     for p in sample:
-        ctx = PrimeContext(p)
-        runs = len(residue.consecutive_triples(ctx))
+        runs = len(residue.consecutive_triples(p))
         k = 2 if p % 8 == 1 else 1
-        direct[p] = (len(ctx.qr_set), runs, (p - 1) * (runs + 2 * k))
+        direct[p] = (sum(map(bool, fp.make_context(p))), runs, (p - 1) * (runs + 2 * k))
 
     def built(*args):
-        raise AssertionError("table built a residue context")
+        raise AssertionError("table built a root table")
 
-    monkeypatch.setattr(fp, "make_context", built)
-    monkeypatch.setattr(cli, "make_context", built)
-    monkeypatch.setattr(fp.PrimeContext, "__init__", built)
+    for module in (fp, cli, residue, congrua):
+        monkeypatch.setattr(module, "make_context", built)
     monkeypatch.setattr(residue, "consecutive_triples", built)
 
     def trial(*args):
@@ -539,10 +537,11 @@ def test_construct_rejects_3_mod_4(capsys, monkeypatch):
     assert "not prime" in err
 
     def built(*args):
-        raise AssertionError("construct built a context for p = 3 (mod 4)")
+        raise AssertionError("construct built a root table for p = 3 (mod 4)")
 
-    # refused after the primality proof but before the O(p) context
-    monkeypatch.setattr(cli, "make_context", built)
+    # refused after the primality proof but before the O(p) root table
+    for module in (fp, cli, residue, congrua):
+        monkeypatch.setattr(module, "make_context", built)
     for p in ("7", "9999991"):
         code, out, err = run(capsys, "construct", p)
         assert code == 2
@@ -700,9 +699,10 @@ def test_verify_builds_no_context_above_the_context_ceiling(capsys, tmp_path, mo
     # context ceiling: a cell r^2 has the root min(r mod q, -r mod q), so the
     # class mod q needs no table of its roots
     def built(*args):
-        raise AssertionError("verify built a prime context")
+        raise AssertionError("verify built a root table")
 
-    monkeypatch.setattr(fp, "PrimeContext", built)
+    for module in (fp, cli, residue, congrua):
+        monkeypatch.setattr(module, "make_context", built)
     q = 1000000009
     f = tmp_path / "grid.txt"
     f.write_text(f"1 1 1\n1 {q**2} 1\n1 1 1\n")
@@ -751,8 +751,8 @@ def test_analyze_refuses_before_its_first_byte(capsys, argv, message, fmt):
 def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
     made = []
 
-    def counted(ctx):
-        for fields in residue.nontrivial_fields(ctx):
+    def counted(p):
+        for fields in residue.nontrivial_fields(p):
             made.append(fields[18])
             yield fields
 
@@ -763,7 +763,7 @@ def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
     next(chunk for chunk in chunks if '"member"' in chunk)
     assert 0 < len(made) < residue.run_count(50021)
     "".join(chunks)
-    assert made == list(residue.consecutive_triples(fp.make_context(50021)))
+    assert made == list(residue.consecutive_triples(50021))
 
 
 # a search that writes 2.9 MB of text: a smaller one may be written whole
@@ -929,8 +929,8 @@ EXPORTS = {
     "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
         congruum_triple construct construct_mod20 construct_mod24 coverage_status
         eligible_params sweep_congrua""",
-    "fp": """PrimeContext factorize is_prime legendre make_context primes_up_to sqrt_mod
-        two_square_splits two_squares""",
+    "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
+        two_squares""",
     "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check has_even_center_line
         is_distinct is_magic is_square_entried mod2_classify reduce_primitive
         total_is_triple_center""",
@@ -949,7 +949,7 @@ PACKAGE_ALL = sorted([*EXPORTS, "errors", "grid_ops", *" ".join(EXPORTS.values()
 # submodule that defined it
 MOVED = {
     "congrua": "SquareProgression.primitive",
-    "fp": "PrimeContext.is_square",
+    "fp": "PrimeContext",
     "grid_ops": """IDENTITY ROT90 ROT180 ROT270 FLIP_ROWS FLIP_COLS TRANSPOSE ANTI_TRANSPOSE
         ROTATIONS DIHEDRAL permute""",
     "intgrid": "klein_group_table parametric_magic residue_class_of Mod2Class.__xor__",

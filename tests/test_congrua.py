@@ -19,14 +19,21 @@ from residuum.congrua import (
 from residuum.errors import (
     BadParameters,
     BadPrimeForm,
+    BoundExceeded,
     DividesTerm,
     FiveExcluded,
     NonResidueDifference,
     NotCovered,
     NotPrime,
 )
-from residuum.fp import PrimeContext, legendre, make_context, primes_up_to
-from residuum.residue import consecutive_triples, run_count
+from residuum.fp import MAX_CONTEXT_P, legendre, primes_up_to, sqrt_mod
+from residuum.residue import (
+    consecutive_triples,
+    enumerate_all,
+    nontrivial_fields,
+    run_count,
+    triple_from_member,
+)
 
 
 def primitive(prog: SquareProgression) -> bool:
@@ -90,64 +97,87 @@ def test_congruum_progression_exact(m, n):
 
 
 def test_ap_to_unit_triple_f61():
-    t = ap_to_unit_triple(congruum_triple(5, 4), make_context(61))
+    t = ap_to_unit_triple(congruum_triple(5, 4), 61)
     assert t.squares() == (49, 48, 47)
 
 
 def test_ap_to_unit_triple_f97():
-    ctx = make_context(97)
-    t = ap_to_unit_triple(congruum_triple(2, 1), ctx)
+    t = ap_to_unit_triple(congruum_triple(2, 1), 97)
     assert (t.alpha**2 - t.beta**2) % 97 == 1
     assert (t.beta**2 - t.gamma**2) % 97 == 1
-    assert t.squares()[2] in consecutive_triples(ctx)
+    assert t.squares()[2] in consecutive_triples(97)
 
 
 def test_ap_to_unit_triple_f13_rejects():
-    ctx = make_context(13)
     # 13 divides none of 49, 41, 31; 720 = 5 (mod 13) and Euler says non-residue
     assert (49 * 41 * 31) % 13 != 0
     assert legendre(720, 13) == -1
     with pytest.raises(NonResidueDifference):
-        ap_to_unit_triple(congruum_triple(5, 4), ctx)
+        ap_to_unit_triple(congruum_triple(5, 4), 13)
 
 
 def test_ap_to_unit_triple_divides_term():
     with pytest.raises(DividesTerm):
-        ap_to_unit_triple(congruum_triple(5, 4), make_context(41))
+        ap_to_unit_triple(congruum_triple(5, 4), 41)
 
 
 def test_ap_to_unit_triple_needs_1_mod_4():
     with pytest.raises(BadPrimeForm):
-        ap_to_unit_triple(congruum_triple(2, 1), make_context(7))
+        ap_to_unit_triple(congruum_triple(2, 1), 7)
 
 
 def test_construct_mod20():
-    assert construct_mod20(make_context(61)).squares() == (49, 48, 47)
-    t29 = construct_mod20(make_context(29))
+    assert construct_mod20(61).squares() == (49, 48, 47)
+    t29 = construct_mod20(29)
     assert t29.squares() == (7, 6, 5)
-    assert 5 in consecutive_triples(make_context(29))
+    assert 5 in consecutive_triples(29)
     with pytest.raises(NotCovered):
-        construct_mod20(make_context(37))  # 37 = 17 (mod 20)
+        construct_mod20(37)  # 37 = 17 (mod 20)
 
 
 def test_construct_mod20_41_from_table():
-    t = construct_mod20(make_context(41))
+    t = construct_mod20(41)
     assert t.squares()[2] == 8
 
 
 def test_construct_mod24():
-    ctx73 = make_context(73)
-    t = construct_mod24(ctx73)
+    t = construct_mod24(73)
     assert (t.alpha**2 - t.beta**2) % 73 == 1
     with pytest.raises(FiveExcluded):
-        construct_mod24(make_context(5))
+        construct_mod24(5)
     # 29 = 5 (mod 24): confirm 24 is a residue first, then construct
-    ctx29 = make_context(29)
     assert legendre(24, 29) == 1
-    t29 = construct_mod24(ctx29)
-    assert t29.squares()[2] in consecutive_triples(ctx29)
+    t29 = construct_mod24(29)
+    assert t29.squares()[2] in consecutive_triples(29)
     with pytest.raises(NotCovered):
-        construct_mod24(make_context(13))  # 13 (mod 24)
+        construct_mod24(13)  # 13 (mod 24)
+
+
+# every function that reads a root table, called with the p it takes
+READS_A_TABLE = {
+    "sqrt_mod": lambda p: sqrt_mod(p, 4),
+    "consecutive_triples": consecutive_triples,
+    "triple_from_member": lambda p: triple_from_member(p, 4),
+    "nontrivial_fields": lambda p: next(nontrivial_fields(p)),
+    "enumerate_all": enumerate_all,
+    "ap_to_unit_triple": lambda p: ap_to_unit_triple(congruum_triple(2, 1), p),
+    "construct_mod20": construct_mod20,
+    "construct_mod24": construct_mod24,
+    "construct": construct,
+    "sweep_congrua": sweep_congrua,
+}
+
+
+@pytest.mark.parametrize(
+    "p, error",
+    # both = 1 (mod 4), 9 (mod 20) and 1 (mod 24), so each reaches its table
+    [(49, NotPrime), (MAX_CONTEXT_P + 9, BoundExceeded)],
+)
+def test_functions_that_take_p_refuse_a_modulus_without_a_table(p, error):
+    for name, call in READS_A_TABLE.items():
+        with pytest.raises(error):
+            call(p)
+            pytest.fail(f"{name}({p}) returned")
 
 
 def test_five_excluded_is_a_not_covered():
@@ -209,7 +239,7 @@ def test_run_sets_follow_the_curve_count_and_hasse_bound():
     for p in primes_up_to(10**4):
         if p % 4 != 1:
             continue
-        runs = len(consecutive_triples(PrimeContext(p)))  # unmemoized: O(p) each
+        runs = len(consecutive_triples(p))
         assert run_count(p) == runs, p
         assert (runs > 0) == (p >= 29), p
         deficit = p - 15 - 8 * runs  # 8|C_p| >= p - 15 - 2*sqrt(p)
@@ -224,12 +254,11 @@ def test_constructions_cover_what_they_claim():
     for p in primes_up_to(500):
         if p % 4 != 1:
             continue
-        ctx = make_context(p)
-        runs = set(consecutive_triples(ctx))
+        runs = set(consecutive_triples(p))
         if p % 20 in (1, 9):
-            assert construct_mod20(ctx).squares()[2] in runs
+            assert construct_mod20(p).squares()[2] in runs
         if p % 24 in (1, 5) and p != 5:
-            assert construct_mod24(ctx).squares()[2] in runs
+            assert construct_mod24(p).squares()[2] in runs
 
 
 def test_construct_takes_one_route_per_prime():
@@ -240,23 +269,22 @@ def test_construct_takes_one_route_per_prime():
     for p in primes_up_to(10**4):
         if p % 4 != 1:
             continue
-        ctx = PrimeContext(p)  # unmemoized, so the context cache stays small
         status = coverage_status(p)
         if status in (Coverage.EXCLUDED_5_13_17, Coverage.UNCOVERED_BUT_NONEMPTY):
             with pytest.raises(NotCovered):
-                construct(ctx)
+                construct(p)
             continue
-        route, prog, triple = construct(ctx)
+        route, prog, triple = construct(p)
         if p in table_runs:
             assert (route, prog) == ("table", None), p
-            assert consecutive_triples(ctx) == table_runs[p], p
+            assert consecutive_triples(p) == table_runs[p], p
         elif status in (Coverage.COVERED_MOD20, Coverage.COVERED_BOTH):
             assert route == "mod20", p
         else:
             assert status is Coverage.COVERED_MOD24 and route == "mod24", p
-        assert triple.squares()[2] in consecutive_triples(ctx), p
+        assert triple.squares()[2] in consecutive_triples(p), p
         if prog is not None:
-            assert triple == ap_to_unit_triple(prog, ctx), p
+            assert triple == ap_to_unit_triple(prog, p), p
 
 
 def test_uncovered_list_matches_expected():
@@ -271,10 +299,9 @@ def test_uncovered_list_matches_expected():
 
 
 def test_sweep_congrua_finds_candidates_for_uncovered_prime():
-    ctx = make_context(113)
-    found = sweep_congrua(ctx)
+    found = sweep_congrua(113)
     assert found, "some small progression should map into F_113"
-    runs = set(consecutive_triples(ctx))
+    runs = set(consecutive_triples(113))
     for m, n, t in found:
         assert gcd(m, n) == 1 and (m - n) % 2 == 1
         assert t.squares()[2] in runs
@@ -287,4 +314,4 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     assert len(uncovered) == 9
     assert congruum_triple(3, 2) == SquareProgression(17, 13, 7)
     for p in uncovered:
-        assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(make_context(p))}, p
+        assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(p)}, p

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residuum import fp
+from residuum.cli import run_analyze
 from residuum.errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
 from residuum.fp import (
     BLOCK_SIEVE_BOUND,
     MAX_CENTER_ROOT,
     MAX_CONTEXT_P,
     SIEVE_SEGMENT,
-    PrimeContext,
     factorize,
     factorize_block,
     is_prime,
@@ -33,6 +33,11 @@ ODD_PRIMES_1000 = [p for p in primes_up_to(1000) if p > 2]
 
 def brute_qr_set(p):
     return tuple(sorted({n * n % p for n in range(1, p)}))
+
+
+def residues(p):
+    """The nonzero residues mod p, ascending, read from p's root table."""
+    return tuple(compress(range(p), make_context(p)))
 
 
 def trial_factors(n):
@@ -198,19 +203,18 @@ def test_context_ceiling_refused_before_primality(p, monkeypatch):
 
 
 def test_context_holds_only_its_root_table():
-    # 4 bytes per element of F_p, built without a temporary of the same size;
-    # the residues are derived from the table when read
+    # 4 bytes per element of F_p, built without a temporary of the same size
+    # and past the cache, which would keep it; the residues are derived from
+    # the table when read
     p = 1000003
     tracemalloc.start()
     try:
-        ctx = PrimeContext(p)
+        root = make_context.__wrapped__(p)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= 5 * p and peak <= 5 * p
-    assert len(ctx.root) == p
-    with pytest.raises(AttributeError):
-        ctx.qr_set = ()
+    assert len(root) == p and root.nbytes == 4 * p and root.readonly
 
 
 def test_context_cache_is_bounded():
@@ -223,7 +227,7 @@ def test_context_cache_is_bounded():
     assert make_context.cache_info().currsize <= maxsize
     rebuilt = make_context(primes[0])
     assert rebuilt is not first  # evicted, least recently used
-    assert rebuilt == first and rebuilt.qr_set == first.qr_set and rebuilt.w == first.w
+    assert rebuilt == first
 
 
 def test_two_squares_matches_brute_search():
@@ -269,10 +273,10 @@ def test_two_square_splits_match_two_squares():
 
 
 def test_qr_tables_small():
-    assert make_context(5).qr_set == (1, 4)
-    assert make_context(13).qr_set == (1, 3, 4, 9, 10, 12)
+    assert residues(5) == (1, 4)
+    assert residues(13) == (1, 3, 4, 9, 10, 12)
     for p in (5, 13, 17, 29, 37, 101):
-        assert make_context(p).qr_set == brute_qr_set(p)
+        assert residues(p) == brute_qr_set(p)
 
 
 def test_root_table_matches_powers_of_a_generator():
@@ -282,7 +286,7 @@ def test_root_table_matches_powers_of_a_generator():
     # must satisfy r*r = a with 1 <= r <= p//2, which of the two roots r and
     # p - r only the smaller meets
     for p in primes_up_to(10**4):
-        ctx = PrimeContext(p)
+        root = make_context(p)
         half = p // 2
         factors = set(trial_factors(p - 1))
         g = next(g for g in count(1) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
@@ -291,39 +295,40 @@ def test_root_table_matches_powers_of_a_generator():
         for _ in range(half):
             qr[x] = True
             x = x * g * g % p
-        assert ctx.qr_set == tuple(compress(range(p), qr)), p
-        assert list(map(ctx.is_qr, range(p))) == qr, p
+        assert residues(p) == tuple(compress(range(p), qr)), p
         wrong = [
             a
-            for a, (r, q) in enumerate(zip(ctx.root, qr))
+            for a, (r, q) in enumerate(zip(root, qr))
             if not (1 <= r <= half and r * r % p == a if q else r == 0)
         ]
         assert wrong == [], p
         for a in compress(range(1, p), (not q for q in qr[1:])):
             try:  # pytest.raises would cost more than the rest of the test
-                sqrt_mod(ctx, a)
+                sqrt_mod(p, a)
             except NonResidue:
                 continue
             pytest.fail(f"non-residue {a} mod {p} got a root")
 
 
 def test_no_order4_element_for_3_mod_4():
-    assert make_context(7).w is None
-    assert make_context(43).w is None
+    assert run_analyze(7, 0).results["w"] is None
+    assert run_analyze(43, 0).results["w"] is None
+    assert make_context(7)[6] == make_context(43)[42] == 0
 
 
 def test_w_is_canonical_smaller_root():
     # independent scan for both square roots of -1 mod 29
     candidates = [x for x in range(29) if x * x % 29 == 28]
     assert candidates == [12, 17]
-    assert make_context(29).w == min(candidates)
+    assert make_context(29)[28] == run_analyze(29, 0).results["w"] == min(candidates)
 
 
 def test_p2_degenerate_context():
-    ctx = make_context(2)
-    assert ctx.qr_set == (1,)
-    assert ctx.w is None
-    assert ctx.tau == 0
+    assert list(make_context(2)) == [0, 1]
+    results = run_analyze(2, 0).results
+    assert list(results["qr_set"]) == [1]
+    assert results["w"] is None
+    assert results["tau"] == 0
 
 
 def test_legendre_examples():
@@ -341,56 +346,57 @@ def test_legendre_needs_odd_prime():
 
 def test_legendre_agrees_with_table_everywhere():
     for p in ODD_PRIMES_1000:
-        ctx = make_context(p)
+        root = make_context(p)
         for a in range(p):
-            expected = 0 if a == 0 else (1 if ctx.is_qr(a) else -1)
+            expected = 0 if a == 0 else (1 if root[a] else -1)
             assert legendre(a, p) == expected
 
 
 def test_qr_set_sizes():
     for p in ODD_PRIMES_1000:
-        assert len(make_context(p).qr_set) == (p - 1) // 2
+        assert len(residues(p)) == (p - 1) // 2
 
 
 def test_qr_set_group_structure():
     rng = random.Random(20260809)
     for p in ODD_PRIMES_1000:
-        ctx = make_context(p)
-        res = ctx.qr_set
-        nonres = [a for a in range(1, p) if not ctx.is_qr(a)]
+        root = make_context(p)
+        res = residues(p)
+        nonres = [a for a in range(1, p) if not root[a]]
         if p <= 250:
             pairs_r = [(x, y) for x in res for y in res]
             pairs_n = [(x, y) for x in nonres for y in nonres]
         else:
             pairs_r = [(rng.choice(res), rng.choice(res)) for _ in range(500)]
             pairs_n = [(rng.choice(nonres), rng.choice(nonres)) for _ in range(500)]
-        assert all(ctx.is_qr(x * y) for x, y in pairs_r)
-        assert all(ctx.is_qr(x * y) for x, y in pairs_n)
+        assert all(root[x * y % p] for x, y in pairs_r)
+        assert all(root[x * y % p] for x, y in pairs_n)
 
 
 def test_w_tau_existence_criteria():
     for p in primes_up_to(1000):
-        ctx = make_context(p)
-        assert (ctx.w is not None) == (p % 4 == 1)
-        assert (ctx.tau is not None) == (p == 2 or p % 8 in (1, 7))
-        if ctx.w is not None:
-            assert ctx.w * ctx.w % p == p - 1
-            assert 0 < ctx.w <= p - ctx.w
-        if ctx.tau is not None:
-            assert ctx.tau * ctx.tau % p == 2 % p
-            assert 0 <= ctx.tau <= p - ctx.tau
+        results = run_analyze(p, 0).results
+        w, tau = results["w"], results["tau"]
+        assert (w is not None) == (p % 4 == 1)
+        assert (tau is not None) == (p == 2 or p % 8 in (1, 7))
+        if w is not None:
+            assert w * w % p == p - 1
+            assert 0 < w <= p - w
+        if tau is not None:
+            assert tau * tau % p == 2 % p
+            assert 0 <= tau <= p - tau
 
 
 def test_sqrt_examples():
-    assert sqrt_mod(make_context(61), 5) == 26
-    assert sqrt_mod(make_context(29), 0) == 0
-    assert sqrt_mod(make_context(29), 6) == 8
-    assert sqrt_mod(make_context(29), 6 + 29 * 7) == 8
+    assert sqrt_mod(61, 5) == 26
+    assert sqrt_mod(29, 0) == 0
+    assert sqrt_mod(29, 6) == 8
+    assert sqrt_mod(29, 6 + 29 * 7) == 8
 
 
 def test_sqrt_rejects_nonresidue():
     with pytest.raises(NonResidue):
-        sqrt_mod(make_context(13), 2)
+        sqrt_mod(13, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -399,7 +405,6 @@ def test_sqrt_rejects_nonresidue():
     n=st.integers(min_value=0, max_value=10**9),
 )
 def test_sqrt_roundtrip_and_canonical(p, n):
-    ctx = make_context(p)
-    r = sqrt_mod(ctx, n * n)
+    r = sqrt_mod(p, n * n)
     assert r * r % p == n * n % p
     assert 0 <= r <= p - r

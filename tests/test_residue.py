@@ -1,7 +1,9 @@
 import json
+from array import array
 
 import pytest
 
+from residuum import residue
 from residuum.cli import run_analyze
 from residuum.errors import (
     BadPrimeForm,
@@ -12,7 +14,7 @@ from residuum.errors import (
     NonzeroCenter,
     NotPrime,
 )
-from residuum.fp import PrimeContext, legendre, make_context, primes_up_to
+from residuum.fp import legendre, make_context, primes_up_to
 from residuum.residue import (
     ClassKind,
     ResidueGrid,
@@ -43,14 +45,11 @@ from oracles import (
     permute,
 )
 
-F29 = make_context(29)
-F13 = make_context(13)
-
 
 @pytest.fixture
 def grid_f29():
     # reduce the squared entries 9^2 11^2 1^2 / 6^2 0 14^2 / w^2 16^2 8^2 mod 29
-    w = F29.w
+    w = make_context(29)[28]  # the smaller root of -1
     cells = [9**2, 11**2, 1**2, 6**2, 0, 14**2, w**2, 16**2, 8**2]
     return ResidueGrid(29, [v % 29 for v in cells])
 
@@ -125,36 +124,47 @@ def test_gen_trivial_midedge():
 
 
 def test_consecutive_triples_examples():
-    assert consecutive_triples(F29) == (4, 5, 22, 23)
-    assert consecutive_triples(make_context(17)) == ()
-    assert consecutive_triples(make_context(41)) == (8, 31)
+    assert consecutive_triples(29) == (4, 5, 22, 23)
+    assert consecutive_triples(17) == ()
+    assert consecutive_triples(41) == (8, 31)
     # explicitly including p = 13, whose run set is empty like 2, 5 and 17
     for p in (2, 5, 13, 17):
-        assert consecutive_triples(make_context(p)) == ()
-    assert consecutive_triples(make_context(37)) == (9, 10, 25, 26)
+        assert consecutive_triples(p) == ()
+    assert consecutive_triples(37) == (9, 10, 25, 26)
+
+
+def test_a_write_to_a_cached_table_raises_and_changes_no_answer():
+    root = make_context(29)
+    try:
+        with pytest.raises(TypeError):
+            root[5] = 0
+        assert consecutive_triples(29) == (4, 5, 22, 23)
+        assert make_context(29) is root and root[5] == 11
+    finally:
+        make_context.cache_clear()  # so a table that took the write is not read again
 
 
 def test_consecutive_triples_match_the_definition():
     # three nonzero residues in a row by Euler's criterion, without the table
-    assert consecutive_triples(make_context(3)) == ()
+    assert consecutive_triples(3) == ()
     for p in primes_up_to(1000)[2:]:
         expected = tuple(
             n for n in range(1, p) if all(legendre(n + i, p) == 1 for i in range(3))
         )
-        assert consecutive_triples(make_context(p)) == expected, p
+        assert consecutive_triples(p) == expected, p
 
 
 def test_triple_from_member():
-    t = triple_from_member(F29, 5)
+    t = triple_from_member(29, 5)
     assert t.squares() == (7, 6, 5)
-    t = triple_from_member(F29, 4)
+    t = triple_from_member(29, 4)
     assert t.squares() == (6, 5, 4)
     with pytest.raises(NotAMember):
-        triple_from_member(F29, 1)  # 2 is not a residue mod 29
+        triple_from_member(29, 1)  # 2 is not a residue mod 29
 
 
 def test_triple_roots_are_canonical():
-    t = triple_from_member(F29, 5)
+    t = triple_from_member(29, 5)
     for x in (t.alpha, t.beta, t.gamma):
         assert 0 < x <= 29 - x
 
@@ -165,7 +175,7 @@ def test_unit_triple_invariants_enforced():
         UnitTriple(p, 1, 1, 1)
     with pytest.raises(ValueError):
         UnitTriple(p, 6, 8, 0)
-    t = triple_from_member(F29, 5)
+    t = triple_from_member(29, 5)
     assert UnitTriple(p, t.alpha, t.beta, t.gamma) == t
     # members outside [1, p-1] are refused, even where the relations hold mod p
     for out_of_range in (0, 29):
@@ -183,20 +193,20 @@ def test_unit_triple_modulus_must_be_prime():
 
 def test_gen_nontrivial_needs_an_order_4_element():
     # 3, 4, 5 are consecutive residues mod 11, but -1 is not a square
-    t = triple_from_member(make_context(11), 3)
+    t = triple_from_member(11, 3)
     assert t.squares() == (5, 4, 3)
     with pytest.raises(BadPrimeForm):
         gen_nontrivial(t)
     with pytest.raises(BadPrimeForm):
-        next(nontrivial_fields(make_context(11)))
+        next(nontrivial_fields(11))
 
 
 def test_gen_nontrivial_f29(grid_f29):
-    t = triple_from_member(F29, 5)
+    t = triple_from_member(29, 5)
     assert gen_nontrivial(t) == grid_f29
-    g4 = gen_nontrivial(triple_from_member(F29, 4))
+    g4 = gen_nontrivial(triple_from_member(29, 4))
     assert g4.vals[1] == 4  # cell (0,1) is gamma^2 = n
-    g37 = gen_nontrivial(triple_from_member(make_context(37), 9))
+    g37 = gen_nontrivial(triple_from_member(37, 9))
     assert is_magic_class(g37) and magic_sum(g37) == 0
     assert classify(g37) is ClassKind.NONTRIVIAL
 
@@ -267,7 +277,7 @@ def test_orbit_f5_explicit_expansion():
 
 
 def test_orbit_members_stay_magic():
-    for g in orbit(gen_nontrivial(triple_from_member(F29, 5))):
+    for g in orbit(gen_nontrivial(triple_from_member(29, 5))):
         assert is_magic_class(g) and magic_sum(g) == 0
 
 
@@ -291,22 +301,22 @@ def test_count_bound_examples():
 
 
 def test_enumerate_all_small_primes(grid_f29):
-    found13 = enumerate_all(F13)
+    found13 = enumerate_all(13)
     assert found13
     assert all(classify(g) is ClassKind.TRIVIAL_CORNER for g in found13)
-    assert grid_f29 in enumerate_all(F29)
-    found5 = enumerate_all(make_context(5))
+    assert grid_f29 in enumerate_all(29)
+    found5 = enumerate_all(5)
     assert len(found5) <= count_bound(5, run_count(5)) == 8
-    assert found5 == naive_enumerate(make_context(5))
+    assert found5 == naive_enumerate(5)
 
 
 def test_enumerate_all_bounds():
     with pytest.raises(BoundExceeded):
-        enumerate_all(make_context(509))
+        enumerate_all(509)
     with pytest.raises(BoundExceeded):
-        naive_enumerate(make_context(17))
+        naive_enumerate(17)
     with pytest.raises(BadPrimeForm):
-        enumerate_all(make_context(7))
+        enumerate_all(7)
     with pytest.raises(BoundExceeded):
         classes_from_sum_equations(100049)
     with pytest.raises(BadPrimeForm):
@@ -315,10 +325,10 @@ def test_enumerate_all_bounds():
 
 def test_enumerate_members_are_honest():
     for p in (5, 13, 17, 29):
-        ctx = make_context(p)
-        for g in enumerate_all(ctx):
+        root = make_context(p)
+        for g in enumerate_all(p):
             assert is_magic_class(g) and magic_sum(g) == 0
-            assert all(v == 0 or ctx.is_qr(v) for v in g.vals)
+            assert all(v == 0 or root[v] for v in g.vals)
             assert any(g.vals)
 
 
@@ -327,23 +337,21 @@ P_1_MOD_4_TO_100 = [p for p in primes_up_to(100) if p % 4 == 1]
 
 def test_generated_equals_enumerated():
     for p in P_1_MOD_4_TO_100:
-        ctx = make_context(p)
-        assert generated_classes(ctx) == enumerate_all(ctx), p
+        assert generated_classes(p) == enumerate_all(p), p
 
 
 def test_sum_equation_count_equals_the_enumeration():
     primes = [p for p in primes_up_to(200) if p % 4 == 1]
     assert len(primes) == 21
     for p in primes:
-        assert classes_from_sum_equations(p) == len(enumerate_all(make_context(p))), p
+        assert classes_from_sum_equations(p) == len(enumerate_all(p)), p
 
 
 def test_bound_holds():
     # and holds exactly twice over: by the oracle for every prime it reaches,
     # and by the sum equations for every prime below 2000
     for p in P_1_MOD_4_TO_100:
-        ctx = make_context(p)
-        assert 2 * len(enumerate_all(ctx)) == count_bound(p, run_count(p)), p
+        assert 2 * len(enumerate_all(p)) == count_bound(p, run_count(p)), p
     primes = [p for p in primes_up_to(2000) if p % 4 == 1]
     assert len(primes) == 147
     for p in primes:
@@ -355,30 +363,30 @@ def test_nontrivial_fields_equal_the_generated_grids():
     primes = [p for p in primes_up_to(5000) if p % 4 == 1]
     classes = 0
     for p in primes:
-        ctx = make_context(p)
+        root = make_context(p)
         expected = []
-        for n in consecutive_triples(ctx):
-            g = gen_nontrivial(triple_from_member(ctx, n))
-            expected.append((*g.vals, *[ctx.root[v] for v in g.vals], n))
-        assert list(nontrivial_fields(ctx)) == expected, p
+        for n in consecutive_triples(p):
+            g = gen_nontrivial(triple_from_member(p, n))
+            expected.append((*g.vals, *[root[v] for v in g.vals], n))
+        assert list(nontrivial_fields(p)) == expected, p
         classes += len(expected)
     assert classes == 95362
 
 
-def test_nontrivial_fields_check_every_root():
+def test_nontrivial_fields_check_every_root(monkeypatch):
     # a table that has lost the root of -(4+1), -(4+2) or -4 mod 29, so that
     # the class from n = 4, the first run, has a cell that is not a square
     for cell in (24, 23, 25):
-        ctx = PrimeContext(29)
-        ctx.root[cell] = 0
+        damaged = array("I", make_context(29))
+        damaged[cell] = 0
+        monkeypatch.setattr(residue, "make_context", lambda p: damaged)
         with pytest.raises(NonSquareCell, match="from n = 4 "):
-            list(nontrivial_fields(ctx))
+            list(nontrivial_fields(29))
 
 
 def test_naive_matches_reduced_oracle():
     for p in (5, 13):
-        ctx = make_context(p)
-        assert naive_enumerate(ctx) == enumerate_all(ctx)
+        assert naive_enumerate(p) == enumerate_all(p)
 
 
 def test_run_set_symmetry():
@@ -388,8 +396,7 @@ def test_run_set_symmetry():
     for p in primes_up_to(100):
         if p % 4 != 1:
             continue
-        ctx = make_context(p)
-        cset = set(consecutive_triples(ctx))
+        cset = set(consecutive_triples(p))
         assert cset == {(-(n + 2)) % p for n in cset}
 
 
@@ -404,20 +411,18 @@ def test_trivial_classes_fixed_by_reflections():
 
 def test_nontrivial_stabilizer_half_turn_is_w2_scaling():
     for p in (29, 37, 41):
-        ctx = make_context(p)
         w2 = (p - 1) % p
-        for n in consecutive_triples(ctx):
-            g = gen_nontrivial(triple_from_member(ctx, n))
+        for n in consecutive_triples(p):
+            g = gen_nontrivial(triple_from_member(p, n))
             half_turn = ResidueGrid(p, permute(g.vals, ROT180))
             assert half_turn == ResidueGrid(p, [v * w2 for v in g.vals])
 
 
 def test_w_reflection_duality():
     for p in (29, 37, 41):
-        ctx = make_context(p)
-        w = ctx.w
-        for n in consecutive_triples(ctx):
-            t = triple_from_member(ctx, n)
+        w = make_context(p)[p - 1]  # the smaller root of -1
+        for n in consecutive_triples(p):
+            t = triple_from_member(p, n)
             dual = UnitTriple(p, w * t.gamma % p, w * t.beta % p, w * t.alpha % p)
             reflected = ResidueGrid(p, permute(gen_nontrivial(t).vals, ANTI_TRANSPOSE))
             assert gen_nontrivial(dual) == reflected

@@ -333,6 +333,16 @@ def test_pruning_soundness_spot_check():
     for e in (3, 6, 7, 21, 33):
         assert center_has_inadmissible_factor(e)
         assert primitive_subset(naive_center_enumeration(e)) == set()
+    # those centers have fewer than four pairs, so they make no grid and the
+    # sets above are empty whatever the prune does. These make grids, and
+    # every q = 3 (mod 4) dividing e puts q^2 into both squares of every
+    # pair, so into every cell of every grid: none is primitive
+    for e in (455, 1365):  # 5 * 7 * 13 and 3 * 5 * 7 * 13
+        assert center_has_inadmissible_factor(e)
+        pairs = pair_decompositions(e)
+        assert len(pairs) >= 4 and sorted(pairs) == sorted(brute_pairs(e)), e
+        for q in (q for q in primes_up_to(e) if q % 4 == 3 and e % q == 0):
+            assert all(lo % (q * q) == 0 and hi % (q * q) == 0 for lo, hi in pairs), (e, q)
 
 
 def test_naive_enumeration_rejects_bad_e():

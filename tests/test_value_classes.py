@@ -2,8 +2,8 @@
 set, equal fields make equal objects, with equal hashes where every field is
 hashable, construction by keyword and by position agree, bad fields raise
 the documented exception (through `_replace` too), instances pickle, and
-the repr names every field, a context only by its p. No class but the
-context holds a root table, so none rebuilds one when it is copied."""
+the repr names every field. No class holds a root table, so none builds one
+when it is copied; the table make_context keeps is read-only."""
 
 import copy
 import pickle
@@ -12,8 +12,8 @@ import pytest
 
 from residuum.cli import OutputDocument
 from residuum.congrua import SquareProgression, construct
-from residuum.errors import BadParameters, NonSquareCell, NotPrime, UnexpectedPattern
-from residuum.fp import PrimeContext, make_context
+from residuum.errors import BadParameters, NonSquareCell, UnexpectedPattern
+from residuum.fp import make_context
 from residuum.intgrid import CenterReport, IntGrid, Mod2Class
 from residuum.residue import ResidueGrid, UnitTriple
 from residuum.search import SearchReport
@@ -22,12 +22,6 @@ LO_SHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 
 # class -> (valid fields, fields the constructor refuses or None, the exception, repr)
 CASES = {
-    PrimeContext: (
-        dict(p=29),
-        dict(p=15),
-        NotPrime,
-        "PrimeContext(p=29)",
-    ),
     ResidueGrid: (
         dict(p=29, vals=(0, 1, 28, 28, 0, 1, 1, 28, 0)),
         dict(p=29, vals=(2, 0, 0, 0, 0, 0, 0, 0, 0)),  # 2 is not a square
@@ -87,7 +81,7 @@ def test_value_class_contract(cls):
     a = cls(**fields)
     b = cls(*fields.values())
     assert a == b and a is not b
-    if cls not in (OutputDocument, PrimeContext):  # dict and array fields are unhashable
+    if cls is not OutputDocument:  # dict fields are unhashable
         assert hash(a) == hash(b)
     assert repr(a) == text
     for name in (*fields, "extra"):
@@ -104,48 +98,29 @@ def test_value_class_contract(cls):
 def test_fields_are_only_what_cannot_be_derived():
     # a progression's difference and primitivity follow from x, y, z; the
     # search range, the prune switch, the threshold and the center root are
-    # the caller's own arguments; the residues follow from the root table
+    # the caller's own arguments
     assert SquareProgression._fields == ("x", "y", "z")
     assert SearchReport._fields == ("pruned_centers", "candidates_tested", "hits", "near_misses")
     assert CenterReport._fields == ("verdicts", "warning")
-    assert PrimeContext._fields == ("p", "root", "w", "tau")
     assert UnitTriple._fields == ("p", "alpha", "beta", "gamma")
 
 
 def test_a_cached_context_cannot_be_changed():
-    ctx = make_context(13)
-    for name in PrimeContext._fields:
-        with pytest.raises(AttributeError):
-            setattr(ctx, name, 17)
-    assert make_context(13) is ctx
-    assert (ctx.p, ctx.w, ctx.tau) == (13, 5, None)
-    assert list(ctx.root) == [0, 1, 0, 4, 2, 0, 0, 0, 0, 3, 6, 0, 5]
+    root = make_context(13)
+    try:
+        for a in range(13):
+            with pytest.raises(TypeError):
+                root[a] = 17
+        assert make_context(13) is root
+        assert list(root) == [0, 1, 0, 4, 2, 0, 0, 0, 0, 3, 6, 0, 5]
+    finally:
+        make_context.cache_clear()  # so a table that took a write is not read again
 
 
-def test_contexts_compare_by_field_and_rebuild_from_p():
-    ctx = make_context(41)
-    other = PrimeContext(41)
-    assert ctx == other and not ctx != other and ctx == tuple(ctx)
-    assert ctx != make_context(37)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(ctx)
-    for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
-        assert type(twin) is PrimeContext and tuple(twin) == tuple(ctx)
-    rebuilt = ctx._replace(p=37)
-    assert tuple(rebuilt) == tuple(make_context(37))
-    # the table and the roots follow from p, so none is replaced on its own
-    with pytest.raises(ValueError, match="unexpected field names"):
-        ctx._replace(w=1)
-    with pytest.raises(ValueError, match="unexpected field names"):
-        ctx._replace(p=37, root=ctx.root)
-
-
-def test_a_triple_copies_without_building_a_context(monkeypatch):
-    triple = construct(make_context(29))[2]
-
-    def refuse(cls, *args):
-        raise AssertionError("a prime context was built")
-
-    monkeypatch.setattr(PrimeContext, "__new__", staticmethod(refuse))
+def test_a_triple_copies_without_building_a_context():
+    triple = construct(29)[2]
+    make_context.cache_clear()
     for twin in (pickle.loads(pickle.dumps(triple)), copy.deepcopy(triple)):
         assert type(twin) is UnitTriple and twin == triple
+    # make_context builds every root table, so none was built
+    assert make_context.cache_info().misses == 0
