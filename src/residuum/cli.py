@@ -71,7 +71,6 @@ from .residue import (
     gen_nontrivial,
     gen_trivial_corner,
     gen_trivial_midedge,
-    is_magic_class,
     magic_sum,
     nontrivial_fields,
     run_count,
@@ -566,13 +565,7 @@ def parse_square_file(path: str):
 
 
 def run_verify(path: str) -> OutputDocument:
-    from .intgrid import (
-        admissible_center_check,
-        is_distinct,
-        is_magic,
-        reduce_primitive,
-        total_is_triple_center,
-    )
+    from .intgrid import admissible_center_check, is_distinct, is_magic, reduce_primitive
 
     grid = parse_square_file(path)
     total = is_magic(grid)
@@ -584,9 +577,7 @@ def run_verify(path: str) -> OutputDocument:
         "grid": _grid_payload(grid.cells, roots),
         "magic": total is not None,
         "total": total,
-        "total_is_triple_center": (
-            total_is_triple_center(grid) if total is not None else None
-        ),
+        "total_is_triple_center": None if total is None else total == 3 * grid.center,
         "square_entried": square_entried,
         "distinct": is_distinct(grid),
         "all_zero": all_zero,
@@ -625,7 +616,7 @@ def _residue_report(grid, roots: list[int], q: int) -> dict:
     """The class mod q of a square-entried grid whose cells have the integer
     `roots`; a cell r^2 has the smaller root min(r mod q, -r mod q), so no
     root table is built."""
-    from .intgrid import has_even_center_line, mod2_classify
+    from .intgrid import mod2_classify
 
     if q == 2:
         entry: dict = {"p": 2, "kind": "parity", "pattern_index": None, "bits": None,
@@ -637,19 +628,22 @@ def _residue_report(grid, roots: list[int], q: int) -> dict:
             return entry
         entry["pattern_index"] = pattern.index
         entry["bits"] = pattern.rows()
-        entry["center_line_all_even"] = has_even_center_line(pattern)
+        # each of the four patterns has an all-even line through the center
+        entry["center_line_all_even"] = True
         return entry
     rgrid = ResidueGrid(q, grid.cells)
-    magic = is_magic_class(rgrid)
+    total = magic_sum(rgrid)
     entry = {
         "p": q,
         "kind": "residue",
         **_grid_payload(rgrid.vals, [min(r % q, -r % q) for r in roots]),
-        "magic": magic,
-        "sum": magic_sum(rgrid),
+        "magic": total is not None,
+        "sum": total,
         "classification": None,
     }
-    if magic and rgrid.center == 0:
+    # q divides the center root, so the center cell is 0 mod q, and a magic
+    # class is one that classify takes
+    if total is not None:
         entry["classification"] = classify(rgrid).value
     return entry
 

@@ -11,6 +11,7 @@ from math import gcd
 from .errors import (
     BadParameters,
     BadPrimeForm,
+    BoundExceeded,
     DividesTerm,
     FiveExcluded,
     NonResidueDifference,
@@ -85,12 +86,10 @@ def construct_mod20(p: int) -> UnitTriple:
     """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
     41 satisfies the residue condition but divides the middle term 41, so it
-    is served from its first consecutive run.
+    raises DividesTerm; `construct` serves it from its first consecutive run.
     """
     if p % 20 not in (1, 9):
         raise NotCovered(f"{p} is not 1 or 9 (mod 20)")
-    if p in TABLE_ROUTE_PRIMES:
-        return triple_from_member(p, next(consecutive_runs(p)))
     return ap_to_unit_triple(MOD20_PROGRESSION, p)
 
 
@@ -163,14 +162,20 @@ def _classify_prime(p: int) -> Coverage:
     return Coverage.UNCOVERED_BUT_NONEMPTY
 
 
-# Largest m the CLI lets the exploratory sweep reach: eligible_params(m) has
-# about 0.2 * m^2 pairs, and `construct 113 --sweep-max-m 1000` took 4.9 s,
+# Largest m the exploratory sweep reaches: eligible_params(m) has about
+# 0.2 * m^2 pairs, and `construct 113 --sweep-max-m 1000` took 4.9 s,
 # 138 MB and printed 13.5 MB (Python 3.11, 2-vCPU machine).
 MAX_SWEEP_M = 500
 
 
 def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:
-    """Coprime opposite-parity (m, n) pairs with n < m <= m_max."""
+    """Coprime opposite-parity (m, n) pairs with n < m <= m_max, for m_max
+    up to MAX_SWEEP_M."""
+    if m_max > MAX_SWEEP_M:
+        raise BoundExceeded(
+            f"m_max {m_max} exceeds the sweep ceiling {MAX_SWEEP_M}; "
+            "the sweep tries about 0.2 * m^2 progressions"
+        )
     return [
         (m, n)
         for m in range(2, m_max + 1)

@@ -6,9 +6,6 @@ LINES = (
     (0, 4, 8), (2, 4, 6),              # main diagonal, anti-diagonal
 )
 
-# The four lines passing through the center cell.
-CENTER_LINES = ((3, 4, 5), (1, 4, 7), (0, 4, 8), (2, 4, 6))
-
 CENTER = 4
 CORNERS = (0, 2, 6, 8)
 MID_EDGES = (1, 3, 5, 7)

@@ -1,7 +1,8 @@
-"""Integer-side 3x3 grids: magic checks, the triple-center total, center
-divisibility analysis, primitivity reduction, and the mod-2 parity
-classification. A square-entried grid's class mod a prime q is
-`ResidueGrid(q, grid.cells)`.
+"""Integer-side 3x3 grids: magic checks, center divisibility analysis,
+primitivity reduction, and the mod-2 parity classification. A magic grid's
+total is always 3 times its center, and each of the four parity patterns
+has an all-even line through the center, so `verify` checks neither. A
+square-entried grid's class mod a prime q is `ResidueGrid(q, grid.cells)`.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
+from .errors import AllZero, BoundExceeded, OddCenter, UnexpectedPattern
 from .fp import MAX_CENTER_ROOT, factorize
-from .grid_ops import CENTER, CENTER_LINES, LINES, rows_of
+from .grid_ops import CENTER, LINES, rows_of
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
@@ -47,14 +48,6 @@ def is_magic(g: IntGrid) -> int | None:
     """The common total of the 8 line sums, or None when they disagree."""
     sums = {sum(g.cells[i] for i in line) for line in LINES}
     return sums.pop() if len(sums) == 1 else None
-
-
-def total_is_triple_center(g: IntGrid) -> bool:
-    """Whether the magic total equals 3 times the central entry."""
-    t = is_magic(g)
-    if t is None:
-        raise NotMagic("the total is undefined for a non-magic grid")
-    return t == 3 * g.center
 
 
 def is_square_entried(g: IntGrid) -> bool:
@@ -155,8 +148,3 @@ def mod2_classify(g: IntGrid) -> Mod2Class:
             f"parity grid {bits} is not one of the four patterns; input is not magic"
         )
     return Mod2Class(bits)
-
-
-def has_even_center_line(m: Mod2Class) -> bool:
-    """Whether the central row, central column, or a main diagonal is all even."""
-    return any(all(m.bits[i] == 0 for i in line) for line in CENTER_LINES)

@@ -133,19 +133,18 @@ def _assemble(m: int, offsets, threshold: int):
     return 48 * comb(len(offsets), 4), tuple(sorted(hits)), tuple(sorted(nears))
 
 
-def _scan_center(
-    e: int, primitive_only: bool, threshold: int, factors: dict[int, int] | None = None
-):
-    """Assemble and test all candidate grids around the center e^2.
+def _scan_center(e: int, primitive_only: bool, threshold: int, factors: dict[int, int]):
+    """Assemble and test all candidate grids around the center e^2, given
+    e's factorisation `factors`.
 
     Returns (pruned, candidates, hit_cells, near_cells); see `_assemble`.
-    Given e's factorisation, a center with fewer than four pairs, where
-    prod(2k + 1) < 9 (see `pair_decompositions`), returns before any pair
-    is built, as it holds no layout; without it, e is trial-divided.
+    A center with fewer than four pairs, where prod(2k + 1) < 9 (see
+    `pair_decompositions`), returns before any pair is built, as it holds no
+    layout.
     """
     if primitive_only and center_has_inadmissible_factor(e, factors):
         return (True, 0, (), ())
-    if factors is not None and prod(2 * k + 1 for p, k in factors.items() if p % 4 == 1) < 9:
+    if prod(2 * k + 1 for p, k in factors.items() if p % 4 == 1) < 9:
         return (False, 0, (), ())
     m = e * e
     offsets = [m - lo for lo, _ in pair_decompositions(e, factors)]

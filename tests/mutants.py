@@ -217,14 +217,48 @@ MUTANTS = (
         "q % 4 == 1",
         ("tests/test_search.py::test_pruning_soundness_spot_check",),
     ),
-    # parametric_magic: the total compared with the top-left cell, not the
-    # center
+    # parametric_magic: is_magic sums two cells of each line, so the lines of
+    # a generic magic grid disagree
+    Mutant(
+        "is_magic_sums_two_cells",
+        "intgrid.py",
+        "sum(g.cells[i] for i in line)",
+        "sum(g.cells[i] for i in line[:2])",
+        ("tests/test_intgrid.py::test_parametric_magic_total_is_triple_center",),
+    ),
+    # verify compares the magic total with the top-left cell, not the center
     Mutant(
         "triple_center_reads_a_corner",
-        "intgrid.py",
-        "return t == 3 * g.center",
-        "return t == 3 * g.cells[0]",
-        ("tests/test_intgrid.py::test_parametric_magic_total_is_triple_center",),
+        "cli.py",
+        "total == 3 * grid.center",
+        "total == 3 * grid.cells[0]",
+        ("tests/test_cli.py::test_verify_classical_magic[lo-shu]",),
+    ),
+    # verify classifies a class mod q that is not magic, which classify
+    # refuses: Sallows' square is not magic mod 113
+    Mutant(
+        "residue_report_classifies_every_class",
+        "cli.py",
+        "    if total is not None:\n        entry[\"classification\"]",
+        "    if True:\n        entry[\"classification\"]",
+        (
+            "tests/test_golden.py::test_structured_output_is_pinned[verify sallows.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned"
+            "[verify sallows.txt --format table]",
+        ),
+    ),
+    # verify reports no all-even center line for a parity pattern
+    Mutant(
+        "parity_verdict_false",
+        "cli.py",
+        "entry[\"center_line_all_even\"] = True",
+        "entry[\"center_line_all_even\"] = False",
+        (
+            "tests/test_cli.py::test_verify_even_center_reports_parity",
+            "tests/test_golden.py::test_structured_output_is_pinned[verify tens.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned"
+            "[verify tens.txt --format table]",
+        ),
     ),
     # klein_group_table: one bit of a parity pattern flipped, so the XOR of
     # two patterns is no pattern and Mod2Class refuses it

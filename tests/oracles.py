@@ -3,8 +3,9 @@
 The commands never run these, so they live beside the tests rather than in
 the package: the 8-cell enumeration mod p, the orbits of the canonical
 classes, the direct enumeration of integer grids around a center, the
-parametric magic grid, the Klein four-group table of the parity patterns,
-and the dihedral index maps of a flat row-major 3x3 grid.
+parametric magic grid, the Klein four-group table of the parity patterns
+and their all-even center lines, and the dihedral index maps of a flat
+row-major 3x3 grid.
 """
 
 from itertools import compress
@@ -12,6 +13,7 @@ from math import isqrt
 
 from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
 from residuum.fp import make_context
+from residuum.grid_ops import CENTER, LINES
 from residuum.intgrid import IntGrid, Mod2Class
 from residuum.residue import (
     ResidueGrid,
@@ -175,3 +177,8 @@ def klein_group_table() -> tuple[tuple[Mod2Class, ...], ...]:
         tuple(Mod2Class(tuple(x ^ y for x, y in zip(a.bits, b.bits))) for b in pats)
         for a in pats
     )
+
+
+def has_even_center_line(m: Mod2Class) -> bool:
+    """Whether a line through the center cell of the pattern is all even."""
+    return any(all(m.bits[i] == 0 for i in line) for line in LINES if CENTER in line)

@@ -10,10 +10,19 @@ import random
 import time
 from itertools import compress
 
+import pytest
+
 from residuum.cli import main
-from residuum.congrua import Coverage, construct_mod20, construct_mod24, coverage_status
+from residuum.congrua import (
+    Coverage,
+    construct,
+    construct_mod20,
+    construct_mod24,
+    coverage_status,
+)
+from residuum.errors import DividesTerm
 from residuum.fp import make_context, primes_up_to
-from residuum.intgrid import IntGrid, Mod2Class, has_even_center_line, is_magic
+from residuum.intgrid import IntGrid, Mod2Class, is_magic
 from residuum.residue import (
     ResidueGrid,
     consecutive_triples,
@@ -35,6 +44,7 @@ from oracles import (
     FLIP_ROWS,
     ROT180,
     generated_classes,
+    has_even_center_line,
     klein_group_table,
     naive_center_enumeration,
     naive_magic_grids,
@@ -140,7 +150,14 @@ def test_criterion_07_construction_sweep_to_500():
         if p % 4 != 1:
             continue
         runs = set(consecutive_triples(p))
-        if p % 20 in (1, 9):
+        if p == 41:
+            # 41 divides 41, the middle term of (49, 41, 31); construct
+            # serves it from its first run
+            with pytest.raises(DividesTerm):
+                construct_mod20(p)
+            assert construct(p)[2].squares()[2] in runs, p
+            checked += 1
+        elif p % 20 in (1, 9):
             assert construct_mod20(p).squares()[2] in runs, p
             checked += 1
         if p % 24 in (1, 5) and p != 5:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residuum.congrua import (
+    MAX_SWEEP_M,
     Coverage,
     SquareProgression,
     TABLE_ROUTE_PRIMES,
@@ -14,6 +15,7 @@ from residuum.congrua import (
     construct_mod20,
     construct_mod24,
     coverage_status,
+    eligible_params,
     sweep_congrua,
 )
 from residuum.errors import (
@@ -135,8 +137,12 @@ def test_construct_mod20():
         construct_mod20(37)  # 37 = 17 (mod 20)
 
 
-def test_construct_mod20_41_from_table():
-    t = construct_mod20(41)
+def test_construct_mod20_refuses_41_and_construct_serves_it_from_table():
+    # 41 divides 41, the middle term of (49, 41, 31)
+    with pytest.raises(DividesTerm):
+        construct_mod20(41)
+    route, prog, t = construct(41)
+    assert (route, prog) == ("table", None)
     assert t.squares()[2] == 8
 
 
@@ -255,7 +261,11 @@ def test_constructions_cover_what_they_claim():
         if p % 4 != 1:
             continue
         runs = set(consecutive_triples(p))
-        if p % 20 in (1, 9):
+        if p == 41:
+            with pytest.raises(DividesTerm):
+                construct_mod20(p)
+            assert construct(p)[2].squares()[2] in runs
+        elif p % 20 in (1, 9):
             assert construct_mod20(p).squares()[2] in runs
         if p % 24 in (1, 5) and p != 5:
             assert construct_mod24(p).squares()[2] in runs
@@ -315,3 +325,13 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     assert congruum_triple(3, 2) == SquareProgression(17, 13, 7)
     for p in uncovered:
         assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(p)}, p
+
+
+def test_sweep_refuses_m_above_its_ceiling():
+    # the pairs grow as m^2: at m = 4000 there are 3.2 million of them
+    assert len(eligible_params(MAX_SWEEP_M)) == 50_765
+    for m_max in (MAX_SWEEP_M + 1, 4000):
+        with pytest.raises(BoundExceeded):
+            eligible_params(m_max)
+        with pytest.raises(BoundExceeded):
+            sweep_congrua(113, m_max)

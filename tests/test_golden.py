@@ -39,8 +39,14 @@ context ceiling of 10**7, was taken from the sources that still read each
 root of that class from a prime context's table, so the closed form
 min(r mod q, -r mod q) is held to that output. Those sources refused the
 `root10000121.txt` grid at the ceiling, so its hash was taken from the
-sources with the closed form. A change that alters output on purpose
-updates the hash and says why.
+sources with the closed form. The eight hashes of `midedge17.txt`,
+`nontriv29.txt`, `corner5.txt` and `noparity.txt` reach `classify`'s
+mid-edge, nontrivial and corner kinds and the note for parities outside the
+four patterns; they were taken from the sources in which `verify` still
+tested the center of each class mod q for zero and asked `intgrid` for the
+all-even center line, before those verdicts were read from what it already
+held, so that change is held to that output. A change that alters output on
+purpose updates the hash and says why.
 """
 
 import hashlib
@@ -92,6 +98,14 @@ GOLDEN = {
     "verify tens.txt --format table": (0, "ebb4c4387508599e7fcbee58ef4818d560287c9b11e95438cb2e86690a484cbf"),
     "analyze 2 --format table": (0, "fc0044fedd0169a7f405aa43137129d34b1276f71000da0b565171bc7fac1719"),
     "search 60 300 --near-miss-threshold 4 --workers 1 --format table": (0, "be7520f077b42313153b3bccaf1eb5e690414ee4565caf31e488a67a08570cff"),
+    "verify midedge17.txt": (0, "9e5ce521dd5dc28a38b87559d113e55bab1d2ccb38028c86a1bc784ba0d59583"),
+    "verify midedge17.txt --format table": (0, "2a78250a05d0798c8f245a809a5ccf1e1d84c9d0359406bebd3eafa238137485"),
+    "verify nontriv29.txt": (0, "1d756737e5bd5ef62e479ba81e27f0a2a63de8c68baf1de795414ee36134598d"),
+    "verify nontriv29.txt --format table": (0, "9d4f20b37718ce160511548345da0f49dcbadd91d3d262dc39a4af37d2695c05"),
+    "verify corner5.txt": (0, "6b9a534501668eb7a14dc2f3b022656e7c2ba676a7de3e9cf5c429eee4efd041"),
+    "verify corner5.txt --format table": (0, "1192d8a19badffab126dfd9660aa5386d0eeedc572fd902d75b9f06046896566"),
+    "verify noparity.txt": (0, "2d067e3e94800e78c19adba4b71b4dd9e49ee1f83a943a03c3959d27e94bea66"),
+    "verify noparity.txt --format table": (0, "815892087f9f7d17b33abea179c164cb77113ec5ef8ab025f57ed08b701ca81f"),
 }
 
 # verify prints the path it read, so each grid file is written under a fresh
@@ -107,6 +121,14 @@ VERIFY_FILES = {
     # of a prime above it: one residue class each, not magic
     "root9999929.txt": (1, 4, 9, 16, 9999929**2, 25, 36, 49, 64),
     "root10000121.txt": (1, 4, 9, 16, 10000121**2, 25, 36, 49, 64),
+    # magic zero-center classes of the three kinds that are not all zero:
+    # mid-edge zeros mod 17, the nontrivial class from n = 4 mod 29, and
+    # corner zeros mod 5
+    "midedge17.txt": (1, 17**2, 4**2, 7**2, 17**2, 6**2, 1, 17**2, 4**2),
+    "nontriv29.txt": (13**2, 2**2, 1, 8**2, 29**2, 9**2, 12**2, 5**2, 11**2),
+    "corner5.txt": (5**2, 1, 2**2, 3**2, 5**2, 4**2, 6**2, 7**2, 10**2),
+    # even center, and parities that are none of the four patterns
+    "noparity.txt": (4, 1, 1, 1, 4, 1, 1, 1, 1),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residuum import intgrid
-from residuum.errors import AllZero, BoundExceeded, NotMagic, OddCenter, UnexpectedPattern
+from residuum.errors import AllZero, BoundExceeded, OddCenter, UnexpectedPattern
 from residuum.fp import MAX_CENTER_ROOT
 from residuum.intgrid import (
     ADMISSIBLE,
@@ -14,17 +14,15 @@ from residuum.intgrid import (
     Mod2Class,
     admissible_center_check,
     factorize,
-    has_even_center_line,
     is_distinct,
     is_magic,
     is_square_entried,
     mod2_classify,
     reduce_primitive,
-    total_is_triple_center,
 )
 from residuum.residue import ResidueGrid, is_magic_class, magic_sum
 
-from oracles import klein_group_table, parametric_magic
+from oracles import has_even_center_line, klein_group_table, parametric_magic
 
 LOSHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 SQUARES = IntGrid((1, 4, 9, 16, 25, 36, 49, 64, 81))
@@ -35,12 +33,6 @@ def test_is_magic_examples():
     assert is_magic(IntGrid((1,) * 9)) == 3
     assert is_magic(IntGrid((1, 2, 3, 4, 5, 6, 7, 8, 9))) is None
     assert is_magic(SQUARES) is None
-
-
-def test_total_is_triple_center():
-    assert total_is_triple_center(LOSHU)
-    with pytest.raises(NotMagic):
-        total_is_triple_center(SQUARES)
 
 
 def test_is_square_entried():
@@ -164,7 +156,6 @@ def test_parametric_magic_total_is_triple_center(center, s, t):
         return
     g = parametric_magic(center, s, t)
     assert is_magic(g) == 3 * center
-    assert total_is_triple_center(g)
 
 
 @settings(max_examples=500, deadline=None)

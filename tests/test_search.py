@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuum.errors import BadParameters, BadRange
-from residuum.fp import MAX_WORKERS, factorize_block, primes_up_to
+from residuum.fp import MAX_WORKERS, factorize, factorize_block, primes_up_to
 from residuum.grid_ops import LINES
 from residuum.intgrid import (
     INADMISSIBLE,
@@ -399,7 +399,7 @@ def test_scan_center_matches_layout_walker():
             expected = walk_layouts(e * e, isqrt_pairs(e), threshold)
             near_misses_compared += len(expected[2])
             for primitive_only in (True, False):
-                got = _scan_center(e, primitive_only, threshold)
+                got = _scan_center(e, primitive_only, threshold, factorize(e))
                 if got[0]:
                     assert primitive_only and center_has_inadmissible_factor(e)
                     assert got[1:] == (0, (), ())
@@ -409,15 +409,21 @@ def test_scan_center_matches_layout_walker():
 
 
 def test_sieve_fed_scan_matches_the_trial_division_reference():
-    # given the block sieve's factorisation, a center skips its assembly
-    # below four pairs; without it, it trial-divides, as before the sieve
+    # the block sieve's factorisation and factorize(e), the trial-division
+    # reference, give one scan; a center below four pairs skips its
+    # assembly, which finds no layout there
     skipped = 0
     for e, factors in zip(range(1, 3001), factorize_block(range(1, 3001))):
+        offsets = [e * e - lo for lo, _ in isqrt_pairs(e)]
         for threshold in (0, 4, 7, 8):
             for primitive_only in (True, False):
                 args = (e, primitive_only, threshold)
-                assert _scan_center(*args, factors) == _scan_center(*args), args
-        skipped += len(isqrt_pairs(e)) < 4
+                assert _scan_center(*args, factors) == _scan_center(*args, factorize(e)), args
+        if len(offsets) < 4:
+            # threshold 0 lists every layout
+            assert _scan_center(e, False, 0, factors) == (False, 0, (), ()), e
+            assert _assemble(e * e, offsets, 0) == (0, (), ()), e
+            skipped += 1
     # 5 * 13 and 5**4 have exactly four pairs, so they are assembled
     assert len(isqrt_pairs(65)) == len(isqrt_pairs(625)) == 4
     assert skipped > 2500
@@ -431,7 +437,9 @@ def test_search_folds_the_per_center_reference_scans(e_max, primitive_only, thre
     pruned = candidates = 0
     hits, nears = [], []
     for e in range(1, e_max + 1):
-        was_pruned, count, hit_cells, near_cells = _scan_center(e, primitive_only, threshold)
+        was_pruned, count, hit_cells, near_cells = _scan_center(
+            e, primitive_only, threshold, factorize(e)
+        )
         pruned += was_pruned
         candidates += count
         hits += map(IntGrid, hit_cells)
