@@ -24,8 +24,8 @@ _EXPORTS = {
             eligible_params sweep_congrua""",
         "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
             two_squares""",
-        "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check is_distinct
-            is_magic is_square_entried mod2_classify reduce_primitive""",
+        "intgrid": """CenterReport IntGrid PARITY_PATTERNS admissible_center_check
+            is_distinct is_magic is_square_entried mod2_classify reduce_primitive""",
         "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
             enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
             line_sums magic_sum run_count runs_from_split triple_from_member""",

@@ -358,10 +358,10 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
         "mod2_patterns": None,
     }
     if p == 2:
-        from .intgrid import Mod2Class
+        from .intgrid import PARITY_PATTERNS
 
         results["consecutive_triples"] = []
-        results["mod2_patterns"] = [m.rows() for m in Mod2Class.patterns()]
+        results["mod2_patterns"] = [rows_of(bits) for bits in PARITY_PATTERNS]
         results["note"] = (
             "mod-2 analysis lives on the integer side: a magic grid with even "
             "center reduces to one of the four parity patterns listed"
@@ -616,18 +616,18 @@ def _residue_report(grid, roots: list[int], q: int) -> dict:
     """The class mod q of a square-entried grid whose cells have the integer
     `roots`; a cell r^2 has the smaller root min(r mod q, -r mod q), so no
     root table is built."""
-    from .intgrid import mod2_classify
+    from .intgrid import PARITY_PATTERNS, mod2_classify
 
     if q == 2:
         entry: dict = {"p": 2, "kind": "parity", "pattern_index": None, "bits": None,
                        "center_line_all_even": None, "note": None}
         try:
-            pattern = mod2_classify(grid)
+            index = mod2_classify(grid)
         except ResiduumError as exc:
             entry["note"] = str(exc)
             return entry
-        entry["pattern_index"] = pattern.index
-        entry["bits"] = pattern.rows()
+        entry["pattern_index"] = index
+        entry["bits"] = rows_of(PARITY_PATTERNS[index])
         # each of the four patterns has an all-even line through the center
         entry["center_line_all_even"] = True
         return entry

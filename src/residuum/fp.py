@@ -265,11 +265,11 @@ def two_squares(p: int) -> tuple[int, int]:
     return (y, z) if y % 2 else (z, y)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def make_context(p: int) -> memoryview:
-    """The root table of a prime modulus p, read-only, memoized for the 64
-    most recently used p; BoundExceeded above MAX_CONTEXT_P, NotPrime for
-    anything else not prime.
+    """The root table of a prime modulus p, read-only, memoized for the most
+    recently used p alone, since no command reads two tables; BoundExceeded
+    above MAX_CONTEXT_P, NotPrime for anything else not prime.
 
     root[a] is the smaller square root of a, in [1, p//2], for a nonzero
     quadratic residue a, and 0 for 0 and every non-residue, so membership and

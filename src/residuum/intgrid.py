@@ -1,8 +1,11 @@
 """Integer-side 3x3 grids: magic checks, center divisibility analysis,
-primitivity reduction, and the mod-2 parity classification. A magic grid's
-total is always 3 times its center, and each of the four parity patterns
-has an all-even line through the center, so `verify` checks neither. A
-square-entried grid's class mod a prime q is `ResidueGrid(q, grid.cells)`.
+primitivity reduction, and the mod-2 parity classification. A magic grid
+with even center has one of the four parity patterns of PARITY_PATTERNS,
+flat row-major bit tuples, and `mod2_classify` gives its index there. A
+magic grid's total is always 3 times its center, and each of the four
+patterns has an all-even line through the center, so `verify` checks
+neither. A square-entried grid's class mod a prime q is
+`ResidueGrid(q, grid.cells)`.
 """
 
 from __future__ import annotations
@@ -94,7 +97,9 @@ def admissible_center_check(e: int) -> CenterReport:
         for q in sorted(factorize(e))
     )
     warning = None
-    if e <= 2:
+    # nine distinct squares sum to at least 0 + 1 + 4 + ... + 64, and the nine
+    # cells of a magic grid with center e^2 sum to 9e^2
+    if 9 * e * e < sum(k * k for k in range(9)):
         warning = (
             f"e={e} cannot be the center root of a magic square of nine "
             "distinct squares (the total 3e^2 would be below the minimum)"
@@ -102,7 +107,7 @@ def admissible_center_check(e: int) -> CenterReport:
     return CenterReport(verdicts, warning)
 
 
-_M2_PATTERNS = (
+PARITY_PATTERNS = (
     (0, 0, 0, 0, 0, 0, 0, 0, 0),
     (1, 1, 0, 1, 0, 1, 0, 1, 1),
     (1, 0, 1, 0, 0, 0, 1, 0, 1),
@@ -110,32 +115,9 @@ _M2_PATTERNS = (
 )
 
 
-class Mod2Class(namedtuple("Mod2Class", "bits")):
-    """One of the four parity patterns a magic grid with even center can have."""
-
-    __slots__ = ()
-
-    def __new__(cls, bits: tuple[int, ...]):
-        if bits not in _M2_PATTERNS:
-            raise UnexpectedPattern(f"{bits} is not one of the four parity patterns")
-        return super().__new__(cls, bits)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    @classmethod
-    def patterns(cls) -> tuple["Mod2Class", ...]:
-        return tuple(cls(b) for b in _M2_PATTERNS)
-
-    @property
-    def index(self) -> int:
-        return _M2_PATTERNS.index(self.bits)
-
-    def rows(self) -> list[list[int]]:
-        return rows_of(self.bits)
-
-
-def mod2_classify(g: IntGrid) -> Mod2Class:
-    """Parity pattern of a magic grid with even center.
+def mod2_classify(g: IntGrid) -> int:
+    """Index in PARITY_PATTERNS of the parity bits of a magic grid with even
+    center.
 
     UnexpectedPattern signals a non-magic input (or a bug upstream): magic
     grids with even center can only reduce to the four known patterns.
@@ -143,8 +125,8 @@ def mod2_classify(g: IntGrid) -> Mod2Class:
     if g.center % 2:
         raise OddCenter(f"center {g.center} is odd")
     bits = tuple(v & 1 for v in g.cells)
-    if bits not in _M2_PATTERNS:
+    if bits not in PARITY_PATTERNS:
         raise UnexpectedPattern(
             f"parity grid {bits} is not one of the four patterns; input is not magic"
         )
-    return Mod2Class(bits)
+    return PARITY_PATTERNS.index(bits)

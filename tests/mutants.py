@@ -26,6 +26,14 @@ MUTANTS = (
         "wheel",
         ("tests/test_fp.py::test_prime_factors_walks_from_least",),
     ),
+    # make_context keeps 64 tables again, up to 64 * 40 MB near the ceiling
+    Mutant(
+        "table_cache_keeps_64",
+        "fp.py",
+        "@lru_cache(maxsize=1)",
+        "@lru_cache(maxsize=64)",
+        ("tests/test_fp.py::test_a_second_primes_table_evicts_the_first",),
+    ),
     # the root table holds the larger root of each residue
     Mutant(
         "root_table_larger_root",
@@ -261,7 +269,7 @@ MUTANTS = (
         ),
     ),
     # klein_group_table: one bit of a parity pattern flipped, so the XOR of
-    # two patterns is no pattern and Mod2Class refuses it
+    # two patterns is no pattern and the oracle's index lookup refuses it
     Mutant(
         "parity_pattern_bit_flipped",
         "intgrid.py",
@@ -270,6 +278,35 @@ MUTANTS = (
         (
             "tests/test_intgrid.py::test_klein_group_table",
             "tests/test_acceptance.py::test_criterion_09_klein_four_group",
+        ),
+    ),
+    # mod2_classify without its membership test, so a parity grid that is no
+    # pattern reaches the index lookup and raises a bare ValueError
+    Mutant(
+        "parity_check_dropped",
+        "intgrid.py",
+        "    if bits not in PARITY_PATTERNS:\n"
+        "        raise UnexpectedPattern(\n"
+        "            f\"parity grid {bits} is not one of the four patterns; input is not magic\"\n"
+        "        )\n",
+        "",
+        (
+            "tests/test_intgrid.py::test_mod2_classify_on_every_even_center_parity_grid",
+            "tests/test_golden.py::test_structured_output_is_pinned[verify noparity.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned"
+            "[verify noparity.txt --format table]",
+        ),
+    ),
+    # the center-root warning stops at e = 2, though nine distinct squares
+    # rule out e = 3 and e = 4 too
+    Mutant(
+        "center_warning_cutoff_two",
+        "intgrid.py",
+        "if 9 * e * e < sum(k * k for k in range(9)):",
+        "if e <= 2:",
+        (
+            "tests/test_intgrid.py::"
+            "test_center_warning_holds_exactly_below_the_least_sum_of_nine_squares",
         ),
     ),
     # ResidueGrid's Euler criterion with exponent p - 1, which every unit

@@ -14,7 +14,7 @@ from math import isqrt
 from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
 from residuum.fp import make_context
 from residuum.grid_ops import CENTER, LINES
-from residuum.intgrid import IntGrid, Mod2Class
+from residuum.intgrid import PARITY_PATTERNS, IntGrid
 from residuum.residue import (
     ResidueGrid,
     consecutive_triples,
@@ -170,15 +170,16 @@ def parametric_magic(center: int, s: int, t: int) -> IntGrid:
     )
 
 
-def klein_group_table() -> tuple[tuple[Mod2Class, ...], ...]:
-    """Cell-wise XOR table of the four parity patterns (a Klein four-group)."""
-    pats = Mod2Class.patterns()
+def klein_group_table() -> tuple[tuple[int, ...], ...]:
+    """Cell-wise XOR table of the four parity patterns (a Klein four-group),
+    as indices into PARITY_PATTERNS; an XOR that is no pattern raises
+    ValueError, so the table exists only if the patterns are closed."""
     return tuple(
-        tuple(Mod2Class(tuple(x ^ y for x, y in zip(a.bits, b.bits))) for b in pats)
-        for a in pats
+        tuple(PARITY_PATTERNS.index(tuple(x ^ y for x, y in zip(a, b))) for b in PARITY_PATTERNS)
+        for a in PARITY_PATTERNS
     )
 
 
-def has_even_center_line(m: Mod2Class) -> bool:
-    """Whether a line through the center cell of the pattern is all even."""
-    return any(all(m.bits[i] == 0 for i in line) for line in LINES if CENTER in line)
+def has_even_center_line(bits: tuple[int, ...]) -> bool:
+    """Whether a line through the center cell of the parity bits is all even."""
+    return any(all(bits[i] == 0 for i in line) for line in LINES if CENTER in line)

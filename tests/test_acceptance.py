@@ -22,7 +22,7 @@ from residuum.congrua import (
 )
 from residuum.errors import DividesTerm
 from residuum.fp import make_context, primes_up_to
-from residuum.intgrid import IntGrid, Mod2Class, is_magic
+from residuum.intgrid import PARITY_PATTERNS, IntGrid, is_magic
 from residuum.residue import (
     ResidueGrid,
     consecutive_triples,
@@ -184,14 +184,12 @@ def test_criterion_08_uncovered_primes_list():
 
 
 def test_criterion_09_klein_four_group():
-    pats = Mod2Class.patterns()
-    table = klein_group_table()
-    entries = {entry.bits for row in table for entry in row}
-    assert entries == {p.bits for p in pats}  # closure
-    for i, pat in enumerate(pats):
-        assert table[i][i].index == 0  # self-inverse
-        assert table[0][i] == pat and table[i][0] == pat  # identity
-        assert has_even_center_line(pat)
+    table = klein_group_table()  # closure: an XOR that is no pattern raises
+    assert {entry for row in table for entry in row} == set(range(len(PARITY_PATTERNS)))
+    for i, bits in enumerate(PARITY_PATTERNS):
+        assert table[i][i] == 0  # self-inverse
+        assert table[0][i] == i and table[i][0] == i  # identity
+        assert has_even_center_line(bits)
     _ok(9, "the four parity patterns form a Klein four-group with an even center line")
 
 

@@ -931,8 +931,8 @@ EXPORTS = {
         eligible_params sweep_congrua""",
     "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
         two_squares""",
-    "intgrid": """CenterReport IntGrid Mod2Class admissible_center_check is_distinct is_magic
-        is_square_entried mod2_classify reduce_primitive""",
+    "intgrid": """CenterReport IntGrid PARITY_PATTERNS admissible_center_check is_distinct
+        is_magic is_square_entried mod2_classify reduce_primitive""",
     "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
         enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
         line_sums magic_sum run_count runs_from_split triple_from_member""",
@@ -952,7 +952,7 @@ MOVED = {
     "fp": "PrimeContext",
     "grid_ops": """IDENTITY ROT90 ROT180 ROT270 FLIP_ROWS FLIP_COLS TRANSPOSE ANTI_TRANSPOSE
         ROTATIONS DIHEDRAL permute CENTER_LINES""",
-    "intgrid": """klein_group_table parametric_magic residue_class_of Mod2Class.__xor__
+    "intgrid": """klein_group_table parametric_magic residue_class_of Mod2Class
         has_even_center_line total_is_triple_center""",
     "residue": """MAX_NAIVE_P generated_classes naive_enumerate orbit ResidueGrid.scaled
         ResidueGrid.transformed ResidueGrid.rotated180 ResidueGrid.reflected_rows

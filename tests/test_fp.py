@@ -230,6 +230,16 @@ def test_context_cache_is_bounded():
     assert rebuilt == first
 
 
+def test_a_second_primes_table_evicts_the_first():
+    # no command reads two tables, so the cache keeps the latest one alone
+    first = make_context(10007)
+    assert make_context(10007) is first
+    make_context(10009)
+    assert make_context.cache_info().currsize == 1
+    rebuilt = make_context(10007)
+    assert rebuilt is not first and rebuilt == first
+
+
 def test_two_squares_matches_brute_search():
     for p in primes_up_to(10**4):
         if p % 4 != 1:

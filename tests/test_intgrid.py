@@ -10,8 +10,8 @@ from residuum.fp import MAX_CENTER_ROOT
 from residuum.intgrid import (
     ADMISSIBLE,
     INADMISSIBLE,
+    PARITY_PATTERNS,
     IntGrid,
-    Mod2Class,
     admissible_center_check,
     factorize,
     is_distinct,
@@ -80,12 +80,17 @@ def test_factorize():
 def test_admissible_center_check_examples():
     assert admissible_center_check(21).verdicts == ((3, INADMISSIBLE), (7, INADMISSIBLE))
     assert admissible_center_check(65).verdicts == ((5, ADMISSIBLE), (13, ADMISSIBLE))
-    report = admissible_center_check(1)
-    assert report.verdicts == ()
-    assert report.warning is not None
-    assert admissible_center_check(2).warning is not None
-    assert admissible_center_check(3).warning is None
+    assert admissible_center_check(1).verdicts == ()
     assert admissible_center_check(10).verdicts == ((2, ADMISSIBLE), (5, ADMISSIBLE))
+
+
+def test_center_warning_holds_exactly_below_the_least_sum_of_nine_squares():
+    # the nine cells of a magic grid with center e^2 sum to 9e^2, and nine
+    # distinct squares sum to at least the nine least squares
+    least = sum(k * k for k in range(9))
+    assert least == 204
+    warned = [e for e in range(1, 50) if admissible_center_check(e).warning is not None]
+    assert warned == [e for e in range(1, 50) if 9 * e * e < least] == [1, 2, 3, 4]
 
 
 def test_admissible_center_check_refuses_above_the_factoring_ceiling(monkeypatch):
@@ -132,8 +137,8 @@ def test_residue_class_of_magic_grid_is_magic_mod_center_prime():
 
 
 def test_mod2_classify_examples():
-    assert mod2_classify(parametric_magic(100, 0, 24)).index == 0  # all cells even
-    assert mod2_classify(IntGrid((0,) * 9)).index == 0
+    assert mod2_classify(parametric_magic(100, 0, 24)) == 0  # all cells even
+    assert mod2_classify(IntGrid((0,) * 9)) == 0
     with pytest.raises(OddCenter):
         mod2_classify(LOSHU)
     with pytest.raises(UnexpectedPattern):
@@ -141,12 +146,26 @@ def test_mod2_classify_examples():
 
 
 def test_mod2_patterns_match_cases():
-    pat = Mod2Class((1, 1, 0, 1, 0, 1, 0, 1, 1))
-    assert pat.index == 1
+    assert PARITY_PATTERNS[1] == (1, 1, 0, 1, 0, 1, 0, 1, 1)
     # even center, odd row offset, even column offset lands on that pattern
     grid = parametric_magic(10, 1, 2)
     assert is_magic(grid) == 30
-    assert mod2_classify(grid).bits == (1, 1, 0, 1, 0, 1, 0, 1, 1)
+    assert mod2_classify(grid) == 1
+
+
+def test_mod2_classify_on_every_even_center_parity_grid():
+    # all 256 grids of 0/1 cells with an even center: the four patterns give
+    # their own index, and every other grid is refused
+    indices = {}
+    for n in range(512):
+        bits = tuple(n >> i & 1 for i in range(9))
+        if bits[4]:
+            continue
+        try:
+            indices[bits] = mod2_classify(IntGrid(bits))
+        except UnexpectedPattern:
+            pass
+    assert indices == {bits: i for i, bits in enumerate(PARITY_PATTERNS)}
 
 
 @settings(max_examples=500, deadline=None)
@@ -163,35 +182,26 @@ def test_parametric_magic_total_is_triple_center(center, s, t):
 def test_magic_even_center_grids_always_hit_a_pattern(center, s, t):
     if center % 2 or center < abs(s) + abs(t):
         return
-    pattern = mod2_classify(parametric_magic(center, s, t))
-    assert pattern.index in (0, 1, 2, 3)
-    assert has_even_center_line(pattern)
+    index = mod2_classify(parametric_magic(center, s, t))
+    assert index in (0, 1, 2, 3)
+    assert has_even_center_line(PARITY_PATTERNS[index])
 
 
 def test_klein_group_table():
-    pats = Mod2Class.patterns()
-    table = klein_group_table()
-    for i, row in enumerate(table):
-        for j, entry in enumerate(row):
-            assert entry in pats  # closure (constructor would reject otherwise)
-            assert table[i][j] == table[j][i]
-    for i, pat in enumerate(pats):
-        assert table[i][i].index == 0  # self-inverse
-        assert table[0][i] == pat  # identity
-    assert table[1][2] == pats[3]
-    assert table[1][3] == pats[2]
-    assert table[2][3] == pats[1]
+    table = klein_group_table()  # closure: an XOR that is no pattern raises
+    assert table == tuple(zip(*table))  # commutative
+    for i in range(4):
+        assert table[i][i] == 0  # self-inverse
+        assert table[0][i] == i  # identity
+    assert table[1][2] == 3
+    assert table[1][3] == 2
+    assert table[2][3] == 1
 
 
 def test_has_even_center_line_for_all_patterns():
-    for pat in Mod2Class.patterns():
-        assert has_even_center_line(pat)
-    assert has_even_center_line(Mod2Class((1, 1, 0, 1, 0, 1, 0, 1, 1)))
-
-
-def test_mod2class_rejects_noise():
-    with pytest.raises(UnexpectedPattern):
-        Mod2Class((1, 1, 1, 1, 1, 1, 1, 1, 1))
+    for bits in PARITY_PATTERNS:
+        assert has_even_center_line(bits)
+    assert not has_even_center_line((1, 1, 1, 1, 0, 1, 1, 1, 1))
 
 
 def test_intgrid_validation():

@@ -12,9 +12,9 @@ import pytest
 
 from residuum.cli import OutputDocument
 from residuum.congrua import SquareProgression, construct
-from residuum.errors import BadParameters, NonSquareCell, UnexpectedPattern
+from residuum.errors import BadParameters, NonSquareCell
 from residuum.fp import make_context
-from residuum.intgrid import CenterReport, IntGrid, Mod2Class
+from residuum.intgrid import CenterReport, IntGrid
 from residuum.residue import ResidueGrid, UnitTriple
 from residuum.search import SearchReport
 
@@ -45,12 +45,6 @@ CASES = {
         None,
         None,
         "CenterReport(verdicts=((5, 'admissible'),), warning=None)",
-    ),
-    Mod2Class: (
-        dict(bits=(1, 1, 0, 1, 0, 1, 0, 1, 1)),
-        dict(bits=(1,) * 9),
-        UnexpectedPattern,
-        "Mod2Class(bits=(1, 1, 0, 1, 0, 1, 0, 1, 1))",
     ),
     UnitTriple: (
         dict(p=29, alpha=8, beta=11, gamma=2),
