@@ -19,14 +19,14 @@ _SUBMODULES = ("congrua", "errors", "fp", "grid_ops", "intgrid", "residue", "sea
 _EXPORTS = {
     name: module
     for module, names in {
-        "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
+        "congrua": """SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
             congruum_triple construct construct_mod20 construct_mod24 coverage_status
             eligible_params sweep_congrua""",
         "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
             two_squares""",
         "intgrid": """CenterReport IntGrid PARITY_PATTERNS admissible_center_check
             is_distinct is_magic is_square_entried mod2_classify reduce_primitive""",
-        "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
+        "residue": """ResidueGrid UnitTriple classify consecutive_triples count_bound
             enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
             line_sums magic_sum run_count runs_from_split triple_from_member""",
         "search": "SearchReport pair_decompositions search_msos",

@@ -42,7 +42,6 @@ from types import SimpleNamespace
 from . import __version__
 from .congrua import (
     MAX_SWEEP_M,
-    Coverage,
     _classify_prime,
     construct,
     coverage_status,
@@ -453,8 +452,7 @@ def _table_rows(max_p: int) -> Iterator[dict]:
             "p": p,
             "qr_count": (p - 1) // 2,
             "run_count": runs,
-            # _value_ is what the Enum property `value` returns, without its lookup
-            "coverage_status": _classify_prime(p)._value_,
+            "coverage_status": _classify_prime(p),
             "count_bound": count_bound(p, runs),
         }
 
@@ -644,7 +642,7 @@ def _residue_report(grid, roots: list[int], q: int) -> dict:
     # q divides the center root, so the center cell is 0 mod q, and a magic
     # class is one that classify takes
     if total is not None:
-        entry["classification"] = classify(rgrid).value
+        entry["classification"] = classify(rgrid)
     return entry
 
 
@@ -721,12 +719,12 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         # C_p is empty exactly for 5, 13 and 17; see _classify_prime
         note = (
             f"no consecutive residue runs exist mod {p}"
-            if status is Coverage.EXCLUDED_5_13_17
+            if status == "excluded_5_13_17"
             else f"neither residue criterion reaches {p}; its runs are only known numerically"
         )
         results = {
             "p": p,
-            "coverage": status.value,
+            "coverage": status,
             "constructed": False,
             "note": note,
             "consecutive_triples": runs,
@@ -754,7 +752,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     grid = gen_nontrivial(triple)
     results = {
         "p": p,
-        "coverage": status.value,
+        "coverage": status,
         "constructed": True,
         "route": route,
         "progression": progression,

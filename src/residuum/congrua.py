@@ -5,7 +5,6 @@ reduction mod p into unit triples, and the modular coverage report.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from math import gcd
 
 from .errors import (
@@ -117,26 +116,20 @@ def construct(p: int) -> tuple[str, SquareProgression | None, UnitTriple]:
     return "mod24", MOD24_PROGRESSION, construct_mod24(p)
 
 
-class Coverage(Enum):
-    EXCLUDED_5_13_17 = "excluded_5_13_17"
-    COVERED_MOD20 = "covered_mod20"
-    COVERED_MOD24 = "covered_mod24"
-    COVERED_BOTH = "covered_both"
-    SMALL_CASE_TABLE = "small_case_table"
-    UNCOVERED_BUT_NONEMPTY = "uncovered_but_nonempty"
-
-
-def coverage_status(p: int) -> Coverage:
-    """Which construction (if any) reaches p; see `_classify_prime`. Proves p
-    prime first, by Miller-Rabin (`fp.is_prime`), a few modular powers.
+def coverage_status(p: int) -> str:
+    """The word for which construction (if any) reaches p, as output prints
+    it; see `_classify_prime`. Proves p prime first, by Miller-Rabin
+    (`fp.is_prime`), a few modular powers.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return _classify_prime(p)
 
 
-def _classify_prime(p: int) -> Coverage:
-    """`coverage_status` for a p the caller has already proved prime.
+def _classify_prime(p: int) -> str:
+    """`coverage_status` for a p the caller has already proved prime: one of
+    excluded_5_13_17, covered_both, covered_mod20, covered_mod24,
+    small_case_table and uncovered_but_nonempty.
 
     Precedence: the empty-run exclusions, then the residue criteria (both
     before either alone), then the table-route primes. Any other p has
@@ -148,18 +141,18 @@ def _classify_prime(p: int) -> Coverage:
     if p % 4 != 1:
         raise BadPrimeForm(f"coverage is defined for p = 1 (mod 4), got {p}")
     if p in (5, 13, 17):
-        return Coverage.EXCLUDED_5_13_17
+        return "excluded_5_13_17"
     m20 = p % 20 in (1, 9)
     m24 = p % 24 in (1, 5)
     if m20 and m24:
-        return Coverage.COVERED_BOTH
+        return "covered_both"
     if m20:
-        return Coverage.COVERED_MOD20
+        return "covered_mod20"
     if m24:
-        return Coverage.COVERED_MOD24
+        return "covered_mod24"
     if p in TABLE_ROUTE_PRIMES:
-        return Coverage.SMALL_CASE_TABLE
-    return Coverage.UNCOVERED_BUT_NONEMPTY
+        return "small_case_table"
+    return "uncovered_but_nonempty"
 
 
 # Largest m the exploratory sweep reaches: eligible_params(m) has about

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from enum import Enum
 from itertools import compress
 
 from .errors import (
@@ -25,13 +24,6 @@ from .errors import (
 )
 from .fp import is_prime, make_context, two_squares
 from .grid_ops import CENTER, CORNERS, LINES, MID_EDGES, rows_of
-
-
-class ClassKind(Enum):
-    TRIVIAL_CORNER = "trivial_corner"
-    TRIVIAL_MIDEDGE = "trivial_midedge"
-    NONTRIVIAL = "nontrivial"
-    ALL_ZERO = "all_zero"
 
 
 class ResidueGrid(namedtuple("ResidueGrid", "p vals")):
@@ -106,10 +98,11 @@ def magic_sum(g: ResidueGrid) -> int | None:
     return sums.pop() if len(sums) == 1 else None
 
 
-def classify(g: ResidueGrid) -> ClassKind:
-    """Zero-pattern classification of a magic zero-center grid.
+def classify(g: ResidueGrid) -> str:
+    """Zero-pattern classification of a magic zero-center grid: one of
+    all_zero, trivial_corner, trivial_midedge and nontrivial.
 
-    Corner zeros take precedence over mid-edge zeros; a grid is ALL_ZERO only
+    Corner zeros take precedence over mid-edge zeros; a grid is all_zero only
     when literally every cell vanishes.
     """
     if not is_magic_class(g):
@@ -117,12 +110,12 @@ def classify(g: ResidueGrid) -> ClassKind:
     if g.center != 0:
         raise NonzeroCenter("classification applies to zero-center grids only")
     if not any(g.vals):
-        return ClassKind.ALL_ZERO
+        return "all_zero"
     if any(g.vals[i] == 0 for i in CORNERS):
-        return ClassKind.TRIVIAL_CORNER
+        return "trivial_corner"
     if any(g.vals[i] == 0 for i in MID_EDGES):
-        return ClassKind.TRIVIAL_MIDEDGE
-    return ClassKind.NONTRIVIAL
+        return "trivial_midedge"
+    return "nontrivial"
 
 
 def gen_trivial_corner(p: int) -> ResidueGrid:

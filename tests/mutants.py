@@ -395,4 +395,30 @@ MUTANTS = (
             "tests/test_search.py::test_pair_decompositions_match_euclid_over_the_whole_range",
         ),
     ),
+    # a prime both residue criteria reach is reported as reached by mod 20
+    # alone
+    Mutant(
+        "coverage_both_read_as_mod20",
+        "congrua.py",
+        "        return \"covered_both\"\n",
+        "        return \"covered_mod20\"\n",
+        (
+            "tests/test_congrua.py::test_coverage_examples",
+            "tests/test_golden.py::test_structured_output_is_pinned[table 10000]",
+            "tests/test_golden.py::test_structured_output_is_pinned[table 10000 --format csv]",
+        ),
+    ),
+    # classify reads mid-edge zeros as corner zeros
+    Mutant(
+        "midedge_read_as_corner",
+        "residue.py",
+        "        return \"trivial_midedge\"\n",
+        "        return \"trivial_corner\"\n",
+        (
+            "tests/test_residue.py::test_gen_trivial_midedge",
+            "tests/test_golden.py::test_structured_output_is_pinned[verify midedge17.txt]",
+            "tests/test_golden.py::test_structured_output_is_pinned"
+            "[verify midedge17.txt --format table]",
+        ),
+    ),
 )

@@ -14,7 +14,6 @@ import pytest
 
 from residuum.cli import main
 from residuum.congrua import (
-    Coverage,
     construct,
     construct_mod20,
     construct_mod24,
@@ -175,7 +174,7 @@ def test_criterion_08_uncovered_primes_list():
         for p in primes_up_to(499)
         if p % 4 == 1
         and p > 17
-        and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
+        and coverage_status(p) == "uncovered_but_nonempty"
     ]
     assert uncovered == EXPECTED_UNCOVERED
     for p in uncovered:

@@ -152,7 +152,7 @@ def _per_prime_rows(max_p):
                 "p": p,
                 "qr_count": (p - 1) // 2,
                 "run_count": runs,
-                "coverage_status": congrua._classify_prime(p).value,
+                "coverage_status": congrua._classify_prime(p),
                 "count_bound": residue.count_bound(p, runs),
             }
 
@@ -896,7 +896,9 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     # only search with more than one worker needs the pool, and every command
     # pays for the rest of these; -S keeps a host's .pth files from preloading
     # any of them
-    heavy = ("dataclasses", "inspect", "typing", "concurrent.futures.process", "multiprocessing")
+    heavy = (
+        "dataclasses", "inspect", "typing", "enum", "concurrent.futures.process", "multiprocessing"
+    )
     code = f"import sys, residuum.cli; print([m for m in {heavy!r} if m in sys.modules])"
     src = Path(residuum.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -905,7 +907,9 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     assert done.stdout == "[]\n"
     # a well-formed call loads neither argparse nor json, and only the
     # modules of its command; help still goes through argparse
-    unused = ("argparse", "gettext", "locale", "json", "residuum.intgrid", "residuum.search")
+    unused = (
+        "argparse", "gettext", "locale", "json", "enum", "residuum.intgrid", "residuum.search"
+    )
     for argv, code in (
         (["analyze", "29", "--format", "structured"], 0),
         (["table", "100", "--format", "csv"], 0),
@@ -920,20 +924,21 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     grid.write_text("1 4 9\n16 36 25\n49 64 81\n")
     for fmt in ("table", "structured"):
         argv = ["verify", str(grid), "--format", fmt]
-        assert _loaded_after(argv, ("argparse", "json", "residuum.search")) == "0 []\n", fmt
+        watched = ("argparse", "json", "enum", "residuum.search")
+        assert _loaded_after(argv, watched) == "0 []\n", fmt
     assert _loaded_after(["analyze", "29", "--help"], ("argparse",)) == "0 ['argparse']\n"
 
 
 # every name the package exported when it imported all of its submodules
 EXPORTS = {
-    "congrua": """Coverage SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
+    "congrua": """SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
         congruum_triple construct construct_mod20 construct_mod24 coverage_status
         eligible_params sweep_congrua""",
     "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
         two_squares""",
     "intgrid": """CenterReport IntGrid PARITY_PATTERNS admissible_center_check is_distinct
         is_magic is_square_entried mod2_classify reduce_primitive""",
-    "residue": """ClassKind ResidueGrid UnitTriple classify consecutive_triples count_bound
+    "residue": """ResidueGrid UnitTriple classify consecutive_triples count_bound
         enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
         line_sums magic_sum run_count runs_from_split triple_from_member""",
     "search": "SearchReport pair_decompositions search_msos",
@@ -944,17 +949,17 @@ PACKAGE_ALL = sorted([*EXPORTS, "errors", "grid_ops", *" ".join(EXPORTS.values()
 
 # names the package no longer holds: those only the tests read, which live in
 # tests/oracles.py or in the one test module that uses them, the wrappers
-# deleted with their last caller, and the verdicts verify reads from what it
-# already holds. None resolves from the package or from the submodule that
-# defined it
+# deleted with their last caller, the verdicts verify reads from what it
+# already holds, and the Enums whose callers read only the words they print.
+# None resolves from the package or from the submodule that defined it
 MOVED = {
-    "congrua": "SquareProgression.primitive",
+    "congrua": "SquareProgression.primitive Coverage",
     "fp": "PrimeContext",
     "grid_ops": """IDENTITY ROT90 ROT180 ROT270 FLIP_ROWS FLIP_COLS TRANSPOSE ANTI_TRANSPOSE
         ROTATIONS DIHEDRAL permute CENTER_LINES""",
     "intgrid": """klein_group_table parametric_magic residue_class_of Mod2Class
         has_even_center_line total_is_triple_center""",
-    "residue": """MAX_NAIVE_P generated_classes naive_enumerate orbit ResidueGrid.scaled
+    "residue": """MAX_NAIVE_P generated_classes naive_enumerate orbit ClassKind ResidueGrid.scaled
         ResidueGrid.transformed ResidueGrid.rotated180 ResidueGrid.reflected_rows
         ResidueGrid.reflected_anti_diagonal ResidueGrid.roots""",
     "search": "naive_center_enumeration primitive_subset",
@@ -1028,7 +1033,10 @@ table_rows = st.fixed_dictionaries({
     "p": st.integers(-(10**20), 10**20),
     "qr_count": st.integers(-(10**20), 10**20),
     "run_count": st.integers(-(10**20), 10**20),
-    "coverage_status": st.sampled_from([c.value for c in congrua.Coverage]),
+    "coverage_status": st.sampled_from([
+        "excluded_5_13_17", "covered_mod20", "covered_mod24", "covered_both",
+        "small_case_table", "uncovered_but_nonempty",
+    ]),
     "count_bound": st.integers(-(10**20), 10**20),
 })
 

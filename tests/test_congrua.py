@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from residuum.congrua import (
     MAX_SWEEP_M,
-    Coverage,
     SquareProgression,
     TABLE_ROUTE_PRIMES,
     ap_to_unit_triple,
@@ -206,13 +205,13 @@ def test_five_is_residue_iff_pm1_mod_10():
 
 
 def test_coverage_examples():
-    assert coverage_status(113) is Coverage.UNCOVERED_BUT_NONEMPTY
-    assert coverage_status(13) is Coverage.EXCLUDED_5_13_17
-    assert coverage_status(61) is Coverage.COVERED_MOD20
-    assert coverage_status(29) is Coverage.COVERED_BOTH
-    assert coverage_status(41) is Coverage.COVERED_MOD20
-    assert coverage_status(37) is Coverage.SMALL_CASE_TABLE
-    assert coverage_status(73) is Coverage.COVERED_MOD24
+    assert coverage_status(113) == "uncovered_but_nonempty"
+    assert coverage_status(13) == "excluded_5_13_17"
+    assert coverage_status(61) == "covered_mod20"
+    assert coverage_status(29) == "covered_both"
+    assert coverage_status(41) == "covered_mod20"
+    assert coverage_status(37) == "small_case_table"
+    assert coverage_status(73) == "covered_mod24"
     with pytest.raises(BadPrimeForm):
         coverage_status(7)
 
@@ -223,21 +222,21 @@ def test_coverage_statuses_partition():
             continue
         status = coverage_status(p)
         if p in (5, 13, 17):
-            assert status is Coverage.EXCLUDED_5_13_17
+            assert status == "excluded_5_13_17"
         elif p % 20 in (1, 9) and p % 24 in (1, 5):
-            assert status is Coverage.COVERED_BOTH
+            assert status == "covered_both"
         elif p % 20 in (1, 9):
-            assert status is Coverage.COVERED_MOD20
+            assert status == "covered_mod20"
         elif p % 24 in (1, 5):
-            assert status is Coverage.COVERED_MOD24
+            assert status == "covered_mod24"
         elif p in TABLE_ROUTE_PRIMES:
-            assert status is Coverage.SMALL_CASE_TABLE
+            assert status == "small_case_table"
         else:
-            assert status is Coverage.UNCOVERED_BUT_NONEMPTY
+            assert status == "uncovered_but_nonempty"
 
 
 def test_run_sets_follow_the_curve_count_and_hasse_bound():
-    # coverage_status reports UNCOVERED_BUT_NONEMPTY without counting runs,
+    # coverage_status reports uncovered_but_nonempty without counting runs,
     # and table takes |C_p| from run_count's closed form
     # 8|C_p| = p - k - 2*eps*a; the direct count is its oracle here. |a| <
     # sqrt(p) gives the lower bound that makes C_p nonempty for every p >= 29,
@@ -280,7 +279,7 @@ def test_construct_takes_one_route_per_prime():
         if p % 4 != 1:
             continue
         status = coverage_status(p)
-        if status in (Coverage.EXCLUDED_5_13_17, Coverage.UNCOVERED_BUT_NONEMPTY):
+        if status in ("excluded_5_13_17", "uncovered_but_nonempty"):
             with pytest.raises(NotCovered):
                 construct(p)
             continue
@@ -288,10 +287,10 @@ def test_construct_takes_one_route_per_prime():
         if p in table_runs:
             assert (route, prog) == ("table", None), p
             assert consecutive_triples(p) == table_runs[p], p
-        elif status in (Coverage.COVERED_MOD20, Coverage.COVERED_BOTH):
+        elif status in ("covered_mod20", "covered_both"):
             assert route == "mod20", p
         else:
-            assert status is Coverage.COVERED_MOD24 and route == "mod24", p
+            assert status == "covered_mod24" and route == "mod24", p
         assert triple.squares()[2] in consecutive_triples(p), p
         if prog is not None:
             assert triple == ap_to_unit_triple(prog, p), p
@@ -303,7 +302,7 @@ def test_uncovered_list_matches_expected():
         for p in primes_up_to(499)
         if p % 4 == 1
         and p > 17
-        and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
+        and coverage_status(p) == "uncovered_but_nonempty"
     ]
     assert uncovered == [113, 137, 157, 233, 257, 277, 353, 373, 397]
 
@@ -319,7 +318,7 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     # below 500 that the residue criteria miss
     uncovered = [
         p for p in primes_up_to(500)
-        if p % 4 == 1 and coverage_status(p) is Coverage.UNCOVERED_BUT_NONEMPTY
+        if p % 4 == 1 and coverage_status(p) == "uncovered_but_nonempty"
     ]
     assert len(uncovered) == 9
     assert congruum_triple(3, 2) == SquareProgression(17, 13, 7)

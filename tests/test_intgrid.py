@@ -128,9 +128,7 @@ def test_residue_class_of_magic_grid_is_magic_mod_center_prime():
             assert is_magic(grid) is not None
             assert is_square_entried(grid)
             for q in factorize(prog.y * k):
-                if q != 2 and q % 4 != 1:
-                    continue
-                if q == 2:
+                if q % 4 != 1:
                     continue
                 rg = ResidueGrid(q, grid.cells)
                 assert is_magic_class(rg) and magic_sum(rg) == 0

@@ -16,7 +16,6 @@ from residuum.errors import (
 )
 from residuum.fp import legendre, make_context, primes_up_to
 from residuum.residue import (
-    ClassKind,
     ResidueGrid,
     UnitTriple,
     classes_from_sum_equations,
@@ -89,10 +88,10 @@ def test_modulus_must_be_prime():
 
 
 def test_classify_examples(grid_f29):
-    assert classify(grid_f29) is ClassKind.NONTRIVIAL
+    assert classify(grid_f29) == "nontrivial"
     corner = ResidueGrid(13, [0, 1, 12, 12, 0, 1, 1, 12, 0])
-    assert classify(corner) is ClassKind.TRIVIAL_CORNER
-    assert classify(ResidueGrid(13, [0] * 9)) is ClassKind.ALL_ZERO
+    assert classify(corner) == "trivial_corner"
+    assert classify(ResidueGrid(13, [0] * 9)) == "all_zero"
 
 
 def test_classify_preconditions():
@@ -109,7 +108,7 @@ def test_gen_trivial_corner():
     with pytest.raises(BadPrimeForm):
         gen_trivial_corner(7)
     g = gen_trivial_corner(29)
-    assert is_magic_class(g) and classify(g) is ClassKind.TRIVIAL_CORNER
+    assert is_magic_class(g) and classify(g) == "trivial_corner"
 
 
 def test_gen_trivial_midedge():
@@ -120,7 +119,7 @@ def test_gen_trivial_midedge():
     with pytest.raises(BadPrimeForm):
         gen_trivial_midedge(7)
     g = gen_trivial_midedge(17)
-    assert is_magic_class(g) and classify(g) is ClassKind.TRIVIAL_MIDEDGE
+    assert is_magic_class(g) and classify(g) == "trivial_midedge"
 
 
 def test_consecutive_triples_examples():
@@ -208,7 +207,7 @@ def test_gen_nontrivial_f29(grid_f29):
     assert g4.vals[1] == 4  # cell (0,1) is gamma^2 = n
     g37 = gen_nontrivial(triple_from_member(37, 9))
     assert is_magic_class(g37) and magic_sum(g37) == 0
-    assert classify(g37) is ClassKind.NONTRIVIAL
+    assert classify(g37) == "nontrivial"
 
 
 def slow_class_entry(p, root, n):
@@ -303,7 +302,7 @@ def test_count_bound_examples():
 def test_enumerate_all_small_primes(grid_f29):
     found13 = enumerate_all(13)
     assert found13
-    assert all(classify(g) is ClassKind.TRIVIAL_CORNER for g in found13)
+    assert all(classify(g) == "trivial_corner" for g in found13)
     assert grid_f29 in enumerate_all(29)
     found5 = enumerate_all(5)
     assert len(found5) <= count_bound(5, run_count(5)) == 8
