@@ -421,4 +421,16 @@ MUTANTS = (
             "[verify midedge17.txt --format table]",
         ),
     ),
+    # analyze's oracle count read from the bound it checks, so it can never
+    # exceed it, and classes_from_sum_equations runs under no command
+    Mutant(
+        "oracle_count_read_from_bound",
+        "cli.py",
+        "count = classes_from_sum_equations(p)",
+        "count = results[\"count_bound\"] // 2",
+        (
+            "tests/test_cli.py::test_analyze_oracle_reports_a_bound_it_exceeds",
+            "tests/test_reach.py::test_every_public_function_runs_under_a_golden_command",
+        ),
+    ),
 )

@@ -86,6 +86,18 @@ def test_analyze_human_output(capsys):
     assert "bound 168 satisfied" in out
 
 
+def test_analyze_oracle_reports_a_bound_it_exceeds(capsys, monkeypatch):
+    # the oracle counts the classes itself: with the bound understated, its
+    # count stands and the verdict turns
+    real = cli.count_bound
+    monkeypatch.setattr(cli, "count_bound", lambda p, runs: real(p, runs) // 2 - 1)
+    doc = cli.run_analyze(13, 100)
+    assert doc.results["oracle"] == {"count": 12, "bound": 11, "within_bound": False}
+    code, out, err = run(capsys, "analyze", "13", "--max-oracle-p", "100")
+    assert code == 0
+    assert out.endswith("oracle: 12 grids enumerated; bound 11 VIOLATED\n")
+
+
 def test_table_rows(capsys):
     code, doc, _ = run_json(capsys, "table", "50")
     assert code == 0
@@ -929,29 +941,11 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     assert _loaded_after(["analyze", "29", "--help"], ("argparse",)) == "0 ['argparse']\n"
 
 
-# every name the package exported when it imported all of its submodules
-EXPORTS = {
-    "congrua": """SquareProgression TABLE_ROUTE_PRIMES ap_to_unit_triple
-        congruum_triple construct construct_mod20 construct_mod24 coverage_status
-        eligible_params sweep_congrua""",
-    "fp": """factorize is_prime legendre make_context primes_up_to sqrt_mod two_square_splits
-        two_squares""",
-    "intgrid": """CenterReport IntGrid PARITY_PATTERNS admissible_center_check is_distinct
-        is_magic is_square_entried mod2_classify reduce_primitive""",
-    "residue": """ResidueGrid UnitTriple classify consecutive_triples count_bound
-        enumerate_all gen_nontrivial gen_trivial_corner gen_trivial_midedge is_magic_class
-        line_sums magic_sum run_count runs_from_split triple_from_member""",
-    "search": "SearchReport pair_decompositions search_msos",
-}
-# residuum.__all__: every submodule and exported name; CI holds the installed
-# package to it too
-PACKAGE_ALL = sorted([*EXPORTS, "errors", "grid_ops", *" ".join(EXPORTS.values()).split()])
-
 # names the package no longer holds: those only the tests read, which live in
 # tests/oracles.py or in the one test module that uses them, the wrappers
 # deleted with their last caller, the verdicts verify reads from what it
 # already holds, and the Enums whose callers read only the words they print.
-# None resolves from the package or from the submodule that defined it
+# None resolves from the submodule that defined it
 MOVED = {
     "congrua": "SquareProgression.primitive Coverage",
     "fp": "PrimeContext",
@@ -966,35 +960,29 @@ MOVED = {
 }
 
 
-def test_package_exports_resolve_to_their_submodules():
+def test_moved_names_resolve_from_no_submodule():
     import importlib
 
-    for module, names in EXPORTS.items():
-        home = importlib.import_module(f"residuum.{module}")
-        assert getattr(residuum, module) is home
-        for name in names.split():
-            assert getattr(residuum, name) is getattr(home, name), name
-            assert name in dir(residuum)
-    assert residuum.errors is importlib.import_module("residuum.errors")
-    assert sorted(residuum.__all__) == PACKAGE_ALL
     for module, names in MOVED.items():
         home = importlib.import_module(f"residuum.{module}")
         for name in names.split():
             owner, _, attr = name.rpartition(".")
             assert not hasattr(getattr(home, owner) if owner else home, attr), name
-            assert not hasattr(residuum, attr), name
-    with pytest.raises(AttributeError):
-        residuum.no_such_name
-    # a fresh interpreter: `from residuum import ...` loads the submodule it names
+
+
+def test_package_import_loads_no_submodule():
+    # names are imported from their submodules; the package re-exports none,
+    # so importing it loads nothing else of residuum
     code = (
-        "import sys; from residuum import IntGrid, errors; "
-        "print(IntGrid.__module__, 'residuum.search' in sys.modules, errors.__name__)"
+        "import sys, residuum; "
+        "print([m for m in sys.modules if m.startswith('residuum.')], "
+        "[n for n in ('__getattr__', '__all__') if hasattr(residuum, n)])"
     )
     src = Path(residuum.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "residuum.intgrid False residuum.errors\n"
+    assert done.stdout == "[] []\n"
 
 
 Payload = namedtuple("Payload", "first second")
