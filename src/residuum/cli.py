@@ -48,16 +48,7 @@ from .congrua import (
     eligible_params,
     sweep_congrua,
 )
-from .errors import (
-    BadParameters,
-    BadPrimeForm,
-    BadRange,
-    BoundExceeded,
-    NotCovered,
-    NotPrime,
-    ParseError,
-    ResiduumError,
-)
+from .errors import NotCovered, ParseError, ResiduumError, UsageError
 from .fp import MAX_CONTEXT_P, MAX_WORKERS, make_context, sqrt_mod, two_square_splits
 from .grid_ops import rows_of
 from .residue import (
@@ -331,9 +322,9 @@ def run_analyze(p: int, max_oracle_p: int) -> OutputDocument:
     """Every refusal is raised here; the long lists of the result are
     LazyLists, read from p's root table when they are written."""
     if max_oracle_p < 0:
-        raise BadParameters(f"--max-oracle-p must be at least 0, got {max_oracle_p}")
+        raise UsageError(f"--max-oracle-p must be at least 0, got {max_oracle_p}")
     if max_oracle_p > MAX_COUNT_P:
-        raise BoundExceeded(
+        raise UsageError(
             f"--max-oracle-p {max_oracle_p} exceeds the oracle ceiling {MAX_COUNT_P}; "
             "the count's cost grows as p^2/64"
         )
@@ -462,9 +453,9 @@ def run_table(max_p: int) -> OutputDocument:
     forms and one sieve with one walk over the two-square splits
     (`fp.two_square_splits`), each time they are written."""
     if max_p < 5:
-        raise BadRange(f"table needs max >= 5, got {max_p}")
+        raise UsageError(f"table needs max >= 5, got {max_p}")
     if max_p > MAX_CONTEXT_P:
-        raise BoundExceeded(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
+        raise UsageError(f"table max {max_p} exceeds the sieve ceiling {MAX_CONTEXT_P}")
     rows = LazyList(lambda: _table_rows(max_p), _TABLE_ROW, itemgetter(*sorted(_TABLE_ROW)))
     return OutputDocument("table", {"max": max_p}, {"rows": rows})
 
@@ -699,12 +690,12 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
     # primality proof, then p = 3 (mod 4); make_context's second proof is a
     # few modular powers
     if not 2 <= sweep_max_m <= MAX_SWEEP_M:
-        raise BadParameters(
+        raise UsageError(
             f"--sweep-max-m must be in [2, {MAX_SWEEP_M}], got {sweep_max_m}; "
             "the sweep tries about 0.2 * m^2 progressions"
         )
     if p > MAX_CONTEXT_P:
-        raise BoundExceeded(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
+        raise UsageError(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
     status = coverage_status(p)
     root = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
@@ -1050,7 +1041,7 @@ def _resolve_workers(requested: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise BadParameters(f"RESIDUUM_THREADS must be an integer, got {env!r}") from None
+        raise UsageError(f"RESIDUUM_THREADS must be an integer, got {env!r}") from None
 
 
 def _emit(doc: OutputDocument, fmt: str, renderer) -> None:
@@ -1111,7 +1102,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotPrime, BadPrimeForm, BadRange, BadParameters, BoundExceeded) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResiduumError as exc:

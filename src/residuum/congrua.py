@@ -7,16 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .errors import (
-    BadParameters,
-    BadPrimeForm,
-    BoundExceeded,
-    DividesTerm,
-    FiveExcluded,
-    NonResidueDifference,
-    NotCovered,
-    NotPrime,
-)
+from .errors import NotCovered, UsageError
 from .fp import is_prime, make_context
 from .residue import UnitTriple, consecutive_runs, triple_from_member
 
@@ -33,9 +24,9 @@ class SquareProgression(namedtuple("SquareProgression", "x y z")):
 
     def __new__(cls, x: int, y: int, z: int):
         if not (x > y > z >= 1):
-            raise BadParameters(f"need x > y > z >= 1, got ({x}, {y}, {z})")
+            raise UsageError(f"need x > y > z >= 1, got ({x}, {y}, {z})")
         if x * x - y * y != y * y - z * z:
-            raise BadParameters("squares are not in arithmetic progression")
+            raise UsageError("squares are not in arithmetic progression")
         return super().__new__(cls, x, y, z)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -52,7 +43,7 @@ def congruum_triple(m: int, n: int) -> SquareProgression:
     other inputs are accepted.
     """
     if n < 1 or m <= n:
-        raise BadParameters(f"need m > n >= 1, got m={m}, n={n}")
+        raise UsageError(f"need m > n >= 1, got m={m}, n={n}")
     return SquareProgression(
         x=m * m - n * n + 2 * m * n,
         y=m * m + n * n,
@@ -66,12 +57,12 @@ def ap_to_unit_triple(prog: SquareProgression, p: int) -> UnitTriple:
     residue run)."""
     root = make_context(p)
     if p % 4 != 1:
-        raise BadPrimeForm(f"unit triples need p = 1 (mod 4), got {p}")
+        raise UsageError(f"unit triples need p = 1 (mod 4), got {p}")
     if (prog.x * prog.y * prog.z) % p == 0:
-        raise DividesTerm(f"{p} divides a term of ({prog.x}, {prog.y}, {prog.z})")
+        raise NotCovered(f"{p} divides a term of ({prog.x}, {prog.y}, {prog.z})")
     r = root[prog.d % p]  # 0 for a non-residue, and for 0
     if not r:
-        raise NonResidueDifference(f"{prog.d} is not a nonzero square mod {p}")
+        raise NotCovered(f"{prog.d} is not a nonzero square mod {p}")
     r_inv = pow(r, -1, p)
     return UnitTriple(p, prog.x * r_inv % p, prog.y * r_inv % p, prog.z * r_inv % p)
 
@@ -85,7 +76,7 @@ def construct_mod20(p: int) -> UnitTriple:
     """Unit triple for p = 1 or 9 (mod 20), via MOD20_PROGRESSION.
 
     41 satisfies the residue condition but divides the middle term 41, so it
-    raises DividesTerm; `construct` serves it from its first consecutive run.
+    raises NotCovered; `construct` serves it from its first consecutive run.
     """
     if p % 20 not in (1, 9):
         raise NotCovered(f"{p} is not 1 or 9 (mod 20)")
@@ -97,7 +88,7 @@ def construct_mod24(p: int) -> UnitTriple:
     The triple constructor asserts the unit relations, so a successful
     return is itself the verification."""
     if p == 5:
-        raise FiveExcluded("5 divides a term of (7, 5, 1); no construction exists")
+        raise NotCovered("5 divides a term of (7, 5, 1); no construction exists")
     if p % 24 not in (1, 5):
         raise NotCovered(f"{p} is not 1 or 5 (mod 24)")
     # p | 7*5*1 is impossible here: 7 = 3 (mod 4) and 5 was excluded above
@@ -107,8 +98,8 @@ def construct_mod24(p: int) -> UnitTriple:
 def construct(p: int) -> tuple[str, SquareProgression | None, UnitTriple]:
     """The route to a unit triple mod p, the progression it reduces (None on
     the table route) and the triple: the first consecutive run for 37 and 41,
-    else mod20 where it applies, else mod24. Raises NotCovered, or
-    FiveExcluded for p = 5, when no route reaches p."""
+    else mod20 where it applies, else mod24. Raises NotCovered when no
+    route reaches p."""
     if p in TABLE_ROUTE_PRIMES:
         return "table", None, triple_from_member(p, next(consecutive_runs(p)))
     if p % 20 in (1, 9):
@@ -122,7 +113,7 @@ def coverage_status(p: int) -> str:
     (`fp.is_prime`), a few modular powers.
     """
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     return _classify_prime(p)
 
 
@@ -139,7 +130,7 @@ def _classify_prime(p: int) -> str:
     Needs no residue table and no primality trial: O(1).
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"coverage is defined for p = 1 (mod 4), got {p}")
+        raise UsageError(f"coverage is defined for p = 1 (mod 4), got {p}")
     if p in (5, 13, 17):
         return "excluded_5_13_17"
     m20 = p % 20 in (1, 9)
@@ -165,7 +156,7 @@ def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:
     """Coprime opposite-parity (m, n) pairs with n < m <= m_max, for m_max
     up to MAX_SWEEP_M."""
     if m_max > MAX_SWEEP_M:
-        raise BoundExceeded(
+        raise UsageError(
             f"m_max {m_max} exceeds the sweep ceiling {MAX_SWEEP_M}; "
             "the sweep tries about 0.2 * m^2 progressions"
         )
@@ -185,7 +176,7 @@ def sweep_congrua(p: int, m_max: int = 10) -> list[tuple[int, int, UnitTriple]]:
     for m, n in eligible_params(m_max):
         try:
             t = ap_to_unit_triple(congruum_triple(m, n), p)
-        except (DividesTerm, NonResidueDifference):
+        except NotCovered:
             continue
         out.append((m, n, t))
     return out

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle, dropwhile, islice
 from math import isqrt
 
-from .errors import BadPrimeForm, BoundExceeded, NonResidue, NotPrime
+from .errors import ResiduumError, UsageError
 
 # A root table holds 4 bytes per element of F_p, about 4 MB per 10**6 of p,
 # and make_context builds it in O(p) time, so larger moduli are refused
@@ -72,7 +72,7 @@ def is_prime(n: int) -> bool:
     psi: two rounds below 1.37 * 10**6, seven near 10**14, each one modular
     power and at most log2(n) squarings. A composite mostly fails the first
     round. An n that passes all 13 rounds and is not below the last psi is
-    not proven, and raises BoundExceeded."""
+    not proven, and raises UsageError."""
     if n < 2:
         return False
     for a, _ in _MR_ROUNDS:
@@ -91,7 +91,7 @@ def is_prime(n: int) -> bool:
                 return False
         if n < psi:
             return True
-    raise BoundExceeded(
+    raise UsageError(
         f"{n} passes Miller-Rabin to the first 13 prime bases, which proves a "
         f"prime only below {psi}"
     )
@@ -112,7 +112,7 @@ def prime_factors(n: int, least: int = 2) -> Iterator[int]:
     still has such an f to try, once at the start and once after each factor.
     So a prime or a prime cofactor costs one Miller-Rabin test, and a
     semiprime with two factors near 10**7 the full walk, about 2.7 * 10**6
-    divisions. BoundExceeded comes from is_prime for a cofactor of about
+    divisions. UsageError comes from is_prime for a cofactor of about
     3.3 * 10**24 or more that it cannot prove.
     """
     start = max(least, 7)
@@ -150,7 +150,7 @@ def factorize_block(block: range) -> Iterator[dict[int, int]]:
     order, from a segmented sieve of the block (Bays & Hudson, BIT 17 (1977)
     121-127). The block is sieved SIEVE_SEGMENT numbers at a time, each
     segment when the one before is used up, so a long block never holds all
-    its factorisations at once; ValueError comes at the call.
+    its factorisations at once; UsageError comes at the call.
 
     Each prime q up to sqrt(max e) and below BLOCK_SIEVE_BOUND visits only
     its multiples in a segment and divides each by q while it can, so a
@@ -162,7 +162,7 @@ def factorize_block(block: range) -> Iterator[dict[int, int]]:
     to prime_factors from s + 1.
     """
     if block and (block[0] < 1 or block.step != 1):
-        raise ValueError(f"need a block of consecutive integers >= 1, got {block}")
+        raise UsageError(f"need a block of consecutive integers >= 1, got {block}")
     segments = (block[i : i + SIEVE_SEGMENT] for i in range(0, len(block), SIEVE_SEGMENT))
     return chain.from_iterable(map(_sieve_segment, segments))
 
@@ -248,13 +248,13 @@ def two_squares(p: int) -> tuple[int, int]:
     sqrt(-1) is c^((p - 1)/4) for the least non-residue c: its square is
     c^((p - 1)/2), which is -1 by Euler's criterion (Brillhart, Math. Comp.
     26 (1972)). p is proved prime by is_prime first, so a composite raises
-    NotPrime, the Euler pseudoprimes to base 2 (3277 = 29 * 113) among
+    UsageError, the Euler pseudoprimes to base 2 (3277 = 29 * 113) among
     them, and a non-residue exists.
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"two squares need p = 1 (mod 4), got {p}")
+        raise UsageError(f"two squares need p = 1 (mod 4), got {p}")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     c = 2
     while legendre(c, p) != -1:
         c += 1
@@ -268,8 +268,8 @@ def two_squares(p: int) -> tuple[int, int]:
 @lru_cache(maxsize=1)
 def make_context(p: int) -> memoryview:
     """The root table of a prime modulus p, read-only, memoized for the most
-    recently used p alone, since no command reads two tables; BoundExceeded
-    above MAX_CONTEXT_P, NotPrime for anything else not prime.
+    recently used p alone, since no command reads two tables; UsageError
+    above MAX_CONTEXT_P and for anything else not prime.
 
     root[a] is the smaller square root of a, in [1, p//2], for a nonzero
     quadratic residue a, and 0 for 0 and every non-residue, so membership and
@@ -280,12 +280,12 @@ def make_context(p: int) -> memoryview:
     changes what later calls read.
     """
     if p > MAX_CONTEXT_P:
-        raise BoundExceeded(
+        raise UsageError(
             f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
             "a context holds a root table of p entries"
         )
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     root = array("I", [0]) * p
     for x in range(1, p // 2 + 1):
         root[x * x % p] = x
@@ -296,7 +296,7 @@ def legendre(a: int, p: int) -> int:
     """Quadratic character of a mod an odd prime p via Euler's criterion:
     0, 1 or -1. Reads no table."""
     if p == 2:
-        raise BadPrimeForm("the quadratic character needs an odd prime modulus")
+        raise UsageError("the quadratic character needs an odd prime modulus")
     a %= p
     if a == 0:
         return 0
@@ -305,10 +305,10 @@ def legendre(a: int, p: int) -> int:
 
 def sqrt_mod(p: int, a: int) -> int:
     """Canonical (smaller) square root of a mod p, read from the root table
-    of make_context(p); NonResidue when none exists."""
+    of make_context(p); ResiduumError when none exists."""
     root = make_context(p)
     a %= p
     r = root[a]
     if r == 0 and a != 0:
-        raise NonResidue(f"{a} is not a square mod {p}")
+        raise ResiduumError(f"{a} is not a square mod {p}")
     return r

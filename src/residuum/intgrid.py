@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import AllZero, BoundExceeded, OddCenter, UnexpectedPattern
+from .errors import ResiduumError, UsageError
 from .fp import MAX_CENTER_ROOT, factorize
 from .grid_ops import CENTER, LINES, rows_of
 
@@ -28,9 +28,9 @@ class IntGrid(namedtuple("IntGrid", "cells")):
 
     def __new__(cls, cells: tuple[int, ...]):
         if len(cells) != 9:
-            raise ValueError("a grid needs exactly 9 cells")
+            raise UsageError("a grid needs exactly 9 cells")
         if any(not isinstance(v, int) or v < 0 for v in cells):
-            raise ValueError("cells must be nonnegative integers")
+            raise UsageError("cells must be nonnegative integers")
         return super().__new__(cls, cells)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -65,7 +65,7 @@ def reduce_primitive(g: IntGrid) -> IntGrid:
     """Divide out the gcd of all cells, making the grid primitive."""
     d = gcd(*g.cells)
     if d == 0:
-        raise AllZero("the all-zero grid has no primitive form")
+        raise ResiduumError("the all-zero grid has no primitive form")
     reduced = IntGrid(tuple(v // d for v in g.cells))
     if is_square_entried(g):
         # the gcd of nine squares is itself a square, so squareness survives
@@ -86,9 +86,9 @@ def admissible_center_check(e: int) -> CenterReport:
     center forces every entry to be divisible by q, so only 2 and primes
     q = 1 (mod 4) are admissible in a primitive grid."""
     if e < 1:
-        raise ValueError(f"center root must be positive, got {e}")
+        raise UsageError(f"center root must be positive, got {e}")
     if e > MAX_CENTER_ROOT:
-        raise BoundExceeded(
+        raise UsageError(
             f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
             "a root with two large prime factors is trial-divided up to the smaller one"
         )
@@ -119,14 +119,14 @@ def mod2_classify(g: IntGrid) -> int:
     """Index in PARITY_PATTERNS of the parity bits of a magic grid with even
     center.
 
-    UnexpectedPattern signals a non-magic input (or a bug upstream): magic
+    ResiduumError signals a non-magic input (or a bug upstream): magic
     grids with even center can only reduce to the four known patterns.
     """
     if g.center % 2:
-        raise OddCenter(f"center {g.center} is odd")
+        raise ResiduumError(f"center {g.center} is odd")
     bits = tuple(v & 1 for v in g.cells)
     if bits not in PARITY_PATTERNS:
-        raise UnexpectedPattern(
+        raise ResiduumError(
             f"parity grid {bits} is not one of the four patterns; input is not magic"
         )
     return PARITY_PATTERNS.index(bits)

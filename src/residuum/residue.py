@@ -13,15 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import compress
 
-from .errors import (
-    BadPrimeForm,
-    BoundExceeded,
-    NonSquareCell,
-    NotAMember,
-    NotMagic,
-    NonzeroCenter,
-    NotPrime,
-)
+from .errors import ResiduumError, UsageError
 from .fp import is_prime, make_context, two_squares
 from .grid_ops import CENTER, CORNERS, LINES, MID_EDGES, rows_of
 
@@ -34,26 +26,23 @@ class ResidueGrid(namedtuple("ResidueGrid", "p vals")):
 
     def __new__(cls, p: int, vals):
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise UsageError(f"{p} is not prime")
         vals = tuple([v % p for v in vals])
         if len(vals) != 9:
-            raise ValueError("a grid needs exactly 9 cells")
+            raise UsageError("a grid needs exactly 9 cells")
         for v in vals:
             if v and pow(v, (p - 1) // 2, p) != 1:
-                raise NonSquareCell(f"{v} is not a square mod {p}")
+                raise ResiduumError(f"{v} is not a square mod {p}")
         return super().__new__(cls, p, vals)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def rows(self) -> list[list[int]]:
-        return rows_of(self.vals)
 
     @property
     def center(self) -> int:
         return self.vals[CENTER]
 
     def __repr__(self):
-        r = self.rows()
+        r = rows_of(self.vals)
         return f"ResidueGrid(p={self.p}, {r[0]} / {r[1]} / {r[2]})"
 
 
@@ -66,12 +55,12 @@ class UnitTriple(namedtuple("UnitTriple", "p alpha beta gamma")):
 
     def __new__(cls, p: int, alpha: int, beta: int, gamma: int):
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise UsageError(f"{p} is not prime")
         a, b, g = alpha, beta, gamma
         if not all(0 < x < p for x in (a, b, g)):
-            raise ValueError(f"unit-triple members must lie in [1, {p - 1}]")
+            raise UsageError(f"unit-triple members must lie in [1, {p - 1}]")
         if (a * a - b * b) % p != 1 or (b * b - g * g) % p != 1:
-            raise ValueError("consecutive squares must differ by exactly 1")
+            raise UsageError("consecutive squares must differ by exactly 1")
         return super().__new__(cls, p, alpha, beta, gamma)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -106,9 +95,9 @@ def classify(g: ResidueGrid) -> str:
     when literally every cell vanishes.
     """
     if not is_magic_class(g):
-        raise NotMagic("classification applies to magic grids only")
+        raise ResiduumError("classification applies to magic grids only")
     if g.center != 0:
-        raise NonzeroCenter("classification applies to zero-center grids only")
+        raise ResiduumError("classification applies to zero-center grids only")
     if not any(g.vals):
         return "all_zero"
     if any(g.vals[i] == 0 for i in CORNERS):
@@ -124,7 +113,7 @@ def gen_trivial_corner(p: int) -> ResidueGrid:
     Needs -1 to be a square, hence p = 1 (mod 4).
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"corner-zero classes need p = 1 (mod 4), got {p}")
+        raise UsageError(f"corner-zero classes need p = 1 (mod 4), got {p}")
     m1 = p - 1
     return ResidueGrid(p, (0, 1, m1, m1, 0, 1, 1, m1, 0))
 
@@ -135,7 +124,7 @@ def gen_trivial_midedge(p: int) -> ResidueGrid:
     Needs both -1 and 2 to be squares, hence p = 1 (mod 8).
     """
     if p % 8 != 1:
-        raise BadPrimeForm(
+        raise UsageError(
             f"mid-edge-zero classes need p = 1 (mod 8), got {p}"
             + (" (2 is a non-residue for p = 5 mod 8)" if p % 8 == 5 else "")
         )
@@ -161,7 +150,7 @@ def triple_from_member(p: int, n: int) -> UnitTriple:
     # a zero root marks 0 or a non-residue, so this is the membership test
     a, b, g = root[(n + 2) % p], root[(n + 1) % p], root[n]
     if 0 in (a, b, g):
-        raise NotAMember(f"{n} does not start a consecutive residue run mod {p}")
+        raise ResiduumError(f"{n} does not start a consecutive residue run mod {p}")
     return UnitTriple(p, a, b, g)
 
 
@@ -172,7 +161,7 @@ def gen_nontrivial(t: UnitTriple) -> ResidueGrid:
     """
     p = t.p
     if p % 4 != 1:
-        raise BadPrimeForm(f"no order-4 element mod {p}; need p = 1 (mod 4)")
+        raise UsageError(f"no order-4 element mod {p}; need p = 1 (mod 4)")
     a2, b2, g2 = t.squares()
     return ResidueGrid(p, (-b2, g2, 1, a2, 0, -a2, -1, -g2, b2))
 
@@ -187,17 +176,17 @@ def nontrivial_fields(p: int) -> Iterator[tuple[int, ...]]:
     [0, p-1] since 1 <= n <= p-3. Each root is one table read: the root of 1
     is 1, and the root of p-1 is w, the smaller element of order 4. A zero
     root marks a non-residue, so a zero among the six other roots raises
-    NonSquareCell, as ResidueGrid would.
+    ResiduumError, as ResidueGrid would.
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"no order-4 element mod {p}; need p = 1 (mod 4)")
+        raise UsageError(f"no order-4 element mod {p}; need p = 1 (mod 4)")
     root = make_context(p)
     w = root[p - 1]
     for n in consecutive_runs(p):
         a, b, g = root[n + 2], root[n + 1], root[n]
         wb, wa, wg = root[p - n - 1], root[p - n - 2], root[p - n]
         if not (a and b and g and wa and wb and wg):
-            raise NonSquareCell(f"a cell of the class from n = {n} is not a square mod {p}")
+            raise ResiduumError(f"a cell of the class from n = {n} is not a square mod {p}")
         yield (p - n - 1, n, 1, n + 2, 0, p - n - 2, p - 1, p - n, n + 1,
                wb, g, 1, a, 0, wa, w, wg, b, n)
 
@@ -218,7 +207,7 @@ def runs_from_split(p: int, a: int, b: int) -> int:
 
 def run_count(p: int) -> int:
     """|C_p| for a prime p = 1 (mod 4), in O(log p) and without a residue
-    table: runs_from_split on two_squares(p), which raises NotPrime for a
+    table: runs_from_split on two_squares(p), which raises UsageError for a
     composite p."""
     return runs_from_split(p, *two_squares(p))
 
@@ -242,7 +231,7 @@ def count_bound(p: int, runs: int) -> int:
     the orbits of the canonical classes.
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"the class count bound needs p = 1 (mod 4), got {p}")
+        raise UsageError(f"the class count bound needs p = 1 (mod 4), got {p}")
     k = 2 if p % 8 == 1 else 1
     return (p - 1) * (runs + 2 * k)
 
@@ -266,9 +255,9 @@ def enumerate_all(p: int) -> frozenset[ResidueGrid]:
     all eight sums instead of trusting the two filters that built it.
     """
     if p % 4 != 1:
-        raise BadPrimeForm(f"zero-center enumeration needs p = 1 (mod 4), got {p}")
+        raise UsageError(f"zero-center enumeration needs p = 1 (mod 4), got {p}")
     if p > MAX_ORACLE_P:
-        raise BoundExceeded(f"p={p} exceeds the enumeration bound {MAX_ORACLE_P}")
+        raise UsageError(f"p={p} exceeds the enumeration bound {MAX_ORACLE_P}")
     sq0 = (0, *compress(range(p), make_context(p)))
     out = set()
     for a in sq0:
@@ -296,9 +285,9 @@ def classes_from_sum_equations(p: int) -> int:
     `mask`, the c for one a are the bits of mask & rot(mask, a) &
     rot(mask, -a). The all-zero grid is not counted."""
     if p % 4 != 1:
-        raise BadPrimeForm(f"the zero-center class count needs p = 1 (mod 4), got {p}")
+        raise UsageError(f"the zero-center class count needs p = 1 (mod 4), got {p}")
     if p > MAX_COUNT_P:
-        raise BoundExceeded(f"p={p} exceeds the count bound {MAX_COUNT_P}")
+        raise UsageError(f"p={p} exceeds the count bound {MAX_COUNT_P}")
     full = (1 << p) - 1
     mask = 0
     for x in range(p):

@@ -12,7 +12,7 @@ from contextlib import ExitStack
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import BadParameters, BadRange, BoundExceeded
+from .errors import UsageError
 from .fp import (
     BLOCK_SIEVE_BOUND,
     MAX_CENTER_ROOT,
@@ -48,7 +48,7 @@ def pair_decompositions(e: int, factors: dict[int, int] | None = None) -> list[t
     factorisation; without it, e is trial-divided, the tests' reference.
     """
     if e < 1:
-        raise ValueError(f"center root must be positive, got {e}")
+        raise UsageError(f"center root must be positive, got {e}")
     if factors is None:
         factors = factorize(e)
     scale = 1
@@ -193,20 +193,20 @@ def search_msos(
     processes start than there are blocks of centers.
     """
     if e_min < 1 or e_min > e_max:
-        raise BadRange(f"need 1 <= e_min <= e_max, got [{e_min}, {e_max}]")
+        raise UsageError(f"need 1 <= e_min <= e_max, got [{e_min}, {e_max}]")
     if e_max > MAX_CENTER_ROOT:
-        raise BoundExceeded(
+        raise UsageError(
             f"e_max {e_max} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
             f"past the sieve's primes below {BLOCK_SIEVE_BOUND}, a center with "
             "two large prime factors is trial-divided up to the smaller one"
         )
     if not 0 <= near_miss_threshold <= 8:
-        raise BadParameters(
+        raise UsageError(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "
             f"got {near_miss_threshold}"
         )
     if not 1 <= workers <= MAX_WORKERS:
-        raise BadParameters(f"worker count must be in [1, {MAX_WORKERS}], got {workers}")
+        raise UsageError(f"worker count must be in [1, {MAX_WORKERS}], got {workers}")
     centers = range(e_min, e_max + 1)
     # most centers cost microseconds, so each task is a block of centers:
     # 16 blocks a worker keep the load balanced, and the parent holds only

@@ -286,7 +286,7 @@ MUTANTS = (
         "parity_check_dropped",
         "intgrid.py",
         "    if bits not in PARITY_PATTERNS:\n"
-        "        raise UnexpectedPattern(\n"
+        "        raise ResiduumError(\n"
         "            f\"parity grid {bits} is not one of the four patterns; input is not magic\"\n"
         "        )\n",
         "",
@@ -325,7 +325,7 @@ MUTANTS = (
     Mutant(
         "residue_grid_skips_the_proof",
         "residue.py",
-        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n"
+        "        if not is_prime(p):\n            raise UsageError(f\"{p} is not prime\")\n"
         "        vals",
         "        vals",
         ("tests/test_residue.py::test_modulus_must_be_prime",),
@@ -334,7 +334,7 @@ MUTANTS = (
     Mutant(
         "unit_triple_skips_the_proof",
         "residue.py",
-        "        if not is_prime(p):\n            raise NotPrime(f\"{p} is not prime\")\n"
+        "        if not is_prime(p):\n            raise UsageError(f\"{p} is not prime\")\n"
         "        a, b, g",
         "        a, b, g",
         ("tests/test_residue.py::test_unit_triple_modulus_must_be_prime",),
@@ -344,7 +344,7 @@ MUTANTS = (
     Mutant(
         "gen_nontrivial_skips_the_form_check",
         "residue.py",
-        "    if p % 4 != 1:\n        raise BadPrimeForm(f\"no order-4 element mod {p}; "
+        "    if p % 4 != 1:\n        raise UsageError(f\"no order-4 element mod {p}; "
         "need p = 1 (mod 4)\")\n    a2, b2, g2",
         "    a2, b2, g2",
         ("tests/test_residue.py::test_gen_nontrivial_needs_an_order_4_element",),
@@ -370,6 +370,40 @@ MUTANTS = (
         "    sweep_congrua,\n)\n",
         "    sweep_congrua,\n)\nsys.modules.pop(__package__ + \".congrua\")\n",
         ("tests/test_bench_contract.py::test_bench_imports_load_every_traced_layer",),
+    ),
+    # main sends a usage error to exit 1, the code of an input the
+    # mathematics refuses, not to exit 2
+    Mutant(
+        "usage_error_exits_one",
+        "cli.py",
+        "    except UsageError as exc:\n"
+        "        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return EXIT_USAGE\n",
+        "    except UsageError as exc:\n"
+        "        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return EXIT_FAILURE\n",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 0]",
+            "tests/test_golden.py::test_refusal_is_pinned[table 4]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 113 --sweep-max-m 1]",
+            "tests/test_golden.py::test_refusal_is_pinned[search 1 100 --workers 0]",
+            "tests/test_golden.py::test_refusal_is_pinned[verify root15.txt]",
+        ),
+    ),
+    # the progression sweep passes over usage errors, not the progressions
+    # that miss F_p, so a composite p reads as no progression mapping in and
+    # a miss ends `construct` for an uncovered prime
+    Mutant(
+        "sweep_misses_not_covered",
+        "congrua.py",
+        "        except NotCovered:\n            continue\n",
+        "        except UsageError:\n            continue\n",
+        (
+            "tests/test_congrua.py::"
+            "test_functions_that_take_p_refuse_a_modulus_without_a_table[composite]",
+            "tests/test_golden.py::test_structured_output_is_pinned[construct 113]",
+            "tests/test_golden.py::test_structured_output_is_pinned[construct 113 --format table]",
+        ),
     ),
     # is_prime without its last round: a prime between psi_12 and psi_13,
     # and psi_12 itself, pass the 12 rounds and are refused as unproven

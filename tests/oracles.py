@@ -11,7 +11,7 @@ row-major 3x3 grid.
 from itertools import compress
 from math import isqrt
 
-from residuum.errors import BoundExceeded, NonzeroCenter, NotMagic
+from residuum.errors import ResiduumError, UsageError
 from residuum.fp import make_context
 from residuum.grid_ops import CENTER, LINES
 from residuum.intgrid import PARITY_PATTERNS, IntGrid
@@ -50,9 +50,9 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
     as fixing/duality properties of the canonical classes.
     """
     if not is_magic_class(g):
-        raise NotMagic("orbits are defined for magic grids")
+        raise ResiduumError("orbits are defined for magic grids")
     if g.center != 0:
-        raise NonzeroCenter("orbits are defined for zero-center grids")
+        raise ResiduumError("orbits are defined for zero-center grids")
     p = g.p
     squares = tuple(compress(range(p), make_context(p)))
     out = set()
@@ -83,7 +83,7 @@ def naive_enumerate(p: int) -> frozenset[ResidueGrid]:
     over squares and keep grids whose eight sums agree, using nothing but
     the sum equations themselves (no negation shortcut, no fixed total)."""
     if p > MAX_NAIVE_P:
-        raise BoundExceeded(f"p={p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
+        raise UsageError(f"p={p} exceeds the naive enumeration bound {MAX_NAIVE_P}")
     sq0 = (0, *compress(range(p), make_context(p)))
     out = set()
     for a in sq0:

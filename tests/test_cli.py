@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import residuum
-from residuum import cli, congrua, fp, residue, search
+from residuum import cli, congrua, errors, fp, residue, search
 from residuum.cli import main
 from residuum.fp import primes_up_to
 from residuum.intgrid import IntGrid
@@ -944,10 +944,14 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
 # names the package no longer holds: those only the tests read, which live in
 # tests/oracles.py or in the one test module that uses them, the wrappers
 # deleted with their last caller, the verdicts verify reads from what it
-# already holds, and the Enums whose callers read only the words they print.
-# None resolves from the submodule that defined it
+# already holds, the Enums whose callers read only the words they print, and
+# the error classes merged into one class for each way a caller handles an
+# error. None resolves from the submodule that defined it
 MOVED = {
     "congrua": "SquareProgression.primitive Coverage",
+    "errors": """NotPrime NonResidue BadPrimeForm NonSquareCell NotMagic NonzeroCenter NotAMember
+        BoundExceeded BadParameters DividesTerm NonResidueDifference FiveExcluded OddCenter
+        UnexpectedPattern AllZero BadRange""",
     "fp": "PrimeContext",
     "grid_ops": """IDENTITY ROT90 ROT180 ROT270 FLIP_ROWS FLIP_COLS TRANSPOSE ANTI_TRANSPOSE
         ROTATIONS DIHEDRAL permute CENTER_LINES""",
@@ -1104,6 +1108,28 @@ def test_table_row_template_matches_the_encoder(rows, depth):
 def test_structured_encoder_refuses_non_str_keys(value):
     with pytest.raises(TypeError):
         "".join(cli._chunks(value, "\n"))
+
+
+# each class of residuum.errors and the exit code `main` gives it
+EXIT_OF = {
+    errors.ResiduumError: cli.EXIT_FAILURE,
+    errors.UsageError: cli.EXIT_USAGE,
+    errors.ParseError: cli.EXIT_INPUT,
+    errors.NotCovered: cli.EXIT_FAILURE,
+}
+
+
+def test_exit_of_names_every_error_class():
+    assert {v for v in vars(errors).values() if isinstance(v, type)} == set(EXIT_OF)
+
+
+@pytest.mark.parametrize("error", EXIT_OF, ids=lambda c: c.__name__)
+def test_the_error_class_alone_decides_the_exit_code(capsys, monkeypatch, error):
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "_dispatch", refuse)
+    assert run(capsys, "table", "10") == (EXIT_OF[error], "", "error: refused\n")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -129,18 +129,78 @@ VERIFY_FILES = {
     "corner5.txt": (5**2, 1, 2**2, 3**2, 5**2, 4**2, 6**2, 7**2, 10**2),
     # even center, and parities that are none of the four patterns
     "noparity.txt": (4, 1, 1, 1, 4, 1, 1, 1, 1),
+    # refused: a token that is not an integer, a negative entry, ten values,
+    # eight values, and a center root of 10**15, past the factoring ceiling
+    "nonint.txt": (1, 4, 9, 16, "x", 36, 49, 64, 81),
+    "negative.txt": (1, 4, 9, 16, -25, 36, 49, 64, 81),
+    "ten.txt": tuple(range(10)),
+    "eight.txt": tuple(range(8)),
+    "root15.txt": (1, 4, 9, 16, 10**30, 25, 36, 49, 64),
 }
+
+# exit code and exact stderr of each refused command; stdout stays empty.
+# Exit 2 is a usage error, a value the command does not take, and exit 3 a
+# grid file that cannot be read. The entries were taken from the sources in
+# which each module raised its own error class and `main` listed the classes
+# that exit 2, so merging the classes is held to these codes and messages.
+# Refusals that argparse words are left out: its wording moves between
+# Python versions.
+REFUSALS = {
+    "analyze 0": (2, "error: 0 is not prime\n"),
+    "analyze -1": (2, "error: -1 is not prime\n"),
+    "analyze 15": (2, "error: 15 is not prime\n"),
+    "analyze 10000019": (2, "error: p=10000019 exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
+    f"analyze {10**30}": (2, f"error: p={10**30} exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
+    "analyze 13 --max-oracle-p -1": (2, "error: --max-oracle-p must be at least 0, got -1\n"),
+    "analyze 13 --max-oracle-p 100001": (2, "error: --max-oracle-p 100001 exceeds the oracle ceiling 100000; the count's cost grows as p^2/64\n"),
+    "table 4": (2, "error: table needs max >= 5, got 4\n"),
+    "table 10000001": (2, "error: table max 10000001 exceeds the sieve ceiling 10000000\n"),
+    "construct 7": (2, "error: coverage is defined for p = 1 (mod 4), got 7\n"),
+    "construct 15": (2, "error: 15 is not prime\n"),
+    "construct 1000003": (2, "error: coverage is defined for p = 1 (mod 4), got 1000003\n"),
+    f"construct {10**30}": (2, f"error: p={10**30} exceeds the context ceiling 10000000\n"),
+    "construct 113 --sweep-max-m 1": (2, "error: --sweep-max-m must be in [2, 500], got 1; the sweep tries about 0.2 * m^2 progressions\n"),
+    "construct 113 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
+    "search 0 5": (2, "error: need 1 <= e_min <= e_max, got [0, 5]\n"),
+    "search 5 4": (2, "error: need 1 <= e_min <= e_max, got [5, 4]\n"),
+    "search 1 100000000000001": (2, "error: e_max 100000000000001 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 1 100 --near-miss-threshold 9": (2, "error: near-miss threshold counts lines of 8, so it must be in [0, 8], got 9\n"),
+    "search 1 100 --workers 0": (2, "error: worker count must be in [1, 64], got 0\n"),
+    "search 1 100 --workers 65": (2, "error: worker count must be in [1, 64], got 65\n"),
+    "verify missing.txt": (3, "error: missing.txt: No such file or directory\n"),
+    "verify nonint.txt": (3, "error: nonint.txt:1:10: not an integer: 'x'\n"),
+    "verify negative.txt": (3, "error: negative.txt:1:10: negative entry -25\n"),
+    "verify ten.txt": (3, "error: ten.txt:1:19: more than 9 values\n"),
+    "verify eight.txt": (3, "error: eight.txt: expected 9 values, found 8\n"),
+    "verify root15.txt": (2, "error: center root 1000000000000000 exceeds the factoring ceiling 100000000000000; a root with two large prime factors is trial-divided up to the smaller one\n"),
+}
+
+
+def write_grid_file(tmp_path, monkeypatch, name):
+    """Work in `tmp_path`, holding the grid file `name` if it is one of
+    VERIFY_FILES."""
+    monkeypatch.chdir(tmp_path)
+    if name in VERIFY_FILES:
+        (tmp_path / name).write_text(" ".join(map(str, VERIFY_FILES[name])) + "\n")
 
 
 @pytest.mark.parametrize("command", GOLDEN)
 def test_structured_output_is_pinned(capsys, tmp_path, monkeypatch, command):
     argv = command.split()
     if argv[0] == "verify":
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / argv[1]).write_text(" ".join(map(str, VERIFY_FILES[argv[1]])) + "\n")
+        write_grid_file(tmp_path, monkeypatch, argv[1])
     if "--format" not in argv:
         argv += ["--format", "structured"]
     code, digest = GOLDEN[command]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", REFUSALS)
+def test_refusal_is_pinned(capsys, tmp_path, monkeypatch, command):
+    argv = command.split()
+    if argv[0] == "verify":
+        write_grid_file(tmp_path, monkeypatch, argv[1])
+    code, err = REFUSALS[command]
+    assert (main(argv), *capsys.readouterr()) == (code, "", err)

@@ -1,14 +1,15 @@
 """The package ships what its commands run: every public function that a
-submodule of `residuum` defines is called by some command of
-`tests/test_golden.py`.
+submodule of `residuum` defines, and every public method and property of a
+class it defines, is called by some command of `tests/test_golden.py`.
 
-The walk covers every submodule and every public module-level function whose
-`__module__` is that submodule, so a name counts wherever it is imported
-from. A function no command calls belongs beside the tests that read it.
-The exemptions are the names that `bench/trace.py`'s TRACED patches, since
-the benchmark's tracer needs them in the package (once TRACED stops naming
-one, this test asks for it to move), and the two entry points in ENTRIES,
-which the golden commands, each a call of `main` in process, do not take.
+The walk covers every submodule and every public module-level function or
+class whose `__module__` is that submodule, so a name counts wherever it is
+imported from. A function no command calls belongs beside the tests that
+read it. The exemptions are the names that `bench/trace.py`'s TRACED
+patches, since the benchmark's tracer needs them in the package (once TRACED
+stops naming one, this test asks for it to move), the two entry points in
+ENTRIES, which the golden commands, each a call of `main` in process, do not
+take, and the methods in BENCH_CALLS, which the benchmark calls itself.
 """
 
 import json
@@ -29,11 +30,17 @@ ENTRIES = {
     "cli.build_parser",
 }
 
+# methods that bench/ calls outside the traced layers
+BENCH_CALLS = {
+    # bench/run.py's search replay writes each hit and near miss as its rows
+    "intgrid.IntGrid.rows",
+}
+
 # Profiles every Python call from before residuum is imported, so calls made
 # at import time count, then runs each command given as a JSON list of argv.
 # It then imports every submodule and writes (exit codes, functions never
-# called, as "module.name") as JSON to the path in argv[1]. The commands' own
-# output goes to the parent's devnull.
+# called, as "module.name" or "module.Class.name") as JSON to the path in
+# argv[1]. The commands' own output goes to the parent's devnull.
 CHILD = """
 import json, pkgutil, sys
 from importlib import import_module
@@ -64,6 +71,13 @@ for info in pkgutil.iter_modules(residuum.__path__):
         fn = getattr(value, "__wrapped__", value)  # a cached function's own code
         if isinstance(fn, FunctionType) and fn.__code__ not in called:
             unused.append(f"{info.name}.{name}")
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                fn = member.fget if isinstance(member, property) else member
+                if attr.startswith("_") or not isinstance(fn, FunctionType):
+                    continue
+                if fn.__code__ not in called:
+                    unused.append(f"{info.name}.{name}.{attr}")
 with open(sys.argv[1], "w") as out:
     json.dump([codes, unused], out)
 """
@@ -96,4 +110,4 @@ def test_every_public_function_runs_under_a_golden_command(tmp_path):
         for entry in entries
         for name in ((entry,) if isinstance(entry, str) else entry[1])
     }
-    assert sorted(set(unused) - traced - ENTRIES) == []
+    assert sorted(set(unused) - traced - ENTRIES - BENCH_CALLS) == []

@@ -5,16 +5,9 @@ import pytest
 
 from residuum import residue
 from residuum.cli import run_analyze
-from residuum.errors import (
-    BadPrimeForm,
-    BoundExceeded,
-    NonSquareCell,
-    NotAMember,
-    NotMagic,
-    NonzeroCenter,
-    NotPrime,
-)
+from residuum.errors import ResiduumError, UsageError
 from residuum.fp import legendre, make_context, primes_up_to
+from residuum.grid_ops import rows_of
 from residuum.residue import (
     ResidueGrid,
     UnitTriple,
@@ -54,7 +47,7 @@ def grid_f29():
 
 
 def test_f29_grid_values(grid_f29):
-    assert grid_f29.rows() == [[23, 5, 1], [7, 0, 22], [28, 24, 6]]
+    assert rows_of(grid_f29.vals) == [[23, 5, 1], [7, 0, 22], [28, 24, 6]]
 
 
 def test_is_magic_class_examples(grid_f29):
@@ -73,17 +66,17 @@ def test_line_sums_order():
 
 
 def test_cells_must_be_squares():
-    with pytest.raises(NonSquareCell, match="^2 is not a square mod 13$"):
+    with pytest.raises(ResiduumError, match="^2 is not a square mod 13$"):
         ResidueGrid(13, [2, 0, 0, 0, 0, 0, 0, 0, 0])  # 2 is not a square mod 13
-    with pytest.raises(NonSquareCell, match="^5 is not a square mod 13$"):
+    with pytest.raises(ResiduumError, match="^5 is not a square mod 13$"):
         ResidueGrid(13, [0, 0, 0, 0, 0, 0, 0, 0, -8])  # reduced before the check
-    with pytest.raises(ValueError, match="exactly 9 cells"):
+    with pytest.raises(UsageError, match="exactly 9 cells"):
         ResidueGrid(13, [0] * 8)
 
 
 def test_modulus_must_be_prime():
     # Euler's criterion reads nothing but p, so p is proven prime first
-    with pytest.raises(NotPrime, match="^15 is not prime$"):
+    with pytest.raises(UsageError, match="^15 is not prime$"):
         ResidueGrid(15, [0] * 9)
 
 
@@ -95,28 +88,28 @@ def test_classify_examples(grid_f29):
 
 
 def test_classify_preconditions():
-    with pytest.raises(NotMagic):
+    with pytest.raises(ResiduumError, match="magic grids only"):
         classify(ResidueGrid(13, [1, 0, 0, 0, 0, 0, 0, 0, 0]))
     # magic but center nonzero: constant grid of a square
-    with pytest.raises(NonzeroCenter):
+    with pytest.raises(ResiduumError, match="zero-center grids only"):
         classify(ResidueGrid(13, [1] * 9))
 
 
 def test_gen_trivial_corner():
-    assert gen_trivial_corner(13).rows() == [[0, 1, 12], [12, 0, 1], [1, 12, 0]]
-    assert gen_trivial_corner(5).rows() == [[0, 1, 4], [4, 0, 1], [1, 4, 0]]
-    with pytest.raises(BadPrimeForm):
+    assert rows_of(gen_trivial_corner(13).vals) == [[0, 1, 12], [12, 0, 1], [1, 12, 0]]
+    assert rows_of(gen_trivial_corner(5).vals) == [[0, 1, 4], [4, 0, 1], [1, 4, 0]]
+    with pytest.raises(UsageError, match=r"^corner-zero classes need p = 1 \(mod 4\)"):
         gen_trivial_corner(7)
     g = gen_trivial_corner(29)
     assert is_magic_class(g) and classify(g) == "trivial_corner"
 
 
 def test_gen_trivial_midedge():
-    assert gen_trivial_midedge(17).rows() == [[1, 0, 16], [15, 0, 2], [1, 0, 16]]
-    assert gen_trivial_midedge(41).rows() == [[1, 0, 40], [39, 0, 2], [1, 0, 40]]
-    with pytest.raises(BadPrimeForm):
+    assert rows_of(gen_trivial_midedge(17).vals) == [[1, 0, 16], [15, 0, 2], [1, 0, 16]]
+    assert rows_of(gen_trivial_midedge(41).vals) == [[1, 0, 40], [39, 0, 2], [1, 0, 40]]
+    with pytest.raises(UsageError, match="2 is a non-residue for p = 5 mod 8"):
         gen_trivial_midedge(13)  # 13 = 5 (mod 8)
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match=r"need p = 1 \(mod 8\), got 7$"):
         gen_trivial_midedge(7)
     g = gen_trivial_midedge(17)
     assert is_magic_class(g) and classify(g) == "trivial_midedge"
@@ -158,7 +151,7 @@ def test_triple_from_member():
     assert t.squares() == (7, 6, 5)
     t = triple_from_member(29, 4)
     assert t.squares() == (6, 5, 4)
-    with pytest.raises(NotAMember):
+    with pytest.raises(ResiduumError, match="^1 does not start a consecutive residue run mod 29$"):
         triple_from_member(29, 1)  # 2 is not a residue mod 29
 
 
@@ -170,23 +163,23 @@ def test_triple_roots_are_canonical():
 
 def test_unit_triple_invariants_enforced():
     p = 29
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="must differ by exactly 1"):
         UnitTriple(p, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="must lie in"):
         UnitTriple(p, 6, 8, 0)
     t = triple_from_member(29, 5)
     assert UnitTriple(p, t.alpha, t.beta, t.gamma) == t
     # members outside [1, p-1] are refused, even where the relations hold mod p
     for out_of_range in (0, 29):
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(UsageError, match="must lie in"):
             UnitTriple(p, t.alpha, t.beta, out_of_range)
-    with pytest.raises(ValueError, match="must lie in"):
+    with pytest.raises(UsageError, match="must lie in"):
         UnitTriple(p, t.alpha + 29, t.beta, t.gamma)
 
 
 def test_unit_triple_modulus_must_be_prime():
     # the triple holds p alone, so p is proven prime first, as in ResidueGrid
-    with pytest.raises(NotPrime, match="^15 is not prime$"):
+    with pytest.raises(UsageError, match="^15 is not prime$"):
         UnitTriple(15, 1, 1, 1)
 
 
@@ -194,9 +187,9 @@ def test_gen_nontrivial_needs_an_order_4_element():
     # 3, 4, 5 are consecutive residues mod 11, but -1 is not a square
     t = triple_from_member(11, 3)
     assert t.squares() == (5, 4, 3)
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match="^no order-4 element mod 11"):
         gen_nontrivial(t)
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match="^no order-4 element mod 11"):
         next(nontrivial_fields(11))
 
 
@@ -285,9 +278,9 @@ def test_orbit_contains_own_half_turn(grid_f29):
 
 
 def test_orbit_preconditions():
-    with pytest.raises(NonzeroCenter):
+    with pytest.raises(ResiduumError, match="zero-center grids"):
         orbit(ResidueGrid(13, [1] * 9))
-    with pytest.raises(NotMagic):
+    with pytest.raises(ResiduumError, match="magic grids"):
         orbit(ResidueGrid(13, [1, 0, 0, 0, 0, 0, 0, 0, 0]))
 
 
@@ -295,7 +288,7 @@ def test_count_bound_examples():
     assert count_bound(29, run_count(29)) == 28 * (4 + 2) == 168
     assert count_bound(13, run_count(13)) == 12 * (0 + 2) == 24
     assert count_bound(41, run_count(41)) == 40 * (2 + 4) == 240
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match=r"^the class count bound needs p = 1 \(mod 4\)"):
         count_bound(7, 0)
 
 
@@ -310,15 +303,15 @@ def test_enumerate_all_small_primes(grid_f29):
 
 
 def test_enumerate_all_bounds():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(UsageError, match="exceeds the enumeration bound"):
         enumerate_all(509)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(UsageError, match="exceeds the naive enumeration bound"):
         naive_enumerate(17)
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match=r"^zero-center enumeration needs p = 1 \(mod 4\)"):
         enumerate_all(7)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(UsageError, match="exceeds the count bound"):
         classes_from_sum_equations(100049)
-    with pytest.raises(BadPrimeForm):
+    with pytest.raises(UsageError, match=r"^the zero-center class count needs p = 1 \(mod 4\)"):
         classes_from_sum_equations(7)
 
 
@@ -379,7 +372,7 @@ def test_nontrivial_fields_check_every_root(monkeypatch):
         damaged = array("I", make_context(29))
         damaged[cell] = 0
         monkeypatch.setattr(residue, "make_context", lambda p: damaged)
-        with pytest.raises(NonSquareCell, match="from n = 4 "):
+        with pytest.raises(ResiduumError, match="from n = 4 "):
             list(nontrivial_fields(29))
 
 

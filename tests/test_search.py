@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from residuum.errors import BadParameters, BadRange
+from residuum.errors import UsageError
 from residuum.fp import MAX_WORKERS, factorize, factorize_block, primes_up_to
 from residuum.grid_ops import LINES
 from residuum.intgrid import (
@@ -245,9 +245,9 @@ def test_search_center_with_too_few_pairs():
 
 
 def test_search_bad_range():
-    with pytest.raises(BadRange):
+    with pytest.raises(UsageError, match="need 1 <= e_min <= e_max"):
         search_msos(200, 1)
-    with pytest.raises(BadRange):
+    with pytest.raises(UsageError, match="need 1 <= e_min <= e_max"):
         search_msos(0, 10)
 
 
@@ -278,7 +278,7 @@ def test_search_starts_no_more_processes_than_blocks(pool_sizes):
 def test_search_refuses_workers_above_the_ceiling(pool_sizes):
     # a million centers would fill every worker, so the count is refused
     # before the pool is asked for them
-    with pytest.raises(BadParameters, match=f"\\[1, {MAX_WORKERS}\\]"):
+    with pytest.raises(UsageError, match=f"^worker count must be in \\[1, {MAX_WORKERS}\\]"):
         search_msos(1, 10**6, workers=MAX_WORKERS + 1)
     assert pool_sizes == []
 
@@ -379,10 +379,10 @@ def test_candidates_counted_once_per_symmetry_class():
 
 def test_search_msos_refuses_bad_settings():
     for threshold in (-1, 9, 99):
-        with pytest.raises(BadParameters):
+        with pytest.raises(UsageError, match="^near-miss threshold"):
             search_msos(1, 10, near_miss_threshold=threshold)
     for workers in (0, -1):
-        with pytest.raises(BadParameters):
+        with pytest.raises(UsageError, match="^worker count"):
             search_msos(1, 10, workers=workers)
     for threshold in (0, 8):
         assert search_msos(1, 10, near_miss_threshold=threshold).hits == ()

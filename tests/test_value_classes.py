@@ -12,7 +12,7 @@ import pytest
 
 from residuum.cli import OutputDocument
 from residuum.congrua import SquareProgression, construct
-from residuum.errors import BadParameters, NonSquareCell
+from residuum.errors import ResiduumError, UsageError
 from residuum.fp import make_context
 from residuum.intgrid import CenterReport, IntGrid
 from residuum.residue import ResidueGrid, UnitTriple
@@ -20,24 +20,25 @@ from residuum.search import SearchReport
 
 LO_SHU = IntGrid((4, 9, 2, 3, 5, 7, 8, 1, 6))
 
-# class -> (valid fields, fields the constructor refuses or None, the exception, repr)
+# class -> (valid fields, fields the constructor refuses or None, the exception
+# and a pattern of its message, repr)
 CASES = {
     ResidueGrid: (
         dict(p=29, vals=(0, 1, 28, 28, 0, 1, 1, 28, 0)),
         dict(p=29, vals=(2, 0, 0, 0, 0, 0, 0, 0, 0)),  # 2 is not a square
-        NonSquareCell,
+        (ResiduumError, "^2 is not a square mod 29$"),
         "ResidueGrid(p=29, [0, 1, 28] / [28, 0, 1] / [1, 28, 0])",
     ),
     SquareProgression: (
         dict(x=17, y=13, z=7),
         dict(x=17, y=13, z=8),
-        BadParameters,
+        (UsageError, "not in arithmetic progression"),
         "SquareProgression(x=17, y=13, z=7)",
     ),
     IntGrid: (
         dict(cells=LO_SHU.cells),
         dict(cells=LO_SHU.cells[:8]),
-        ValueError,
+        (UsageError, "exactly 9 cells"),
         "IntGrid([4, 9, 2] / [3, 5, 7] / [8, 1, 6])",
     ),
     CenterReport: (
@@ -49,7 +50,7 @@ CASES = {
     UnitTriple: (
         dict(p=29, alpha=8, beta=11, gamma=2),
         dict(p=29, alpha=8, beta=11, gamma=29),
-        ValueError,
+        (UsageError, "must lie in"),
         "UnitTriple(p=29, alpha=8, beta=11, gamma=2)",
     ),
     SearchReport: (
@@ -82,9 +83,10 @@ def test_value_class_contract(cls):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     if bad is not None:
-        with pytest.raises(error):
+        exc, cause = error
+        with pytest.raises(exc, match=cause):
             cls(**bad)
-        with pytest.raises(error):
+        with pytest.raises(exc, match=cause):
             a._replace(**bad)
     assert pickle.loads(pickle.dumps(a)) == a
 
