@@ -6,13 +6,13 @@ requested prime), 2 usage error (including a modulus or flag above its
 ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
 reader closed stdout before the output was written.
 
-Every refusal happens before the first byte of output. Each form is then
-written in pieces as it is made: every long list is a `LazyList`, derived
-again as it is written, in batches. A list of class entries, table rows or
-grids declares the shape of its items, and the structured form writes each
-such list through one %-template of that shape, built when the list is
-written. Only the human `table` holds its rows, since its column widths need
-them all; `search`'s report holds its grids.
+Every refusal happens in every form, before any root table, sieve or process
+pool. Each form is then written in pieces as it is made: every long list is a
+`LazyList`, derived again as it is written, in batches. A list of class
+entries, table rows or grids declares the shape of its items, and the
+structured form writes each such list through one %-template of that shape,
+built when the list is written. Only the human `table` holds its rows, since
+its column widths need them all; `search`'s report holds its grids.
 
 A call pays only for what its command uses. `_read_argv` reads a well-formed
 command line from the same table `build_parser` is made from, so argparse is
@@ -74,7 +74,6 @@ FORMAT_CSV = "csv"
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_INPUT = 3
 EXIT_HIT = 10
 EXIT_PIPE = 141
 
@@ -704,9 +703,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
         route, prog, triple = construct(p)
     except NotCovered:
         tried = eligible_params(sweep_max_m)
-        successes = [
-            [m, n, t.squares()[2]] for m, n, t in sweep_congrua(p, sweep_max_m)
-        ]
+        successes = [[m, n, t.squares()[2]] for m, n, t in sweep_congrua(p, tried)]
         # C_p is empty exactly for 5, 13 and 17; see _classify_prime
         note = (
             f"no consecutive residue runs exist mod {p}"
@@ -1099,15 +1096,9 @@ def main(argv=None) -> int:
         # buffered goes to devnull, so the interpreter's last flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResiduumError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return exc.exit_code
 
 
 def entry() -> int:

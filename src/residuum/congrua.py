@@ -168,12 +168,13 @@ def eligible_params(m_max: int = 10) -> list[tuple[int, int]]:
     ]
 
 
-def sweep_congrua(p: int, m_max: int = 10) -> list[tuple[int, int, UnitTriple]]:
-    """Try every small primitive progression against F_p and return the
-    (m, n, triple) combinations that map in. Purely exploratory: success
-    here proves nothing beyond the individual prime."""
+def sweep_congrua(p: int, pairs) -> list[tuple[int, int, UnitTriple]]:
+    """Try the primitive progression of each (m, n) of `pairs`, as
+    `eligible_params` lists them, against F_p and return the (m, n, triple)
+    combinations that map in. Purely exploratory: success here proves
+    nothing beyond the individual prime."""
     out = []
-    for m, n in eligible_params(m_max):
+    for m, n in pairs:
         try:
             t = ap_to_unit_triple(congruum_triple(m, n), p)
         except NotCovered:

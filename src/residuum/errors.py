@@ -1,5 +1,6 @@
 """Exception types shared across the package: one class for each way a caller
-handles an error, so that the class alone decides a command's exit code.
+handles an error. Each class holds as `exit_code` the exit code of a command
+that it ends, so the class alone decides that code.
 
 - `ResiduumError`, the base class: an input the mathematics refuses, such as
   a value that is not a square mod p or a grid that is not magic. Exit 1.
@@ -17,13 +18,15 @@ The base class is a `ValueError`, so each of them is one too.
 class ResiduumError(ValueError):
     """Base class for every error this package raises on purpose."""
 
+    exit_code = 1
+
 
 class UsageError(ResiduumError):
-    pass
+    exit_code = 2
 
 
 class ParseError(ResiduumError):
-    pass
+    exit_code = 3
 
 
 class NotCovered(ResiduumError):

@@ -70,20 +70,11 @@ class UnitTriple(namedtuple("UnitTriple", "p alpha beta gamma")):
         return (self.alpha ** 2 % p, self.beta ** 2 % p, self.gamma ** 2 % p)
 
 
-def line_sums(g: ResidueGrid) -> tuple[int, ...]:
-    """The 8 line sums (3 rows, 3 columns, 2 main diagonals), reduced mod p."""
-    p = g.p
-    v = g.vals
-    return tuple(sum(v[i] for i in line) % p for line in LINES)
-
-
-def is_magic_class(g: ResidueGrid) -> bool:
-    return len(set(line_sums(g))) == 1
-
-
 def magic_sum(g: ResidueGrid) -> int | None:
-    """The common line sum mod p, or None when the sums disagree."""
-    sums = set(line_sums(g))
+    """The common sum mod p of the 8 lines (3 rows, 3 columns, 2 main
+    diagonals), or None when the sums disagree, so the grid is not magic."""
+    p, v = g.p, g.vals
+    sums = {sum(v[i] for i in line) % p for line in LINES}
     return sums.pop() if len(sums) == 1 else None
 
 
@@ -94,7 +85,7 @@ def classify(g: ResidueGrid) -> str:
     Corner zeros take precedence over mid-edge zeros; a grid is all_zero only
     when literally every cell vanishes.
     """
-    if not is_magic_class(g):
+    if magic_sum(g) is None:
         raise ResiduumError("classification applies to magic grids only")
     if g.center != 0:
         raise ResiduumError("classification applies to zero-center grids only")
@@ -272,7 +263,7 @@ def enumerate_all(p: int) -> frozenset[ResidueGrid]:
                     if not any(vals):
                         continue
                     grid = ResidueGrid(p, vals)
-                    assert set(line_sums(grid)) == {0}
+                    assert magic_sum(grid) == 0
                     out.add(grid)
     return frozenset(out)
 

@@ -371,23 +371,53 @@ MUTANTS = (
         "    sweep_congrua,\n)\nsys.modules.pop(__package__ + \".congrua\")\n",
         ("tests/test_bench_contract.py::test_bench_imports_load_every_traced_layer",),
     ),
-    # main sends a usage error to exit 1, the code of an input the
-    # mathematics refuses, not to exit 2
+    # a usage error carries exit 1, the code of an input the mathematics
+    # refuses, not exit 2
     Mutant(
         "usage_error_exits_one",
-        "cli.py",
-        "    except UsageError as exc:\n"
-        "        print(f\"error: {exc}\", file=sys.stderr)\n"
-        "        return EXIT_USAGE\n",
-        "    except UsageError as exc:\n"
-        "        print(f\"error: {exc}\", file=sys.stderr)\n"
-        "        return EXIT_FAILURE\n",
+        "errors.py",
+        "class UsageError(ResiduumError):\n    exit_code = 2\n",
+        "class UsageError(ResiduumError):\n    exit_code = 1\n",
         (
-            "tests/test_golden.py::test_refusal_is_pinned[analyze 0]",
-            "tests/test_golden.py::test_refusal_is_pinned[table 4]",
-            "tests/test_golden.py::test_refusal_is_pinned[construct 113 --sweep-max-m 1]",
-            "tests/test_golden.py::test_refusal_is_pinned[search 1 100 --workers 0]",
-            "tests/test_golden.py::test_refusal_is_pinned[verify root15.txt]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 0 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 0 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[table 4 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[table 4 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[table 4 --format csv]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 113 --sweep-max-m 1 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 113 --sweep-max-m 1 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[search 1 100 --workers 0 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[search 1 100 --workers 0 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[verify root15.txt --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[verify root15.txt --format structured]",
+        ),
+    ),
+    # construct builds the O(p) root table before it refuses p = 3 (mod 4),
+    # with the same message
+    Mutant(
+        "construct_builds_the_table_before_refusing",
+        "cli.py",
+        "    status = coverage_status(p)\n    root = make_context(p)\n",
+        "    root = make_context(p)\n    status = coverage_status(p)\n",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned[construct 1000003 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 1000003 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 9999991 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[construct 9999991 --format structured]",
+        ),
+    ),
+    # analyze builds p's root table before it checks --max-oracle-p, with
+    # the same messages
+    Mutant(
+        "analyze_builds_the_table_before_its_oracle_check",
+        "cli.py",
+        "    if max_oracle_p < 0:\n",
+        "    root = make_context(p)\n    if max_oracle_p < 0:\n",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p -1 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p -1 --format structured]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p 100001 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p 100001 --format structured]",
         ),
     ),
     # the progression sweep passes over usage errors, not the progressions

@@ -21,7 +21,7 @@ from residuum.residue import (
     gen_nontrivial,
     gen_trivial_corner,
     gen_trivial_midedge,
-    is_magic_class,
+    magic_sum,
     triple_from_member,
 )
 
@@ -49,7 +49,7 @@ def orbit(g: ResidueGrid) -> frozenset[ResidueGrid]:
     Reflections are intentionally not applied; they are tracked separately
     as fixing/duality properties of the canonical classes.
     """
-    if not is_magic_class(g):
+    if magic_sum(g) is None:
         raise ResiduumError("orbits are defined for magic grids")
     if g.center != 0:
         raise ResiduumError("orbits are defined for zero-center grids")

@@ -58,12 +58,6 @@ def test_analyze_f17_has_no_nontrivial_classes(capsys):
     assert r["trivial_midedge"] is not None  # 17 = 1 (mod 8)
 
 
-def test_analyze_rejects_composite(capsys):
-    code, out, err = run(capsys, "analyze", "12")
-    assert code == 2
-    assert "not prime" in err
-
-
 def test_analyze_3_mod_4_explains_instead_of_failing(capsys):
     code, doc, _ = run_json(capsys, "analyze", "7")
     assert code == 0
@@ -203,11 +197,6 @@ def test_table_forms_write_the_rows(capsys):
         ))
 
 
-def test_table_bad_range(capsys):
-    code, out, err = run(capsys, "table", "4")
-    assert code == 2
-
-
 def test_csv_only_for_table(capsys):
     code = main(["analyze", "29", "--format", "csv"])
     assert code == 2
@@ -287,12 +276,6 @@ def test_verify_even_center_reports_parity(tmp_path, capsys):
 
 
 def test_verify_parse_errors(tmp_path, capsys):
-    f = tmp_path / "short.txt"
-    f.write_text("1 2 3 4 5 6 7 8\n")
-    code, out, err = run(capsys, "verify", str(f))
-    assert code == 3
-    assert "expected 9 values" in err
-
     f2 = tmp_path / "bad.txt"
     f2.write_text("1 2 3\n4 x 6\n7 8 9\n")
     code, out, err = run(capsys, "verify", str(f2))
@@ -305,11 +288,6 @@ def test_verify_parse_errors(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(f5))
     assert code == 3
     assert f"{f5}:3:7: more than 9 values" in err
-
-    f3 = tmp_path / "neg.txt"
-    f3.write_text("1 2 3 4 -5 6 7 8 9\n")
-    code, out, err = run(capsys, "verify", str(f3))
-    assert code == 3
 
     # an entry is ASCII digits after at most one sign: int() alone would read
     # 1_0 as 10 and the Arabic-Indic three as 3
@@ -327,7 +305,7 @@ def test_verify_parse_errors(tmp_path, capsys):
     # a path that cannot be opened: missing, a directory, too long, under a
     # plain file, or a symlink loop
     (tmp_path / "loop").symlink_to(tmp_path / "loop")
-    for path in (tmp_path / "missing.txt", tmp_path, "x" * 5000, f3 / "x", tmp_path / "loop"):
+    for path in (tmp_path / "missing.txt", tmp_path, "x" * 5000, f2 / "x", tmp_path / "loop"):
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, ""), path
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
@@ -543,69 +521,25 @@ def test_construct_113_not_covered_but_sweep_finds_candidates(capsys):
     assert r["sweeps_successful"]
 
 
-def test_construct_rejects_3_mod_4(capsys, monkeypatch):
-    code, out, err = run(capsys, "construct", "12")
-    assert code == 2
-    assert "not prime" in err
-
-    def built(*args):
-        raise AssertionError("construct built a root table for p = 3 (mod 4)")
-
-    # refused after the primality proof but before the O(p) root table
-    for module in (fp, cli, residue, congrua):
-        monkeypatch.setattr(module, "make_context", built)
-    for p in ("7", "9999991"):
-        code, out, err = run(capsys, "construct", p)
-        assert code == 2
-        assert out == ""
-        assert "p = 1 (mod 4)" in err
-
-
 def test_search_cli(capsys, monkeypatch):
     monkeypatch.setenv("RESIDUUM_THREADS", "1")
     code, doc, _ = run_json(capsys, "search", "21", "21")
     assert code == 0
     assert doc["results"]["pruned_centers"] == 1
-    code, out, err = run(capsys, "search", "200", "1")
-    assert code == 2
 
 
-@pytest.mark.parametrize(
-    "threads, extra",
-    [
-        ("1", ["--near-miss-threshold", "99"]),
-        ("1", ["--near-miss-threshold", "-1"]),
-        ("abc", []),
-        ("0", []),
-        ("1", ["--workers", "0"]),
-        ("1", ["--workers", "-3"]),
-        ("65", []),
-        ("100000", []),
-        ("1", ["--workers", "65"]),
-        ("1", ["--workers", "100000"]),
-    ],
-)
-def test_search_refuses_bad_settings(capsys, monkeypatch, pool_sizes, threads, extra):
+@pytest.mark.parametrize("threads", ["abc", "0", "65", "100000"])
+def test_search_refuses_bad_settings(capsys, monkeypatch, pool_sizes, threads):
     monkeypatch.setenv("RESIDUUM_THREADS", threads)
-    code, out, err = run(capsys, "search", "1", "10", *extra)
+    code, out, err = run(capsys, "search", "1", "10")
     assert code == 2
     assert out == "" and pool_sizes == []
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "e_min, e_max, code", [(10**14, 10**14, 0), (10**14 + 1, 10**14 + 1, 2), (1, 10**20, 2)]
-)
-def test_search_center_root_ceiling(capsys, e_min, e_max, code):
-    # [1, 10**20] is too long a range for len(); past the ceiling, a center
-    # with two large prime factors would be trial-divided past the sieve up to
-    # the smaller one
-    out_code, out, err = run(capsys, "search", str(e_min), str(e_max), "--workers", "1")
-    assert out_code == code
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "factoring ceiling" in err
+def test_search_center_root_ceiling(capsys):
+    # the ceiling itself is searched; REFUSALS holds the centers past it
+    assert run(capsys, "search", str(10**14), str(10**14), "--workers", "1")[0] == 0
 
 
 @pytest.mark.parametrize("threads, extra", [("1", ["--workers", "64"]), ("64", [])])
@@ -687,25 +621,6 @@ def test_structured_output_round_trips(capsys, tmp_path, monkeypatch):
         assert reparsed == out, argv
 
 
-@pytest.mark.parametrize(
-    "argv", [["analyze", "1000000009"], ["construct", "1000000009"], ["table", "10000001"]]
-)
-def test_context_ceiling_is_usage_error(capsys, monkeypatch, argv):
-    def started(*args):
-        raise AssertionError("work started above the context ceiling")
-
-    monkeypatch.setattr(fp, "is_prime", started)
-    monkeypatch.setattr(congrua, "is_prime", started)
-    monkeypatch.setattr(cli, "two_square_splits", started)
-    monkeypatch.setattr(fp, "_prime_flags", started)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    # table builds no contexts; the same ceiling bounds its sieve
-    assert ("sieve ceiling" if argv[0] == "table" else "context ceiling") in err
-
-
 def test_verify_builds_no_context_above_the_context_ceiling(capsys, tmp_path, monkeypatch):
     # center root 1000000009 is a prime = 1 (mod 4), a hundred times the
     # context ceiling: a cell r^2 has the root min(r mod q, -r mod q), so the
@@ -727,37 +642,12 @@ def test_verify_builds_no_context_above_the_context_ceiling(capsys, tmp_path, mo
             assert r * r % q == v and 0 <= r <= q // 2
 
 
-def test_oracle_ceiling_is_usage_error(capsys, monkeypatch):
+def test_oracle_ceiling_is_usage_error(capsys):
+    # the help states the ceiling, which is taken; REFUSALS holds the values
+    # past it
     help_text = " ".join(run(capsys, "analyze", "--help")[1].split())  # unwrapped
     assert "(default 100, at most 100000)" in help_text
     assert run(capsys, "analyze", "7", "--max-oracle-p", "100000")[0] == 0
-
-    def started(*args):
-        raise AssertionError("work started above the oracle ceiling")
-
-    monkeypatch.setattr(cli, "make_context", started)
-    code, out, err = run(capsys, "analyze", "7", "--max-oracle-p", "100001")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "oracle ceiling 100000" in err
-
-
-@pytest.mark.parametrize("fmt", ["table", "structured"])
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["analyze", "12"], "12 is not prime"),
-        (["analyze", "10000019"], "exceeds the context ceiling"),
-        (["analyze", "29", "--max-oracle-p", "100001"], "exceeds the oracle ceiling"),
-        (["analyze", "29", "--max-oracle-p", "-1"], "--max-oracle-p must be at least 0"),
-    ],
-)
-def test_analyze_refuses_before_its_first_byte(capsys, argv, message, fmt):
-    code, out, err = run(capsys, *argv, "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
 
 
 def test_analyze_writes_classes_before_it_has_made_them_all(monkeypatch):
@@ -843,25 +733,15 @@ def test_long_lists_are_derived_as_they_are_written(argv, exit_code, bound_mb):
     assert code == exit_code and peak_kb < bound_mb * 1024
 
 
-def test_sweep_ceiling_is_usage_error(capsys, monkeypatch):
+def test_sweep_ceiling_is_usage_error(capsys):
+    # the help states the bounds, which are taken; REFUSALS holds the values
+    # outside them
     help_text = " ".join(run(capsys, "construct", "--help")[1].split())  # unwrapped
     assert "(default 10, from 2 to 500)" in help_text
     assert congrua.MAX_SWEEP_M == 500
     code, doc, _ = run_json(capsys, "construct", "113", "--sweep-max-m", "2")
     assert code == 1 and doc["results"]["sweeps_tried"] == [[2, 1]]
     assert run(capsys, "construct", "61", "--sweep-max-m", "500")[0] == 0
-
-    def started(*args):
-        raise AssertionError("work started outside the sweep bounds")
-
-    monkeypatch.setattr(cli, "make_context", started)
-    for m in ("501", "1000", "1", "0", "-5"):
-        for p in ("113", "61"):
-            code, out, err = run(capsys, "construct", p, "--sweep-max-m", m)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"--sweep-max-m must be in [2, 500], got {m}" in err
 
 
 def _loaded_after(argv, watched):
@@ -1110,12 +990,13 @@ def test_structured_encoder_refuses_non_str_keys(value):
         "".join(cli._chunks(value, "\n"))
 
 
-# each class of residuum.errors and the exit code `main` gives it
+# each class of residuum.errors and the exit code that cli's docstring
+# gives it
 EXIT_OF = {
-    errors.ResiduumError: cli.EXIT_FAILURE,
-    errors.UsageError: cli.EXIT_USAGE,
-    errors.ParseError: cli.EXIT_INPUT,
-    errors.NotCovered: cli.EXIT_FAILURE,
+    errors.ResiduumError: 1,
+    errors.UsageError: 2,
+    errors.ParseError: 3,
+    errors.NotCovered: 1,
 }
 
 

@@ -160,7 +160,7 @@ READS_A_TABLE = {
     "construct_mod20": construct_mod20,
     "construct_mod24": construct_mod24,
     "construct": construct,
-    "sweep_congrua": sweep_congrua,
+    "sweep_congrua": lambda p: sweep_congrua(p, eligible_params()),
 }
 
 
@@ -296,7 +296,7 @@ def test_uncovered_list_matches_expected():
 
 
 def test_sweep_congrua_finds_candidates_for_uncovered_prime():
-    found = sweep_congrua(113)
+    found = sweep_congrua(113, eligible_params())
     assert found, "some small progression should map into F_113"
     runs = set(consecutive_triples(113))
     for m, n, t in found:
@@ -311,7 +311,7 @@ def test_sweep_congrua_finds_candidates_for_uncovered_prime():
     assert len(uncovered) == 9
     assert congruum_triple(3, 2) == SquareProgression(17, 13, 7)
     for p in uncovered:
-        assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(p)}, p
+        assert (3, 2) in {(m, n) for m, n, _ in sweep_congrua(p, eligible_params())}, p
 
 
 def test_sweep_refuses_m_above_its_ceiling():
@@ -320,5 +320,3 @@ def test_sweep_refuses_m_above_its_ceiling():
     for m_max in (MAX_SWEEP_M + 1, 4000):
         with pytest.raises(UsageError, match="exceeds the sweep ceiling"):
             eligible_params(m_max)
-        with pytest.raises(UsageError, match="exceeds the sweep ceiling"):
-            sweep_congrua(113, m_max)

@@ -53,7 +53,8 @@ import hashlib
 
 import pytest
 
-from residuum.cli import main
+from residuum import fp
+from residuum.cli import COMMANDS, main
 
 GOLDEN = {
     "search 1 2000 --workers 1": (0, "263ce6f33709447d313e517b763ef29afc70e94e7487ff63c6bf636be995cd47"),
@@ -138,13 +139,18 @@ VERIFY_FILES = {
     "root15.txt": (1, 4, 9, 16, 10**30, 25, 36, 49, 64),
 }
 
-# exit code and exact stderr of each refused command; stdout stays empty.
-# Exit 2 is a usage error, a value the command does not take, and exit 3 a
-# grid file that cannot be read. The entries were taken from the sources in
-# which each module raised its own error class and `main` listed the classes
-# that exit 2, so merging the classes is held to these codes and messages.
-# Refusals that argparse words are left out: its wording moves between
-# Python versions.
+# exit code and exact stderr of each refused command, in every form its
+# command takes; stdout stays empty, and no root table, sieve or process pool
+# is made. Exit 2 is a usage error, a value the command does not take, and
+# exit 3 a grid file that cannot be read. The first 27 entries were taken from
+# the sources in which each module raised its own error class and `main`
+# listed the classes that exit 2, so merging the classes is held to these
+# codes and messages; the rest from the sources in which `main` still named
+# each class's exit code itself, before the classes carried it. 2**89 - 1 is
+# a prime = 3 (mod 4) past the last Miller-Rabin bound, so its rows show that
+# the context ceiling is checked before any primality proof. Refusals that
+# argparse words are left out: its wording moves between Python versions.
+M89 = 2**89 - 1
 REFUSALS = {
     "analyze 0": (2, "error: 0 is not prime\n"),
     "analyze -1": (2, "error: -1 is not prime\n"),
@@ -173,6 +179,21 @@ REFUSALS = {
     "verify ten.txt": (3, "error: ten.txt:1:19: more than 9 values\n"),
     "verify eight.txt": (3, "error: eight.txt: expected 9 values, found 8\n"),
     "verify root15.txt": (2, "error: center root 1000000000000000 exceeds the factoring ceiling 100000000000000; a root with two large prime factors is trial-divided up to the smaller one\n"),
+    "analyze 12": (2, "error: 12 is not prime\n"),
+    "analyze 1000000009": (2, "error: p=1000000009 exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
+    f"analyze {M89}": (2, f"error: p={M89} exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
+    "construct 12": (2, "error: 12 is not prime\n"),
+    "construct 9999991": (2, "error: coverage is defined for p = 1 (mod 4), got 9999991\n"),
+    "construct 1000000009": (2, "error: p=1000000009 exceeds the context ceiling 10000000\n"),
+    f"construct {M89}": (2, f"error: p={M89} exceeds the context ceiling 10000000\n"),
+    "construct 61 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
+    "construct 113 --sweep-max-m 0": (2, "error: --sweep-max-m must be in [2, 500], got 0; the sweep tries about 0.2 * m^2 progressions\n"),
+    "construct 113 --sweep-max-m -5": (2, "error: --sweep-max-m must be in [2, 500], got -5; the sweep tries about 0.2 * m^2 progressions\n"),
+    "search 100000000000001 100000000000001": (2, "error: e_max 100000000000001 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 1 100000000000000000000": (2, "error: e_max 100000000000000000000 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 1 10 --near-miss-threshold -1": (2, "error: near-miss threshold counts lines of 8, so it must be in [0, 8], got -1\n"),
+    "search 1 10 --workers -3": (2, "error: worker count must be in [1, 64], got -3\n"),
+    "search 1 10 --workers 100000": (2, "error: worker count must be in [1, 64], got 100000\n"),
 }
 
 
@@ -197,10 +218,33 @@ def test_structured_output_is_pinned(capsys, tmp_path, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command", REFUSALS)
-def test_refusal_is_pinned(capsys, tmp_path, monkeypatch, command):
-    argv = command.split()
+def forms(command: str) -> tuple:
+    """The values that `command`'s --format option takes."""
+    (option,) = [o for o in COMMANDS[command][2] if o.name == "--format"]
+    return option.choices
+
+
+# each REFUSALS row in each form its command takes, named by the command line
+REFUSAL_RUNS = [
+    f"{command} --format {fmt}" for command in REFUSALS for fmt in forms(command.split()[0])
+]
+
+
+@pytest.mark.parametrize("run", REFUSAL_RUNS)
+def test_refusal_is_pinned(capsys, tmp_path, monkeypatch, pool_sizes, run):
+    command, _ = run.split(" --format ")
+    argv = run.split()
     if argv[0] == "verify":
         write_grid_file(tmp_path, monkeypatch, argv[1])
+
+    def sieved(n):
+        raise AssertionError(f"a refusal sieved the primes up to {n}")
+
+    monkeypatch.setattr(fp, "_prime_flags", sieved)
     code, err = REFUSALS[command]
+    fp.make_context.cache_clear()
+    fp._sieving_primes.cache_clear()
     assert (main(argv), *capsys.readouterr()) == (code, "", err)
+    assert fp.make_context.cache_info().currsize == 0
+    assert fp._sieving_primes.cache_info().currsize == 0
+    assert pool_sizes == []
