@@ -3,8 +3,14 @@ machine-readable output.
 
 Exit codes: 0 success, 1 domain failure (e.g. no construction reaches the
 requested prime), 2 usage error (including a modulus or flag above its
-ceiling), 3 input/parse error, 10 search hit, 141 (128 + SIGPIPE) when the
-reader closed stdout before the output was written.
+ceiling), 3 input/parse error (including a grid file past MAX_GRID_BYTES),
+10 search hit, 141 (128 + SIGPIPE) when the reader closed stdout before the
+output was written.
+
+`COMMANDS` is the one home of a command: its arguments, its `run_*`
+function and the renderer of each form but structured, from which its
+`--format` choices are made. The argparse parser, `_read_argv` and
+`_dispatch` all read it, and `_dispatch` names no command.
 
 Every refusal happens in every form, before any root table, sieve or process
 pool. Each form is then written in pieces as it is made: every long list is a
@@ -30,6 +36,7 @@ which tests and library callers run in-process, never freezes.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 from collections import namedtuple
@@ -49,7 +56,14 @@ from .congrua import (
     sweep_congrua,
 )
 from .errors import NotCovered, ParseError, ResiduumError, UsageError
-from .fp import MAX_CONTEXT_P, MAX_WORKERS, make_context, sqrt_mod, two_square_splits
+from .fp import (
+    MAX_CONTEXT_P,
+    MAX_WORKERS,
+    check_context_ceiling,
+    make_context,
+    sqrt_mod,
+    two_square_splits,
+)
 from .grid_ops import rows_of
 from .residue import (
     MAX_COUNT_P,
@@ -506,15 +520,24 @@ def _shown(token: str) -> str:
     return repr(token) if len(token) <= 20 else repr(token[:20]) + "..."
 
 
+# The most bytes a grid file holds: nine entries at the default digit limit
+# take under 40 KB, and an endless input, such as /dev/zero or a stream of
+# blank lines, is refused once it passes this.
+MAX_GRID_BYTES = 2**20
+
+
 def parse_square_file(path: str):
     """The IntGrid of 9 whitespace-separated nonnegative integers, row-major,
     each written in ASCII digits after at most one sign.
 
-    An entry has fewer digits than the interpreter's limit on converting
-    between int and str (`sys.get_int_max_str_digits()`, 4300 by default;
-    no bound where it sets none), so a line sum of three entries, which has
+    The file holds at most MAX_GRID_BYTES bytes; a longer one is refused
+    before any of it is parsed. An entry has fewer digits than the
+    interpreter's limit on converting between int and str
+    (`sys.get_int_max_str_digits()`, 4300 by default; no bound but the
+    file's where it sets none), so a line sum of three entries, which has
     at most one digit more, can still be printed. The text is UTF-8, with or
-    without a leading byte-order mark. '#' starts a comment;
+    without a leading byte-order mark, split into lines as a text-mode read
+    splits it, at universal newlines. '#' starts a comment;
     ParseError messages carry line and column, and a file that cannot be
     opened or read is a ParseError too.
     """
@@ -523,7 +546,13 @@ def parse_square_file(path: str):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = []
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_GRID_BYTES + 1)
+        if len(data) > MAX_GRID_BYTES:
+            raise ParseError(
+                f"{path}: longer than {MAX_GRID_BYTES} bytes, the most a grid file holds"
+            )
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 for column, token in _tokens(line.split("#", 1)[0]):
                     where = f"{path}:{lineno}:{column}"
@@ -693,8 +722,7 @@ def run_construct(p: int, sweep_max_m: int) -> tuple[OutputDocument, int]:
             f"--sweep-max-m must be in [2, {MAX_SWEEP_M}], got {sweep_max_m}; "
             "the sweep tries about 0.2 * m^2 progressions"
         )
-    if p > MAX_CONTEXT_P:
-        raise UsageError(f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}")
+    check_context_ceiling(p)
     status = coverage_status(p)
     root = make_context(p)
     parameters = {"p": p, "sweep_max_m": sweep_max_m}
@@ -788,11 +816,13 @@ def _render_construct(r: dict) -> Iterator[str]:
 
 
 def run_search(
-    e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int
+    e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int | None
 ) -> tuple[OutputDocument, int]:
-    """Every refusal is raised by the search; the report holds its grids, and
-    the `hits` and `near_misses` lists are LazyLists of them, each of the
-    grid shape."""
+    """The worker count is resolved first (see `_resolve_workers`), so a bad
+    RESIDUUM_THREADS is refused ahead of the range; every other refusal is
+    raised by the search. The report holds its grids, and the `hits` and
+    `near_misses` lists are LazyLists of them, each of the grid shape."""
+    workers = _resolve_workers(workers)
     from .search import search_msos
 
     report = search_msos(
@@ -846,26 +876,28 @@ def _render_search(r: dict) -> Iterator[str]:
 
 
 # The command line, one entry per command: its help, its positionals and its
-# options, each in the order of the help text. `build_parser` makes the
-# argparse parser from it and `_read_argv` reads well-formed calls with it,
-# so the two share every name, type, default and choice. An option of type
-# bool is an on/off flag with a `--no-` form; argparse's BooleanOptionalAction.
+# options, each in the order of the help text and of `run`'s parameters, its
+# `run_*` function and the renderer of each form but structured. `build_parser`,
+# `_read_argv` and `_dispatch` all read it, so they share every name, type,
+# default, choice and form. An option of type bool is an on/off flag with a
+# `--no-` form; argparse's BooleanOptionalAction.
 _Arg = namedtuple("_Arg", "name type help default choices", defaults=(None, None))
+_Command = namedtuple("_Command", "help positionals options run renderers")
+_FORM_HELP = {FORMAT_CSV: "csv for spreadsheets"}  # each form past table and structured
 
 
-def _format_option(csv_ok: bool = False) -> _Arg:
-    return _Arg(
-        "--format",
-        str,
-        "table (human-readable, default) or structured (deterministic JSON)"
-        + ("; csv for spreadsheets" if csv_ok else ""),
-        FORMAT_TABLE,
-        (FORMAT_TABLE, FORMAT_STRUCTURED) + ((FORMAT_CSV,) if csv_ok else ()),
-    )
+def _command(help_text, positionals, options, run, renderers) -> _Command:
+    """A COMMANDS entry, with --format last among its options: table, the
+    default, structured, then each other form of `renderers`."""
+    others = [f for f in renderers if f != FORMAT_TABLE]
+    text = "table (human-readable, default) or structured (deterministic JSON)"
+    text += "".join("; " + _FORM_HELP[f] for f in others)
+    form = _Arg("--format", str, text, FORMAT_TABLE, (FORMAT_TABLE, FORMAT_STRUCTURED, *others))
+    return _Command(help_text, positionals, [*options, form], run, renderers)
 
 
 COMMANDS = {
-    "analyze": (
+    "analyze": _command(
         "residue tables, canonical classes, bound and oracle for one prime",
         [_Arg("p", int, "prime modulus")],
         [
@@ -876,20 +908,25 @@ COMMANDS = {
                 f"(default 100, at most {MAX_COUNT_P})",
                 100,
             ),
-            _format_option(),
         ],
+        run_analyze,
+        {FORMAT_TABLE: _render_analyze},
     ),
-    "table": (
+    "table": _command(
         "per-prime summary rows up to a bound",
         [_Arg("max", int, "largest prime to include (>= 5)")],
-        [_format_option(csv_ok=True)],
+        [],
+        run_table,
+        {FORMAT_TABLE: _render_table, FORMAT_CSV: _render_table_csv},
     ),
-    "verify": (
+    "verify": _command(
         "check a candidate grid from a file",
         [_Arg("path", str, "file with 9 whitespace-separated nonnegative integers")],
-        [_format_option()],
+        [],
+        run_verify,
+        {FORMAT_TABLE: _render_verify},
     ),
-    "construct": (
+    "construct": _command(
         "build a nontrivial residue class for a prime, showing the chain",
         [_Arg("p", int, "prime = 1 (mod 4)")],
         [
@@ -900,10 +937,11 @@ COMMANDS = {
                 f"(default 10, from 2 to {MAX_SWEEP_M})",
                 10,
             ),
-            _format_option(),
         ],
+        run_construct,
+        {FORMAT_TABLE: _render_construct},
     ),
-    "search": (
+    "search": _command(
         "exhaustive integer search over center roots",
         [_Arg("e_min", int, None), _Arg("e_max", int, None)],
         [
@@ -926,8 +964,9 @@ COMMANDS = {
                 f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
                 "or one per usable CPU",
             ),
-            _format_option(),
         ],
+        run_search,
+        {FORMAT_TABLE: _render_search},
     ),
 }
 
@@ -943,11 +982,11 @@ def build_parser():
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (help_text, positionals, options) in COMMANDS.items():
-        parser = sub.add_parser(command, help=help_text)
-        for a in positionals:
+    for name, command in COMMANDS.items():
+        parser = sub.add_parser(name, help=command.help)
+        for a in command.positionals:
             parser.add_argument(a.name, type=a.type, help=a.help)
-        for o in options:
+        for o in command.options:
             if o.type is bool:
                 parser.add_argument(
                     o.name, action=argparse.BooleanOptionalAction, default=o.default, help=o.help
@@ -959,8 +998,8 @@ def build_parser():
     return ap
 
 
-def _dest(option: _Arg) -> str:
-    return option.name[2:].replace("-", "_")
+def _dest(arg: _Arg) -> str:
+    return arg.name.lstrip("-").replace("-", "_")
 
 
 def _is_value(token: str) -> bool:
@@ -995,10 +1034,10 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         return SimpleNamespace(command=None)
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, positionals, options = COMMANDS[argv[0]]
-    flags = {o.name: o for o in options}
-    flags.update({"--no-" + o.name[2:]: o for o in options if o.type is bool})
-    values = {_dest(o): o.default for o in options}
+    command = COMMANDS[argv[0]]
+    flags = {o.name: o for o in command.options}
+    flags.update({"--no-" + o.name[2:]: o for o in command.options if o.type is bool})
+    values = {_dest(o): o.default for o in command.options}
     free = []
     tokens = iter(argv[1:])
     try:
@@ -1016,9 +1055,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             if value is None or not _is_value(value):
                 return None
             values[_dest(option)] = _convert(option, value)
-        if len(free) != len(positionals):
+        if len(free) != len(command.positionals):
             return None
-        for a, token in zip(positionals, free):
+        for a, token in zip(command.positionals, free):
             values[a.name] = _convert(a, token)
     except ValueError:
         return None
@@ -1041,37 +1080,20 @@ def _resolve_workers(requested: int | None) -> int:
         raise UsageError(f"RESIDUUM_THREADS must be an integer, got {env!r}") from None
 
 
-def _emit(doc: OutputDocument, fmt: str, renderer) -> None:
-    """Write the document to stdout in the pieces its structured form or
-    `renderer` yields."""
-    sys.stdout.writelines(doc.chunks() if fmt == FORMAT_STRUCTURED else renderer(doc.results))
-
-
 def _dispatch(args) -> int:
-    if args.command == "analyze":
-        doc = run_analyze(args.p, args.max_oracle_p)
-        _emit(doc, args.format, _render_analyze)
-        return EXIT_OK
-    if args.command == "table":
-        doc = run_table(args.max)
-        _emit(doc, args.format, _render_table_csv if args.format == FORMAT_CSV else _render_table)
-        return EXIT_OK
-    if args.command == "verify":
-        doc = run_verify(args.path)
-        _emit(doc, args.format, _render_verify)
-        return EXIT_OK
-    if args.command == "construct":
-        doc, code = run_construct(args.p, args.sweep_max_m)
-        _emit(doc, args.format, _render_construct)
-        return code
-    if args.command == "search":
-        workers = _resolve_workers(args.workers)
-        doc, code = run_search(
-            args.e_min, args.e_max, args.primitive_only, args.near_miss_threshold, workers
-        )
-        _emit(doc, args.format, _render_search)
-        return code
-    raise AssertionError(f"unhandled command {args.command}")
+    """Run `args.command` on its values in table order, write the form that
+    `args.format` names and return the exit code."""
+    command = COMMANDS[args.command]
+    # every option but --format, the last, is a parameter of `run`
+    values = [getattr(args, _dest(a)) for a in command.positionals + command.options[:-1]]
+    out = command.run(*values)
+    # an OutputDocument is a tuple subclass, not a tuple
+    doc, code = out if type(out) is tuple else (out, EXIT_OK)
+    if args.format == FORMAT_STRUCTURED:
+        sys.stdout.writelines(doc.chunks())
+    else:
+        sys.stdout.writelines(command.renderers[args.format](doc.results))
+    return code
 
 
 def main(argv=None) -> int:

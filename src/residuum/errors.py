@@ -6,7 +6,9 @@ that it ends, so the class alone decides that code.
   a value that is not a square mod p or a grid that is not magic. Exit 1.
 - `UsageError`: an argument the command does not take, such as a p that is
   not prime, is of the wrong form mod 4, or is past a ceiling. Exit 2.
-- `ParseError`: a grid file that cannot be read. Exit 3.
+- `ParseError`: a grid file that cannot be read, including one longer than
+  `cli.MAX_GRID_BYTES` (1 MiB), which `verify` refuses before parsing it.
+  Exit 3.
 - `NotCovered`: a prime that a construction route does not reach, or a
   progression that does not map into the squares mod p; `construct` and the
   progression sweep catch it and report the prime as uncovered.

@@ -265,6 +265,17 @@ def two_squares(p: int) -> tuple[int, int]:
     return (y, z) if y % 2 else (z, y)
 
 
+def check_context_ceiling(p: int) -> None:
+    """UsageError for a p above MAX_CONTEXT_P, checked before any primality
+    proof: a p past the last Miller-Rabin bound is refused as too large, not
+    as unproven."""
+    if p > MAX_CONTEXT_P:
+        raise UsageError(
+            f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
+            "a context holds a root table of p entries"
+        )
+
+
 @lru_cache(maxsize=1)
 def make_context(p: int) -> memoryview:
     """The root table of a prime modulus p, read-only, memoized for the most
@@ -279,11 +290,7 @@ def make_context(p: int) -> memoryview:
     over x = 1..p//2 fills it. A write to it raises TypeError, so no caller
     changes what later calls read.
     """
-    if p > MAX_CONTEXT_P:
-        raise UsageError(
-            f"p={p} exceeds the context ceiling {MAX_CONTEXT_P}; "
-            "a context holds a root table of p entries"
-        )
+    check_context_ceiling(p)
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     root = array("I", [0]) * p

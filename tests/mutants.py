@@ -420,6 +420,53 @@ MUTANTS = (
             "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p 100001 --format structured]",
         ),
     ),
+    # construct leaves the context ceiling to make_context, so a p past it
+    # meets coverage_status's primality proof first
+    Mutant(
+        "construct_drops_the_context_ceiling",
+        "cli.py",
+        "    check_context_ceiling(p)\n    status = coverage_status(p)\n",
+        "    status = coverage_status(p)\n",
+        (
+            f"tests/test_golden.py::test_refusal_is_pinned[construct {10**30} --format table]",
+            f"tests/test_golden.py::test_refusal_is_pinned[construct {10**30} --format structured]",
+            f"tests/test_golden.py::test_refusal_is_pinned[construct {2**89 - 1} --format table]",
+            f"tests/test_golden.py::test_refusal_is_pinned[construct {2**89 - 1} --format structured]",
+        ),
+    ),
+    # verify reads its input to the end, so /dev/zero runs out of memory and
+    # an endless stream of blank lines never ends
+    Mutant(
+        "verify_reads_without_a_bound",
+        "cli.py",
+        "            data = fh.read(MAX_GRID_BYTES + 1)\n        if len(data) > MAX_GRID_BYTES:\n",
+        "            data = fh.read()\n        if False:\n",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned[verify oversized.txt --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[verify oversized.txt --format structured]",
+            "tests/test_cli.py::test_verify_refuses_an_endless_input",
+        ),
+    ),
+    # table's entry gives the human form the csv renderer, and csv the human
+    Mutant(
+        "table_renderers_swapped",
+        "cli.py",
+        "{FORMAT_TABLE: _render_table, FORMAT_CSV: _render_table_csv}",
+        "{FORMAT_TABLE: _render_table_csv, FORMAT_CSV: _render_table}",
+        (
+            "tests/test_golden.py::test_structured_output_is_pinned[table 10000 --format csv]",
+            "tests/test_golden.py::test_structured_output_is_pinned[table 10000 --format table]",
+        ),
+    ),
+    # search leaves the worker count unresolved, so a RESIDUUM_THREADS that
+    # is no integer is not refused
+    Mutant(
+        "search_skips_resolving_workers",
+        "cli.py",
+        "    workers = _resolve_workers(workers)\n",
+        "",
+        ("tests/test_cli.py::test_search_refuses_bad_settings[abc]",),
+    ),
     # the progression sweep passes over usage errors, not the progressions
     # that miss F_p, so a composite p reads as no progression mapping in and
     # a miss ends `construct` for an uncovered prime

@@ -441,6 +441,33 @@ def test_verify_center_root_ceiling(tmp_path, capsys):
     assert elapsed < 2
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero, yes and RLIMIT_AS")
+def test_verify_refuses_an_endless_input():
+    # /dev/zero and an endless stream of blank lines, each read in a child
+    # whose address space is held to 400 MB: each is refused at the byte
+    # bound, where an unbounded read would run out of memory or of time
+    src = Path(residuum.__file__).resolve().parents[1]
+    limited = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+        "from residuum.cli import entry; sys.exit(entry())"
+    )
+
+    def verify(path, stdin=None):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", limited, "verify", path],
+            cwd=src, stdin=stdin, capture_output=True, text=True, timeout=10,
+        )
+        bound = f"longer than {cli.MAX_GRID_BYTES} bytes, the most a grid file holds"
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {path}: {bound}\n")
+
+    verify("/dev/zero")
+    with subprocess.Popen(["yes", ""], stdout=subprocess.PIPE) as blank:
+        try:
+            verify("/dev/stdin", blank.stdout)
+        finally:
+            blank.kill()
+
+
 def test_verify_path_with_an_undecodable_byte(tmp_path):
     # a strict stdout cannot write the name's lone surrogate, so the human
     # form escapes it as the error lines on stderr do
@@ -1035,7 +1062,7 @@ JUNK_TOKENS = [
 VOCABULARY = sorted(
     {*cli.COMMANDS, *INT_TOKENS, *PATH_TOKENS, *JUNK_TOKENS, "table", "structured", "csv",
      "--no-primitive-only"}
-    | {o.name for _, _, options in cli.COMMANDS.values() for o in options}
+    | {o.name for command in cli.COMMANDS.values() for o in command.options}
 )
 
 
@@ -1053,7 +1080,7 @@ def argv_forms(draw):
         return token
 
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    _, positionals, options = cli.COMMANDS[command]
+    positionals, options = cli.COMMANDS[command].positionals, cli.COMMANDS[command].options
     groups = [[value(INT_TOKENS if a.type is int else PATH_TOKENS)] for a in positionals]
     for o in draw(st.lists(st.sampled_from(options), max_size=4)):
         if o.type is bool:

@@ -45,7 +45,11 @@ mid-edge, nontrivial and corner kinds and the note for parities outside the
 four patterns; they were taken from the sources in which `verify` still
 tested the center of each class mod q for zero and asked `intgrid` for the
 all-even center line, before those verdicts were read from what it already
-held, so that change is held to that output. A change that alters output on
+held, so that change is held to that output. The `table 10000 --format
+table` hash pins `table`'s human form; it was taken from the sources in which
+`_dispatch` still picked each command's renderer in a branch of its own,
+before each `COMMANDS` entry carried its renderers, so the table of forms is
+held to that output. Every form of every command has a pin. A change that alters output on
 purpose updates the hash and says why.
 """
 
@@ -54,7 +58,7 @@ import hashlib
 import pytest
 
 from residuum import fp
-from residuum.cli import COMMANDS, main
+from residuum.cli import COMMANDS, FORMAT_STRUCTURED, main
 
 GOLDEN = {
     "search 1 2000 --workers 1": (0, "263ce6f33709447d313e517b763ef29afc70e94e7487ff63c6bf636be995cd47"),
@@ -73,6 +77,7 @@ GOLDEN = {
     "search 99999999999980 99999999999990 --near-miss-threshold 4 --workers 1": (0, "e6fe46647afb1adf028872abb8627529c69367ad20e16d21fe315bf62ea6d758"),
     "table 10000 --format csv": (0, "b494623aa086f57515111119f609a26dc5eb1dd5388ae9608a5052dc4cb33817"),
     "table 10000": (0, "a4575af9a2fcb9add86d604fa9f09968cbbeff77974766942ca8394f74ae4d73"),
+    "table 10000 --format table": (0, "b5cadafd0fe94b9465e718a419d0059102c5e12817ef6267ca999bafdc90b54f"),
     "construct 13": (1, "0d779f49cf01b5463114cc01365c4d3fbf653830b029185985d4bad55a47f980"),
     "construct 29": (0, "27dd531ad0fd062d1690e76d129c4106becf6f9b38015367c7ab61816323d250"),
     "construct 61": (0, "c5623c73f1b9ce4c4f59ffe49e5c70bb53566ec7ccb670ed334d87ddc9cdcdec"),
@@ -131,12 +136,14 @@ VERIFY_FILES = {
     # even center, and parities that are none of the four patterns
     "noparity.txt": (4, 1, 1, 1, 4, 1, 1, 1, 1),
     # refused: a token that is not an integer, a negative entry, ten values,
-    # eight values, and a center root of 10**15, past the factoring ceiling
+    # eight values, a center root of 10**15, past the factoring ceiling, and
+    # 2**20 + 2 bytes, past the bound on what verify reads
     "nonint.txt": (1, 4, 9, 16, "x", 36, 49, 64, 81),
     "negative.txt": (1, 4, 9, 16, -25, 36, 49, 64, 81),
     "ten.txt": tuple(range(10)),
     "eight.txt": tuple(range(8)),
     "root15.txt": (1, 4, 9, 16, 10**30, 25, 36, 49, 64),
+    "oversized.txt": (0,) * (2**19 + 1),
 }
 
 # exit code and exact stderr of each refused command, in every form its
@@ -148,7 +155,9 @@ VERIFY_FILES = {
 # codes and messages; the rest from the sources in which `main` still named
 # each class's exit code itself, before the classes carried it. 2**89 - 1 is
 # a prime = 3 (mod 4) past the last Miller-Rabin bound, so its rows show that
-# the context ceiling is checked before any primality proof. Refusals that
+# the context ceiling is checked before any primality proof. The three
+# `construct` rows at that ceiling were re-pinned to `make_context`'s wording
+# when `construct` came to share its one check. Refusals that
 # argparse words are left out: its wording moves between Python versions.
 M89 = 2**89 - 1
 REFUSALS = {
@@ -164,7 +173,7 @@ REFUSALS = {
     "construct 7": (2, "error: coverage is defined for p = 1 (mod 4), got 7\n"),
     "construct 15": (2, "error: 15 is not prime\n"),
     "construct 1000003": (2, "error: coverage is defined for p = 1 (mod 4), got 1000003\n"),
-    f"construct {10**30}": (2, f"error: p={10**30} exceeds the context ceiling 10000000\n"),
+    f"construct {10**30}": (2, f"error: p={10**30} exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
     "construct 113 --sweep-max-m 1": (2, "error: --sweep-max-m must be in [2, 500], got 1; the sweep tries about 0.2 * m^2 progressions\n"),
     "construct 113 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
     "search 0 5": (2, "error: need 1 <= e_min <= e_max, got [0, 5]\n"),
@@ -184,8 +193,8 @@ REFUSALS = {
     f"analyze {M89}": (2, f"error: p={M89} exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
     "construct 12": (2, "error: 12 is not prime\n"),
     "construct 9999991": (2, "error: coverage is defined for p = 1 (mod 4), got 9999991\n"),
-    "construct 1000000009": (2, "error: p=1000000009 exceeds the context ceiling 10000000\n"),
-    f"construct {M89}": (2, f"error: p={M89} exceeds the context ceiling 10000000\n"),
+    "construct 1000000009": (2, "error: p=1000000009 exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
+    f"construct {M89}": (2, f"error: p={M89} exceeds the context ceiling 10000000; a context holds a root table of p entries\n"),
     "construct 61 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
     "construct 113 --sweep-max-m 0": (2, "error: --sweep-max-m must be in [2, 500], got 0; the sweep tries about 0.2 * m^2 progressions\n"),
     "construct 113 --sweep-max-m -5": (2, "error: --sweep-max-m must be in [2, 500], got -5; the sweep tries about 0.2 * m^2 progressions\n"),
@@ -194,6 +203,7 @@ REFUSALS = {
     "search 1 10 --near-miss-threshold -1": (2, "error: near-miss threshold counts lines of 8, so it must be in [0, 8], got -1\n"),
     "search 1 10 --workers -3": (2, "error: worker count must be in [1, 64], got -3\n"),
     "search 1 10 --workers 100000": (2, "error: worker count must be in [1, 64], got 100000\n"),
+    "verify oversized.txt": (3, "error: oversized.txt: longer than 1048576 bytes, the most a grid file holds\n"),
 }
 
 
@@ -220,8 +230,17 @@ def test_structured_output_is_pinned(capsys, tmp_path, monkeypatch, command):
 
 def forms(command: str) -> tuple:
     """The values that `command`'s --format option takes."""
-    (option,) = [o for o in COMMANDS[command][2] if o.name == "--format"]
+    (option,) = [o for o in COMMANDS[command].options if o.name == "--format"]
     return option.choices
+
+
+def test_every_form_of_every_command_is_pinned():
+    pinned = set()
+    for command in GOLDEN:
+        argv = command.split()
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else FORMAT_STRUCTURED
+        pinned.add((argv[0], fmt))
+    assert pinned == {(command, fmt) for command in COMMANDS for fmt in forms(command)}
 
 
 # each REFUSALS row in each form its command takes, named by the command line
