@@ -1,5 +1,6 @@
 """Command-line surface: batch commands over the library with deterministic
-machine-readable output.
+machine-readable output. A call's whole input is its command line and the
+grid file `verify` reads.
 
 Exit codes: 0 success, 1 domain failure (e.g. no construction reaches the
 requested prime), 2 usage error (including a modulus or flag above its
@@ -818,11 +819,10 @@ def _render_construct(r: dict) -> Iterator[str]:
 def run_search(
     e_min: int, e_max: int, primitive_only: bool, threshold: int, workers: int | None
 ) -> tuple[OutputDocument, int]:
-    """The worker count is resolved first (see `_resolve_workers`), so a bad
-    RESIDUUM_THREADS is refused ahead of the range; every other refusal is
-    raised by the search. The report holds its grids, and the `hits` and
-    `near_misses` lists are LazyLists of them, each of the grid shape."""
-    workers = _resolve_workers(workers)
+    """Every refusal is raised by the search; `workers` None is one per
+    usable CPU (`_default_workers`). The report holds its grids, and the
+    `hits` and `near_misses` lists are LazyLists of them, each of the grid
+    shape."""
     from .search import search_msos
 
     report = search_msos(
@@ -830,7 +830,7 @@ def run_search(
         e_max,
         primitive_only,
         near_miss_threshold=threshold,
-        workers=workers,
+        workers=_default_workers() if workers is None else workers,
     )
     parameters = {
         "e_min": e_min,
@@ -961,8 +961,7 @@ COMMANDS = {
             _Arg(
                 "--workers",
                 int,
-                f"worker processes, at most {MAX_WORKERS}; defaults to RESIDUUM_THREADS "
-                "or one per usable CPU",
+                f"worker processes, at most {MAX_WORKERS}; defaults to one per usable CPU",
             ),
         ],
         run_search,
@@ -1064,20 +1063,12 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _resolve_workers(requested: int | None) -> int:
-    """Where the worker count comes from; `search_msos` checks its range."""
-    if requested is not None:
-        return requested
-    env = os.environ.get("RESIDUUM_THREADS")
-    if not env:
-        # the CPUs this process may run on, where the platform can say
-        if hasattr(os, "sched_getaffinity"):
-            return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
-        return min(os.cpu_count() or 1, MAX_WORKERS)
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"RESIDUUM_THREADS must be an integer, got {env!r}") from None
+def _default_workers() -> int:
+    """`search`'s worker count without --workers: the CPUs this process may
+    run on, where the platform can say, else the host's, at most MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _dispatch(args) -> int:

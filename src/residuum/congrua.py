@@ -84,14 +84,11 @@ def construct_mod20(p: int) -> UnitTriple:
 
 
 def construct_mod24(p: int) -> UnitTriple:
-    """Unit triple for p = 1 or 5 (mod 24), p != 5, via MOD24_PROGRESSION.
-    The triple constructor asserts the unit relations, so a successful
-    return is itself the verification."""
-    if p == 5:
-        raise NotCovered("5 divides a term of (7, 5, 1); no construction exists")
+    """Unit triple for p = 1 or 5 (mod 24) via MOD24_PROGRESSION; 5 divides
+    its term 5, so it raises NotCovered. The triple constructor asserts the
+    unit relations, so a successful return is itself the verification."""
     if p % 24 not in (1, 5):
         raise NotCovered(f"{p} is not 1 or 5 (mod 24)")
-    # p | 7*5*1 is impossible here: 7 = 3 (mod 4) and 5 was excluded above
     return ap_to_unit_triple(MOD24_PROGRESSION, p)
 
 

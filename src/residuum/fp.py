@@ -265,6 +265,16 @@ def two_squares(p: int) -> tuple[int, int]:
     return (y, z) if y % 2 else (z, y)
 
 
+def check_center_ceiling(e: int) -> None:
+    """UsageError for a center root above MAX_CENTER_ROOT, checked before any
+    factoring."""
+    if e > MAX_CENTER_ROOT:
+        raise UsageError(
+            f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
+            "a root with two large prime factors is trial-divided up to the smaller one"
+        )
+
+
 def check_context_ceiling(p: int) -> None:
     """UsageError for a p above MAX_CONTEXT_P, checked before any primality
     proof: a p past the last Miller-Rabin bound is refused as too large, not

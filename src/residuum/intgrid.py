@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from .errors import ResiduumError, UsageError
-from .fp import MAX_CENTER_ROOT, factorize
+from .fp import check_center_ceiling, factorize
 from .grid_ops import CENTER, LINES, rows_of
 
 ADMISSIBLE = "admissible"
@@ -87,11 +87,7 @@ def admissible_center_check(e: int) -> CenterReport:
     q = 1 (mod 4) are admissible in a primitive grid."""
     if e < 1:
         raise UsageError(f"center root must be positive, got {e}")
-    if e > MAX_CENTER_ROOT:
-        raise UsageError(
-            f"center root {e} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-            "a root with two large prime factors is trial-divided up to the smaller one"
-        )
+    check_center_ceiling(e)
     verdicts = tuple(
         (q, ADMISSIBLE if q == 2 or q % 4 == 1 else INADMISSIBLE)
         for q in sorted(factorize(e))

@@ -14,9 +14,8 @@ from math import comb, prod
 
 from .errors import UsageError
 from .fp import (
-    BLOCK_SIEVE_BOUND,
-    MAX_CENTER_ROOT,
     MAX_WORKERS,
+    check_center_ceiling,
     factorize,
     factorize_block,
     prime_factors,
@@ -194,12 +193,7 @@ def search_msos(
     """
     if e_min < 1 or e_min > e_max:
         raise UsageError(f"need 1 <= e_min <= e_max, got [{e_min}, {e_max}]")
-    if e_max > MAX_CENTER_ROOT:
-        raise UsageError(
-            f"e_max {e_max} exceeds the factoring ceiling {MAX_CENTER_ROOT}; "
-            f"past the sieve's primes below {BLOCK_SIEVE_BOUND}, a center with "
-            "two large prime factors is trial-divided up to the smaller one"
-        )
+    check_center_ceiling(e_max)
     if not 0 <= near_miss_threshold <= 8:
         raise UsageError(
             f"near-miss threshold counts lines of 8, so it must be in [0, 8], "

@@ -418,6 +418,8 @@ MUTANTS = (
             "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p -1 --format structured]",
             "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p 100001 --format table]",
             "tests/test_golden.py::test_refusal_is_pinned[analyze 13 --max-oracle-p 100001 --format structured]",
+            "tests/test_boundaries.py::"
+            "test_every_boundary_value_exits_with_a_documented_code[analyze 13 --max-oracle-p V]",
         ),
     ),
     # construct leaves the context ceiling to make_context, so a p past it
@@ -458,14 +460,29 @@ MUTANTS = (
             "tests/test_golden.py::test_structured_output_is_pinned[table 10000 --format table]",
         ),
     ),
-    # search leaves the worker count unresolved, so a RESIDUUM_THREADS that
-    # is no integer is not refused
+    # search's default worker count ignores the CPU affinity set, so
+    # `taskset -c 0` on a many-core host still starts a worker per core
     Mutant(
-        "search_skips_resolving_workers",
+        "default_workers_ignore_affinity",
         "cli.py",
-        "    workers = _resolve_workers(workers)\n",
+        "    if hasattr(os, \"sched_getaffinity\"):\n"
+        "        return min(len(os.sched_getaffinity(0)), MAX_WORKERS)\n",
         "",
-        ("tests/test_cli.py::test_search_refuses_bad_settings[abc]",),
+        ("tests/test_cli.py::test_default_worker_count_follows_cpu_affinity",),
+    ),
+    # search leaves the factoring ceiling unchecked, so a center root past it
+    # is factored and searched
+    Mutant(
+        "search_skips_the_center_ceiling",
+        "search.py",
+        "    check_center_ceiling(e_max)\n",
+        "",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned"
+            "[search 100000000000001 100000000000001 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned"
+            "[search 100000000000001 100000000000001 --format structured]",
+        ),
     ),
     # the progression sweep passes over usage errors, not the progressions
     # that miss F_p, so a composite p reads as no progression mapping in and

@@ -417,8 +417,9 @@ def test_tokens_match_the_regex(text):
 
 
 def test_verify_center_root_ceiling(tmp_path, capsys):
-    # one ceiling, beside the trial division it bounds, for search and verify
-    assert fp.MAX_CENTER_ROOT is search.MAX_CENTER_ROOT == 10**14
+    # one ceiling, beside the trial division it bounds, and one check of it,
+    # `fp.check_center_ceiling`, for search and verify
+    assert fp.MAX_CENTER_ROOT == 10**14
     for e, code in ((10**14, 0), (10**14 + 1, 2)):
         f = tmp_path / f"center{e}.txt"
         f.write_text(f"1 1 1\n1 {e * e} 1\n1 1 1\n")
@@ -548,20 +549,10 @@ def test_construct_113_not_covered_but_sweep_finds_candidates(capsys):
     assert r["sweeps_successful"]
 
 
-def test_search_cli(capsys, monkeypatch):
-    monkeypatch.setenv("RESIDUUM_THREADS", "1")
-    code, doc, _ = run_json(capsys, "search", "21", "21")
+def test_search_cli(capsys):
+    code, doc, _ = run_json(capsys, "search", "21", "21", "--workers", "1")
     assert code == 0
     assert doc["results"]["pruned_centers"] == 1
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "65", "100000"])
-def test_search_refuses_bad_settings(capsys, monkeypatch, pool_sizes, threads):
-    monkeypatch.setenv("RESIDUUM_THREADS", threads)
-    code, out, err = run(capsys, "search", "1", "10")
-    assert code == 2
-    assert out == "" and pool_sizes == []
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_center_root_ceiling(capsys):
@@ -569,10 +560,11 @@ def test_search_center_root_ceiling(capsys):
     assert run(capsys, "search", str(10**14), str(10**14), "--workers", "1")[0] == 0
 
 
-@pytest.mark.parametrize("threads, extra", [("1", ["--workers", "64"]), ("64", [])])
-def test_search_takes_workers_up_to_the_ceiling(capsys, monkeypatch, pool_sizes, threads, extra):
+@pytest.mark.parametrize("cpus, extra", [(1, ["--workers", "64"]), (100, [])])
+def test_search_takes_workers_up_to_the_ceiling(capsys, monkeypatch, pool_sizes, cpus, extra):
+    # the flag's ceiling, and the default's cap on a host of 100 usable CPUs
     assert cli.MAX_WORKERS == 64
-    monkeypatch.setenv("RESIDUUM_THREADS", threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert run(capsys, "search", "1", "10", *extra)[0] == 0
     # two blocks of centers, so a pool of two whatever the count asked
     assert pool_sizes == [2]
@@ -580,34 +572,32 @@ def test_search_takes_workers_up_to_the_ceiling(capsys, monkeypatch, pool_sizes,
 
 def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     # `taskset -c 0` leaves one usable CPU on a many-core host
-    monkeypatch.delenv("RESIDUUM_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli._resolve_workers(None) == 1
+    assert cli._default_workers() == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
-    assert cli._resolve_workers(None) == cli.MAX_WORKERS
-    assert cli._resolve_workers(3) == 3
+    assert cli._default_workers() == cli.MAX_WORKERS
     # without an affinity call, the host's count, or 1 when it is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._resolve_workers(None) == 8
+    assert cli._default_workers() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._resolve_workers(None) == 1
+    assert cli._default_workers() == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 100)
-    assert cli._resolve_workers(None) == cli.MAX_WORKERS
+    assert cli._default_workers() == cli.MAX_WORKERS
 
 
 def test_search_output_is_independent_of_the_worker_count(capsys, monkeypatch, pool_sizes):
     # the count is an execution setting, like --format: no form records it
     argv = ["search", "60", "600", "--no-primitive-only", "--near-miss-threshold", "0"]
+    # each count from the flag, then the default on 1 and on 5 usable CPUs
     sources = [(None, ["--workers", n]) for n in ("1", "2", "3")]
-    sources += [(threads, []) for threads in (None, "1", "5")]
+    sources += [(cpus, []) for cpus in (1, 5)]
     for fmt in ("structured", "table"):
         outputs = set()
-        for threads, extra in sources:
-            if threads is None:
-                monkeypatch.delenv("RESIDUUM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("RESIDUUM_THREADS", threads)
+        for cpus, extra in sources:
+            if cpus is not None:
+                affinity = set(range(cpus))
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
             code, out, err = run(capsys, *argv, *extra, "--format", fmt)
             assert (code, err) == (0, "")
             outputs.add(out)
@@ -623,14 +613,12 @@ def test_search_exit_code_on_hit(capsys, monkeypatch):
         near_misses=(),
     )
     monkeypatch.setattr(search, "search_msos", lambda *a, **k: fake)
-    monkeypatch.setenv("RESIDUUM_THREADS", "1")
     code, out, err = run(capsys, "search", "1", "1")
     assert code == 10
     assert "HIT" in out
 
 
-def test_structured_output_round_trips(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RESIDUUM_THREADS", "1")
+def test_structured_output_round_trips(capsys, tmp_path, pool_sizes):
     f = tmp_path / "grid.txt"
     f.write_text("4 9 2\n3 5 7\n8 1 6\n")
     for argv in (
@@ -1161,9 +1149,10 @@ PARITY_ARGV = [
 
 
 @pytest.mark.parametrize("argv, read", PARITY_ARGV, ids=[" ".join(a) for a, _ in PARITY_ARGV])
-def test_reader_and_argparse_write_the_same(capsys, tmp_path, monkeypatch, argv, read):
+def test_reader_and_argparse_write_the_same(
+    capsys, tmp_path, monkeypatch, pool_sizes, argv, read
+):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("RESIDUUM_THREADS", "1")
     for name, cells in VERIFY_FILES.items():
         (tmp_path / name).write_text(" ".join(map(str, cells)) + "\n")
     assert (cli._read_argv(argv) is not None) == read

@@ -49,7 +49,10 @@ held, so that change is held to that output. The `table 10000 --format
 table` hash pins `table`'s human form; it was taken from the sources in which
 `_dispatch` still picked each command's renderer in a branch of its own,
 before each `COMMANDS` entry carried its renderers, so the table of forms is
-held to that output. Every form of every command has a pin. A change that alters output on
+held to that output. The two `construct 5` hashes were taken from the
+sources in which `construct_mod24` still refused 5 itself, before
+`ap_to_unit_triple`'s test of the terms did, so that test is held to that
+output. Every form of every command has a pin. A change that alters output on
 purpose updates the hash and says why.
 """
 
@@ -78,6 +81,8 @@ GOLDEN = {
     "table 10000 --format csv": (0, "b494623aa086f57515111119f609a26dc5eb1dd5388ae9608a5052dc4cb33817"),
     "table 10000": (0, "a4575af9a2fcb9add86d604fa9f09968cbbeff77974766942ca8394f74ae4d73"),
     "table 10000 --format table": (0, "b5cadafd0fe94b9465e718a419d0059102c5e12817ef6267ca999bafdc90b54f"),
+    "construct 5": (1, "bc3aa52b305bb0dc05b5edd8c80023e5339e459a5233bf002d916159c5566c7b"),
+    "construct 5 --format table": (1, "ff9f4632ff1314d7c9bd5c5c5c4ebcb16fd7d19869bc9f408c2a01730510ca18"),
     "construct 13": (1, "0d779f49cf01b5463114cc01365c4d3fbf653830b029185985d4bad55a47f980"),
     "construct 29": (0, "27dd531ad0fd062d1690e76d129c4106becf6f9b38015367c7ab61816323d250"),
     "construct 61": (0, "c5623c73f1b9ce4c4f59ffe49e5c70bb53566ec7ccb670ed334d87ddc9cdcdec"),
@@ -157,8 +162,10 @@ VERIFY_FILES = {
 # a prime = 3 (mod 4) past the last Miller-Rabin bound, so its rows show that
 # the context ceiling is checked before any primality proof. The three
 # `construct` rows at that ceiling were re-pinned to `make_context`'s wording
-# when `construct` came to share its one check. Refusals that
-# argparse words are left out: its wording moves between Python versions.
+# when `construct` came to share its one check, and the three `search` rows
+# past the factoring ceiling to `verify`'s wording when `search` came to share
+# its one check, `fp.check_center_ceiling`. Refusals that argparse words are
+# left out: its wording moves between Python versions.
 M89 = 2**89 - 1
 REFUSALS = {
     "analyze 0": (2, "error: 0 is not prime\n"),
@@ -178,7 +185,7 @@ REFUSALS = {
     "construct 113 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
     "search 0 5": (2, "error: need 1 <= e_min <= e_max, got [0, 5]\n"),
     "search 5 4": (2, "error: need 1 <= e_min <= e_max, got [5, 4]\n"),
-    "search 1 100000000000001": (2, "error: e_max 100000000000001 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 1 100000000000001": (2, "error: center root 100000000000001 exceeds the factoring ceiling 100000000000000; a root with two large prime factors is trial-divided up to the smaller one\n"),
     "search 1 100 --near-miss-threshold 9": (2, "error: near-miss threshold counts lines of 8, so it must be in [0, 8], got 9\n"),
     "search 1 100 --workers 0": (2, "error: worker count must be in [1, 64], got 0\n"),
     "search 1 100 --workers 65": (2, "error: worker count must be in [1, 64], got 65\n"),
@@ -198,8 +205,8 @@ REFUSALS = {
     "construct 61 --sweep-max-m 501": (2, "error: --sweep-max-m must be in [2, 500], got 501; the sweep tries about 0.2 * m^2 progressions\n"),
     "construct 113 --sweep-max-m 0": (2, "error: --sweep-max-m must be in [2, 500], got 0; the sweep tries about 0.2 * m^2 progressions\n"),
     "construct 113 --sweep-max-m -5": (2, "error: --sweep-max-m must be in [2, 500], got -5; the sweep tries about 0.2 * m^2 progressions\n"),
-    "search 100000000000001 100000000000001": (2, "error: e_max 100000000000001 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
-    "search 1 100000000000000000000": (2, "error: e_max 100000000000000000000 exceeds the factoring ceiling 100000000000000; past the sieve's primes below 65536, a center with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 100000000000001 100000000000001": (2, "error: center root 100000000000001 exceeds the factoring ceiling 100000000000000; a root with two large prime factors is trial-divided up to the smaller one\n"),
+    "search 1 100000000000000000000": (2, "error: center root 100000000000000000000 exceeds the factoring ceiling 100000000000000; a root with two large prime factors is trial-divided up to the smaller one\n"),
     "search 1 10 --near-miss-threshold -1": (2, "error: near-miss threshold counts lines of 8, so it must be in [0, 8], got -1\n"),
     "search 1 10 --workers -3": (2, "error: worker count must be in [1, 64], got -3\n"),
     "search 1 10 --workers 100000": (2, "error: worker count must be in [1, 64], got 100000\n"),
@@ -249,21 +256,40 @@ REFUSAL_RUNS = [
 ]
 
 
+_prime_flags = fp._prime_flags
+
+
+def main_and_made(monkeypatch, pool_sizes, argv) -> tuple[int, list[str]]:
+    """`main(argv)`'s exit code and what the call made: a cached root table,
+    cached sieving primes (both caches are cleared first), each sieve by
+    `fp._prime_flags` and each process pool that the `pool_sizes` fixture
+    records. A refusal writes nothing to stdout and makes none of them."""
+    made = []
+
+    def sieve(n):
+        made.append(f"sieve to {n}")
+        return _prime_flags(n)
+
+    monkeypatch.setattr(fp, "_prime_flags", sieve)
+    fp.make_context.cache_clear()
+    fp._sieving_primes.cache_clear()
+    pools = len(pool_sizes)
+    code = main(argv)
+    made += [f"pool of {n}" for n in pool_sizes[pools:]]
+    if fp.make_context.cache_info().currsize:
+        made.append("root table")
+    if fp._sieving_primes.cache_info().currsize:
+        made.append("sieving primes")
+    return code, made
+
+
 @pytest.mark.parametrize("run", REFUSAL_RUNS)
 def test_refusal_is_pinned(capsys, tmp_path, monkeypatch, pool_sizes, run):
     command, _ = run.split(" --format ")
     argv = run.split()
     if argv[0] == "verify":
         write_grid_file(tmp_path, monkeypatch, argv[1])
-
-    def sieved(n):
-        raise AssertionError(f"a refusal sieved the primes up to {n}")
-
-    monkeypatch.setattr(fp, "_prime_flags", sieved)
     code, err = REFUSALS[command]
-    fp.make_context.cache_clear()
-    fp._sieving_primes.cache_clear()
-    assert (main(argv), *capsys.readouterr()) == (code, "", err)
-    assert fp.make_context.cache_info().currsize == 0
-    assert fp._sieving_primes.cache_info().currsize == 0
-    assert pool_sizes == []
+    assert (*main_and_made(monkeypatch, pool_sizes, argv), *capsys.readouterr()) == (
+        code, [], "", err
+    )
