@@ -10,8 +10,10 @@ output was written.
 
 `COMMANDS` is the one home of a command: its arguments, its `run_*`
 function and the renderer of each form but structured, from which its
-`--format` choices are made. The argparse parser, `_read_argv` and
-`_dispatch` all read it, and `_dispatch` names no command.
+`--format` choices are made. `_read_argv`, the one reader of the command
+line, its help text and `_dispatch` all read it, and `_dispatch` names no
+command. Every number on the command line and in a grid file is read by one
+grammar, `_integer`'s: ASCII digits after at most one sign.
 
 Every refusal happens in every form, before any root table, sieve or process
 pool. Each form is then written in pieces as it is made: every long list is a
@@ -21,13 +23,11 @@ structured form writes each such list through one %-template of that shape,
 built when the list is written. Only the human `table` holds its rows, since
 its column widths need them all; `search`'s report holds its grids.
 
-A call pays only for what its command uses. `_read_argv` reads a well-formed
-command line from the same table `build_parser` is made from, so argparse is
-imported only for help, usage errors and the forms the reader leaves to it;
-the structured form is written without `json`, which encodes only a str
-that needs escaping and values that no command prints; and `intgrid` and
-`search` are imported by the functions that use them, so `analyze`, `table`
-and `construct` load neither, and `verify` loads no `search`.
+A call pays only for what its command uses. The structured form is written
+without `json`, which encodes only a str that needs escaping and values that
+no command prints, and `intgrid` and `search` are imported by the functions
+that use them, so `analyze`, `table` and `construct` load neither, and
+`verify` loads no `search`.
 A process started by `python -m residuum` or the `residuum` script runs
 `entry`, which after `main` returns freezes the garbage collector, so the
 interpreter's final collections skip every object the call made; `main`,
@@ -45,7 +45,6 @@ from collections.abc import Iterator
 from itertools import compress, groupby, islice
 from math import isqrt
 from operator import itemgetter
-from types import SimpleNamespace
 
 from . import __version__
 from .congrua import (
@@ -58,6 +57,7 @@ from .congrua import (
 )
 from .errors import NotCovered, ParseError, ResiduumError, UsageError
 from .fp import (
+    MAX_CENTER_ROOT,
     MAX_CONTEXT_P,
     MAX_WORKERS,
     check_context_ceiling,
@@ -88,7 +88,6 @@ FORMAT_CSV = "csv"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_HIT = 10
 EXIT_PIPE = 141
 
@@ -521,6 +520,23 @@ def _shown(token: str) -> str:
     return repr(token) if len(token) <= 20 else repr(token[:20]) + "..."
 
 
+def _integer(token: str, noun: str = "a number") -> int:
+    """The int `token` writes in ASCII digits after at most one sign (`int`
+    alone also reads underscores, spaces and other scripts' digits), fewer
+    than `sys.get_int_max_str_digits()`, if set; else ValueError, which calls
+    the value `noun`."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {_shown(token)}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) >= limit:
+        raise ValueError(
+            f"{noun} of {len(digits)} digits is too long; "
+            f"at most {limit - 1} are read: {_shown(token)}"
+        )
+    return int(token)
+
+
 # The most bytes a grid file holds: nine entries at the default digit limit
 # take under 40 KB, and an endless input, such as /dev/zero or a stream of
 # blank lines, is refused once it passes this.
@@ -529,22 +545,17 @@ MAX_GRID_BYTES = 2**20
 
 def parse_square_file(path: str):
     """The IntGrid of 9 whitespace-separated nonnegative integers, row-major,
-    each written in ASCII digits after at most one sign.
+    each read by `_integer`, so a line sum of three entries, which has at
+    most one digit more than an entry, can still be printed.
 
     The file holds at most MAX_GRID_BYTES bytes; a longer one is refused
-    before any of it is parsed. An entry has fewer digits than the
-    interpreter's limit on converting between int and str
-    (`sys.get_int_max_str_digits()`, 4300 by default; no bound but the
-    file's where it sets none), so a line sum of three entries, which has
-    at most one digit more, can still be printed. The text is UTF-8, with or
-    without a leading byte-order mark, split into lines as a text-mode read
-    splits it, at universal newlines. '#' starts a comment;
-    ParseError messages carry line and column, and a file that cannot be
-    opened or read is a ParseError too.
+    before any of it is parsed. The text is UTF-8, with or without a leading
+    byte-order mark, split into lines as a text-mode read splits it, at
+    universal newlines. '#' starts a comment; ParseError messages carry line
+    and column, and a file that cannot be opened or read is a ParseError too.
     """
     from .intgrid import IntGrid
 
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = []
     try:
         with open(path, "rb") as fh:
@@ -557,17 +568,10 @@ def parse_square_file(path: str):
             for lineno, line in enumerate(fh, start=1):
                 for column, token in _tokens(line.split("#", 1)[0]):
                     where = f"{path}:{lineno}:{column}"
-                    # ASCII digits after at most one sign: int() would also
-                    # read underscores and the digits of other scripts
-                    digits = token[1:] if token[0] in "+-" else token
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ParseError(f"{where}: not an integer: {_shown(token)}")
-                    if limit and len(digits) >= limit:
-                        raise ParseError(
-                            f"{where}: an entry of {len(digits)} digits is too long; "
-                            f"at most {limit - 1} are read: {_shown(token)}"
-                        )
-                    v = int(token)
+                    try:
+                        v = _integer(token, "an entry")
+                    except ValueError as exc:
+                        raise ParseError(f"{where}: {exc}") from None
                     if v < 0:
                         raise ParseError(f"{where}: negative entry {v}")
                     if len(values) == 9:
@@ -877,10 +881,10 @@ def _render_search(r: dict) -> Iterator[str]:
 
 # The command line, one entry per command: its help, its positionals and its
 # options, each in the order of the help text and of `run`'s parameters, its
-# `run_*` function and the renderer of each form but structured. `build_parser`,
-# `_read_argv` and `_dispatch` all read it, so they share every name, type,
+# `run_*` function and the renderer of each form but structured. `_read_argv`,
+# `_help` and `_dispatch` all read it, so they share every name, type,
 # default, choice and form. An option of type bool is an on/off flag with a
-# `--no-` form; argparse's BooleanOptionalAction.
+# `--no-` form.
 _Arg = namedtuple("_Arg", "name type help default choices", defaults=(None, None))
 _Command = namedtuple("_Command", "help positionals options run renderers")
 _FORM_HELP = {FORMAT_CSV: "csv for spreadsheets"}  # each form past table and structured
@@ -899,11 +903,11 @@ def _command(help_text, positionals, options, run, renderers) -> _Command:
 COMMANDS = {
     "analyze": _command(
         "residue tables, canonical classes, bound and oracle for one prime",
-        [_Arg("p", int, "prime modulus")],
+        [_Arg("p", _integer, "prime modulus")],
         [
             _Arg(
                 "--max-oracle-p",
-                int,
+                _integer,
                 "count the classes from the sum equations when p is at most this "
                 f"(default 100, at most {MAX_COUNT_P})",
                 100,
@@ -914,7 +918,7 @@ COMMANDS = {
     ),
     "table": _command(
         "per-prime summary rows up to a bound",
-        [_Arg("max", int, "largest prime to include (>= 5)")],
+        [_Arg("max", _integer, "largest prime to include (>= 5)")],
         [],
         run_table,
         {FORMAT_TABLE: _render_table, FORMAT_CSV: _render_table_csv},
@@ -928,11 +932,11 @@ COMMANDS = {
     ),
     "construct": _command(
         "build a nontrivial residue class for a prime, showing the chain",
-        [_Arg("p", int, "prime = 1 (mod 4)")],
+        [_Arg("p", _integer, "prime = 1 (mod 4)")],
         [
             _Arg(
                 "--sweep-max-m",
-                int,
+                _integer,
                 "largest m for the exploratory progression sweep on uncovered primes "
                 f"(default 10, from 2 to {MAX_SWEEP_M})",
                 10,
@@ -943,7 +947,8 @@ COMMANDS = {
     ),
     "search": _command(
         "exhaustive integer search over center roots",
-        [_Arg("e_min", int, None), _Arg("e_max", int, None)],
+        [_Arg("e_min", _integer, "least center root to search (>= 1)"),
+         _Arg("e_max", _integer, f"largest center root to search (at most {MAX_CENTER_ROOT})")],
         [
             _Arg(
                 "--primitive-only",
@@ -953,14 +958,14 @@ COMMANDS = {
             ),
             _Arg(
                 "--near-miss-threshold",
-                int,
+                _integer,
                 "report grids with at least this many of the 8 sums correct, 0 to 8 "
                 "(default 7); every candidate has 4, 6 or 8, so 7 reports hits only",
                 7,
             ),
             _Arg(
                 "--workers",
-                int,
+                _integer,
                 f"worker processes, at most {MAX_WORKERS}; defaults to one per usable CPU",
             ),
         ],
@@ -970,97 +975,100 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """The argparse parser of COMMANDS: the parser of record, which answers
-    help and every call `_read_argv` leaves to it."""
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="residuum",
-        description="mod-p analysis of 3x3 magic squares of squares",
-    )
-    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        parser = sub.add_parser(name, help=command.help)
-        for a in command.positionals:
-            parser.add_argument(a.name, type=a.type, help=a.help)
-        for o in command.options:
-            if o.type is bool:
-                parser.add_argument(
-                    o.name, action=argparse.BooleanOptionalAction, default=o.default, help=o.help
-                )
-            else:
-                parser.add_argument(
-                    o.name, type=o.type, default=o.default, choices=o.choices, help=o.help
-                )
-    return ap
-
-
-def _dest(arg: _Arg) -> str:
-    return arg.name.lstrip("-").replace("-", "_")
-
-
 def _is_value(token: str) -> bool:
-    """Whether argparse takes `token` as a value rather than an option: it
-    does not start with `-`, or it is `-` and ASCII digits, a negative int."""
-    return token[:1] != "-" or (token[1:].isdigit() and token[1:].isascii())
+    """Whether `token` is a value, not an option: it does not start with
+    `-`, or `_integer` reads it as a number, which is then at most 0."""
+    try:
+        return token[:1] != "-" or _integer(token) <= 0
+    except ValueError:
+        return False
 
 
-def _convert(arg: _Arg, token: str):
-    """`token` through the type and choices of `arg`, as argparse applies
-    them; ValueError where argparse would refuse it."""
-    value = arg.type(token)
+def _convert(name: str, arg: _Arg, token: str):
+    """`token` through the type and choices of `arg`, of command `name`."""
+    try:
+        value = arg.type(token)
+    except ValueError as exc:
+        raise UsageError(f"{name}: {arg.name}: {exc}") from None
     if arg.choices is not None and value not in arg.choices:
-        raise ValueError(token)
+        choices = ", ".join(arg.choices)
+        raise UsageError(f"{name}: {arg.name}: {_shown(token)} is not one of {choices}")
     return value
 
 
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """What `build_parser().parse_args(argv)` returns for a well-formed call,
-    without argparse, or None for argparse to read.
+def _read_argv(argv: list[str]) -> tuple[str, dict] | str:
+    """What `argv` asks for: the call, as (command, each argument's value by
+    name); the text of `--version`, alone, or of help, for `-h` or `--help`
+    first or among a command's arguments; else a UsageError naming the token.
 
-    The well-formed calls are `--version` on its own, read as command None,
-    and a command followed, in any order, by its positionals, its
-    `--option VALUE` pairs and its on/off flags. Values go through the
-    option's type and choices, and a repeated option keeps its last value,
-    as in argparse. Everything else is None: help, abbreviations,
-    `--opt=value`, `--`, a missing or extra positional, a missing or bad
-    value, and any token that starts with `-` and is neither an option of
-    the command nor a negative int.
-    """
+    A command takes its positionals, `--option VALUE` or `--option=VALUE` and
+    `--flag` or `--no-flag` in any order; a repeated option keeps its last
+    value, and every token after `--` is a positional. Before it, a token
+    that starts with `-` is an option unless it is a negative number, and is
+    named in full: each new option could change what an abbreviation means."""
     if argv == ["--version"]:
-        return SimpleNamespace(command=None)
+        return f"residuum {__version__}\n"
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help()
     if not argv or argv[0] not in COMMANDS:
-        return None
-    command = COMMANDS[argv[0]]
-    flags = {o.name: o for o in command.options}
-    flags.update({"--no-" + o.name[2:]: o for o in command.options if o.type is bool})
-    values = {_dest(o): o.default for o in command.options}
-    free = []
-    tokens = iter(argv[1:])
-    try:
-        for token in tokens:
-            if _is_value(token):
-                free.append(token)
-                continue
-            option = flags.get(token)
-            if option is None:
-                return None
-            if option.type is bool:
-                values[_dest(option)] = not token.startswith("--no-")
-                continue
-            value = next(tokens, None)
-            if value is None or not _is_value(value):
-                return None
-            values[_dest(option)] = _convert(option, value)
-        if len(free) != len(command.positionals):
-            return None
-        for a, token in zip(command.positionals, free):
-            values[a.name] = _convert(a, token)
-    except ValueError:
-        return None
-    return SimpleNamespace(command=argv[0], **values)
+        got = _shown(argv[0]) if argv else "none"
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}; got {got}")
+    name, tokens, command = argv[0], argv[1:], COMMANDS[argv[0]]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    if "-h" in tokens[:end] or "--help" in tokens[:end]:
+        return _help(name)
+    options = {o.name: o for o in command.options}
+    options.update({"--no-" + o.name[2:]: o for o in command.options if o.type is bool})
+    values = {o.name: o.default for o in command.options}
+    free, head = [], iter(tokens[:end])
+    for token in head:
+        if _is_value(token):
+            free.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            raise UsageError(f"{name}: unknown option {_shown(token)}")
+        if option.type is bool:
+            if eq:
+                raise UsageError(f"{name}: {flag} takes no value, got {_shown(value)}")
+            values[option.name] = not flag.startswith("--no-")
+            continue
+        if not eq:
+            value = next(head, "-")
+            if not _is_value(value):
+                raise UsageError(f"{name}: {flag} needs a value")
+        values[option.name] = _convert(name, option, value)
+    free += tokens[end + 1:]
+    wanted = command.positionals
+    if len(free) < len(wanted):
+        raise UsageError(f"{name}: missing argument {wanted[len(free)].name}")
+    if len(free) > len(wanted):
+        raise UsageError(f"{name}: unexpected argument {_shown(free[len(wanted)])}")
+    values.update({a.name: _convert(name, a, token) for a, token in zip(wanted, free)})
+    return name, values
+
+
+def _help(name: str | None = None) -> str:
+    """The help of command `name`, or of the program where None, from
+    COMMANDS: a usage line, what it does, and each argument or command."""
+    import textwrap
+
+    if name is None:
+        usage = "[-h] [--version] COMMAND [ARGUMENTS]"
+        about = "mod-p analysis of 3x3 magic squares of squares; see `residuum COMMAND --help`"
+        rows = [(n, c.help) for n, c in COMMANDS.items()]
+    else:
+        command = COMMANDS[name]
+        usage = " ".join([name, "[-h] [OPTIONS]", *[a.name for a in command.positionals]])
+        about = command.help
+        rows = [(a.name, a.help) for a in command.positionals]
+        for o in command.options:
+            value = "{" + ",".join(o.choices) + "}" if o.choices else "N"
+            head = f"{o.name}, --no-{o.name[2:]}" if o.type is bool else f"{o.name} {value}"
+            rows.append((head, o.help))
+    rows = "".join(f"  {h}\n{textwrap.indent(textwrap.fill(t, 73), 6 * ' ')}\n" for h, t in rows)
+    return f"usage: residuum {usage}\n\n{about}\n\n{rows}"
 
 
 def _default_workers() -> int:
@@ -1071,37 +1079,29 @@ def _default_workers() -> int:
     return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
-def _dispatch(args) -> int:
-    """Run `args.command` on its values in table order, write the form that
-    `args.format` names and return the exit code."""
-    command = COMMANDS[args.command]
+def _dispatch(call: tuple[str, dict] | str) -> int:
+    """Write `call` if it is text, of `--version` or of help; else run its
+    command on its values in table order and write the form --format names."""
+    if type(call) is str:
+        sys.stdout.write(call)
+        return EXIT_OK
+    name, values = call
+    command = COMMANDS[name]
     # every option but --format, the last, is a parameter of `run`
-    values = [getattr(args, _dest(a)) for a in command.positionals + command.options[:-1]]
-    out = command.run(*values)
+    out = command.run(*[values[a.name] for a in command.positionals + command.options[:-1]])
     # an OutputDocument is a tuple subclass, not a tuple
     doc, code = out if type(out) is tuple else (out, EXIT_OK)
-    if args.format == FORMAT_STRUCTURED:
+    if values["--format"] == FORMAT_STRUCTURED:
         sys.stdout.writelines(doc.chunks())
     else:
-        sys.stdout.writelines(command.renderers[args.format](doc.results))
+        sys.stdout.writelines(command.renderers[values["--format"]](doc.results))
     return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            # argparse already printed usage/help; normalize its exit code
-            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command is None:
-        # `--version`, written as argparse's version action writes it
-        sys.stdout.write(f"residuum {__version__}\n")
-        return EXIT_OK
     try:
-        code = _dispatch(args)
+        code = _dispatch(_read_argv(argv))
         sys.stdout.flush()  # so that a reader gone early shows here, not at exit
         return code
     except BrokenPipeError:

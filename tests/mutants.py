@@ -561,4 +561,49 @@ MUTANTS = (
             "tests/test_reach.py::test_every_public_function_runs_under_a_golden_command",
         ),
     ),
+    # argv's numbers read by a bare int(), which takes underscores, spaces and
+    # other scripts' digits, so `analyze 1_3` runs as p = 13
+    Mutant(
+        "argv_numbers_read_by_int",
+        "cli.py",
+        "    digits = token[1:] if token[:1] in (\"+\", \"-\") else token\n",
+        "    return int(token)\n",
+        (
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 1_3 --format table]",
+            "tests/test_golden.py::test_refusal_is_pinned[analyze 1_3 --format structured]",
+        ),
+    ),
+    # the reader keeps the first value given to an option, not the last
+    Mutant(
+        "repeated_option_keeps_its_first_value",
+        "cli.py",
+        "        values[option.name] = _convert(name, option, value)\n",
+        "        if values[option.name] == option.default:\n"
+        "            values[option.name] = _convert(name, option, value)\n",
+        ("tests/test_cli.py::test_a_repeated_option_keeps_its_last_value",),
+    ),
+    # `--` does not end the options, so it is refused as an unknown option
+    # and a help flag after it answers with help
+    Mutant(
+        "double_dash_ends_nothing",
+        "cli.py",
+        "    end = tokens.index(\"--\") if \"--\" in tokens else len(tokens)\n",
+        "    end = len(tokens)\n",
+        (
+            "tests/test_cli.py::test_every_token_after_a_double_dash_is_a_positional[grid.txt]",
+            "tests/test_cli.py::test_every_token_after_a_double_dash_is_a_positional[--help]",
+        ),
+    ),
+    # a `--no-` flag turns its option on
+    Mutant(
+        "no_flag_sets_true",
+        "cli.py",
+        "            values[option.name] = not flag.startswith(\"--no-\")\n",
+        "            values[option.name] = True\n",
+        (
+            "tests/test_cli.py::test_a_repeated_option_keeps_its_last_value",
+            "tests/test_golden.py::test_structured_output_is_pinned"
+            "[search 60 600 --no-primitive-only --near-miss-threshold 0 --workers 1]",
+        ),
+    ),
 )

@@ -1,7 +1,8 @@
 """The boundary sweep: one argument of one command at a time, over small and
-negative values, ints written in ways `int` reads or refuses, the numbers
-earlier refusals met, and every ceiling with the value just past it, in every
-form the command takes.
+negative values, numbers written in ways `int` reads or refuses (the command
+line, like a grid file, takes only ASCII digits after at most one sign), the
+numbers earlier refusals met, and every ceiling with the value just past it,
+in every form the command takes.
 
 A call's whole input is its command line and the grid file `verify` reads:
 the package reads no environment variable, which the last test holds, so

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import residuum
@@ -198,8 +198,10 @@ def test_table_forms_write_the_rows(capsys):
 
 
 def test_csv_only_for_table(capsys):
-    code = main(["analyze", "29", "--format", "csv"])
-    assert code == 2
+    # not a REFUSALS row: the --format appended to each row would replace it
+    assert run(capsys, "analyze", "29", "--format", "csv") == (
+        2, "", "error: analyze: --format: 'csv' is not one of table, structured\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -765,10 +767,10 @@ def _loaded_after(argv, watched):
     code = (
         "import os, sys\n"
         "from residuum.cli import main\n"
-        "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
+        "sys.stdout = sys.stderr = open(os.devnull, 'w', encoding='utf-8')\n"
         f"code = main({argv!r})\n"
         "sys.stdout.flush()\n"
-        f"print(code, [m for m in {watched!r} if m in sys.modules], file=sys.stderr)"
+        f"print(code, [m for m in {watched!r} if m in sys.modules], file=sys.__stderr__)"
     )
     src = Path(residuum.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -779,7 +781,7 @@ def _loaded_after(argv, watched):
 
 def test_cli_calls_leave_re_unloaded(tmp_path):
     # cli tokenizes grid files with str.split and makes its templates with
-    # groupby, so no call but a parallel search pays for importing re
+    # groupby, so no call but a parallel search and help pays for importing re
     code = "import sys, residuum.cli; print('re' in sys.modules)"
     src = Path(residuum.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -812,8 +814,7 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
         [sys.executable, "-S", "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
-    # a well-formed call loads neither argparse nor json, and only the
-    # modules of its command; help still goes through argparse
+    # no call loads argparse or json, and each only the modules of its command
     unused = (
         "argparse", "gettext", "locale", "json", "enum", "residuum.intgrid", "residuum.search"
     )
@@ -823,6 +824,9 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
         (["construct", "61", "--format", "structured"], 0),
         (["construct", "113", "--format", "structured"], 1),
         (["--version"], 0),
+        (["analyze", "1_3"], 2),
+        (["search", "1", "30", "--work", "2"], 2),
+        ([], 2),
     ):
         assert _loaded_after(argv, unused) == f"{code} []\n", argv
     # verify needs intgrid, but its factoring ceiling lives in fp, and a path
@@ -833,7 +837,17 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
         argv = ["verify", str(grid), "--format", fmt]
         watched = ("argparse", "json", "enum", "residuum.search")
         assert _loaded_after(argv, watched) == "0 []\n", fmt
-    assert _loaded_after(["analyze", "29", "--help"], ("argparse",)) == "0 ['argparse']\n"
+    # help is wrapped by textwrap, whose re loads enum
+    for argv in (["--help"], ["search", "--help"]):
+        watched = ("argparse", "json", "residuum.intgrid", "residuum.search")
+        assert _loaded_after(argv, watched) == "0 []\n", argv
+
+
+def test_the_package_names_no_argparse():
+    # `cli._read_argv` is the one reader of the command line
+    paths = list(Path(residuum.__file__).parent.glob("*.py"))
+    assert len(paths) > 2
+    assert [p.name for p in paths if "argparse" in p.read_text("utf-8")] == []
 
 
 # names the package no longer holds: those only the tests read, which live in
@@ -1029,54 +1043,82 @@ def test_the_error_class_alone_decides_the_exit_code(capsys, monkeypatch, error)
 
 
 def test_missing_subcommand_is_usage_error(capsys):
-    assert main([]) == 2
+    # not a REFUSALS row: the --format appended to each row would be read as
+    # the command
+    assert run(capsys) == (
+        2, "", "error: expected a command, one of analyze, table, verify, construct, search; "
+        "got none\n"
+    )
 
 
 def test_version_flag(capsys):
-    assert main(["--version"]) == 0
+    assert run(capsys, "--version") == (0, f"residuum {residuum.__version__}\n", "")
 
 
-# ------------------------------------------------- argv reader and argparse
+# ---------------------------------------------------------------- argv reader
 
-PARSER = cli.build_parser()
-# what argparse takes for each type: ints in every form int() reads,
-# negative ones included, and paths that look like ints or hold a space
-INT_TOKENS = ["0", "5", "29", "100", "-3", "+7", "1_0", "٣", " 8"]
-PATH_TOKENS = ["grid.txt", "-5", "a b", "analyze"]
+# the tokens the reader takes for an int, each with its value, and for a path;
+# a path may look like an int the reader refuses, or like a negative one
+INT_TOKENS = {"0": 0, "5": 5, "29": 29, "100": 100, "-3": -3, "+7": 7, "07": 7}
+PATH_TOKENS = ["grid.txt", "-5", "a b", "analyze", "1_0", "\u0663", " 8", ""]
 JUNK_TOKENS = [
     "-x", "-x5", "-", "--", "--form", "--format=csv", "-h", "--help", "-1e5", "-1.5",
-    "--version", "", "x", "-٣", "--no-format", "--primitive", "--no-workers",
+    "--version", "", "x", "-\u0663", "--no-format", "--primitive", "--no-workers", "1_0",
+    "\u0663", " 8", "4.0", "1e3", "--no-primitive-only=1", "--workers=",
 ]
 VOCABULARY = sorted(
     {*cli.COMMANDS, *INT_TOKENS, *PATH_TOKENS, *JUNK_TOKENS, "table", "structured", "csv",
      "--no-primitive-only"}
     | {o.name for command in cli.COMMANDS.values() for o in command.options}
 )
+# a command line: its command, its positionals and options as groups of
+# tokens, each group with the argument it sets, and the values by name that
+# the reader gives, or None where a value was drawn from the junk tokens
+Form = namedtuple("Form", "command groups values")
+
+
+def good_tokens(arg) -> dict:
+    """The tokens the reader takes as a value of `arg`, each with its value."""
+    if arg.choices:
+        return {c: c for c in arg.choices}
+    return {t: t for t in PATH_TOKENS} if arg.type is str else INT_TOKENS
 
 
 @st.composite
 def argv_forms(draw):
-    """A command, its positionals and some of its options, in any order, with
-    about one value in five drawn from the junk tokens; and whether every
-    value was one argparse takes."""
-    clean = True
-
-    def value(good):
-        nonlocal clean
-        token = draw(st.sampled_from(good if draw(st.integers(0, 4)) else JUNK_TOKENS))
-        clean = clean and token in good
-        return token
-
+    """The Form of a command, its positionals and some of its options, in any
+    order, with about one value in five drawn from the junk tokens."""
     command = draw(st.sampled_from(list(cli.COMMANDS)))
     positionals, options = cli.COMMANDS[command].positionals, cli.COMMANDS[command].options
-    groups = [[value(INT_TOKENS if a.type is int else PATH_TOKENS)] for a in positionals]
+
+    def value(arg):
+        good = sorted(good_tokens(arg))
+        return draw(st.sampled_from(good if draw(st.integers(0, 4)) else JUNK_TOKENS))
+
+    groups = [(a, [value(a)]) for a in positionals]
     for o in draw(st.lists(st.sampled_from(options), max_size=4)):
         if o.type is bool:
-            groups.append([draw(st.sampled_from([o.name, "--no-" + o.name[2:]]))])
+            groups.append((o, [draw(st.sampled_from([o.name, "--no-" + o.name[2:]]))]))
         else:
-            groups.append([o.name, value(o.choices or INT_TOKENS)])
+            groups.append((o, [o.name, value(o)]))
     groups = draw(st.permutations(groups))
-    return [command] + [token for group in groups for token in group], clean
+    # the positionals are read in the order they come
+    slots = iter(positionals)
+    groups = [(next(slots) if arg in positionals else arg, tokens) for arg, tokens in groups]
+    values = {o.name: o.default for o in options}
+    for arg, tokens in groups:  # in order, so a repeated option's last value counts
+        if arg.type is bool:
+            values[arg.name] = tokens[0] == arg.name
+        elif tokens[-1] in good_tokens(arg):
+            values[arg.name] = good_tokens(arg)[tokens[-1]]
+        else:
+            values = None
+            break
+    return Form(command, groups, values)
+
+
+def spaced(form) -> list:
+    return [form.command] + [token for _, tokens in form.groups for token in tokens]
 
 
 def perturb(argv, edits):
@@ -1093,17 +1135,6 @@ def perturb(argv, edits):
     return argv
 
 
-def parsed_by_argparse(argv):
-    """("ok", the namespace's attributes) or ("exit", code, stdout)."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            ns = PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return ("exit", exc.code, out.getvalue())
-    return ("ok", vars(ns))
-
-
 edits = st.lists(
     st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 8),
               st.sampled_from(VOCABULARY)),
@@ -1111,54 +1142,63 @@ edits = st.lists(
 )
 
 
-@settings(max_examples=1000, deadline=None)
-@given(form=argv_forms() | st.just((["--version"], True)), changes=edits)
-@example(form=(["verify", "-x5"], False), changes=[])
-@example(form=(["search", "1", "2", "--no-primitive-only"], True), changes=[])
-def test_argv_reader_agrees_with_argparse(form, changes):
-    argv, clean = form
-    argv = perturb(argv, changes)
-    read = cli._read_argv(argv)
-    if clean and not changes:
-        # every well-formed call is read without argparse
-        assert read is not None, argv
+@settings(max_examples=500, deadline=None)
+@given(form=argv_forms())
+def test_a_clean_form_reads_to_the_values_it_drew(form):
+    assume(form.values is not None)
+    read = (form.command, form.values)
+    assert cli._read_argv(spaced(form)) == read
+    # `--opt=value` reads as `--opt value`
+    joined = [form.command] + ["=".join(tokens) for _, tokens in form.groups]
+    assert cli._read_argv(joined) == read
+    # after `--`, every token is a positional, one that starts with `-` too
+    options = [t for arg, tokens in form.groups if arg.name[0] == "-" for t in tokens]
+    free = [t for arg, tokens in form.groups if arg.name[0] != "-" for t in tokens]
+    assert cli._read_argv([form.command, *options, "--", *free]) == read
+
+
+def test_a_repeated_option_keeps_its_last_value():
+    read = cli._read_argv([
+        "search", "--workers", "1", "1", "--primitive-only", "30", "--workers=2",
+        "--near-miss-threshold", "0", "--no-primitive-only", "--near-miss-threshold=5",
+    ])
+    assert read == ("search", {
+        "e_min": 1, "e_max": 30, "--primitive-only": False, "--near-miss-threshold": 5,
+        "--workers": 2, "--format": "table",
+    })
+
+
+@pytest.mark.parametrize("token", VOCABULARY)
+def test_every_token_after_a_double_dash_is_a_positional(token):
+    read = cli._read_argv(["verify", "--format", "structured", "--", token])
+    assert read == ("verify", {"path": token, "--format": "structured"})
+
+
+def ends_as_documented(argv) -> bool:
+    """Whether `argv` is read, is answered by `main` with help or the
+    version on stdout and exit 0, or is refused by `main` with exit 2, one
+    `error:` line and nothing on stdout; no other exception escapes."""
+    try:
+        read = cli._read_argv(argv)
+    except errors.UsageError:
+        read = None
+    if type(read) is tuple:
+        return True
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     if read is None:
-        return
-    if read.command is None:
-        assert parsed_by_argparse(argv) == ("exit", 0, f"residuum {cli.__version__}\n")
-    else:
-        assert parsed_by_argparse(argv) == ("ok", vars(read)), argv
+        lines = err.getvalue().splitlines()
+        return (code, out.getvalue(), len(lines)) == (2, "", 1) and lines[0].startswith("error: ")
+    shown = read.startswith("usage: residuum ") or read == f"residuum {residuum.__version__}\n"
+    return (code, out.getvalue(), err.getvalue()) == (0, read, "") and shown
 
 
-# (argv, whether the reader reads it); every golden command, then the forms
-# argparse answers: help, usage errors, abbreviations and `--opt=value`
-PARITY_ARGV = [
-    *[(command.split() + ([] if "--format" in command else ["--format", "structured"]), True)
-      for command in GOLDEN],
-    (["--version"], True),
-    (["construct", "113", "--sweep-max-m", "-5"], True),
-    (["--help"], False),
-    *[([command, "--help"], False) for command in cli.COMMANDS],
-    ([], False),
-    (["analyze"], False),
-    (["analyze", "x"], False),
-    (["analyze", "29", "--format", "csv"], False),
-    (["search", "1", "5", "--form", "structured"], False),
-    (["analyze", "29", "--format=structured"], False),
-]
-
-
-@pytest.mark.parametrize("argv, read", PARITY_ARGV, ids=[" ".join(a) for a, _ in PARITY_ARGV])
-def test_reader_and_argparse_write_the_same(
-    capsys, tmp_path, monkeypatch, pool_sizes, argv, read
-):
-    monkeypatch.chdir(tmp_path)
-    for name, cells in VERIFY_FILES.items():
-        (tmp_path / name).write_text(" ".join(map(str, cells)) + "\n")
-    assert (cli._read_argv(argv) is not None) == read
-    through_reader = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
-    assert run(capsys, *argv) == through_reader
+@settings(max_examples=1000, deadline=None)
+@given(form=argv_forms() | st.just(Form("--version", [], None)), changes=edits)
+def test_every_perturbed_command_line_ends_as_documented(form, changes):
+    argv = perturb(spaced(form), changes)
+    assert ends_as_documented(argv), argv
 
 
 @settings(max_examples=500, deadline=None)

@@ -57,11 +57,12 @@ purpose updates the hash and says why.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
 from residuum import fp
-from residuum.cli import COMMANDS, FORMAT_STRUCTURED, main
+from residuum.cli import COMMANDS, FORMAT_STRUCTURED, FORMAT_TABLE, main
 
 GOLDEN = {
     "search 1 2000 --workers 1": (0, "263ce6f33709447d313e517b763ef29afc70e94e7487ff63c6bf636be995cd47"),
@@ -157,16 +158,24 @@ VERIFY_FILES = {
 # exit 3 a grid file that cannot be read. The first 27 entries were taken from
 # the sources in which each module raised its own error class and `main`
 # listed the classes that exit 2, so merging the classes is held to these
-# codes and messages; the rest from the sources in which `main` still named
-# each class's exit code itself, before the classes carried it. 2**89 - 1 is
-# a prime = 3 (mod 4) past the last Miller-Rabin bound, so its rows show that
-# the context ceiling is checked before any primality proof. The three
-# `construct` rows at that ceiling were re-pinned to `make_context`'s wording
-# when `construct` came to share its one check, and the three `search` rows
-# past the factoring ceiling to `verify`'s wording when `search` came to share
-# its one check, `fp.check_center_ceiling`. Refusals that argparse words are
-# left out: its wording moves between Python versions.
+# codes and messages; the rest up to `verify oversized.txt` from the sources
+# in which `main` still named each class's exit code itself, before the
+# classes carried it. 2**89 - 1 is a prime = 3 (mod 4) past the last
+# Miller-Rabin bound, so its rows show that the context ceiling is checked
+# before any primality proof. The three `construct` rows at that ceiling were
+# re-pinned to `make_context`'s wording when `construct` came to share its one
+# check, and the three `search` rows past the factoring ceiling to `verify`'s
+# wording when `search` came to share its one check,
+# `fp.check_center_ceiling`. The rows after `verify oversized.txt` are the
+# command line's own refusals, made by `cli._read_argv`, the one reader of
+# argv: each names the token it refused, and a number on the command line is
+# read by the grammar of a grid file's entries. A row is a command line as a
+# POSIX shell splits it (`shlex.split`), so it can hold an empty token or one
+# with a space. The two refusals that the appended `--format FMT` would
+# change, an empty command line and a form the command lacks, are tests in
+# tests/test_cli.py.
 M89 = 2**89 - 1
+MANY_DIGITS = "9" * 4300  # the interpreter's default limit on int digits
 REFUSALS = {
     "analyze 0": (2, "error: 0 is not prime\n"),
     "analyze -1": (2, "error: -1 is not prime\n"),
@@ -211,6 +220,30 @@ REFUSALS = {
     "search 1 10 --workers -3": (2, "error: worker count must be in [1, 64], got -3\n"),
     "search 1 10 --workers 100000": (2, "error: worker count must be in [1, 64], got 100000\n"),
     "verify oversized.txt": (3, "error: oversized.txt: longer than 1048576 bytes, the most a grid file holds\n"),
+    "frobnicate": (2, "error: expected a command, one of analyze, table, verify, construct, search; got 'frobnicate'\n"),
+    "search 1 30 --frobnicate": (2, "error: search: unknown option '--frobnicate'\n"),
+    "search 1 30 --work 2": (2, "error: search: unknown option '--work'\n"),
+    "search 1 5 --form structured": (2, "error: search: unknown option '--form'\n"),
+    "analyze": (2, "error: analyze: missing argument p\n"),
+    "search 1": (2, "error: search: missing argument e_max\n"),
+    "analyze 29 31": (2, "error: analyze: unexpected argument '31'\n"),
+    "search 1 30 --no-primitive-only=1": (2, "error: search: --no-primitive-only takes no value, got '1'\n"),
+    "analyze 29 --max-oracle-p": (2, "error: analyze: --max-oracle-p needs a value\n"),
+    "analyze x": (2, "error: analyze: p: not an integer: 'x'\n"),
+    "analyze 1_3": (2, "error: analyze: p: not an integer: '1_3'\n"),
+    "analyze ٣": (2, "error: analyze: p: not an integer: '٣'\n"),
+    "analyze ' 5'": (2, "error: analyze: p: not an integer: ' 5'\n"),
+    "analyze 4.0": (2, "error: analyze: p: not an integer: '4.0'\n"),
+    "analyze 1e3": (2, "error: analyze: p: not an integer: '1e3'\n"),
+    "analyze ''": (2, "error: analyze: p: not an integer: ''\n"),
+    "search 1 30 --near-miss-threshold x": (2, "error: search: --near-miss-threshold: not an integer: 'x'\n"),
+    "search 1 30 --near-miss-threshold 1_3": (2, "error: search: --near-miss-threshold: not an integer: '1_3'\n"),
+    "search 1 30 --near-miss-threshold ٣": (2, "error: search: --near-miss-threshold: not an integer: '٣'\n"),
+    "search 1 30 --near-miss-threshold ' 5'": (2, "error: search: --near-miss-threshold: not an integer: ' 5'\n"),
+    "search 1 30 --near-miss-threshold 4.0": (2, "error: search: --near-miss-threshold: not an integer: '4.0'\n"),
+    "search 1 30 --near-miss-threshold 1e3": (2, "error: search: --near-miss-threshold: not an integer: '1e3'\n"),
+    "search 1 30 --near-miss-threshold ''": (2, "error: search: --near-miss-threshold: not an integer: ''\n"),
+    f"analyze {MANY_DIGITS}": (2, f"error: analyze: p: a number of 4300 digits is too long; at most 4299 are read: {MANY_DIGITS[:20]!r}...\n"),
 }
 
 
@@ -236,7 +269,10 @@ def test_structured_output_is_pinned(capsys, tmp_path, monkeypatch, command):
 
 
 def forms(command: str) -> tuple:
-    """The values that `command`'s --format option takes."""
+    """The values that `command`'s --format option takes; for a name that is
+    no command, the two that every command takes."""
+    if command not in COMMANDS:
+        return (FORMAT_TABLE, FORMAT_STRUCTURED)
     (option,) = [o for o in COMMANDS[command].options if o.name == "--format"]
     return option.choices
 
@@ -252,7 +288,7 @@ def test_every_form_of_every_command_is_pinned():
 
 # each REFUSALS row in each form its command takes, named by the command line
 REFUSAL_RUNS = [
-    f"{command} --format {fmt}" for command in REFUSALS for fmt in forms(command.split()[0])
+    f"{command} --format {fmt}" for command in REFUSALS for fmt in forms(shlex.split(command)[0])
 ]
 
 
@@ -286,10 +322,104 @@ def main_and_made(monkeypatch, pool_sizes, argv) -> tuple[int, list[str]]:
 @pytest.mark.parametrize("run", REFUSAL_RUNS)
 def test_refusal_is_pinned(capsys, tmp_path, monkeypatch, pool_sizes, run):
     command, _ = run.split(" --format ")
-    argv = run.split()
+    argv = shlex.split(run)
     if argv[0] == "verify":
         write_grid_file(tmp_path, monkeypatch, argv[1])
     code, err = REFUSALS[command]
     assert (*main_and_made(monkeypatch, pool_sizes, argv), *capsys.readouterr()) == (
         code, [], "", err
     )
+
+
+# the exact text of `residuum --help` and of each command's `--help`, made
+# from `cli.COMMANDS`; it is the same on every Python the package supports
+HELP = {
+    "--help": """\
+usage: residuum [-h] [--version] COMMAND [ARGUMENTS]
+
+mod-p analysis of 3x3 magic squares of squares; see `residuum COMMAND --help`
+
+  analyze
+      residue tables, canonical classes, bound and oracle for one prime
+  table
+      per-prime summary rows up to a bound
+  verify
+      check a candidate grid from a file
+  construct
+      build a nontrivial residue class for a prime, showing the chain
+  search
+      exhaustive integer search over center roots
+""",
+    "analyze --help": """\
+usage: residuum analyze [-h] [OPTIONS] p
+
+residue tables, canonical classes, bound and oracle for one prime
+
+  p
+      prime modulus
+  --max-oracle-p N
+      count the classes from the sum equations when p is at most this (default
+      100, at most 100000)
+  --format {table,structured}
+      table (human-readable, default) or structured (deterministic JSON)
+""",
+    "table --help": """\
+usage: residuum table [-h] [OPTIONS] max
+
+per-prime summary rows up to a bound
+
+  max
+      largest prime to include (>= 5)
+  --format {table,structured,csv}
+      table (human-readable, default) or structured (deterministic JSON); csv
+      for spreadsheets
+""",
+    "verify --help": """\
+usage: residuum verify [-h] [OPTIONS] path
+
+check a candidate grid from a file
+
+  path
+      file with 9 whitespace-separated nonnegative integers
+  --format {table,structured}
+      table (human-readable, default) or structured (deterministic JSON)
+""",
+    "construct --help": """\
+usage: residuum construct [-h] [OPTIONS] p
+
+build a nontrivial residue class for a prime, showing the chain
+
+  p
+      prime = 1 (mod 4)
+  --sweep-max-m N
+      largest m for the exploratory progression sweep on uncovered primes
+      (default 10, from 2 to 500)
+  --format {table,structured}
+      table (human-readable, default) or structured (deterministic JSON)
+""",
+    "search --help": """\
+usage: residuum search [-h] [OPTIONS] e_min e_max
+
+exhaustive integer search over center roots
+
+  e_min
+      least center root to search (>= 1)
+  e_max
+      largest center root to search (at most 100000000000000)
+  --primitive-only, --no-primitive-only
+      prune center roots with a prime factor = 3 (mod 4) (default on)
+  --near-miss-threshold N
+      report grids with at least this many of the 8 sums correct, 0 to 8
+      (default 7); every candidate has 4, 6 or 8, so 7 reports hits only
+  --workers N
+      worker processes, at most 64; defaults to one per usable CPU
+  --format {table,structured}
+      table (human-readable, default) or structured (deterministic JSON)
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["--help", *[f"{c} --help" for c in COMMANDS]])
+def test_help_is_pinned(capsys, command):
+    assert main(command.split()) == 0
+    assert capsys.readouterr() == (HELP[command], "")

@@ -7,7 +7,7 @@ class whose `__module__` is that submodule, so a name counts wherever it is
 imported from. A function no command calls belongs beside the tests that
 read it. The exemptions are the names that `bench/trace.py`'s TRACED
 patches, since the benchmark's tracer needs them in the package (once TRACED
-stops naming one, this test asks for it to move), the two entry points in
+stops naming one, this test asks for it to move), the entry point in
 ENTRIES, which the golden commands, each a call of `main` in process, do not
 take, and the methods in BENCH_CALLS, which the benchmark calls itself.
 """
@@ -20,14 +20,10 @@ import sys
 from test_bench_contract import SRC, traced_names
 from test_golden import GOLDEN, VERIFY_FILES
 
-# entry points no golden command takes, each with the test that runs it
+# the entry point no golden command takes, with the test that runs it
 ENTRIES = {
     # the process entry; tests/test_entry.py runs it in a child
     "cli.entry",
-    # the parser of record for help and the forms `_read_argv` leaves to
-    # argparse; the golden commands are all forms `_read_argv` reads, and
-    # tests/test_cli.py holds the two readers to the same answers
-    "cli.build_parser",
 }
 
 # methods that bench/ calls outside the traced layers
